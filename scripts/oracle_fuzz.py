@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Fuzz the LP pipeline against the combinatorial section sweep.
+"""Fuzz the section sweep against the bounded simplex.
 
-Draws random free function-like cone sheaves and insists the simplex
-verdict, the reachability sweep, certificate validity and witness
-decomposability all line up. Any disagreement prints the offending sheaf
-as JSON and exits nonzero.
+Draws random free function-like cone sheaves, which `global_sections`
+decides by the reachability sweep, and insists the sweep's verdict, the
+verdict of the simplex called directly on the coboundary, the sweep's
+certificate and the decomposability of the simplex witness all line up.
+Any disagreement prints the offending sheaf as JSON and exits nonzero.
 
 Usage: python scripts/oracle_fuzz.py --count 10000 --seed 7
 """
@@ -16,8 +17,8 @@ import sys
 from random import Random
 
 from evasion.cli import sheaf_to_jsonable
-from evasion.cones import is_valid_certificate
-from evasion.oracle import dp_section_exists, flow_decompose
+from evasion.cones import is_valid_certificate, lp_positive_kernel
+from evasion.oracle import flow_decompose
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
 
@@ -35,11 +36,11 @@ def main() -> int:
     for trial in range(args.count):
         sheaf = random_function_like_sheaf(rng, args.max_vertices, args.max_gens)
         sections = global_sections(sheaf)
-        exists, chain = dp_section_exists(sheaf)
-        ok = exists == sections.decision.feasible
+        simplex = lp_positive_kernel(sections.coboundary)
+        ok = simplex.feasible == sections.decision.feasible
         if ok and sections.decision.feasible:
             feasible += 1
-            decomposition = flow_decompose(sheaf, sections.decision.witness)
+            decomposition = flow_decompose(sheaf, simplex.witness)
             ok = bool(decomposition)
         elif ok:
             ok = is_valid_certificate(sections.coboundary, sections.decision.certificate)

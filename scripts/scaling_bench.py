@@ -2,8 +2,10 @@
 """Wall-clock scaling of the full decision pipeline on the pulsing family.
 
 The family has rank-one stalks at every cell, so the numbers isolate the
-pipeline's bookkeeping (arrangement sweeps, coboundary assembly, simplex,
-path extraction) as the number of critical times grows.
+pipeline's bookkeeping (arrangement sweeps, coboundary assembly, decision,
+path extraction) as the number of critical times grows. Both scene caches
+are cleared first and the gap fibres are timed as their own stage, so
+"validate" is scene validation alone.
 
 Usage: python scripts/scaling_bench.py [sizes ...]
 """
@@ -11,7 +13,7 @@ Usage: python scripts/scaling_bench.py [sizes ...]
 import argparse
 import time
 
-from evasion.geometry import build_sheaf, extract_path, validate_scene
+from evasion.geometry import build_sheaf, extract_path, scene_fibres, validate_scene
 from evasion.randgen import pulsing_box_scene
 from evasion.sheaf import global_sections
 
@@ -19,6 +21,11 @@ from evasion.sheaf import global_sections
 def run(n: int) -> dict:
     scene = pulsing_box_scene(n)
     out = {"critical_times": n}
+    scene_fibres.cache_clear()
+    validate_scene.cache_clear()
+    t0 = time.perf_counter()
+    scene_fibres(scene)
+    out["fibres_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     report = validate_scene(scene)
     out["validate_s"] = time.perf_counter() - t0
@@ -42,12 +49,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000])
     args = parser.parse_args()
-    header = f"{'n':>6} {'validate':>9} {'sheaf':>9} {'sections':>9} {'path':>9}  verdict"
+    header = f"{'n':>6} {'fibres':>9} {'validate':>9} {'sheaf':>9} {'sections':>9} {'path':>9}  verdict"
     print(header)
     for n in args.sizes:
         r = run(n)
         print(
-            f"{r['critical_times']:>6} {r['validate_s']:>8.3f}s {r['build_sheaf_s']:>8.3f}s "
+            f"{r['critical_times']:>6} {r['fibres_s']:>8.3f}s {r['validate_s']:>8.3f}s {r['build_sheaf_s']:>8.3f}s "
             f"{r['global_sections_s']:>8.3f}s {r['extract_path_s']:>8.3f}s  {r['verdict']}"
         )
 

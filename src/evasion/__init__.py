@@ -36,19 +36,15 @@ from evasion.geometry import (
     verify_evasion_path,
 )
 from evasion.linalg import Matrix, format_rational, kernel_basis, parse_rational
-from evasion.oracle import (
-    SectionChain,
-    UnsupportedSheafError,
-    dp_section_exists,
-    enumerate_sections,
-    flow_decompose,
-)
+from evasion.oracle import dp_section_exists, enumerate_sections, flow_decompose
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
+    SectionChain,
     SheafReport,
     SheafValidationError,
     Stratification,
+    UnsupportedSheafError,
     assemble_coboundary,
     global_sections,
     refine,

@@ -1,11 +1,11 @@
 """Command-line front end and JSON interchange formats.
 
 Subcommands:
-  check   scene.json  -> full pipeline (validate, sheaf, LP, path), verdict report
+  check   scene.json  -> full pipeline (validate, sheaf, decision, path), verdict report
   sheaf   scene.json  -> the constructed cone sheaf as JSON
   lp      sheaf.json  -> validate + coboundary + LP on an abstract sheaf
   matrix  sheaf.json  -> labelled coboundary matrix only
-  oracle  sheaf.json  -> combinatorial section sweep (free function-like sheaves)
+  oracle  sheaf.json  -> the section sweep's chain (free function-like sheaves)
   path    scene.json  -> extracted evasion path as JSON
 
 Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from evasion.cones import PolyhedralCone
+from evasion.cones import PolyhedralCone, lp_positive_kernel
 from evasion.geometry import (
     Box,
     EvasionPath,
@@ -38,10 +38,11 @@ from evasion.geometry import (
     validate_scene,
 )
 from evasion.linalg import Matrix, format_rational, parse_rational
-from evasion.oracle import SectionChain, UnsupportedSheafError, dp_section_exists
+from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
+    SectionChain,
     SheafValidationError,
     Stratification,
     assemble_coboundary,
@@ -134,7 +135,9 @@ def sheaf_to_jsonable(S: ConeSheaf) -> dict:
     }
 
 
-def _stalk_from_jsonable(data) -> PolyhedralCone:
+def _stalk_from_jsonable(cell: str, data) -> PolyhedralCone:
+    if not isinstance(data["labels"], list):
+        raise ValueError(f"labels of the stalk over {cell} must be a list, got {data['labels']!r}")
     labels = tuple(str(lab) for lab in data["labels"])
     if "generators" in data:
         gens = [tuple(_rat(c) for c in g) for g in data["generators"]]
@@ -159,7 +162,7 @@ def _sheaf_from_jsonable(data) -> ConeSheaf:
     def stalk(cell: str) -> PolyhedralCone:
         if cell not in stalks:
             raise ValueError(f"missing stalk for cell {cell}")
-        return _stalk_from_jsonable(stalks[cell])
+        return _stalk_from_jsonable(cell, stalks[cell])
 
     vertex_stalks = tuple(stalk(strat.vertex_id(i)) for i in range(strat.k))
     edge_stalks = tuple(stalk(strat.edge_id(j)) for j in range(strat.edge_count))
@@ -357,16 +360,15 @@ def cmd_check(args) -> int:
     }
     if args.oracle:
         t0 = time.perf_counter()
-        exists, chain = dp_section_exists(sheaf)
+        cob = sections.coboundary
+        exists = cob.cols > 0 and lp_positive_kernel(cob).feasible
         timing["oracle"] = (time.perf_counter() - t0) * 1000
         out["oracle"] = {"section_exists": exists}
-        if chain is not None:
-            out["oracle"]["chain"] = chain_to_jsonable(chain)
         if exists != feasible:
             return _fail(
-                "oracle disagrees with the linear program",
-                lp_feasible=feasible,
-                oracle_section_exists=exists,
+                "the simplex cross-check disagrees with the decision",
+                decision_feasible=feasible,
+                simplex_feasible=exists,
             )
     path = None
     if feasible:
@@ -456,9 +458,7 @@ def cmd_oracle(args) -> int:
         exists, chain = dp_section_exists(sheaf)
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except UnsupportedSheafError as exc:
-        return _fail(str(exc))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # UnsupportedSheafError included
         return _fail(str(exc))
     out: dict = {"section_exists": exists}
     if chain is not None:
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="full pipeline on a scene file")
     p.add_argument("scene")
-    p.add_argument("--oracle", action="store_true", help="cross-check with the combinatorial sweep")
+    p.add_argument("--oracle", action="store_true", help="cross-check the decision with the bounded simplex")
     p.add_argument("--matrix", action="store_true", help="embed the labelled coboundary matrix")
     p.add_argument("--path", dest="path_out", metavar="OUT", help="write the evasion path JSON here")
     p.add_argument("--plot", metavar="OUT_SVG", help="write an SVG rendering of gaps and path")
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sheaf")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("oracle", help="combinatorial section existence for a sheaf file")
+    p = sub.add_parser("oracle", help="section chain of a free function-like sheaf file")
     p.add_argument("sheaf")
     p.set_defaults(func=cmd_oracle)
 

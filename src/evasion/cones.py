@@ -108,18 +108,27 @@ def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
 
 def decide_positive_kernel(rows: list[SparseRow], ncols: int) -> FeasibilityResult:
     """Sparse-row entry point of lp_positive_kernel; verifies its own output."""
-    x, u = kernel_ray(rows, ncols)
-    if x is not None:
-        witness = tuple(x)
+    return verified_decision(rows, ncols, *kernel_ray(rows, ncols))
+
+
+def verified_decision(rows: list[SparseRow], ncols: int, witness, certificate) -> FeasibilityResult:
+    """Wrap a decider's (witness, None) or (None, certificate) after exact re-checks.
+
+    Every decider hands its Stiemke object through here: the witness must be
+    nonnegative, sum to one and lie in the kernel; the certificate must make
+    every column of A'y strictly positive. A failure is a bug in the decider.
+    """
+    if witness is not None:
+        witness = tuple(witness)
         if any(c < 0 for c in witness) or sum(witness) != 1:
             raise AssertionError("witness is not a normalised nonnegative vector")
         for r in rows:
             if sum((v * witness[j] for j, v in r.items()), ZERO):
                 raise AssertionError("witness is not in the kernel")
         return FeasibilityResult(FEASIBLE, witness=witness)
-    certificate = tuple(u)
+    certificate = tuple(certificate)
     if not _certifies(rows, ncols, certificate):
-        raise AssertionError("simplex produced an invalid infeasibility certificate")
+        raise AssertionError("decider produced an invalid infeasibility certificate")
     return FeasibilityResult(INFEASIBLE, certificate=certificate)
 
 

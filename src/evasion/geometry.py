@@ -31,8 +31,7 @@ from functools import lru_cache
 
 from evasion.cones import PolyhedralCone
 from evasion.linalg import Matrix, ONE, ZERO
-from evasion.oracle import SectionChain, flow_decompose
-from evasion.sheaf import ConeSheaf, GlobalSections, Stratification
+from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratification
 
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -299,8 +298,8 @@ def _build_fibre(scene: Scene, t: Fraction, alive: list[Box]) -> GapFibre:
 def point_uncovered(scene: Scene, t, p: Point) -> bool:
     """Direct point probe: strictly inside the window and in no alive box.
 
-    Deliberately independent of the arrangement machinery; used to verify
-    extracted paths.
+    Deliberately independent of the arrangement machinery; the tests hold
+    the two against each other.
     """
     t = Fraction(t)
     x, y = Fraction(p[0]), Fraction(p[1])
@@ -499,26 +498,40 @@ def _route(fibre: GapFibre, comp: GapComponent, start: Point, goal: Point) -> li
 def extract_path(scene: Scene, sections: GlobalSections) -> EvasionPath:
     """Turn a feasible global-sections witness into a concrete evasion path.
 
-    The witness is flow-decomposed into section chains; the first chain
-    picks one gap component per vertex. The path sits at a rational interior
-    point of each chosen component, and migrates between those points by
-    straight hops across the face graph strictly inside each open edge
-    interval, where the gap fibre is constant. The result is verified
-    against the scene point by point before being returned.
+    The witness support must be a single section chain: one gap component
+    per vertex, each persisting into the same component of the edge it
+    shares with the next vertex (GeometryError otherwise). The path sits at
+    a rational interior point of each chosen component, and migrates between
+    those points by straight hops across the face graph strictly inside each
+    open edge interval, where the gap fibre is constant. The result is
+    verified against the scene exactly before being returned.
     """
     if sections.decision is None or not sections.decision.feasible:
         raise ValueError("extract_path needs a feasible global-sections decision")
-    sheaf = build_sheaf(scene)
     times, vertex_fibres, edge_fibres = scene_fibres(scene)
-    chains = flow_decompose(sheaf, sections.decision.witness)
-    chain = chains[0][0]
-    assignment = chain.as_dict()
     k = len(times)
-    vertex_points: list[Point] = []
+    support: dict[str, list[str]] = {}
+    for (cell, lab), v in zip(sections.column_labels, sections.decision.witness):
+        if v:
+            support.setdefault(cell, []).append(lab)
+    vertex_comps: list[GapComponent] = []
     for i, vf in enumerate(vertex_fibres):
-        label = assignment[f"v{i + 1}"]
-        comp = next(c for c in vf.components if c.label == label)
-        vertex_points.append(comp.interior_point)
+        labels = support.get(f"v{i + 1}", [])
+        comp = next((c for c in vf.components if [c.label] == labels), None)
+        if comp is None:
+            raise GeometryError(f"witness support is not a single chain: v{i + 1} carries {labels}")
+        vertex_comps.append(comp)
+    vertex_points = [c.interior_point for c in vertex_comps]
+    edge_comps: list[GapComponent] = []
+    cells: list[tuple[str, str]] = []
+    for j, ef in enumerate(edge_fibres):
+        ends = {ef.locate(vertex_points[i]) for i in (j - 1, j) if 0 <= i < k}
+        if len(ends) != 1 or None in ends:
+            raise GeometryError(f"witness support is not a single chain across e{j + 1}")
+        edge_comps.append(ef.components[ends.pop()])
+        cells.append((f"e{j + 1}", edge_comps[j].label))
+        if j < k:
+            cells.append((f"v{j + 1}", vertex_comps[j].label))
 
     segments: list[PathSegment] = []
     cur_start: Fraction | None = None
@@ -526,49 +539,74 @@ def extract_path(scene: Scene, sections: GlobalSections) -> EvasionPath:
     for i in range(k - 1):
         a, b = times[i], times[i + 1]
         ef = edge_fibres[i + 1]
-        comp = next(c for c in ef.components if c.label == assignment[f"e{i + 2}"])
-        positions = [vertex_points[i], *_route(ef, comp, vertex_points[i], vertex_points[i + 1]), vertex_points[i + 1]]
+        positions = [vertex_points[i], *_route(ef, edge_comps[i + 1], vertex_points[i], vertex_points[i + 1]), vertex_points[i + 1]]
         hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
         for h, nxt in enumerate(hops):
             s = a + (b - a) * Fraction(h + 1, len(hops) + 1)
             segments.append(PathSegment(cur_start, s, cur_point))
             cur_start, cur_point = s, nxt
     segments.append(PathSegment(cur_start, None, cur_point))
-    path = EvasionPath(segments=tuple(segments), chain=chain)
+    path = EvasionPath(segments=tuple(segments), chain=SectionChain(tuple(cells)))
     verify_evasion_path(scene, path)
     return path
 
 
-def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
-    """Pointwise re-check of a path against the raw scene.
+def _segment_meets_box(p: Point, q: Point, box: Box) -> bool:
+    """Does the closed segment from p to q meet the closed box?
 
-    Every held point is probed at its segment endpoints and midpoint, and
-    every instantaneous move is probed at both ends and its spatial
-    midpoint, all with the arrangement-free point oracle. Raises
-    PathVerificationError on any covered sample (which would be a bug)."""
+    Exact Liang-Barsky clipping: the parameters s in [0, 1] of p + s(q - p)
+    inside the box's slab on each axis form an interval; the segment meets
+    the box iff the intersection of those intervals is nonempty.
+    """
+    lo, hi = ZERO, ONE
+    for a, d, (blo, bhi) in ((p[0], q[0] - p[0], box.x), (p[1], q[1] - p[1], box.y)):
+        if d == 0:
+            if not blo <= a <= bhi:
+                return False
+            continue
+        s0, s1 = (blo - a) / d, (bhi - a) / d
+        if s0 > s1:
+            s0, s1 = s1, s0
+        lo, hi = max(lo, s0), min(hi, s1)
+        if lo > hi:
+            return False
+    return True
+
+
+def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
+    """Exact re-check of a path against the raw scene.
+
+    Every held point must lie strictly inside the window and outside every
+    box whose closed time interval meets the segment's closed time span,
+    unbounded sides included. Every instantaneous move must keep its whole
+    straight segment out of every box alive at its time (its ends are held
+    points, so the convex window holds it). This costs O(#boxes) per segment
+    and per jump. Raises PathVerificationError on any contact (which would
+    be a bug)."""
     segs = path.segments
     if not segs or segs[0].start is not None or segs[-1].end is not None:
         raise PathVerificationError("path must cover the whole timeline")
     for a, b in zip(segs, segs[1:]):
         if a.end is None or b.start != a.end:
             raise PathVerificationError("consecutive segments must share their boundary time")
+    (wxlo, wxhi), (wylo, wyhi) = scene.window_x, scene.window_y
     for seg in segs:
-        if seg.start is None and seg.end is None:
-            lo, hi = Fraction(-1), Fraction(1)
-        elif seg.start is None:
-            lo, hi = seg.end - 1, seg.end
-        elif seg.end is None:
-            lo, hi = seg.start, seg.start + 1
-        else:
-            lo, hi = seg.start, seg.end
-        if lo > hi:
+        if seg.start is not None and seg.end is not None and seg.start > seg.end:
             raise PathVerificationError("segment with reversed time interval")
-        for t in (lo, (lo + hi) / 2, hi):
-            if not point_uncovered(scene, t, seg.point):
-                raise PathVerificationError(f"path point {seg.point} is covered at t={t}")
+        x, y = seg.point
+        if not (wxlo < x < wxhi and wylo < y < wyhi):
+            raise PathVerificationError(f"path point {seg.point} is not strictly inside the window")
+        for box in scene.boxes:
+            if (
+                box.contains(seg.point)
+                and (seg.end is None or box.t[0] <= seg.end)
+                and (seg.start is None or seg.start <= box.t[1])
+            ):
+                raise PathVerificationError(
+                    f"path point {seg.point} is covered by a box alive on [{box.t[0]}, {box.t[1]}]"
+                )
     for a, b in zip(segs, segs[1:]):
         t = a.end
-        mid = ((a.point[0] + b.point[0]) / 2, (a.point[1] + b.point[1]) / 2)
-        for p in (a.point, mid, b.point):
-            if not point_uncovered(scene, t, p):
-                raise PathVerificationError(f"jump through {p} at t={t} is covered")
+        for box in scene.boxes:
+            if box.alive(t) and _segment_meets_box(a.point, b.point, box):
+                raise PathVerificationError(f"jump from {a.point} to {b.point} at t={t} is covered")

@@ -1,131 +1,86 @@
-"""Independent combinatorial deciders for free, function-like cone sheaves.
+"""Chain-level views of free, function-like cone sheaves, for cross-checks.
 
 When every stalk is a free cone and every restriction sends each generator
-to at most one generator (a 0/1 matrix with at most one 1 per column), a
+to exactly one generator (a 0/1 matrix with exactly one 1 per column), a
 nonzero global section is exactly a *section chain*: one generator label per
 cell, such that each vertex choice restricts to the adjacent edge choices.
 
-These deciders never touch the LP machinery; they sweep the stratified line
-left to right. They exist to cross-examine the algebraic pipeline, so keep
-them dumb.
+The production decider for this class is the reachability sweep of
+sheaf.py; `dp_section_exists` is a thin name for it that reports the chain.
+`enumerate_sections` lists chains by brute force and `flow_decompose` splits
+a kernel point, such as a simplex witness, into weighted chains. The
+independent side of every cross-check is the bounded simplex,
+`cones.lp_positive_kernel` on the coboundary. Sheaves outside the class
+raise UnsupportedSheafError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from evasion.linalg import ZERO
-from evasion.sheaf import ConeSheaf, _assemble_sparse, refine
+from evasion.sheaf import (
+    ConeSheaf,
+    GeneratorMaps,
+    SectionChain,
+    UnsupportedSheafError,
+    _assemble_sparse,
+    _normalise,
+    generator_maps,
+    section_sweep,
+)
+
+__all__ = [
+    "SectionChain",
+    "UnsupportedSheafError",
+    "dp_section_exists",
+    "enumerate_sections",
+    "flow_decompose",
+]
 
 
-class UnsupportedSheafError(ValueError):
-    """Sheaf is outside the free, function-like class the oracle understands."""
-
-
-@dataclass(frozen=True)
-class SectionChain:
-    """One generator label per cell, unbounded edges included."""
-
-    cells: tuple[tuple[str, str], ...]  # (cell id, generator label) in time order
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.cells)
-
-    def vertex_labels(self) -> dict[str, str]:
-        return {cell: lab for cell, lab in self.cells if cell.startswith("v")}
-
-
-def _as_functions(S: ConeSheaf):
-    """Per-vertex (left, right) generator maps; None marks a zero column."""
-    for stalk in (*S.vertex_stalks, *S.edge_stalks):
-        if not stalk.is_free:
-            raise UnsupportedSheafError("oracle requires free (orthant) stalks")
-    out = []
-    for i in range(S.strat.k):
-        pair = []
-        for M in (S.left_maps[i], S.right_maps[i]):
-            col_images: list[int | None] = []
-            for c in range(M.cols):
-                hits = [r for r in range(M.rows) if M.at(r, c)]
-                if any(M.at(r, c) != 1 for r in hits) or len(hits) > 1:
-                    raise UnsupportedSheafError(
-                        "oracle requires 0/1 restrictions with at most one 1 per column"
-                    )
-                col_images.append(hits[0] if hits else None)
-            pair.append(col_images)
-        out.append((pair[0], pair[1]))
-    return out
-
-
-def _chain_from_vertex_choices(S: ConeSheaf, funcs, choices: list[int]) -> SectionChain:
+def _chain_from_vertex_choices(S: ConeSheaf, maps: GeneratorMaps, choices: list[int]) -> SectionChain:
     strat = S.strat
     cells: list[tuple[str, str]] = []
     for i, g in enumerate(choices):
-        left_img = funcs[i][0][g]
+        left_img, right_img = maps[i][0][g], maps[i][1][g]
         if i == 0:
             cells.append((strat.edge_id(0), S.edge_stalks[0].labels[left_img]))
         cells.append((strat.vertex_id(i), S.vertex_stalks[i].labels[g]))
-        right_img = funcs[i][1][g]
         cells.append((strat.edge_id(i + 1), S.edge_stalks[i + 1].labels[right_img]))
     return SectionChain(tuple(cells))
 
 
 def dp_section_exists(S: ConeSheaf) -> tuple[bool, SectionChain | None]:
-    """Left-to-right reachability sweep over edge generators.
+    """The production reachability sweep (`sheaf.section_sweep`), as a chain.
 
-    Returns (True, chain) with the lexicographically least witness chain, or
-    (False, None) when no compatible system of choices exists.
+    Returns (True, chain) with the sweep's witness chain, or (False, None)
+    when no compatible system of choices exists.
     """
-    if S.strat.k == 0:
-        S = refine(S, Fraction(0))
-    funcs = _as_functions(S)
-    k = S.strat.k
-    reachable = set(range(len(S.edge_stalks[0].generators)))
-    preds: list[dict[int, int]] = []  # per vertex: right edge gen -> least vertex gen
-    for i in range(k):
-        left_f, right_f = funcs[i]
-        nxt: dict[int, int] = {}
-        for g in range(len(S.vertex_stalks[i].generators)):
-            li, ri = left_f[g], right_f[g]
-            if li is None or ri is None or li not in reachable:
-                continue
-            if ri not in nxt:
-                nxt[ri] = g
-        if not nxt:
-            return False, None
-        preds.append(nxt)
-        reachable = set(nxt)
-    choice = min(reachable)
-    choices: list[int] = []
-    for i in range(k - 1, -1, -1):
-        g = preds[i][choice]
-        choices.append(g)
-        choice = funcs[i][0][g]
-    choices.reverse()
-    return True, _chain_from_vertex_choices(S, funcs, choices)
+    S = _normalise(S)
+    maps = generator_maps(S)
+    choices, _ = section_sweep(S, maps)
+    if choices is None:
+        return False, None
+    return True, _chain_from_vertex_choices(S, maps, choices)
 
 
 def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
     """All section chains in lexicographic order of vertex choices, up to cap."""
     if cap <= 0:
         return []
-    if S.strat.k == 0:
-        S = refine(S, Fraction(0))
-    funcs = _as_functions(S)
+    S = _normalise(S)
+    maps = generator_maps(S)
     k = S.strat.k
     chains: list[SectionChain] = []
     prefix: list[int] = []
 
     def walk(i: int, incoming: int | None) -> bool:
         if i == k:
-            chains.append(_chain_from_vertex_choices(S, funcs, prefix))
+            chains.append(_chain_from_vertex_choices(S, maps, prefix))
             return len(chains) >= cap
-        left_f, right_f = funcs[i]
-        for g in range(len(S.vertex_stalks[i].generators)):
-            li, ri = left_f[g], right_f[g]
-            if li is None or ri is None:
-                continue
+        left_f, right_f = maps[i]
+        for g, (li, ri) in enumerate(zip(left_f, right_f)):
             if incoming is not None and li != incoming:
                 continue
             prefix.append(g)
@@ -148,7 +103,7 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
     """
     if S.strat.k == 0:
         raise ValueError("flow decomposition needs at least one vertex; refine first")
-    funcs = _as_functions(S)
+    maps = generator_maps(S)
     k = S.strat.k
     x = tuple(Fraction(c) for c in x)
     rows, _, col_labels = _assemble_sparse(S)
@@ -170,17 +125,14 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
         start = next((g for g in range(len(S.vertex_stalks[0].generators)) if work[offsets[0] + g] > 0), None)
         if start is None:
             break
-        if funcs[0][0][start] is None or funcs[0][1][start] is None:
-            raise ValueError("witness places mass on a generator with no edge image; not decomposable")
         choices = [start]
         for i in range(1, k):
-            target = funcs[i - 1][1][choices[-1]]
-            left_f, right_f = funcs[i]
+            target = maps[i - 1][1][choices[-1]]
             g = next(
                 (
                     g
-                    for g in range(len(S.vertex_stalks[i].generators))
-                    if work[offsets[i] + g] > 0 and left_f[g] == target and right_f[g] is not None
+                    for g, li in enumerate(maps[i][0])
+                    if work[offsets[i] + g] > 0 and li == target
                 ),
                 None,
             )
@@ -190,7 +142,7 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
         weight = min(work[offsets[i] + g] for i, g in enumerate(choices))
         for i, g in enumerate(choices):
             work[offsets[i] + g] -= weight
-        out.append((_chain_from_vertex_choices(S, funcs, choices), weight))
+        out.append((_chain_from_vertex_choices(S, maps, choices), weight))
     if any(work):
         raise ValueError("witness mass left over after decomposition; not a decomposable witness")
     return out

@@ -12,6 +12,18 @@ left endpoint of an edge enters negatively, the right endpoint positively;
 unbounded edges contribute no rows since they have noncompact closure).
 Writing each vertex element in generator coordinates turns "nonzero section
 exists" into a positive-kernel LP.
+
+Two deciders answer that LP, and both hand their witness or certificate to
+the same exact re-checks (`cones.verified_decision`):
+
+  * Function-like sheaves (every stalk free, every restriction a 0/1 matrix
+    with exactly one 1 per column; all scene sheaves are of this kind) have
+    a node-arc incidence matrix as coboundary: edge generators are nodes and
+    each vertex generator is an arc from its left to its right image. A
+    left-to-right reachability sweep decides them in O(#generators) and
+    emits both Stiemke objects (`section_sweep`).
+  * Every other sheaf goes to the bounded simplex (`cones.decide_positive_kernel`),
+    which also serves as the independent cross-check of the sweep.
 """
 
 from __future__ import annotations
@@ -27,10 +39,13 @@ from evasion.cones import (
     cone_membership,
     decide_positive_kernel,
     is_positive_cone,
+    verified_decision,
 )
 from evasion.linalg import Matrix, SparseRow, Vec, ZERO, kernel_sparse
 
 CellLabel = tuple[str, str]  # (cell id, generator label)
+# per vertex: (left edge generator, right edge generator) of each vertex generator
+GeneratorMaps = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,23 @@ class SheafValidationError(ValueError):
         self.report = report
         lines = "; ".join(v.message for v in report.violations[:5])
         super().__init__(f"invalid cone sheaf: {lines}")
+
+
+class UnsupportedSheafError(ValueError):
+    """Sheaf is outside the free, function-like class the sweep decides."""
+
+
+@dataclass(frozen=True)
+class SectionChain:
+    """One generator label per cell, unbounded edges included."""
+
+    cells: tuple[tuple[str, str], ...]  # (cell id, generator label) in time order
+
+    def as_dict(self) -> dict[str, str]:
+        return dict(self.cells)
+
+    def vertex_labels(self) -> dict[str, str]:
+        return {cell: lab for cell, lab in self.cells if cell.startswith("v")}
 
 
 @dataclass(frozen=True)
@@ -230,7 +262,8 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     Feasible: the witness lists nonnegative generator coordinates, one block
     per vertex, summing to one, whose induced edge values agree everywhere.
     Infeasible: the certificate is a strict dual vector over the coboundary
-    rows (vacuous when no vertex carries any generator).
+    rows (vacuous when no vertex carries any generator). Function-like
+    sheaves are decided by `section_sweep`, all others by the simplex.
     """
     S = _normalise(S)
     _ensure_valid(S)
@@ -238,11 +271,26 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     ncols = len(col_labels)
     kernel = tuple(kernel_sparse(rows, ncols))
     cob = Matrix.from_sparse_rows(rows, ncols)
+    try:
+        maps = generator_maps(S)
+    except UnsupportedSheafError:
+        maps = None
     if ncols == 0:
         # no generator anywhere: only the zero section exists, vacuous certificate
         decision = FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * len(rows))
-    else:
+    elif maps is None:
         decision = decide_positive_kernel(rows, ncols)
+    else:
+        choices, certificate = section_sweep(S, maps)
+        witness = None
+        if choices is not None:
+            # the chain with weight 1/k on each chosen vertex generator
+            witness = [ZERO] * ncols
+            offset = 0
+            for stalk, g in zip(S.vertex_stalks, choices):
+                witness[offset + g] = Fraction(1, S.strat.k)
+                offset += len(stalk.generators)
+        decision = verified_decision(rows, ncols, witness, certificate)
     return GlobalSections(
         coboundary=cob,
         row_labels=row_labels,
@@ -250,6 +298,81 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         kernel=kernel,
         decision=decision,
     )
+
+
+def generator_maps(S: ConeSheaf) -> GeneratorMaps:
+    """Each vertex generator's image generator in its left and right edge.
+
+    Raises UnsupportedSheafError, naming the stalk or the restriction and
+    column, unless every stalk is free and every restriction is a 0/1
+    matrix with exactly one 1 per column.
+    """
+    strat = S.strat
+    cells = [*zip(map(strat.vertex_id, range(strat.k)), S.vertex_stalks)]
+    cells += zip(map(strat.edge_id, range(strat.edge_count)), S.edge_stalks)
+    for cell, stalk in cells:
+        if not stalk.is_free:
+            raise UnsupportedSheafError(f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free")
+    images = []
+    for i, j, M in S.incidences():
+        hits: list[list[int]] = [[] for _ in range(M.cols)]
+        for idx, v in enumerate(M.entries):
+            if v:
+                r, c = divmod(idx, M.cols)
+                hits[c].append(r if v == 1 else -1)
+        for c, rs in enumerate(hits):
+            if len(rs) != 1 or rs[0] < 0:
+                raise UnsupportedSheafError(
+                    f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
+                    f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not rs else 'is not a single 1'}; "
+                    "the sweep requires 0/1 restrictions with exactly one 1 per column"
+                )
+        images.append(tuple(rs[0] for rs in hits))
+    return tuple(zip(images[0::2], images[1::2]))
+
+
+def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, list[Fraction] | None]:
+    """Decide a function-like sheaf by reachability from the left unbounded edge.
+
+    Edge generators are nodes and vertex generator g of vertex i is an arc
+    from maps[i][0][g] in edge i to maps[i][1][g] in edge i+1. A nonzero
+    section is a chain of arcs from the left to the right unbounded edge.
+
+    Returns (choices, None) with one vertex generator per vertex: the chain
+    ending in the least reachable generator of the right unbounded edge,
+    each vertex taking its least generator that continues it. Otherwise
+    returns (None, y) with y over the coboundary rows: -j on generators of
+    edge j reachable from the left, and elsewhere the length of the longest
+    chain from the generator to the right unbounded edge or a dead end.
+    Each column then gets (D'y)_g >= 1.
+    """
+    k = S.strat.k
+    reach = [dict.fromkeys(range(len(S.edge_stalks[0].generators)))]
+    for left, right in maps:
+        nxt: dict[int, int] = {}  # right edge generator -> least vertex generator reaching it
+        for g, (li, ri) in enumerate(zip(left, right)):
+            if li in reach[-1] and ri not in nxt:
+                nxt[ri] = g
+        reach.append(nxt)
+    if reach[k]:
+        target = min(reach[k])
+        choices: list[int] = []
+        for i in range(k - 1, -1, -1):
+            g = reach[i + 1][target]
+            choices.append(g)
+            target = maps[i][0][g]
+        choices.reverse()
+        return choices, None
+    longest = [0] * len(S.edge_stalks[k].generators)
+    blocks = []
+    for j in range(k - 1, 0, -1):
+        left, right = maps[j]
+        here = [0] * len(S.edge_stalks[j].generators)
+        for li, ri in zip(left, right):
+            here[li] = max(here[li], longest[ri] + 1)
+        blocks.append([Fraction(-j) if d in reach[j] else Fraction(n) for d, n in enumerate(here)])
+        longest = here
+    return None, [y for block in reversed(blocks) for y in block]
 
 
 def refine(S: ConeSheaf, t) -> ConeSheaf:

@@ -63,7 +63,7 @@ class TestCheck:
     def test_oracle_flag_cross_checks(self, capsys):
         code, report = run_cli(capsys, "check", "--oracle", fixture_path("crossing_open.json"))
         assert code == 0
-        assert report["oracle"]["section_exists"] is True
+        assert report["oracle"] == {"section_exists": True}
         code, report = run_cli(capsys, "check", "--oracle", fixture_path("crossing_blocked.json"))
         assert code == 2
         assert report["oracle"]["section_exists"] is False
@@ -186,6 +186,29 @@ class TestMatrixOraclePath:
         assert code == 1
         assert "free" in report["error"]
 
+    def test_zero_restriction_columns_go_to_the_simplex(self, capsys, tmp_path):
+        # v1->e2 and v2->e2 are zero, so e2 imposes nothing: a section exists
+        def one(entry):
+            return {"rows": 1, "cols": 1, "entries": [entry]}
+
+        sheaf = {
+            "vertices": ["0", "1"],
+            "stalks": {cell: {"labels": ["a"]} for cell in ("e1", "v1", "e2", "v2", "e3")},
+            "restrictions": [
+                {"from": "v1", "to": "e1", "matrix": one("1")},
+                {"from": "v1", "to": "e2", "matrix": one("0")},
+                {"from": "v2", "to": "e2", "matrix": one("0")},
+                {"from": "v2", "to": "e3", "matrix": one("1")},
+            ],
+        }
+        f = tmp_path / "zero_columns.json"
+        f.write_text(json.dumps(sheaf))
+        code, report = run_cli(capsys, "lp", str(f))
+        assert code == 0 and report["verdict"] == "EVASION"
+        code, report = run_cli(capsys, "oracle", str(f))
+        assert code == 1
+        assert "v1->e2" in report["error"] and "column 0" in report["error"]
+
     def test_path_command_writes_file(self, capsys, tmp_path):
         out = tmp_path / "path.json"
         code, report = run_cli(
@@ -272,3 +295,19 @@ def test_malformed_sheaf_schema_is_a_clean_input_error(capsys, tmp_path):
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert "malformed sheaf" in report["error"]
+
+
+def test_sheaf_labels_must_be_a_list(capsys, tmp_path):
+    bad = tmp_path / "string_labels.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "vertices": [],
+                "stalks": {"e1": {"labels": "ab"}},
+                "restrictions": [],
+            }
+        )
+    )
+    code, report = run_cli(capsys, "lp", str(bad))
+    assert code == 1
+    assert "e1" in report["error"] and "list" in report["error"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -6,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evasion.cli import scene_from_jsonable
+from evasion.cones import FEASIBLE, FeasibilityResult, lp_positive_kernel
 from evasion.geometry import (
     Box,
+    EvasionPath,
+    GeometryError,
+    PathSegment,
+    PathVerificationError,
     Scene,
     SceneValidationError,
     build_sheaf,
@@ -20,7 +26,7 @@ from evasion.geometry import (
 )
 from evasion.oracle import dp_section_exists
 from evasion.randgen import random_scene
-from evasion.sheaf import global_sections, validate_sheaf
+from evasion.sheaf import SectionChain, global_sections, validate_sheaf
 
 from conftest import load_fixture
 from golden import (
@@ -193,6 +199,68 @@ class TestExtractPath:
         with pytest.raises(ValueError):
             extract_path(BLOCKED_SCENE, sections)
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            {"v1.g0", "v2.g0", "v3.g1", "v4.g0"},  # v2's bottom strand misses v1's top one on e2
+            {"v1.g0", "v2.g0", "v2.g1", "v3.g1", "v4.g0"},  # two generators at v2
+            {"v1.g0", "v3.g1", "v4.g0"},  # nothing at v2
+        ],
+    )
+    def test_support_that_is_not_a_single_chain_is_rejected(self, support):
+        sections = global_sections(build_sheaf(OPEN_SCENE))
+        names = [f"{cell}.{lab}" for cell, lab in sections.column_labels]
+        witness = tuple(Fraction(1, len(support)) if n in support else Fraction(0) for n in names)
+        forged = replace(sections, decision=FeasibilityResult(FEASIBLE, witness=witness))
+        with pytest.raises(GeometryError, match="single chain"):
+            extract_path(OPEN_SCENE, forged)
+
+
+def _path(*segments) -> EvasionPath:
+    return EvasionPath(
+        tuple(PathSegment(lo, hi, (Fraction(x), Fraction(y))) for lo, hi, (x, y) in segments),
+        SectionChain(()),
+    )
+
+
+class TestVerifyEvasionPath:
+    """Each rejected path passes a check that probes three times per held
+    segment and three points per jump."""
+
+    def test_box_alive_inside_a_held_segment(self):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((2, 3), (4, 6), (4, 6))])
+        path = _path((None, 0, (1, 1)), (0, 10, (5, 5)), (10, None, (1, 1)))
+        with pytest.raises(PathVerificationError, match="covered"):
+            verify_evasion_path(scene, path)
+
+    def test_jump_through_a_zero_width_wall(self):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((4, 6), (3, 3), (0, 10))])
+        path = _path((None, 5, (1, 5)), (5, None, (9, 5)))
+        with pytest.raises(PathVerificationError, match="jump"):
+            verify_evasion_path(scene, path)
+
+    def test_blackout_over_the_unbounded_tail(self):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((50, 60), (0, 10), (0, 10))])
+        path = _path((None, 1, (2, 2)), (1, None, (5, 5)))
+        with pytest.raises(PathVerificationError, match="covered"):
+            verify_evasion_path(scene, path)
+
+    def test_near_misses_are_accepted(self):
+        # the jump passes above a wall stub, beside a box, and across a wall
+        # that is alive only later; the held points are clear of everything
+        scene = Scene.make(
+            (0, 10),
+            (0, 10),
+            [
+                Box.make((4, 6), (3, 3), (0, 4)),
+                Box.make((0, 9), (5, 7), (6, 10)),
+                Box.make((6, 7), (8, 8), (0, 10)),
+                Box.make((5, 5), (1, 1), (1, 1)),
+            ],
+        )
+        path = _path((None, 5, (1, 5)), (5, None, (9, 5)))
+        verify_evasion_path(scene, path)
+
 
 class TestSceneInvariances:
     def test_translation_and_time_shift_invariance(self):
@@ -227,7 +295,8 @@ def test_duality_lp_dp_and_path_agree_on_random_scenes(seed):
     sheaf = build_sheaf(scene)
     sections = global_sections(sheaf)
     exists, _ = dp_section_exists(sheaf)
-    assert exists == sections.decision.feasible
+    cob = sections.coboundary
+    assert exists == sections.decision.feasible == (cob.cols > 0 and lp_positive_kernel(cob).feasible)
     if sections.decision.feasible:
         path = extract_path(scene, sections)  # verifies itself
         assert path.segments[0].start is None and path.segments[-1].end is None

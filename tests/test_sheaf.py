@@ -167,6 +167,17 @@ class TestGlobalSections:
         }
         assert is_valid_certificate(sections.coboundary, sections.decision.certificate)
 
+    def test_blocked_crossing_certificate_is_the_reachability_potential(self):
+        # only the top strand is reachable from the left, through e2..e4
+        # (-1, -2, -3); the others get the longest chain to e5 or a dead end
+        sections = global_sections(crossing_sheaf(False))
+        named = dict(zip(label_names(sections.row_labels), sections.decision.certificate))
+        assert named == {
+            "e2.t": -1, "e2.b": 3,
+            "e3.t": -2, "e3.m": 1, "e3.b": 2,
+            "e4.t": -3, "e4.b": 1,
+        }
+
     def test_nonfree_vertex_stalk_substitutes_generators(self):
         # v1 carries cone{(1,0),(1,1)}; lambda-columns substitute the generators
         strat = Stratification.make([0, 1])
@@ -309,11 +320,19 @@ def test_sign_flip_invariance(seed, flip_choice):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_lp_matches_dp_on_function_like_sheaves(seed):
+    # global_sections decides these by the sweep; the simplex is called directly
     sheaf = random_function_like_sheaf(Random(seed))
     sections = global_sections(sheaf)
     exists, chain = dp_section_exists(sheaf)
-    assert exists == sections.decision.feasible
-    if not exists:
+    assert exists == sections.decision.feasible == lp_positive_kernel(sections.coboundary).feasible
+    if exists:
+        k = sheaf.strat.k
+        expected = [
+            Fraction(1, k) if chain.as_dict()[cell] == lab else Fraction(0)
+            for cell, lab in sections.column_labels
+        ]
+        assert list(sections.decision.witness) == expected
+    else:
         assert is_valid_certificate(sections.coboundary, sections.decision.certificate)
 
 
