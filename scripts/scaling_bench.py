@@ -37,7 +37,7 @@ def run(n: int) -> dict:
     sections = global_sections(sheaf)
     out["global_sections_s"] = time.perf_counter() - t0
     out["verdict"] = "EVASION" if sections.decision.feasible else "NO_EVASION"
-    out["kernel_dim"] = len(sections.kernel)
+    out["kernel_dim"] = sections.kernel_dim
     t0 = time.perf_counter()
     path = extract_path(scene, sections)
     out["extract_path_s"] = time.perf_counter() - t0

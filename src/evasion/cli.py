@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,14 +58,26 @@ EXIT_NO_EVASION = 2
 # ---------------------------------------------------------------------------
 # formats
 
-def _rat(value) -> Fraction:
-    return parse_rational(value)
+def _list(value, what: str) -> list:
+    # a string or an object would otherwise be read one character or key at a time
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
-def _interval_from(obj) -> tuple:
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _interval_from(obj, what: str) -> tuple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"interval must be a two-element list, got {obj!r}")
-    return _rat(obj[0]), _rat(obj[1])
+        raise ValueError(f"{what} interval must be a two-element list, got {obj!r}")
+    lo, hi = parse_rational(obj[0]), parse_rational(obj[1])
+    if lo > hi:
+        raise ValueError(f"{what} interval [{format_rational(lo)}, {format_rational(hi)}] is reversed")
+    return lo, hi
 
 
 def scene_from_jsonable(data) -> Scene:
@@ -73,9 +86,9 @@ def scene_from_jsonable(data) -> Scene:
     try:
         win = data["window"]
         boxes = []
-        for b in data.get("boxes", []):
-            boxes.append(Box(_interval_from(b["t"]), _interval_from(b["x"]), _interval_from(b["y"])))
-        return Scene(_interval_from(win["x"]), _interval_from(win["y"]), tuple(boxes))
+        for i, b in enumerate(data.get("boxes", [])):
+            boxes.append(Box(*(_interval_from(b[axis], f"box {i} {axis}") for axis in ("t", "x", "y"))))
+        return Scene(_interval_from(win["x"], "window x"), _interval_from(win["y"], "window y"), tuple(boxes))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scene JSON: {exc!r}") from exc
 
@@ -95,17 +108,22 @@ def scene_to_jsonable(scene: Scene) -> dict:
 
 
 def matrix_to_jsonable(M: Matrix) -> dict:
+    """Dense row-major `entries`, the one place a matrix is written out in full."""
     return {
         "rows": M.rows,
         "cols": M.cols,
-        "entries": [format_rational(e) for e in M.entries],
+        "entries": [format_rational(e) for i in range(M.rows) for e in M.row(i)],
     }
 
 
 def matrix_from_jsonable(data) -> Matrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = tuple(_rat(e) for e in data["entries"])
-    return Matrix(rows, cols, entries)
+    rows, cols = _count(data["rows"], "rows"), _count(data["cols"], "cols")
+    entries = _list(data["entries"], "entries")
+    if len(entries) != rows * cols:
+        raise ValueError(f"shape {rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
+    values = [parse_rational(e) for e in entries]
+    nonzeros = tuple({j: v for j, v in enumerate(values[i * cols : (i + 1) * cols]) if v} for i in range(rows))
+    return Matrix(rows, cols, nonzeros)
 
 
 def sheaf_to_jsonable(S: ConeSheaf) -> dict:
@@ -136,12 +154,16 @@ def sheaf_to_jsonable(S: ConeSheaf) -> dict:
 
 
 def _stalk_from_jsonable(cell: str, data) -> PolyhedralCone:
-    if not isinstance(data["labels"], list):
-        raise ValueError(f"labels of the stalk over {cell} must be a list, got {data['labels']!r}")
-    labels = tuple(str(lab) for lab in data["labels"])
+    labels = tuple(str(lab) for lab in _list(data["labels"], f"labels of the stalk over {cell}"))
+    repeated = [lab for lab, n in Counter(labels).items() if n > 1]
+    if repeated:
+        # two columns named alike would collide in the witness support
+        raise ValueError(f"labels of the stalk over {cell} repeat {', '.join(map(repr, repeated))}")
     if "generators" in data:
-        gens = [tuple(_rat(c) for c in g) for g in data["generators"]]
-        ambient = int(data.get("ambient_dim", len(gens[0]) if gens else 0))
+        what = f"generators of the stalk over {cell}"
+        gens = [tuple(parse_rational(c) for c in _list(g, what)) for g in _list(data["generators"], what)]
+        ambient = data.get("ambient_dim", len(gens[0]) if gens else 0)
+        ambient = _count(ambient, f"ambient_dim of the stalk over {cell}")
         return PolyhedralCone(ambient, tuple(gens), labels)
     return PolyhedralCone.free(labels)
 
@@ -156,7 +178,7 @@ def sheaf_from_jsonable(data) -> ConeSheaf:
 
 
 def _sheaf_from_jsonable(data) -> ConeSheaf:
-    strat = Stratification(tuple(_rat(t) for t in data["vertices"]))
+    strat = Stratification(tuple(parse_rational(t) for t in _list(data["vertices"], "vertices")))
     stalks = data.get("stalks", {})
 
     def stalk(cell: str) -> PolyhedralCone:
@@ -171,7 +193,10 @@ def _sheaf_from_jsonable(data) -> ConeSheaf:
         key = (str(r["from"]), str(r["to"]))
         if key in maps:
             raise ValueError(f"duplicate restriction {key[0]}->{key[1]}")
-        maps[key] = matrix_from_jsonable(r["matrix"])
+        try:
+            maps[key] = matrix_from_jsonable(r["matrix"])
+        except ValueError as exc:
+            raise ValueError(f"matrix of the restriction {key[0]}->{key[1]}: {exc}") from exc
     left, right = [], []
     for i in range(strat.k):
         vid = strat.vertex_id(i)
@@ -188,7 +213,7 @@ def _sheaf_from_jsonable(data) -> ConeSheaf:
 
 def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
     out: dict = {
-        "kernel_dim": len(sec.kernel) if sec.kernel is not None else None,
+        "kernel_dim": sec.kernel_dim,
         "columns": [f"{cell}.{lab}" for cell, lab in sec.column_labels],
         "rows": [f"{cell}.{lab}" for cell, lab in sec.row_labels],
     }
@@ -207,10 +232,6 @@ def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
     return out
 
 
-def chain_to_jsonable(chain: SectionChain) -> dict:
-    return chain.as_dict()
-
-
 def path_to_jsonable(path: EvasionPath) -> dict:
     segments = []
     for seg in path.segments:
@@ -223,7 +244,7 @@ def path_to_jsonable(path: EvasionPath) -> dict:
                 "point": [format_rational(seg.point[0]), format_rational(seg.point[1])],
             }
         )
-    return {"segments": segments, "chain": chain_to_jsonable(path.chain)}
+    return {"segments": segments, "chain": path.chain.as_dict()}
 
 
 def path_from_jsonable(data) -> EvasionPath:
@@ -232,9 +253,9 @@ def path_from_jsonable(data) -> EvasionPath:
         lo, hi = seg["t"]
         segs.append(
             PathSegment(
-                None if lo is None else _rat(lo),
-                None if hi is None else _rat(hi),
-                (_rat(seg["point"][0]), _rat(seg["point"][1])),
+                None if lo is None else parse_rational(lo),
+                None if hi is None else parse_rational(hi),
+                (parse_rational(seg["point"][0]), parse_rational(seg["point"][1])),
             )
         )
     chain = SectionChain(tuple((c, l) for c, l in data.get("chain", {}).items()))
@@ -327,23 +348,15 @@ def _load_json(path_str: str):
 
 
 def cmd_check(args) -> int:
-    try:
-        data, digest = _load_json(args.scene)
-        scene = scene_from_jsonable(data)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    data, digest = _load_json(args.scene)
+    scene = scene_from_jsonable(data)
 
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
-    try:
-        report = validate_scene(scene)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = validate_scene(scene)
     timing["validate"] = (time.perf_counter() - t0) * 1000
     if not report.ok:
-        return _fail("scene validation failed", violations=list(report.problems))
+        raise SceneValidationError(report)
 
     t0 = time.perf_counter()
     sheaf = build_sheaf(scene)
@@ -386,17 +399,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sheaf(args) -> int:
-    try:
-        data, _ = _load_json(args.scene)
-        scene = scene_from_jsonable(data)
-        sheaf = build_sheaf(scene)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except SceneValidationError as exc:
-        return _fail("scene validation failed", violations=list(exc.report.problems))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    _emit(sheaf_to_jsonable(sheaf))
+    data, _ = _load_json(args.scene)
+    _emit(sheaf_to_jsonable(build_sheaf(scene_from_jsonable(data))))
     return EXIT_EVASION
 
 
@@ -406,21 +410,8 @@ def _load_sheaf(path_str: str) -> tuple[ConeSheaf, str]:
 
 
 def cmd_lp(args) -> int:
-    try:
-        sheaf, digest = _load_sheaf(args.sheaf)
-        sections = global_sections(sheaf)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except SheafValidationError as exc:
-        return _fail(
-            "sheaf validation failed",
-            violations=[
-                {"vertex": v.vertex, "edge": v.edge, "generator": v.generator, "message": v.message}
-                for v in exc.report.violations
-            ],
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    sheaf, digest = _load_sheaf(args.sheaf)
+    sections = global_sections(sheaf)
     feasible = sections.decision.feasible
     _emit(
         {
@@ -433,52 +424,25 @@ def cmd_lp(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    try:
-        sheaf, _ = _load_sheaf(args.sheaf)
-        sections = assemble_coboundary(sheaf)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except SheafValidationError as exc:
-        return _fail(
-            "sheaf validation failed",
-            violations=[
-                {"vertex": v.vertex, "edge": v.edge, "generator": v.generator, "message": v.message}
-                for v in exc.report.violations
-            ],
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    _emit(sections_to_jsonable(sections, include_matrix=True))
+    sheaf, _ = _load_sheaf(args.sheaf)
+    _emit(sections_to_jsonable(assemble_coboundary(sheaf), include_matrix=True))
     return EXIT_EVASION
 
 
 def cmd_oracle(args) -> int:
-    try:
-        sheaf, _ = _load_sheaf(args.sheaf)
-        exists, chain = dp_section_exists(sheaf)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except (OSError, ValueError) as exc:  # UnsupportedSheafError included
-        return _fail(str(exc))
+    sheaf, _ = _load_sheaf(args.sheaf)
+    exists, chain = dp_section_exists(sheaf)
     out: dict = {"section_exists": exists}
     if chain is not None:
-        out["chain"] = chain_to_jsonable(chain)
+        out["chain"] = chain.as_dict()
     _emit(out)
     return EXIT_EVASION if exists else EXIT_NO_EVASION
 
 
 def cmd_path(args) -> int:
-    try:
-        data, digest = _load_json(args.scene)
-        scene = scene_from_jsonable(data)
-        sheaf = build_sheaf(scene)
-        sections = global_sections(sheaf)
-    except json.JSONDecodeError as exc:
-        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
-    except SceneValidationError as exc:
-        return _fail("scene validation failed", violations=list(exc.report.problems))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    data, digest = _load_json(args.scene)
+    scene = scene_from_jsonable(data)
+    sections = global_sections(build_sheaf(scene))
     if not sections.decision.feasible:
         _emit({"verdict": "NO_EVASION", "input_digest": digest})
         return EXIT_NO_EVASION
@@ -532,8 +496,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every input error becomes one JSON report and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except json.JSONDecodeError as exc:
+        return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
+    except SceneValidationError as exc:
+        return _fail("scene validation failed", violations=list(exc.report.problems))
+    except SheafValidationError as exc:
+        return _fail(
+            "sheaf validation failed",
+            violations=[
+                {"vertex": v.vertex, "edge": v.edge, "generator": v.generator, "message": v.message}
+                for v in exc.report.violations
+            ],
+        )
+    except (OSError, ValueError) as exc:  # UnsupportedSheafError included
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from evasion.linalg import Matrix, ONE, Vec, ZERO, kernel_ray, solve_nonneg, vec
+from evasion.linalg import Matrix, ONE, SparseRow, Vec, ZERO, kernel_ray, solve_nonneg, vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -81,16 +81,15 @@ class PolyhedralCone:
     def is_free(self) -> bool:
         if self.ambient_dim != len(self.generators):
             return False
+        # tuple.count compares in C, and `free` builds every zero as the ZERO object
         n = self.ambient_dim
-        return all(
-            g[j] == (1 if i == j else 0) for i, g in enumerate(self.generators) for j in range(n)
-        )
+        return all(g[i] == 1 and g.count(ZERO) == n - 1 for i, g in enumerate(self.generators))
 
     def generator_matrix(self) -> Matrix:
         """Columns are the generators (ambient_dim x num_generators)."""
-        n = len(self.generators)
-        flat = tuple(self.generators[j][i] for i in range(self.ambient_dim) for j in range(n))
-        return Matrix(self.ambient_dim, n, flat)
+        gens = self.generators
+        rows = tuple({g: v[d] for g, v in enumerate(gens) if v[d]} for d in range(self.ambient_dim))
+        return Matrix(self.ambient_dim, len(gens), rows)
 
 
 def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
@@ -103,7 +102,7 @@ def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
     """
     if A.cols < 1:
         raise ValueError("lp_positive_kernel needs at least one column")
-    return decide_positive_kernel(A.to_sparse_rows(), A.cols)
+    return decide_positive_kernel(A.nonzeros, A.cols)
 
 
 def decide_positive_kernel(rows: list[SparseRow], ncols: int) -> FeasibilityResult:
@@ -151,7 +150,7 @@ def is_valid_certificate(A: Matrix, y) -> bool:
     y = vec(y)
     if len(y) != A.rows:
         raise ValueError(f"certificate length {len(y)} does not match {A.rows} rows")
-    return _certifies(A.to_sparse_rows(), A.cols, y)
+    return _certifies(A.nonzeros, A.cols, y)
 
 
 def cone_membership(v, K: PolyhedralCone) -> bool:
@@ -170,11 +169,7 @@ def cone_membership(v, K: PolyhedralCone) -> bool:
         return True
     if not K.generators:
         return False
-    ngens = len(K.generators)
-    rows = []
-    for d in range(K.ambient_dim):
-        rows.append({g: K.generators[g][d] for g in range(ngens) if K.generators[g][d]})
-    x, _ = solve_nonneg(rows, ngens, list(v))
+    x, _ = solve_nonneg(K.generator_matrix().nonzeros, len(K.generators), list(v))
     return x is not None
 
 
@@ -182,11 +177,11 @@ def is_positive_cone(K: PolyhedralCone) -> bool:
     """True iff K meets -K only in the origin.
 
     Equivalent formulation used here: no nonnegative, l1-normalised
-    combination of generators hits zero. Cones whose generators are all
-    componentwise nonnegative sit inside an orthant and are positive
-    without any search.
+    combination of generators hits zero. Free cones, and cones whose
+    generators are all componentwise nonnegative, sit inside an orthant and
+    are positive without any search.
     """
-    if not K.generators:
+    if not K.generators or K.is_free:
         return True
     if all(all(c >= 0 for c in g) for g in K.generators):
         return True

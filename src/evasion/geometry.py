@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from evasion.cones import PolyhedralCone
-from evasion.linalg import Matrix, ONE, ZERO
+from evasion.linalg import Matrix, ONE, SparseRow, ZERO
 from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratification
 
 Point = tuple[Fraction, Fraction]
@@ -425,16 +425,16 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
     edge_stalks = tuple(PolyhedralCone.free([c.label for c in f.components]) for f in edge_fibres)
     left_maps, right_maps = [], []
     for i, vf in enumerate(vertex_fibres):
-        for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
-            entries = [[ZERO] * len(vf.components) for _ in range(len(ef.components))]
+        for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
+            rows: list[SparseRow] = [{} for _ in ef.components]
             for c, comp in enumerate(vf.components):
                 target = ef.locate(comp.interior_point)
                 if target is None:
                     raise GeometryError(
                         f"component {comp.label} at t={vf.time} does not persist to the {side} edge"
                     )
-                entries[target][c] = ONE
-            (left_maps if side == "left" else right_maps).append(Matrix.from_rows(entries) if entries else Matrix.zeros(0, len(vf.components)))
+                rows[target][c] = ONE
+            maps.append(Matrix(len(rows), len(vf.components), tuple(rows)))
     return ConeSheaf(
         strat=Stratification(times),
         vertex_stalks=vertex_stalks,

@@ -5,9 +5,10 @@ rides on this module, so all arithmetic is `fractions.Fraction`: the kernel
 statements we certify are exact equalities and any floating tolerance would
 manufacture wrong verdicts.
 
-Matrices are small immutable dataclasses; the elimination and simplex
-routines work on sparse rows (dict of column -> Fraction) so that the
-banded systems produced by sheaves over a stratified line stay cheap.
+A matrix stores only its nonzeros, one dict of column -> Fraction per row,
+and the elimination and simplex routines work on those rows, so the banded
+systems produced by sheaves over a stratified line cost time and memory in
+proportion to their nonzeros.
 """
 
 from __future__ import annotations
@@ -48,125 +49,119 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense row-major rational matrix."""
+    """Sparse rational matrix: the nonzeros of each row as {column: value}.
+
+    Exact zeros are never stored, so equal matrices compare equal. The row
+    dicts may be shared with whoever built the matrix and must not be
+    mutated; `to_sparse_rows` hands out copies for in-place elimination.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nonzeros: tuple[SparseRow, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"matrix shape {self.rows}x{self.cols} needs "
-                f"{self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.nonzeros) != self.rows:
+            raise ValueError(f"a {self.rows}x{self.cols} matrix needs {self.rows} rows, got {len(self.nonzeros)}")
+        for i, r in enumerate(self.nonzeros):
+            for j, v in r.items():
+                if not 0 <= j < self.cols or not v:
+                    raise ValueError(f"row {i} stores {v} at column {j}; only nonzeros in columns 0..{self.cols - 1}")
 
     @classmethod
     def from_rows(cls, rows_data) -> "Matrix":
-        rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
+        """From dense rows of int/str/Fraction entries."""
+        rows_data = [vec(r) for r in rows_data]
         ncols = len(rows_data[0]) if rows_data else 0
         if any(len(r) != ncols for r in rows_data):
             raise ValueError("ragged rows")
-        flat = tuple(Fraction(x) for r in rows_data for x in r)
-        return cls(nrows, ncols, flat)
+        return cls(len(rows_data), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows_data))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls(n, n, tuple({i: ONE} for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls(rows, cols, tuple({} for _ in range(rows)))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.nonzeros[i].get(j, ZERO)
 
     def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        r = self.nonzeros[i]
+        return tuple(r.get(j, ZERO) for j in range(self.cols))
 
     def col(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(r.get(j, ZERO) for r in self.nonzeros)
 
     def mul_vec(self, v) -> Vec:
         if len(v) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {len(v)}")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = ZERO
-            for j, x in enumerate(v):
-                if x:
-                    acc += self.entries[base + j] * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum((x * v[j] for j, x in r.items()), ZERO) for r in self.nonzeros)
 
     def to_sparse_rows(self) -> list[SparseRow]:
-        out: list[SparseRow] = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append({j: self.entries[base + j] for j in range(self.cols) if self.entries[base + j]})
-        return out
-
-    @classmethod
-    def from_sparse_rows(cls, rows: list[SparseRow], ncols: int) -> "Matrix":
-        flat = []
-        for r in rows:
-            flat.extend(r.get(j, ZERO) for j in range(ncols))
-        return cls(len(rows), ncols, tuple(flat))
+        return [dict(r) for r in self.nonzeros]
 
 
-def kernel_sparse(rows: list[SparseRow], ncols: int) -> list[Vec]:
-    """Exact basis of {x : Mx = 0} over the rationals.
+def columns(rows, ncols: int) -> list[SparseRow]:
+    """The nonzeros of each column as {row: value}, in one pass over the rows."""
+    out: list[SparseRow] = [{} for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            out[j][i] = v
+    return out
 
-    Forward elimination to row echelon form (the pivot column is cleared
-    only from the rows still waiting, so banded inputs such as sheaf
-    coboundaries in time order never cascade), then one back-substitution
-    pass per free column.
+
+def _echelon(rows) -> dict[int, SparseRow]:
+    """Row echelon form: pivot column -> a row with 1 there and nothing before.
+
+    Each row is reduced against the pivot rows of its leading columns until
+    it vanishes or leads with a new pivot column, so no row waits on a scan
+    of the others. The pivot columns are those outside the span of the
+    columns before them, whatever the row order.
     """
-    work = [dict(r) for r in rows if r]
-    echelon: list[tuple[int, SparseRow]] = []  # (pivot column, normalised row)
-    pivot_cols: set[int] = set()
-    for col in range(ncols):
-        pidx = None
-        for i, r in enumerate(work):
-            if col in r:
-                pidx = i
+    pivots: dict[int, SparseRow] = {}
+    for r in rows:
+        r = dict(r)
+        while r:
+            col = min(r)
+            prow = pivots.get(col)
+            if prow is None:
+                pv = r[col]
+                pivots[col] = r if pv == 1 else {j: v / pv for j, v in r.items()}
                 break
-        if pidx is None:
-            continue
-        prow = work.pop(pidx)
-        pv = prow[col]
-        if pv != 1:
-            prow = {j: v / pv for j, v in prow.items()}
-        for r in work:
-            f = r.get(col)
-            if f:
-                _row_sub(r, prow, f)
-        echelon.append((col, prow))
-        pivot_cols.add(col)
+            _row_sub(r, prow, r[col])
+    return pivots
+
+
+def rank(A: Matrix) -> int:
+    """Rank of A over the rationals."""
+    return len(_echelon(A.nonzeros))
+
+
+def kernel_basis(A: Matrix) -> list[Vec]:
+    """Exact rational basis of the null space of A; empty iff A is injective.
+
+    One vector per non-pivot column: 1 there, 0 on the other non-pivot
+    columns, and the pivot columns back-substituted from the last one.
+    """
+    pivots = _echelon(A.nonzeros)
+    order = sorted(pivots, reverse=True)
     basis: list[Vec] = []
-    for free in range(ncols):
-        if free in pivot_cols:
+    for free in range(A.cols):
+        if free in pivots:
             continue
-        x = [ZERO] * ncols
+        x = [ZERO] * A.cols
         x[free] = ONE
-        for col, prow in reversed(echelon):
-            acc = ZERO
-            for j, v in prow.items():
-                if j != col and x[j]:
-                    acc += v * x[j]
+        for col in order:
+            acc = sum((v * x[j] for j, v in pivots[col].items() if j != col and x[j]), ZERO)
             if acc:
                 x[col] = -acc
         basis.append(tuple(x))
     return basis
-
-
-def kernel_basis(A: Matrix) -> list[Vec]:
-    """Exact rational basis of the null space of A; empty iff A is injective."""
-    return kernel_sparse(A.to_sparse_rows(), A.cols)
 
 
 def _row_sub(target: SparseRow, source: SparseRow, factor: Fraction) -> None:
@@ -394,15 +389,12 @@ def kernel_ray(rows: list[SparseRow], ncols: int):
             raise AssertionError("positive objective with nonpositive support")
         return [v / total for v in xs], None
     # optimum is zero: the duals of the final basis certify M'u >= 1
-    columns: list[SparseRow] = [{} for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            columns[j][i] = v
+    cols = columns(rows, ncols)
     eqs: list[SparseRow] = []
     rhs: list[Fraction] = []
     for var in basis:
         if var < ncols:
-            eqs.append(dict(columns[var]))
+            eqs.append(cols[var])
             rhs.append(ONE)
         else:
             eqs.append({var - ncols: ONE})

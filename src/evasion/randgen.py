@@ -13,7 +13,7 @@ from random import Random
 
 from evasion.cones import PolyhedralCone
 from evasion.geometry import Box, Scene, validate_scene
-from evasion.linalg import Matrix, ONE, ZERO
+from evasion.linalg import Matrix, ONE, SparseRow
 from evasion.sheaf import ConeSheaf, Stratification
 
 
@@ -32,10 +32,10 @@ def random_function_like_sheaf(rng: Random, max_vertices: int = 6, max_gens: int
     vertex_stalks = tuple(PolyhedralCone.free([f"g{i}" for i in range(n)]) for n in vertex_sizes)
 
     def random_map(nv: int, ne: int) -> Matrix:
-        entries = [[ZERO] * nv for _ in range(ne)]
+        rows: list[SparseRow] = [{} for _ in range(ne)]
         for c in range(nv):
-            entries[rng.randrange(ne)][c] = ONE
-        return Matrix.from_rows(entries)
+            rows[rng.randrange(ne)][c] = ONE
+        return Matrix(ne, nv, tuple(rows))
 
     left = tuple(random_map(vertex_sizes[i], edge_sizes[i]) for i in range(k))
     right = tuple(random_map(vertex_sizes[i], edge_sizes[i + 1]) for i in range(k))

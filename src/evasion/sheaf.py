@@ -29,7 +29,7 @@ the same exact re-checks (`cones.verified_decision`):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from evasion.cones import (
@@ -41,7 +41,7 @@ from evasion.cones import (
     is_positive_cone,
     verified_decision,
 )
-from evasion.linalg import Matrix, SparseRow, Vec, ZERO, kernel_sparse
+from evasion.linalg import Matrix, SparseRow, ZERO, columns, rank
 
 CellLabel = tuple[str, str]  # (cell id, generator label)
 # per vertex: (left edge generator, right edge generator) of each vertex generator
@@ -164,18 +164,42 @@ class GlobalSections:
 
     Columns are vertex-stalk generators, rows are ambient coordinates of
     precompact edge stalks (for free stalks those coincide with labelled
-    generators). kernel/decision are None when only the matrix was assembled.
+    generators). kernel_dim (columns minus rank) and decision are None when
+    only the matrix was assembled.
     """
 
     coboundary: Matrix
     row_labels: tuple[CellLabel, ...]
     column_labels: tuple[CellLabel, ...]
-    kernel: tuple[Vec, ...] | None = None
+    kernel_dim: int | None = None
     decision: FeasibilityResult | None = None
 
 
+def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
+    """Image under M of each generator of the stalk M acts on, as {coordinate: value}.
+
+    Reads the columns of M once; for a free stalk the images are the columns.
+    """
+    cols = columns(M.nonzeros, M.cols)
+    if stalk.is_free:
+        return cols
+    images = []
+    for gen in stalk.generators:
+        image: SparseRow = {}
+        for c, x in enumerate(gen):
+            if x:
+                for d, v in cols[c].items():
+                    image[d] = image.get(d, ZERO) + v * x
+        images.append({d: v for d, v in image.items() if v})
+    return images
+
+
 def validate_sheaf(S: ConeSheaf) -> SheafReport:
-    """Check every stalk is a positive cone and every restriction is a cone map."""
+    """Check every stalk is a positive cone and every restriction is a cone map.
+
+    An image lies in a free target exactly when its nonzeros are positive;
+    other targets are asked by `cone_membership`.
+    """
     violations: list[SheafViolation] = []
     for i, stalk in enumerate(S.vertex_stalks):
         if not is_positive_cone(stalk):
@@ -188,9 +212,13 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
     for i, j, M in S.incidences():
         vid, eid = S.strat.vertex_id(i), S.strat.edge_id(j)
         target = S.edge_stalks[j]
-        for g, gen in enumerate(S.vertex_stalks[i].generators):
-            image = M.mul_vec(gen)
-            if not cone_membership(image, target):
+        for g, image in enumerate(_generator_images(M, S.vertex_stalks[i])):
+            if target.is_free:
+                inside = all(v > 0 for v in image.values())
+            else:
+                dense = [image.get(d, ZERO) for d in range(target.ambient_dim)]
+                inside = cone_membership(dense, target)
+            if not inside:
                 label = S.vertex_stalks[i].labels[g]
                 violations.append(
                     SheafViolation(vid, eid, label, f"image of {vid}.{label} under {vid}->{eid} leaves the edge cone")
@@ -223,18 +251,10 @@ def _assemble_sparse(S: ConeSheaf):
         # left endpoint enters with -, right endpoint with +
         for vi, M, sign in ((j - 1, S.right_maps[j - 1], -1), (j, S.left_maps[j], 1)):
             offset = col_offsets[vi]
-            for g, gen in enumerate(S.vertex_stalks[vi].generators):
-                image = M.mul_vec(gen)
-                for d, val in enumerate(image):
-                    if val:
-                        rows[base + d][offset + g] = val if sign > 0 else -val
+            for g, image in enumerate(_generator_images(M, S.vertex_stalks[vi])):
+                for d, val in image.items():
+                    rows[base + d][offset + g] = val if sign > 0 else -val
     return rows, tuple(row_labels), tuple(col_labels)
-
-
-def _ensure_valid(S: ConeSheaf) -> None:
-    report = validate_sheaf(S)
-    if not report.ok:
-        raise SheafValidationError(report)
 
 
 def _normalise(S: ConeSheaf) -> ConeSheaf:
@@ -245,12 +265,14 @@ def _normalise(S: ConeSheaf) -> ConeSheaf:
 
 
 def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
-    """Labelled coboundary matrix only; kernel and decision left unset."""
+    """Labelled coboundary matrix only; kernel_dim and decision left unset."""
     S = _normalise(S)
-    _ensure_valid(S)
+    report = validate_sheaf(S)
+    if not report.ok:
+        raise SheafValidationError(report)
     rows, row_labels, col_labels = _assemble_sparse(S)
     return GlobalSections(
-        coboundary=Matrix.from_sparse_rows(rows, len(col_labels)),
+        coboundary=Matrix(len(rows), len(col_labels), tuple(rows)),
         row_labels=row_labels,
         column_labels=col_labels,
     )
@@ -266,11 +288,8 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     sheaves are decided by `section_sweep`, all others by the simplex.
     """
     S = _normalise(S)
-    _ensure_valid(S)
-    rows, row_labels, col_labels = _assemble_sparse(S)
-    ncols = len(col_labels)
-    kernel = tuple(kernel_sparse(rows, ncols))
-    cob = Matrix.from_sparse_rows(rows, ncols)
+    sections = assemble_coboundary(S)
+    rows, ncols = sections.coboundary.nonzeros, sections.coboundary.cols
     try:
         maps = generator_maps(S)
     except UnsupportedSheafError:
@@ -291,13 +310,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
                 witness[offset + g] = Fraction(1, S.strat.k)
                 offset += len(stalk.generators)
         decision = verified_decision(rows, ncols, witness, certificate)
-    return GlobalSections(
-        coboundary=cob,
-        row_labels=row_labels,
-        column_labels=col_labels,
-        kernel=kernel,
-        decision=decision,
-    )
+    return replace(sections, kernel_dim=ncols - rank(sections.coboundary), decision=decision)
 
 
 def generator_maps(S: ConeSheaf) -> GeneratorMaps:
@@ -315,19 +328,15 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
             raise UnsupportedSheafError(f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free")
     images = []
     for i, j, M in S.incidences():
-        hits: list[list[int]] = [[] for _ in range(M.cols)]
-        for idx, v in enumerate(M.entries):
-            if v:
-                r, c = divmod(idx, M.cols)
-                hits[c].append(r if v == 1 else -1)
-        for c, rs in enumerate(hits):
-            if len(rs) != 1 or rs[0] < 0:
+        cols = columns(M.nonzeros, M.cols)
+        for c, col in enumerate(cols):
+            if len(col) != 1 or 1 not in col.values():
                 raise UnsupportedSheafError(
                     f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
-                    f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not rs else 'is not a single 1'}; "
+                    f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not col else 'is not a single 1'}; "
                     "the sweep requires 0/1 restrictions with exactly one 1 per column"
                 )
-        images.append(tuple(rs[0] for rs in hits))
+        images.append(tuple(next(iter(col)) for col in cols))
     return tuple(zip(images[0::2], images[1::2]))
 
 

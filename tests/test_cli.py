@@ -1,8 +1,17 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evasion.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -311,3 +320,115 @@ def test_sheaf_labels_must_be_a_list(capsys, tmp_path):
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert "e1" in report["error"] and "list" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "box, axis",
+    [
+        ({"t": [2, 1], "x": [0, 4], "y": [0, 4]}, "t"),  # read as a box alive at no time
+        ({"t": [1, 2], "x": [4, 0], "y": [0, 4]}, "x"),  # read as a box covering nothing
+    ],
+)
+def test_reversed_box_interval_is_rejected(capsys, tmp_path, box, axis):
+    bad = tmp_path / "reversed.json"
+    bad.write_text(json.dumps({"window": {"x": [0, 4], "y": [0, 4]}, "boxes": [box]}))
+    code, report = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert f"box 0 {axis} interval" in report["error"] and "reversed" in report["error"]
+
+
+def _one_vertex_sheaf(v1_labels, entries):
+    cols = len(v1_labels)
+    return {
+        "vertices": ["0"],
+        "stalks": {"e1": {"labels": ["u"]}, "v1": {"labels": v1_labels}, "e2": {"labels": ["u"]}},
+        "restrictions": [
+            {"from": "v1", "to": "e1", "matrix": {"rows": 1, "cols": cols, "entries": entries}},
+            {"from": "v1", "to": "e2", "matrix": {"rows": 1, "cols": cols, "entries": ["1"] * cols}},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "sheaf, named",
+    [
+        (_one_vertex_sheaf(["a", "a"], ["1", "1"]), ["v1", "'a'"]),  # two columns named v1.a
+        (_one_vertex_sheaf(["a"], "1"), ["v1->e1", "entries", "list"]),  # a string read per character
+        (_one_vertex_sheaf(["a"], ["1", "0"]), ["v1->e1", "1x1", "2"]),
+        ({**_one_vertex_sheaf(["a"], ["1"]), "vertices": "0"}, ["vertices", "list"]),
+    ],
+)
+def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
+    bad = tmp_path / "ambiguous.json"
+    bad.write_text(json.dumps(sheaf))
+    code, report = run_cli(capsys, "lp", str(bad))
+    assert code == 1
+    assert all(part in report["error"] for part in named), report["error"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the readers: every input ends in exit 0, 1 or 2 and one JSON report
+
+FUZZ_INPUTS = [
+    ("check", name) for name in ("crossing_open.json", "crossing_blocked.json", "two_gap_corridor.json")
+] + [("lp", name) for name in ("double_lens.json", "nonfree_feasible.json", "reversal.json")]
+REPLACEMENTS = (None, True, 1.5, -3, 0, "x", "-1/2", [], {}, [1, 2], ["2", "1"], {"rows": -1})
+
+
+def _nodes(node, path=()):
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+MUTATIONS = {
+    "swap": lambda node: True,
+    "drop": lambda node: True,
+    "reverse": lambda node: isinstance(node, list),
+    "negate": lambda node: isinstance(node, str) or (isinstance(node, int) and not isinstance(node, bool)),
+}
+
+
+@st.composite
+def mutated_inputs(draw):
+    command, name = draw(st.sampled_from(FUZZ_INPUTS))
+    data = load_fixture(name)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(sorted(MUTATIONS)))
+        targets = [(path, node) for path, node in _nodes(data) if MUTATIONS[kind](node)]
+        if not targets:
+            continue
+        path, node = draw(st.sampled_from(targets))
+        if not path:
+            data = node[::-1] if kind == "reverse" else copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "reverse":
+            parent[key] = node[::-1]
+        elif kind == "negate":
+            parent[key] = "-" + node if isinstance(node, str) else -node - 1
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return command, data
+
+
+@given(mutated_inputs())
+@settings(max_examples=300, deadline=None)
+def test_mutated_fixtures_end_in_one_json_report(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main([command, str(path)])
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    assert code in (0, 1, 2)
+    assert ("error" in report) == (code == 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from evasion.cones import (
     is_valid_certificate,
     lp_positive_kernel,
 )
-from evasion.linalg import Matrix, kernel_basis
+from evasion.linalg import Matrix, kernel_basis, rank
+from evasion.randgen import random_function_like_sheaf
+from evasion.sheaf import global_sections
 
 from golden import BLOCKED_COBOUNDARY, OPEN_COBOUNDARY
 
@@ -184,6 +187,7 @@ def test_stiemke_alternative_is_exclusive(M):
 @settings(max_examples=150, deadline=None)
 def test_kernel_count_matches_rank_deficiency(M):
     basis = kernel_basis(M)
+    assert rank(M) == dense_rank(M)
     assert len(basis) == M.cols - dense_rank(M)
     for v in basis:
         assert not any(M.mul_vec(v))
@@ -191,6 +195,14 @@ def test_kernel_count_matches_rank_deficiency(M):
         # linear independence: stack as rows and re-rank
         stacked = Matrix.from_rows([list(v) for v in basis])
         assert dense_rank(stacked) == len(basis)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_kernel_dim_is_columns_minus_dense_rank(seed):
+    sections = global_sections(random_function_like_sheaf(Random(seed)))
+    cob = sections.coboundary
+    assert sections.kernel_dim == cob.cols - dense_rank(cob)
 
 
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=0, max_size=4))
