@@ -25,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from evasion import geometry
 from evasion.cones import PolyhedralCone, lp_positive_kernel
 from evasion.geometry import (
     Box,
@@ -35,7 +36,6 @@ from evasion.geometry import (
     build_sheaf,
     critical_times,
     extract_path,
-    scene_fibres,
     validate_scene,
 )
 from evasion.linalg import Matrix, format_rational, parse_rational
@@ -284,7 +284,7 @@ def render_scene_svg(scene: Scene, path: EvasionPath | None = None) -> str:
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" height="{height - 2 * margin}" '
         'fill="#f4f6f8" stroke="#333"/>',
     ]
-    _, vertex_fibres, edge_fibres = scene_fibres(scene)
+    _, vertex_fibres, edge_fibres = geometry.scene_fibres(scene)
     cells = []
     vts = list(critical_times(scene)) or [Fraction(0)]
     for j, ef in enumerate(edge_fibres):
@@ -352,6 +352,11 @@ def cmd_check(args) -> int:
     scene = scene_from_jsonable(data)
 
     timing: dict[str, float] = {}
+    t0 = time.perf_counter()
+    # looked up on the module, so that a wrapper installed there (a
+    # profiler's, say) sees this call as it sees validate_scene's
+    geometry.scene_fibres(scene)
+    timing["fibres"] = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     report = validate_scene(scene)
     timing["validate"] = (time.perf_counter() - t0) * 1000
@@ -456,8 +461,16 @@ def cmd_path(args) -> int:
     return EXIT_EVASION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting 2 (the NO_EVASION code), so
+    that `main` reports it like any other input error."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evasion",
         description="Decide whether an evader can avoid a time-varying planar coverage region.",
     )
@@ -496,9 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; every input error becomes one JSON report and exit 1."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; every input error, usage errors included, becomes
+    one JSON report and exit 1."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})

@@ -6,24 +6,34 @@ complement of the open window interior together with every box alive at t;
 the *gap* is what remains: an open subset of int(W). Everything an evader
 can do lives inside the gap.
 
-All computations run on the exact rational rectangle arrangement induced by
-the window and the alive boxes: faces (open cells, open edges, vertices of
-the grid) are each entirely covered or entirely gap, and two gap faces are
+All computations run on the exact rectangle arrangement induced by the
+window and the alive boxes: faces (open cells, open edges, vertices of the
+grid) are each entirely covered or entirely gap, and two gap faces are
 connected exactly when they are incident, so connected components come out
-of a union-find with no numeric slack.
+of a flood fill with no numeric slack.
+
+The arrangement runs on integer ranks. Each scene gets one rank table: the
+sorted distinct x and y coordinates of the window and of every
+window-relevant box clamped to it, each box's rank rectangle, and whether
+the box touches the window frame. Ranking is strictly increasing on those
+finite sets and every comparison the arrangement, the validation and the
+restrictions make is between their members, so ranks take every branch the
+rationals would; `Fraction` values appear only in the outputs (grid
+coordinates, anchors, interior points, sample times).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
 dominates both neighbouring intervals, so each gap component at the vertex
 persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
-sections decide evasion.
+sections decide evasion. Samples with the same alive key (the window-relevant
+boxes alive there) share one arrangement, so a scene builds one fibre per
+distinct key, not one per sample.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +46,7 @@ from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratificatio
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
 Face = tuple[int, int]
+Key = tuple[int, ...]
 
 
 class SceneValidationError(ValueError):
@@ -136,21 +147,23 @@ class GapFibre:
     """Gap components at one time, on the arrangement grid of that time.
 
     Grid faces are indexed by (i, j): even indices are grid lines, odd
-    indices are the open intervals between them.
+    indices are the open intervals between them. Fibres whose samples have
+    the same alive key share one arrangement, components included, and
+    differ only in `time`.
     """
 
     time: Fraction
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     components: tuple[GapComponent, ...]
-    _face_index: dict[Face, int] = field(repr=False, compare=False, default_factory=dict)
+    _arrangement: "_Arrangement" = field(repr=False, compare=False)
 
     def locate(self, p: Point) -> int | None:
         """Component index containing p, or None if p is covered."""
         face = self._face_of(p)
         if face is None:
             return None
-        return self._face_index.get(face)
+        return self._arrangement.face_index.get(face)
 
     def _face_of(self, p: Point) -> Face | None:
         i = _axis_index(self.xs, p[0])
@@ -175,26 +188,6 @@ def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
     return coords[k] if i % 2 == 0 else (coords[k] + coords[k + 1]) / 2
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, a) -> None:
-        self.parent.setdefault(a, a)
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _relevant(scene: Scene, box: Box) -> bool:
     # does the closed box meet the open window interior?
     return (
@@ -209,21 +202,128 @@ def _clamp(iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
     return max(iv[0], lo), min(iv[1], hi)
 
 
-def _alive_along(scene: Scene, times: list[Fraction]) -> list[list[Box]]:
-    """Alive boxes at each time of an ascending sample list, in one sweep."""
-    order = sorted(range(len(scene.boxes)), key=lambda i: scene.boxes[i].t[0])
-    heap: list[tuple[Fraction, int]] = []
-    nxt = 0
-    out = []
-    for t in times:
-        while nxt < len(order) and scene.boxes[order[nxt]].t[0] <= t:
-            idx = order[nxt]
-            heapq.heappush(heap, (scene.boxes[idx].t[1], idx))
-            nxt += 1
-        while heap and heap[0][0] < t:
-            heapq.heappop(heap)
-        out.append([scene.boxes[i] for _, i in heap])
-    return out
+def _ranked(window: Interval, ivs: list[Interval]) -> tuple[tuple[Fraction, ...], list[tuple[int, int]]]:
+    """Sorted distinct coordinates of the window and of the intervals clamped
+    to it, and the rank pair of each clamped interval."""
+    clamped = [_clamp(iv, *window) for iv in ivs]
+    coords = tuple(sorted({*window, *(c for iv in clamped for c in iv)}))
+    rank = {c: k for k, c in enumerate(coords)}
+    return coords, [(rank[lo], rank[hi]) for lo, hi in clamped]
+
+
+@dataclass(frozen=True)
+class _RankTable:
+    """The integer coordinates of one scene.
+
+    `boxes` are the window-relevant boxes; key entries index them. `rects[b]`
+    is box b clamped to the window as ranks (x0, x1, y0, y1) into `xs` and
+    `ys`, and `framed[b]` says whether it touches the window frame, i.e. is
+    not strictly inside the window. `xmid` and `ymid` memoise interval
+    midpoints by rank pair, since the arrangements of one scene share most
+    of their intervals.
+    """
+
+    boxes: tuple[Box, ...]
+    xs: tuple[Fraction, ...]
+    ys: tuple[Fraction, ...]
+    rects: tuple[tuple[int, int, int, int], ...]
+    framed: tuple[bool, ...]
+    xmid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
+    ymid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
+
+
+def _midpoint(coords: tuple[Fraction, ...], lo: int, hi: int, memo: dict[tuple[int, int], Fraction]) -> Fraction:
+    c = memo.get((lo, hi))
+    if c is None:
+        c = memo[lo, hi] = (coords[lo] + coords[hi]) / 2
+    return c
+
+
+def _rank_table(scene: Scene) -> _RankTable:
+    boxes = tuple(b for b in scene.boxes if _relevant(scene, b))
+    xs, xr = _ranked(scene.window_x, [b.x for b in boxes])
+    ys, yr = _ranked(scene.window_y, [b.y for b in boxes])
+    rects = tuple(x + y for x, y in zip(xr, yr))
+    top_x, top_y = len(xs) - 1, len(ys) - 1
+    framed = tuple(x0 == 0 or x1 == top_x or y0 == 0 or y1 == top_y for x0, x1, y0, y1 in rects)
+    return _RankTable(boxes, xs, ys, rects, framed)
+
+
+@dataclass(frozen=True, eq=False)
+class _Arrangement:
+    """Gap components of one alive key, computed on integer ranks.
+
+    `xr` and `yr` are the table ranks of the grid lines, and `seeds[c]` is
+    the least open 2-face of component c, whose centre is its interior point.
+    """
+
+    table: _RankTable
+    key: Key
+    xr: tuple[int, ...]
+    yr: tuple[int, ...]
+    xs: tuple[Fraction, ...]
+    ys: tuple[Fraction, ...]
+    components: tuple[GapComponent, ...]
+    seeds: tuple[Face, ...]
+    face_index: dict[Face, int]
+
+    def at(self, t: Fraction) -> GapFibre:
+        return GapFibre(t, self.xs, self.ys, self.components, self)
+
+
+def _arrange(table: _RankTable, key: Key) -> _Arrangement:
+    """Gap components of the window with the key's boxes alive, labelled
+    g0, g1, ... in the order of their least face corner."""
+    rects = [table.rects[b] for b in key]
+    xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in rects for c in r[:2])}))
+    yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in rects for c in r[2:])}))
+    xpos = {r: k for k, r in enumerate(xr)}
+    ypos = {r: k for k, r in enumerate(yr)}
+    nx, ny = 2 * len(xr) - 1, 2 * len(yr) - 1
+    # cover flags of face (i, j) at i * ny + j; the outermost grid lines are
+    # the window frame, which is covered and stops the fill at the border
+    covered = bytearray(nx * ny)
+    covered[:ny] = covered[-ny:] = b"\x01" * ny
+    covered[::ny] = covered[ny - 1 :: ny] = b"\x01" * nx
+    for x0, x1, y0, y1 in rects:
+        j0, j1 = 2 * ypos[y0], 2 * ypos[y1] + 1
+        run = b"\x01" * (j1 - j0)
+        for i in range(2 * xpos[x0], 2 * xpos[x1] + 1):
+            covered[i * ny + j0 : i * ny + j1] = run
+
+    # A box covering a face covers its closure, so a gap face on a grid line
+    # has gap faces on both sides of the line, one of them earlier in
+    # row-major order. Each fill below therefore starts at its component's
+    # least open 2-face, whose lower-left corner is the least corner of the
+    # component (every gap face shares a corner with a gap 2-face of the
+    # same component): components come out in anchor order.
+    xs = tuple(table.xs[r] for r in xr)
+    ys = tuple(table.ys[r] for r in yr)
+    components, seeds, face_index = [], [], {}
+    for seed in range(nx * ny):
+        if covered[seed]:
+            continue
+        covered[seed] = 1
+        stack, faces = [seed], []
+        while stack:
+            g = stack.pop()
+            faces.append(g)
+            for h in (g - ny, g + ny, g - 1, g + 1):
+                if not covered[h]:
+                    covered[h] = 1
+                    stack.append(h)
+        idx = len(components)
+        i, j = divmod(seed, ny)
+        a, b = i // 2, j // 2
+        face_set = frozenset(divmod(g, ny) for g in faces)
+        centre = (
+            _midpoint(table.xs, xr[a], xr[a + 1], table.xmid),
+            _midpoint(table.ys, yr[b], yr[b + 1], table.ymid),
+        )
+        components.append(GapComponent(f"g{idx}", (xs[a], ys[b]), centre, face_set))
+        seeds.append((i, j))
+        face_index.update(dict.fromkeys(face_set, idx))
+    return _Arrangement(table, key, xr, yr, xs, ys, tuple(components), tuple(seeds), face_index)
 
 
 def gap_components(scene: Scene, t) -> GapFibre:
@@ -233,66 +333,8 @@ def gap_components(scene: Scene, t) -> GapFibre:
     corner, so repeated runs and nearby sample times agree on names.
     """
     t = Fraction(t)
-    return _build_fibre(scene, t, [b for b in scene.boxes if b.alive(t)])
-
-
-def _build_fibre(scene: Scene, t: Fraction, alive: list[Box]) -> GapFibre:
-    rects = [
-        (_clamp(b.x, *scene.window_x), _clamp(b.y, *scene.window_y))
-        for b in alive
-        if _relevant(scene, b)
-    ]
-    xs = tuple(sorted({scene.window_x[0], scene.window_x[1], *(c for r in rects for c in r[0])}))
-    ys = tuple(sorted({scene.window_y[0], scene.window_y[1], *(c for r in rects for c in r[1])}))
-    nx, ny = 2 * len(xs) - 1, 2 * len(ys) - 1
-    covered = [[False] * ny for _ in range(nx)]
-    xpos = {c: k for k, c in enumerate(xs)}
-    ypos = {c: k for k, c in enumerate(ys)}
-    for rx, ry in rects:
-        for i in range(2 * xpos[rx[0]], 2 * xpos[rx[1]] + 1):
-            row = covered[i]
-            for j in range(2 * ypos[ry[0]], 2 * ypos[ry[1]] + 1):
-                row[j] = True
-
-    def is_gap(i: int, j: int) -> bool:
-        return 0 < i < nx - 1 and 0 < j < ny - 1 and not covered[i][j]
-
-    uf = _UnionFind()
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            if not is_gap(i, j):
-                continue
-            uf.add((i, j))
-            if is_gap(i - 1, j):
-                uf.union((i, j), (i - 1, j))
-            if is_gap(i, j - 1):
-                uf.union((i, j), (i, j - 1))
-    groups: dict[Face, list[Face]] = {}
-    for face in uf.parent:
-        groups.setdefault(uf.find(face), []).append(face)
-
-    def corner(face: Face) -> Point:
-        return xs[face[0] // 2], ys[face[1] // 2]
-
-    comps = []
-    for faces in groups.values():
-        anchor = min(corner(f) for f in faces)
-        two_faces = [f for f in faces if f[0] % 2 and f[1] % 2]
-        if not two_faces:
-            raise GeometryError("gap component without an open 2-face")
-        least = min(two_faces, key=corner)
-        centre = (
-            (xs[least[0] // 2] + xs[least[0] // 2 + 1]) / 2,
-            (ys[least[1] // 2] + ys[least[1] // 2 + 1]) / 2,
-        )
-        comps.append((anchor, centre, frozenset(faces)))
-    comps.sort(key=lambda c: c[0])
-    components = tuple(
-        GapComponent(label=f"g{idx}", anchor=a, interior_point=c, faces=fs)
-        for idx, (a, c, fs) in enumerate(comps)
-    )
-    face_index = {f: idx for idx, comp in enumerate(components) for f in comp.faces}
-    return GapFibre(time=t, xs=xs, ys=ys, components=components, _face_index=face_index)
+    table = _rank_table(scene)
+    return _arrange(table, tuple(b for b, box in enumerate(table.boxes) if box.alive(t))).at(t)
 
 
 def point_uncovered(scene: Scene, t, p: Point) -> bool:
@@ -318,27 +360,26 @@ def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     return tuple(sorted(ts))
 
 
-def _coverage_connected(scene: Scene, alive: list[Box]) -> bool:
-    """Coverage = window frame + alive boxes; connected iff the intersection
-    graph of those closed pieces is connected."""
-    uf = _UnionFind()
-    uf.add("frame")
-    for idx, b in enumerate(alive):
-        uf.add(idx)
-        inside_interior = (
-            scene.window_x[0] < b.x[0]
-            and b.x[1] < scene.window_x[1]
-            and scene.window_y[0] < b.y[0]
-            and b.y[1] < scene.window_y[1]
-        )
-        if not inside_interior:
-            uf.union(idx, "frame")
-        for jdx in range(idx):
-            o = alive[jdx]
-            if b.x[0] <= o.x[1] and o.x[0] <= b.x[1] and b.y[0] <= o.y[1] and o.y[0] <= b.y[1]:
-                uf.union(idx, jdx)
-    root = uf.find("frame")
-    return all(uf.find(idx) == root for idx in range(len(alive)))
+def _coverage_connected(table: _RankTable, key: Key) -> bool:
+    """Coverage = window frame + the key's boxes; connected iff every box
+    reaches the frame in the intersection graph of the closed boxes.
+
+    Boxes outside the open window meet no box strictly inside it, so they
+    join the frame and nothing else, and only window-relevant boxes are
+    tested."""
+    reached = [b for b in key if table.framed[b]]
+    waiting = [b for b in key if not table.framed[b]]
+    while waiting and reached:
+        x0, x1, y0, y1 = table.rects[reached.pop()]
+        still = []
+        for b in waiting:
+            a0, a1, b0, b1 = table.rects[b]
+            if a0 <= x1 and x0 <= a1 and b0 <= y1 and y0 <= b1:
+                reached.append(b)
+            else:
+                still.append(b)
+        waiting = still
+    return not waiting
 
 
 def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
@@ -349,39 +390,51 @@ def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
     return (times[j - 1] + times[j]) / 2
 
 
-def _sample_schedule(times: tuple[Fraction, ...]):
-    """Edge samples interleaved with vertex times, in ascending time order."""
-    schedule: list[tuple[Fraction, str, int]] = []
-    k = len(times)
-    for j in range(k + 1):
-        schedule.append((_edge_sample(times, j), "e", j))
-        if j < k:
-            schedule.append((times[j], "v", j))
-    return schedule
+def _sample_keys(table: _RankTable) -> tuple[tuple[Fraction, ...], list[Key]]:
+    """Critical times and the alive key of every sample, in one sweep.
+
+    Sample 2j is the edge sample before vertex j and sample 2j + 1 is vertex
+    j, so a box alive on [times[a], times[b]] is alive at samples 2a + 1
+    through 2b + 1.
+    """
+    times = tuple(sorted({e for b in table.boxes for e in b.t})) or (Fraction(0),)
+    rank = {t: k for k, t in enumerate(times)}
+    n = 2 * len(times) + 1
+    born: list[list[int]] = [[] for _ in range(n)]
+    dies: list[list[int]] = [[] for _ in range(n)]
+    for b, box in enumerate(table.boxes):
+        born[2 * rank[box.t[0]] + 1].append(b)
+        dies[2 * rank[box.t[1]] + 1].append(b)
+    alive: set[int] = set()
+    key: Key = ()
+    keys = []
+    for s in range(n):
+        if born[s]:
+            alive.update(born[s])
+            key = tuple(sorted(alive))
+        keys.append(key)
+        if dies[s]:
+            alive.difference_update(dies[s])
+            key = tuple(sorted(alive))
+    return times, keys
 
 
 @lru_cache(maxsize=16)
 def validate_scene(scene: Scene) -> SceneReport:
     """Coverage must be connected at every critical time and inside every
-    edge, and all gap components must stay strictly inside the window."""
+    edge. Gap components stay strictly inside the window by construction:
+    the arrangement's outermost grid lines are the covered frame."""
     if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
         raise ValueError("window has empty interior")
-    times, vertex_fibres, edge_fibres = scene_fibres(scene)
-    schedule = _sample_schedule(times)
-    alive = _alive_along(scene, [s[0] for s in schedule])
-    for (t, kind, idx), boxes in zip(schedule, alive):
-        if not _coverage_connected(scene, boxes):
-            return SceneReport(False, (f"coverage is disconnected at t={t}",))
-        fibre = vertex_fibres[idx] if kind == "v" else edge_fibres[idx]
-        for comp in fibre.components:
-            xlo, ylo = comp.anchor
-            if not (
-                scene.window_x[0] <= xlo < scene.window_x[1]
-                and scene.window_y[0] <= ylo < scene.window_y[1]
-            ):
-                return SceneReport(
-                    False, (f"gap component {comp.label} escapes the window at t={t}",)
-                )
+    _, vertex_fibres, edge_fibres = scene_fibres(scene)
+    connected: dict[_Arrangement, bool] = {}
+    for j, ef in enumerate(edge_fibres):
+        for fibre in (ef, *vertex_fibres[j : j + 1]):
+            arr = fibre._arrangement
+            if arr not in connected:
+                connected[arr] = _coverage_connected(arr.table, arr.key)
+            if not connected[arr]:
+                return SceneReport(False, (f"coverage is disconnected at t={fibre.time}",))
     return SceneReport(True, ())
 
 
@@ -390,23 +443,37 @@ def scene_fibres(scene: Scene) -> tuple[tuple[Fraction, ...], tuple[GapFibre, ..
     """Critical times plus the gap fibre at every vertex and edge sample.
 
     Scenes with no critical box events still get one synthetic vertex at
-    t=0 so the constant section is representable downstream. Cached (scenes
-    are immutable): validation, sheaf construction and path extraction all
-    consume the same fibres.
+    t=0 so the constant section is representable downstream. One
+    arrangement is built per distinct alive key and shared by its samples.
+    Cached (scenes are immutable): validation, sheaf construction and path
+    extraction all consume the same fibres.
     """
-    times = critical_times(scene) or (Fraction(0),)
-    schedule = _sample_schedule(times)
-    alive = _alive_along(scene, [s[0] for s in schedule])
-    k = len(times)
-    vertex_fibres: list[GapFibre | None] = [None] * k
-    edge_fibres: list[GapFibre | None] = [None] * (k + 1)
-    for (t, kind, idx), boxes in zip(schedule, alive):
-        fibre = _build_fibre(scene, t, boxes)
-        if kind == "v":
-            vertex_fibres[idx] = fibre
-        else:
-            edge_fibres[idx] = fibre
-    return times, tuple(vertex_fibres), tuple(edge_fibres)
+    table = _rank_table(scene)
+    times, keys = _sample_keys(table)
+    arrangements: dict[Key, _Arrangement] = {}
+    fibres = []
+    for s, key in enumerate(keys):
+        arr = arrangements.get(key)
+        if arr is None:
+            arr = arrangements[key] = _arrange(table, key)
+        fibres.append(arr.at(times[s // 2] if s % 2 else _edge_sample(times, s // 2)))
+    return times, tuple(fibres[1::2]), tuple(fibres[0::2])
+
+
+def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> Face:
+    """The face of the edge fibre's grid holding the least open 2-face of
+    component c of the adjacent vertex fibre.
+
+    The boxes alive on an edge are alive at its end vertices too, so the
+    edge's grid lines are among the vertex's, and each open interval of the
+    vertex grid lies inside one open interval of the edge grid: a bisection
+    of its lower rank finds that interval.
+    """
+    va, ea = vf._arrangement, ef._arrangement
+    i, j = va.seeds[c]
+    if ea is va:
+        return i, j
+    return 2 * bisect_right(ea.xr, va.xr[i // 2]) - 1, 2 * bisect_right(ea.yr, va.yr[j // 2]) - 1
 
 
 def build_sheaf(scene: Scene) -> ConeSheaf:
@@ -415,20 +482,29 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
     Stalks are free cones on the gap components of the cell's sample time;
     the restriction of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
-    there, so the component persists to both sides).
+    there, so the component persists to both sides). A vertex and an edge
+    with the same alive key share their components, and the map is the
+    identity.
     """
     report = validate_scene(scene)
     if not report.ok:
         raise SceneValidationError(report)
     times, vertex_fibres, edge_fibres = scene_fibres(scene)
-    vertex_stalks = tuple(PolyhedralCone.free([c.label for c in f.components]) for f in vertex_fibres)
-    edge_stalks = tuple(PolyhedralCone.free([c.label for c in f.components]) for f in edge_fibres)
+    cones: dict[tuple[str, ...], PolyhedralCone] = {}
+
+    def stalk(fibre: GapFibre) -> PolyhedralCone:
+        # stalks with the same labels are the same cone, built once
+        labels = tuple(c.label for c in fibre.components)
+        if labels not in cones:
+            cones[labels] = PolyhedralCone.free(labels)
+        return cones[labels]
+
     left_maps, right_maps = [], []
     for i, vf in enumerate(vertex_fibres):
         for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
             rows: list[SparseRow] = [{} for _ in ef.components]
             for c, comp in enumerate(vf.components):
-                target = ef.locate(comp.interior_point)
+                target = ef._arrangement.face_index.get(_edge_face(vf, c, ef))
                 if target is None:
                     raise GeometryError(
                         f"component {comp.label} at t={vf.time} does not persist to the {side} edge"
@@ -437,8 +513,8 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
             maps.append(Matrix(len(rows), len(vf.components), tuple(rows)))
     return ConeSheaf(
         strat=Stratification(times),
-        vertex_stalks=vertex_stalks,
-        edge_stalks=edge_stalks,
+        vertex_stalks=tuple(stalk(f) for f in vertex_fibres),
+        edge_stalks=tuple(stalk(f) for f in edge_fibres),
         left_maps=tuple(left_maps),
         right_maps=tuple(right_maps),
     )
@@ -466,11 +542,10 @@ class EvasionPath:
     chain: SectionChain
 
 
-def _route(fibre: GapFibre, comp: GapComponent, start: Point, goal: Point) -> list[Point]:
-    """Waypoints (face centres) of a face path from start to goal inside one
-    gap component. Consecutive waypoints live on incident faces, so each
+def _route(fibre: GapFibre, comp: GapComponent, f0: Face, f1: Face) -> list[Point]:
+    """Waypoints (face centres) of a face path from face f0 to face f1 inside
+    one gap component. Consecutive waypoints live on incident faces, so each
     straight hop stays inside the open component."""
-    f0, f1 = fibre._face_of(start), fibre._face_of(goal)
     if f0 not in comp.faces or f1 not in comp.faces:
         raise GeometryError("route endpoints are not inside the expected gap component")
     if f0 == f1:
@@ -514,21 +589,25 @@ def extract_path(scene: Scene, sections: GlobalSections) -> EvasionPath:
     for (cell, lab), v in zip(sections.column_labels, sections.decision.witness):
         if v:
             support.setdefault(cell, []).append(lab)
-    vertex_comps: list[GapComponent] = []
+    chosen: list[int] = []
     for i, vf in enumerate(vertex_fibres):
         labels = support.get(f"v{i + 1}", [])
-        comp = next((c for c in vf.components if [c.label] == labels), None)
-        if comp is None:
+        c = next((c for c, comp in enumerate(vf.components) if [comp.label] == labels), None)
+        if c is None:
             raise GeometryError(f"witness support is not a single chain: v{i + 1} carries {labels}")
-        vertex_comps.append(comp)
-    vertex_points = [c.interior_point for c in vertex_comps]
+        chosen.append(c)
+    vertex_comps = [vf.components[c] for vf, c in zip(vertex_fibres, chosen)]
+    vertex_points = [comp.interior_point for comp in vertex_comps]
+    # ends[j][i]: the face of edge j's grid holding vertex i's chosen component
+    ends: list[dict[int, Face]] = []
     edge_comps: list[GapComponent] = []
     cells: list[tuple[str, str]] = []
     for j, ef in enumerate(edge_fibres):
-        ends = {ef.locate(vertex_points[i]) for i in (j - 1, j) if 0 <= i < k}
-        if len(ends) != 1 or None in ends:
+        ends.append({i: _edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k})
+        targets = {ef._arrangement.face_index.get(face) for face in ends[j].values()}
+        if len(targets) != 1 or None in targets:
             raise GeometryError(f"witness support is not a single chain across e{j + 1}")
-        edge_comps.append(ef.components[ends.pop()])
+        edge_comps.append(ef.components[targets.pop()])
         cells.append((f"e{j + 1}", edge_comps[j].label))
         if j < k:
             cells.append((f"v{j + 1}", vertex_comps[j].label))
@@ -538,8 +617,8 @@ def extract_path(scene: Scene, sections: GlobalSections) -> EvasionPath:
     cur_point = vertex_points[0]
     for i in range(k - 1):
         a, b = times[i], times[i + 1]
-        ef = edge_fibres[i + 1]
-        positions = [vertex_points[i], *_route(ef, edge_comps[i + 1], vertex_points[i], vertex_points[i + 1]), vertex_points[i + 1]]
+        route = _route(edge_fibres[i + 1], edge_comps[i + 1], ends[i + 1][i], ends[i + 1][i + 1])
+        positions = [vertex_points[i], *route, vertex_points[i + 1]]
         hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
         for h, nxt in enumerate(hops):
             s = a + (b - a) * Fraction(h + 1, len(hops) + 1)

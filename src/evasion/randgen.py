@@ -42,38 +42,46 @@ def random_function_like_sheaf(rng: Random, max_vertices: int = 6, max_gens: int
     return ConeSheaf(strat, vertex_stalks, edge_stalks, left, right)
 
 
+_WINDOW = (Fraction(0), Fraction(12))
+
+
 def _random_time(rng: Random) -> Fraction:
     return Fraction(rng.randint(0, 24), rng.choice((1, 2, 2)))
 
 
-def random_scene(rng: Random, max_boxes: int = 5) -> Scene:
-    """Random valid scene over a fixed window.
+def random_candidate(rng: Random, max_boxes: int = 5) -> Scene:
+    """One draw of random_scene's distribution, valid or not.
 
     Boxes are a mix of full-width walls, full-height walls, loose rectangles
-    and instantaneous blackouts; candidates whose coverage disconnects are
-    re-rolled so the result always satisfies the scene contract.
+    and instantaneous blackouts over the window (0, 12)^2; some stick out
+    of the window or lie outside it.
     """
-    window = Scene.make((0, 12), (0, 12))
+    boxes = []
+    for _ in range(rng.randint(0, max_boxes)):
+        t0 = _random_time(rng)
+        t1 = t0 if rng.random() < 0.15 else t0 + Fraction(rng.randint(0, 8), 2)
+        kind = rng.random()
+        lo = Fraction(rng.randint(-2, 10))
+        size = Fraction(rng.randint(1, 8))
+        if kind < 0.35:  # horizontal wall, full width
+            boxes.append(Box.make((t0, t1), (0, 12), (lo, lo + size)))
+        elif kind < 0.55:  # vertical wall, full height
+            boxes.append(Box.make((t0, t1), (lo, lo + size), (0, 12)))
+        elif kind < 0.65:  # zero-width wall segment: covers no area, still separates
+            boxes.append(Box.make((t0, t1), (lo, lo), (0, 12)))
+        elif kind < 0.85:  # loose rectangle, may stick out of the window
+            lo2 = Fraction(rng.randint(-2, 10))
+            boxes.append(Box.make((t0, t1), (lo, lo + size), (lo2, lo2 + rng.randint(1, 6))))
+        else:  # full blackout pulse
+            boxes.append(Box.make((t0, t1), (0, 12), (0, 12)))
+    return Scene(_WINDOW, _WINDOW, tuple(boxes))
+
+
+def random_scene(rng: Random, max_boxes: int = 5) -> Scene:
+    """Random valid scene over a fixed window: candidates whose coverage
+    disconnects are re-rolled so the result satisfies the scene contract."""
     for _ in range(64):
-        boxes = []
-        for _ in range(rng.randint(0, max_boxes)):
-            t0 = _random_time(rng)
-            t1 = t0 if rng.random() < 0.15 else t0 + Fraction(rng.randint(0, 8), 2)
-            kind = rng.random()
-            lo = Fraction(rng.randint(-2, 10))
-            size = Fraction(rng.randint(1, 8))
-            if kind < 0.35:  # horizontal wall, full width
-                boxes.append(Box.make((t0, t1), (0, 12), (lo, lo + size)))
-            elif kind < 0.55:  # vertical wall, full height
-                boxes.append(Box.make((t0, t1), (lo, lo + size), (0, 12)))
-            elif kind < 0.65:  # zero-width wall segment: covers no area, still separates
-                boxes.append(Box.make((t0, t1), (lo, lo), (0, 12)))
-            elif kind < 0.85:  # loose rectangle, may stick out of the window
-                lo2 = Fraction(rng.randint(-2, 10))
-                boxes.append(Box.make((t0, t1), (lo, lo + size), (lo2, lo2 + rng.randint(1, 6))))
-            else:  # full blackout pulse
-                boxes.append(Box.make((t0, t1), (0, 12), (0, 12)))
-        scene = Scene(window.window_x, window.window_y, tuple(boxes))
+        scene = random_candidate(rng, max_boxes)
         if validate_scene(scene).ok:
             return scene
     raise RuntimeError("could not draw a valid random scene (generator misconfigured)")
@@ -93,3 +101,18 @@ def pulsing_box_scene(n_critical_times: int) -> Scene:
         for i in range(n_critical_times // 2)
     ]
     return Scene.make((0, 8), (0, 8), boxes)
+
+
+def comb_scene(m: int) -> Scene:
+    """Scaling family with large stalks: m zero-width full-height walls at
+    x = 1..m in the window (0, m+1)^2.
+
+    Wall w is alive on [0, 2w] and [2w+1, 2m+1], so it opens exactly once,
+    the walls open one after another, and most cells have about m+1 gap
+    components."""
+    top = m + 1
+    boxes = []
+    for w in range(1, m + 1):
+        boxes.append(Box.make((0, 2 * w), (w, w), (0, top)))
+        boxes.append(Box.make((2 * w + 1, 2 * m + 1), (w, w), (0, top)))
+    return Scene.make((0, top), (0, top), boxes)

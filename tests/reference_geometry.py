@@ -1,0 +1,142 @@
+"""Reference gap fibres and scene validation, computed on Fractions.
+
+The loop versions that `evasion.geometry` replaced with its integer rank
+arrangement: a `Fraction` grid per sample with a union-find over its gap
+faces, and pairwise box intersection on raw coordinates for coverage
+connectivity. They share no code with the production path beyond the scene
+types and `critical_times`, and the tests require equal results.
+"""
+
+from fractions import Fraction
+
+
+class UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def add(self, a) -> None:
+        self.parent.setdefault(a, a)
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _relevant(scene, box) -> bool:
+    return (
+        box.x[0] < scene.window_x[1]
+        and box.x[1] > scene.window_x[0]
+        and box.y[0] < scene.window_y[1]
+        and box.y[1] > scene.window_y[0]
+    )
+
+
+def _clamp(iv, lo, hi):
+    return max(iv[0], lo), min(iv[1], hi)
+
+
+def reference_fibre(scene, t: Fraction):
+    """(xs, ys, components) at time t; each component is
+    (label, anchor, interior point, faces)."""
+    alive = [b for b in scene.boxes if b.alive(t)]
+    rects = [
+        (_clamp(b.x, *scene.window_x), _clamp(b.y, *scene.window_y))
+        for b in alive
+        if _relevant(scene, b)
+    ]
+    xs = tuple(sorted({scene.window_x[0], scene.window_x[1], *(c for r in rects for c in r[0])}))
+    ys = tuple(sorted({scene.window_y[0], scene.window_y[1], *(c for r in rects for c in r[1])}))
+    nx, ny = 2 * len(xs) - 1, 2 * len(ys) - 1
+    covered = [[False] * ny for _ in range(nx)]
+    xpos = {c: k for k, c in enumerate(xs)}
+    ypos = {c: k for k, c in enumerate(ys)}
+    for rx, ry in rects:
+        for i in range(2 * xpos[rx[0]], 2 * xpos[rx[1]] + 1):
+            for j in range(2 * ypos[ry[0]], 2 * ypos[ry[1]] + 1):
+                covered[i][j] = True
+
+    def is_gap(i: int, j: int) -> bool:
+        return 0 < i < nx - 1 and 0 < j < ny - 1 and not covered[i][j]
+
+    uf = UnionFind()
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            if not is_gap(i, j):
+                continue
+            uf.add((i, j))
+            if is_gap(i - 1, j):
+                uf.union((i, j), (i - 1, j))
+            if is_gap(i, j - 1):
+                uf.union((i, j), (i, j - 1))
+    groups: dict = {}
+    for face in uf.parent:
+        groups.setdefault(uf.find(face), []).append(face)
+
+    def corner(face):
+        return xs[face[0] // 2], ys[face[1] // 2]
+
+    comps = []
+    for faces in groups.values():
+        anchor = min(corner(f) for f in faces)
+        least = min((f for f in faces if f[0] % 2 and f[1] % 2), key=corner)
+        centre = (
+            (xs[least[0] // 2] + xs[least[0] // 2 + 1]) / 2,
+            (ys[least[1] // 2] + ys[least[1] // 2 + 1]) / 2,
+        )
+        comps.append((anchor, centre, frozenset(faces)))
+    comps.sort(key=lambda c: c[0])
+    return xs, ys, [(f"g{idx}", a, c, fs) for idx, (a, c, fs) in enumerate(comps)]
+
+
+def coverage_connected(scene, alive) -> bool:
+    """Coverage = window frame + alive boxes; connected iff the intersection
+    graph of those closed pieces is connected."""
+    uf = UnionFind()
+    uf.add("frame")
+    for idx, b in enumerate(alive):
+        uf.add(idx)
+        inside_interior = (
+            scene.window_x[0] < b.x[0]
+            and b.x[1] < scene.window_x[1]
+            and scene.window_y[0] < b.y[0]
+            and b.y[1] < scene.window_y[1]
+        )
+        if not inside_interior:
+            uf.union(idx, "frame")
+        for jdx in range(idx):
+            o = alive[jdx]
+            if b.x[0] <= o.x[1] and o.x[0] <= b.x[1] and b.y[0] <= o.y[1] and o.y[0] <= b.y[1]:
+                uf.union(idx, jdx)
+    root = uf.find("frame")
+    return all(uf.find(idx) == root for idx in range(len(alive)))
+
+
+def reference_samples(times: tuple[Fraction, ...]) -> list[Fraction]:
+    """Edge samples interleaved with vertex times, in ascending order."""
+    samples = [times[0] - 1]
+    for a, b in zip(times, times[1:]):
+        samples += [a, (a + b) / 2]
+    return samples + [times[-1], times[-1] + 1]
+
+
+def reference_validate(scene, times: tuple[Fraction, ...]) -> tuple[bool, tuple[str, ...]]:
+    """(ok, problems) as validate_scene reports them, over every sample."""
+    for t in reference_samples(times):
+        alive = [b for b in scene.boxes if b.alive(t)]
+        if not coverage_connected(scene, alive):
+            return False, (f"coverage is disconnected at t={t}",)
+        for label, (xlo, ylo), _, _ in reference_fibre(scene, t)[2]:
+            if not (
+                scene.window_x[0] <= xlo < scene.window_x[1]
+                and scene.window_y[0] <= ylo < scene.window_y[1]
+            ):
+                return False, (f"gap component {label} escapes the window at t={t}",)
+    return True, ()

@@ -107,6 +107,32 @@ class TestCheck:
         second.pop("timing_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
+    def test_fibres_are_timed_apart_from_validation(self, capsys):
+        _, report = run_cli(capsys, "check", fixture_path("crossing_open.json"))
+        assert set(report["timing_ms"]) == {"fibres", "validate", "build_sheaf", "lp", "path"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check"], "evasion check: the following arguments are required: scene"),
+        (["check", "--bogus", "scene.json"], "evasion: unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_errors_exit_one_with_one_json_report(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: evasion check")
+
 
 class TestSheafRoundTrip:
     def test_sheaf_output_feeds_lp_with_identical_verdict(self, capsys, tmp_path):

@@ -21,14 +21,17 @@ from evasion.geometry import (
     extract_path,
     gap_components,
     point_uncovered,
+    scene_fibres,
     validate_scene,
     verify_evasion_path,
 )
+from evasion.linalg import Matrix
 from evasion.oracle import dp_section_exists
-from evasion.randgen import random_scene
-from evasion.sheaf import SectionChain, global_sections, validate_sheaf
+from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
+from evasion.sheaf import SectionChain, assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import load_fixture
+from reference_geometry import reference_fibre, reference_validate
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_COLUMNS,
@@ -62,6 +65,15 @@ class TestValidateScene:
     def test_crossing_scenes_are_valid(self):
         assert validate_scene(OPEN_SCENE).ok
         assert validate_scene(BLOCKED_SCENE).ok
+
+    def test_boxes_touching_on_a_line_or_a_corner_connect(self):
+        # a chain off the left frame; each link touches the earlier ones only
+        # on its boundary: from the right, at corners, above and below
+        links = [((0, 3), (4, 5)), ((3, 5), (4, 5)), ((5, 6), (5, 7)), ((4, 5), (7, 8)), ((4, 5), (8, 9)), ((3, 4), (2, 4))]
+        boxes = [Box.make((0, 1), x, y) for x, y in links]
+        assert validate_scene(Scene.make((0, 10), (0, 10), boxes)).ok
+        loose = Box.make((0, 1), (Fraction(16, 3), Fraction(19, 3)), (5, 7))
+        assert not validate_scene(Scene.make((0, 10), (0, 10), boxes[:2] + [loose] + boxes[3:])).ok
 
     def test_empty_window_is_an_input_error(self):
         with pytest.raises(ValueError):
@@ -283,6 +295,69 @@ class TestSceneInvariances:
             assert [c.label for c in f1.components] == [c.label for c in f2.components]
             assert [c.anchor for c in f1.components] == [c.anchor for c in f2.components]
             assert [c.faces for c in f1.components] == [c.faces for c in f2.components]
+
+
+class TestFibreSharing:
+    def test_samples_with_one_alive_key_share_components_but_not_times(self):
+        # box 0 is alive on [1, 2] and box 1 on [3, 4]
+        times, vertex_fibres, edge_fibres = scene_fibres(pulsing_box_scene(4))
+        assert times == (1, 2, 3, 4)
+        v1, v2 = vertex_fibres[:2]
+        assert v1.components is edge_fibres[1].components is v2.components
+        assert (v1.time, edge_fibres[1].time, v2.time) == (1, Fraction(3, 2), 2)
+        assert edge_fibres[0].components is edge_fibres[2].components is edge_fibres[4].components
+        assert [f.time for f in edge_fibres] == [0, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), 5]
+
+    def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
+        scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])
+        times, (vertex,), (left, right) = scene_fibres(scene)
+        assert times == (2,)
+        assert [len(f.components) for f in (left, vertex, right)] == [1, 2, 1]
+        assert vertex.components != left.components and vertex.components != right.components
+        sheaf = build_sheaf(scene)
+        assert sheaf.left_maps == sheaf.right_maps == (Matrix.from_rows([[1, 1]]),)
+
+    @pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(8)], ids=["pulsing", "comb"])
+    def test_coboundary_is_invariant_under_a_rational_shift(self, scene):
+        third = Fraction(1, 3)
+        base = assemble_coboundary(build_sheaf(scene))
+        moved = assemble_coboundary(build_sheaf(scene.shifted(third, third, third)))
+        assert moved.row_labels == base.row_labels
+        assert moved.column_labels == base.column_labels
+        assert moved.coboundary == base.coboundary
+
+
+# boxes on the far side of the frame, on it, or straddling it
+FRAME_BOXES = (
+    Box.make((0, 4), (12, 14), (0, 12)),
+    Box.make((1, 3), (0, 0), (0, 12)),
+    Box.make((2, 5), (-3, -1), (-3, -1)),
+    Box.make((1, 6), (-2, 5), (11, 13)),
+    Box.make((3, 3), (-1, 13), (6, 6)),
+)
+SHIFTS = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(0))
+
+
+def test_fibres_and_validation_match_the_fraction_reference(base_seed):
+    rng = Random(base_seed)
+    invalid = 0
+    for _ in range(320):
+        raw = random_candidate(rng, 8)
+        extra = tuple(rng.sample(FRAME_BOXES, rng.randint(0, 2)))
+        scene = Scene(raw.window_x, raw.window_y, raw.boxes + extra).shifted(
+            *(rng.choice(SHIFTS) for _ in range(3))
+        )
+        times, vertex_fibres, edge_fibres = scene_fibres(scene)
+        assert times == (critical_times(scene) or (Fraction(0),))
+        for fibre in (*vertex_fibres, *edge_fibres):
+            xs, ys, comps = reference_fibre(scene, fibre.time)
+            assert (fibre.xs, fibre.ys) == (xs, ys)
+            assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
+            assert gap_components(scene, fibre.time) == fibre
+        report = validate_scene(scene)
+        assert (report.ok, report.problems) == reference_validate(scene, times)
+        invalid += not report.ok
+    assert 20 < invalid < 300  # both outcomes are well represented
 
 
 # ---------------------------------------------------------------------------
