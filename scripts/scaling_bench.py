@@ -7,8 +7,8 @@
 - comb m: m walls opening one after another, about m+1 gap components per
   cell and 2m+1 critical times, so stalks and arrangements grow too.
 
-Both scene caches are cleared first and the gap fibres are timed as their
-own stage, so "validate" is scene validation alone.
+The fibre cache is cleared first and the gap fibres are timed as their own
+stage, so "validate" is scene validation alone.
 
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
 """
@@ -24,7 +24,6 @@ from evasion.sheaf import global_sections
 def run(scene) -> dict:
     out = {}
     scene_fibres.cache_clear()
-    validate_scene.cache_clear()
     t0 = time.perf_counter()
     times, _, _ = scene_fibres(scene)
     out["fibres_s"] = time.perf_counter() - t0

@@ -23,6 +23,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from evasion import geometry
@@ -86,7 +87,12 @@ def scene_from_jsonable(data) -> Scene:
     try:
         win = data["window"]
         boxes = []
-        for i, b in enumerate(data.get("boxes", [])):
+        for i, b in enumerate(_list(data.get("boxes", []), "boxes")):
+            if not isinstance(b, dict):
+                raise ValueError(f"malformed scene JSON: box {i} must be an object, got {b!r}")
+            missing = [axis for axis in ("t", "x", "y") if axis not in b]
+            if missing:
+                raise ValueError(f"malformed scene JSON: box {i} has no {missing[0]!r} interval")
             boxes.append(Box(*(_interval_from(b[axis], f"box {i} {axis}") for axis in ("t", "x", "y"))))
         return Scene(_interval_from(win["x"], "window x"), _interval_from(win["y"], "window y"), tuple(boxes))
     except (KeyError, TypeError) as exc:
@@ -469,7 +475,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once on first use."""
     parser = _Parser(
         prog="evasion",
         description="Decide whether an evader can avoid a time-varying planar coverage region.",

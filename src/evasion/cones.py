@@ -121,8 +121,10 @@ def verified_decision(rows: list[SparseRow], ncols: int, witness, certificate) -
         witness = tuple(witness)
         if any(c < 0 for c in witness) or sum(witness) != 1:
             raise AssertionError("witness is not a normalised nonnegative vector")
+        # a zero coordinate adds nothing to a row's sum, so only the support is read
+        support = {j: c for j, c in enumerate(witness) if c}
         for r in rows:
-            if sum((v * witness[j] for j, v in r.items()), ZERO):
+            if sum((v * support[j] for j, v in r.items() if j in support), ZERO):
                 raise AssertionError("witness is not in the kernel")
         return FeasibilityResult(FEASIBLE, witness=witness)
     certificate = tuple(certificate)

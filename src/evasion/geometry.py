@@ -14,21 +14,21 @@ of a flood fill with no numeric slack.
 
 The arrangement runs on integer ranks. Each scene gets one rank table: the
 sorted distinct x and y coordinates of the window and of every
-window-relevant box clamped to it, each box's rank rectangle, and whether
-the box touches the window frame. Ranking is strictly increasing on those
-finite sets and every comparison the arrangement, the validation and the
-restrictions make is between their members, so ranks take every branch the
-rationals would; `Fraction` values appear only in the outputs (grid
-coordinates, anchors, interior points, sample times).
+window-relevant box clamped to it, and each box's rank rectangle. Ranking is
+strictly increasing on those finite sets and every comparison the
+arrangement, the validation and the restrictions make is between their
+members, so ranks take every branch the rationals would; `Fraction` values
+appear only in the outputs (grid coordinates, anchors, interior points, the
+sample time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
 dominates both neighbouring intervals, so each gap component at the vertex
 persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
-sections decide evasion. Samples with the same alive key (the window-relevant
-boxes alive there) share one arrangement, so a scene builds one fibre per
-distinct key, not one per sample.
+sections decide evasion. A fibre depends on the alive coverage geometry
+alone, so samples are keyed by the distinct rank rectangles alive there,
+and a scene builds one fibre per distinct key, shared by its samples.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratificatio
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
 Face = tuple[int, int]
-Key = tuple[int, ...]
+Rect = tuple[int, int, int, int]
+Key = tuple[Rect, ...]
 
 
 class SceneValidationError(ValueError):
@@ -144,26 +145,32 @@ class GapComponent:
 
 @dataclass(frozen=True)
 class GapFibre:
-    """Gap components at one time, on the arrangement grid of that time.
+    """Gap components of one alive coverage geometry, on its arrangement grid.
 
     Grid faces are indexed by (i, j): even indices are grid lines, odd
-    indices are the open intervals between them. Fibres whose samples have
-    the same alive key share one arrangement, components included, and
-    differ only in `time`.
+    indices are the open intervals between them. `xr` and `yr` are the scene
+    table ranks of the grid lines, `seeds[c]` is the least open 2-face of
+    component c, whose centre is its interior point, and `connected` says
+    whether the coverage (window frame plus alive boxes) is connected.
+    Samples with one alive key share one fibre; only the grid and the
+    components are compared.
     """
 
-    time: Fraction
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     components: tuple[GapComponent, ...]
-    _arrangement: "_Arrangement" = field(repr=False, compare=False)
+    connected: bool = field(repr=False, compare=False)
+    xr: tuple[int, ...] = field(repr=False, compare=False)
+    yr: tuple[int, ...] = field(repr=False, compare=False)
+    seeds: tuple[Face, ...] = field(repr=False, compare=False)
+    face_index: dict[Face, int] = field(repr=False, compare=False)
 
     def locate(self, p: Point) -> int | None:
         """Component index containing p, or None if p is covered."""
         face = self._face_of(p)
         if face is None:
             return None
-        return self._arrangement.face_index.get(face)
+        return self.face_index.get(face)
 
     def _face_of(self, p: Point) -> Face | None:
         i = _axis_index(self.xs, p[0])
@@ -215,19 +222,16 @@ def _ranked(window: Interval, ivs: list[Interval]) -> tuple[tuple[Fraction, ...]
 class _RankTable:
     """The integer coordinates of one scene.
 
-    `boxes` are the window-relevant boxes; key entries index them. `rects[b]`
-    is box b clamped to the window as ranks (x0, x1, y0, y1) into `xs` and
-    `ys`, and `framed[b]` says whether it touches the window frame, i.e. is
-    not strictly inside the window. `xmid` and `ymid` memoise interval
-    midpoints by rank pair, since the arrangements of one scene share most
-    of their intervals.
+    `boxes` are the window-relevant boxes, and `rects[b]` is box b clamped
+    to the window as ranks (x0, x1, y0, y1) into `xs` and `ys`. `xmid` and
+    `ymid` memoise interval midpoints by rank pair, since the fibres of one
+    scene share most of their intervals.
     """
 
     boxes: tuple[Box, ...]
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
-    rects: tuple[tuple[int, int, int, int], ...]
-    framed: tuple[bool, ...]
+    rects: tuple[Rect, ...]
     xmid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
     ymid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
 
@@ -243,40 +247,14 @@ def _rank_table(scene: Scene) -> _RankTable:
     boxes = tuple(b for b in scene.boxes if _relevant(scene, b))
     xs, xr = _ranked(scene.window_x, [b.x for b in boxes])
     ys, yr = _ranked(scene.window_y, [b.y for b in boxes])
-    rects = tuple(x + y for x, y in zip(xr, yr))
-    top_x, top_y = len(xs) - 1, len(ys) - 1
-    framed = tuple(x0 == 0 or x1 == top_x or y0 == 0 or y1 == top_y for x0, x1, y0, y1 in rects)
-    return _RankTable(boxes, xs, ys, rects, framed)
+    return _RankTable(boxes, xs, ys, tuple(x + y for x, y in zip(xr, yr)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Arrangement:
-    """Gap components of one alive key, computed on integer ranks.
-
-    `xr` and `yr` are the table ranks of the grid lines, and `seeds[c]` is
-    the least open 2-face of component c, whose centre is its interior point.
-    """
-
-    table: _RankTable
-    key: Key
-    xr: tuple[int, ...]
-    yr: tuple[int, ...]
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
-    components: tuple[GapComponent, ...]
-    seeds: tuple[Face, ...]
-    face_index: dict[Face, int]
-
-    def at(self, t: Fraction) -> GapFibre:
-        return GapFibre(t, self.xs, self.ys, self.components, self)
-
-
-def _arrange(table: _RankTable, key: Key) -> _Arrangement:
-    """Gap components of the window with the key's boxes alive, labelled
-    g0, g1, ... in the order of their least face corner."""
-    rects = [table.rects[b] for b in key]
-    xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in rects for c in r[:2])}))
-    yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in rects for c in r[2:])}))
+def _arrange(table: _RankTable, key: Key) -> GapFibre:
+    """Gap components of the window with the key's rectangles covered,
+    labelled g0, g1, ... in the order of their least face corner."""
+    xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in key for c in r[:2])}))
+    yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in key for c in r[2:])}))
     xpos = {r: k for k, r in enumerate(xr)}
     ypos = {r: k for k, r in enumerate(yr)}
     nx, ny = 2 * len(xr) - 1, 2 * len(yr) - 1
@@ -285,7 +263,7 @@ def _arrange(table: _RankTable, key: Key) -> _Arrangement:
     covered = bytearray(nx * ny)
     covered[:ny] = covered[-ny:] = b"\x01" * ny
     covered[::ny] = covered[ny - 1 :: ny] = b"\x01" * nx
-    for x0, x1, y0, y1 in rects:
+    for x0, x1, y0, y1 in key:
         j0, j1 = 2 * ypos[y0], 2 * ypos[y1] + 1
         run = b"\x01" * (j1 - j0)
         for i in range(2 * xpos[x0], 2 * xpos[x1] + 1):
@@ -323,7 +301,8 @@ def _arrange(table: _RankTable, key: Key) -> _Arrangement:
         components.append(GapComponent(f"g{idx}", (xs[a], ys[b]), centre, face_set))
         seeds.append((i, j))
         face_index.update(dict.fromkeys(face_set, idx))
-    return _Arrangement(table, key, xr, yr, xs, ys, tuple(components), tuple(seeds), face_index)
+    connected = _coverage_connected(key, len(table.xs) - 1, len(table.ys) - 1)
+    return GapFibre(xs, ys, tuple(components), connected, xr, yr, tuple(seeds), face_index)
 
 
 def gap_components(scene: Scene, t) -> GapFibre:
@@ -334,7 +313,8 @@ def gap_components(scene: Scene, t) -> GapFibre:
     """
     t = Fraction(t)
     table = _rank_table(scene)
-    return _arrange(table, tuple(b for b, box in enumerate(table.boxes) if box.alive(t))).at(t)
+    alive = {table.rects[b] for b, box in enumerate(table.boxes) if box.alive(t)}
+    return _arrange(table, tuple(sorted(alive)))
 
 
 def point_uncovered(scene: Scene, t, p: Point) -> bool:
@@ -360,24 +340,28 @@ def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     return tuple(sorted(ts))
 
 
-def _coverage_connected(table: _RankTable, key: Key) -> bool:
-    """Coverage = window frame + the key's boxes; connected iff every box
-    reaches the frame in the intersection graph of the closed boxes.
+def _coverage_connected(key: Key, top_x: int, top_y: int) -> bool:
+    """Coverage = window frame + the key's rectangles; connected iff every
+    rectangle reaches the frame in the intersection graph of the closed
+    rectangles.
 
-    Boxes outside the open window meet no box strictly inside it, so they
-    join the frame and nothing else, and only window-relevant boxes are
-    tested."""
-    reached = [b for b in key if table.framed[b]]
-    waiting = [b for b in key if not table.framed[b]]
+    A rectangle touches the frame iff its box is not strictly inside the
+    window, i.e. it reaches rank 0 or the top rank on some axis. Boxes
+    outside the open window meet no box strictly inside it, so they join
+    the frame and nothing else, and only window-relevant boxes are keyed."""
+    reached, waiting = [], []
+    for r in key:
+        x0, x1, y0, y1 = r
+        (reached if x0 == 0 or x1 == top_x or y0 == 0 or y1 == top_y else waiting).append(r)
     while waiting and reached:
-        x0, x1, y0, y1 = table.rects[reached.pop()]
+        x0, x1, y0, y1 = reached.pop()
         still = []
-        for b in waiting:
-            a0, a1, b0, b1 = table.rects[b]
+        for r in waiting:
+            a0, a1, b0, b1 = r
             if a0 <= x1 and x0 <= a1 and b0 <= y1 and y0 <= b1:
-                reached.append(b)
+                reached.append(r)
             else:
-                still.append(b)
+                still.append(r)
         waiting = still
     return not waiting
 
@@ -391,7 +375,8 @@ def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
 
 
 def _sample_keys(table: _RankTable) -> tuple[tuple[Fraction, ...], list[Key]]:
-    """Critical times and the alive key of every sample, in one sweep.
+    """Critical times and the alive key of every sample, in one sweep: the
+    sorted distinct rank rectangles of the boxes alive there.
 
     Sample 2j is the edge sample before vertex j and sample 2j + 1 is vertex
     j, so a box alive on [times[a], times[b]] is alive at samples 2a + 1
@@ -405,36 +390,36 @@ def _sample_keys(table: _RankTable) -> tuple[tuple[Fraction, ...], list[Key]]:
     for b, box in enumerate(table.boxes):
         born[2 * rank[box.t[0]] + 1].append(b)
         dies[2 * rank[box.t[1]] + 1].append(b)
+    rects = table.rects
     alive: set[int] = set()
     key: Key = ()
     keys = []
     for s in range(n):
         if born[s]:
             alive.update(born[s])
-            key = tuple(sorted(alive))
+            key = tuple(sorted({rects[b] for b in alive}))
         keys.append(key)
         if dies[s]:
             alive.difference_update(dies[s])
-            key = tuple(sorted(alive))
+            key = tuple(sorted({rects[b] for b in alive}))
     return times, keys
 
 
-@lru_cache(maxsize=16)
 def validate_scene(scene: Scene) -> SceneReport:
     """Coverage must be connected at every critical time and inside every
     edge. Gap components stay strictly inside the window by construction:
     the arrangement's outermost grid lines are the covered frame."""
     if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
         raise ValueError("window has empty interior")
-    _, vertex_fibres, edge_fibres = scene_fibres(scene)
-    connected: dict[_Arrangement, bool] = {}
+    times, vertex_fibres, edge_fibres = scene_fibres(scene)
     for j, ef in enumerate(edge_fibres):
-        for fibre in (ef, *vertex_fibres[j : j + 1]):
-            arr = fibre._arrangement
-            if arr not in connected:
-                connected[arr] = _coverage_connected(arr.table, arr.key)
-            if not connected[arr]:
-                return SceneReport(False, (f"coverage is disconnected at t={fibre.time}",))
+        if not ef.connected:
+            t = _edge_sample(times, j)
+        elif j < len(times) and not vertex_fibres[j].connected:
+            t = times[j]
+        else:
+            continue
+        return SceneReport(False, (f"coverage is disconnected at t={t}",))
     return SceneReport(True, ())
 
 
@@ -443,21 +428,19 @@ def scene_fibres(scene: Scene) -> tuple[tuple[Fraction, ...], tuple[GapFibre, ..
     """Critical times plus the gap fibre at every vertex and edge sample.
 
     Scenes with no critical box events still get one synthetic vertex at
-    t=0 so the constant section is representable downstream. One
-    arrangement is built per distinct alive key and shared by its samples.
-    Cached (scenes are immutable): validation, sheaf construction and path
-    extraction all consume the same fibres.
+    t=0 so the constant section is representable downstream. One fibre is
+    built per distinct alive key, and every sample with that key gets the
+    same object. Cached (scenes are immutable): validation, sheaf
+    construction and path extraction all consume the same fibres.
     """
     table = _rank_table(scene)
     times, keys = _sample_keys(table)
-    arrangements: dict[Key, _Arrangement] = {}
-    fibres = []
-    for s, key in enumerate(keys):
-        arr = arrangements.get(key)
-        if arr is None:
-            arr = arrangements[key] = _arrange(table, key)
-        fibres.append(arr.at(times[s // 2] if s % 2 else _edge_sample(times, s // 2)))
-    return times, tuple(fibres[1::2]), tuple(fibres[0::2])
+    fibres: dict[Key, GapFibre] = {}
+    for key in keys:
+        if key not in fibres:
+            fibres[key] = _arrange(table, key)
+    samples = [fibres[key] for key in keys]
+    return times, tuple(samples[1::2]), tuple(samples[0::2])
 
 
 def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> Face:
@@ -469,11 +452,10 @@ def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> Face:
     vertex grid lies inside one open interval of the edge grid: a bisection
     of its lower rank finds that interval.
     """
-    va, ea = vf._arrangement, ef._arrangement
-    i, j = va.seeds[c]
-    if ea is va:
+    i, j = vf.seeds[c]
+    if ef is vf:
         return i, j
-    return 2 * bisect_right(ea.xr, va.xr[i // 2]) - 1, 2 * bisect_right(ea.yr, va.yr[j // 2]) - 1
+    return 2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1, 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
 
 
 def build_sheaf(scene: Scene) -> ConeSheaf:
@@ -483,8 +465,7 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
     the restriction of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
     there, so the component persists to both sides). A vertex and an edge
-    with the same alive key share their components, and the map is the
-    identity.
+    with the same alive key share one fibre, and the map is the identity.
     """
     report = validate_scene(scene)
     if not report.ok:
@@ -504,10 +485,10 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
         for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
             rows: list[SparseRow] = [{} for _ in ef.components]
             for c, comp in enumerate(vf.components):
-                target = ef._arrangement.face_index.get(_edge_face(vf, c, ef))
+                target = ef.face_index.get(_edge_face(vf, c, ef))
                 if target is None:
                     raise GeometryError(
-                        f"component {comp.label} at t={vf.time} does not persist to the {side} edge"
+                        f"component {comp.label} at t={times[i]} does not persist to the {side} edge"
                     )
                 rows[target][c] = ONE
             maps.append(Matrix(len(rows), len(vf.components), tuple(rows)))
@@ -604,7 +585,7 @@ def extract_path(scene: Scene, sections: GlobalSections) -> EvasionPath:
     cells: list[tuple[str, str]] = []
     for j, ef in enumerate(edge_fibres):
         ends.append({i: _edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k})
-        targets = {ef._arrangement.face_index.get(face) for face in ends[j].values()}
+        targets = {ef.face_index.get(face) for face in ends[j].values()}
         if len(targets) != 1 or None in targets:
             raise GeometryError(f"witness support is not a single chain across e{j + 1}")
         edge_comps.append(ef.components[targets.pop()])

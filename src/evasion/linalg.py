@@ -263,31 +263,17 @@ def solve_nonneg(rows: list[SparseRow], ncols: int, rhs: list[Fraction]):
 
 
 def solve_square_sparse(rows: list[SparseRow], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular sparse square system exactly (Gauss-Jordan)."""
+    """Solve a nonsingular sparse square system Ax = b exactly.
+
+    The solution is the one kernel vector of [A | -b] whose last coordinate
+    is 1: A is nonsingular iff the column of -b is the only non-pivot column.
+    """
     n = len(rows)
-    work = [dict(r) for r in rows]
-    b = list(rhs)
-    where: dict[int, int] = {}  # unknown -> equation solved for it
-    for e in range(n):
-        row = work[e]
-        if not row:
-            raise AssertionError("singular system")
-        col = min(row)
-        pv = row[col]
-        if pv != 1:
-            work[e] = row = {j: v / pv for j, v in row.items()}
-            b[e] /= pv
-        for o in range(n):
-            if o != e:
-                f = work[o].get(col)
-                if f:
-                    _row_sub(work[o], row, f)
-                    if b[e]:
-                        b[o] -= f * b[e]
-        where[col] = e
-    if len(where) != n:
+    augmented = tuple({**r, n: -b} if b else r for r, b in zip(rows, rhs, strict=True))
+    basis = kernel_basis(Matrix(n, n + 1, augmented))
+    if len(basis) != 1 or basis[0][n] != 1:
         raise AssertionError("singular system")
-    return [b[where[i]] for i in range(n)]
+    return list(basis[0][:n])
 
 
 def kernel_ray(rows: list[SparseRow], ncols: int):

@@ -392,6 +392,23 @@ def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
     assert all(part in report["error"] for part in named), report["error"]
 
 
+@pytest.mark.parametrize(
+    "boxes, named",
+    [
+        ({}, ["boxes", "list"]),  # an object would be read as no boxes
+        ("", ["boxes", "list"]),  # so would an empty string
+        ([[[0, 1], [1, 2], [1, 2]]], ["box 0", "object"]),
+        ([{"t": [0, 1], "x": [1, 2]}], ["malformed scene JSON", "box 0", "'y'"]),
+    ],
+)
+def test_ambiguous_scene_json_is_rejected(capsys, tmp_path, boxes, named):
+    bad = tmp_path / "ambiguous.json"
+    bad.write_text(json.dumps({"window": {"x": [0, 4], "y": [0, 4]}, "boxes": boxes}))
+    code, report = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert all(part in report["error"] for part in named), report["error"]
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the readers: every input ends in exit 0, 1 or 2 and one JSON report
 

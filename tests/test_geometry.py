@@ -298,15 +298,25 @@ class TestSceneInvariances:
 
 
 class TestFibreSharing:
-    def test_samples_with_one_alive_key_share_components_but_not_times(self):
+    def test_samples_with_one_alive_key_share_one_fibre(self):
         # box 0 is alive on [1, 2] and box 1 on [3, 4]
         times, vertex_fibres, edge_fibres = scene_fibres(pulsing_box_scene(4))
         assert times == (1, 2, 3, 4)
         v1, v2 = vertex_fibres[:2]
-        assert v1.components is edge_fibres[1].components is v2.components
-        assert (v1.time, edge_fibres[1].time, v2.time) == (1, Fraction(3, 2), 2)
-        assert edge_fibres[0].components is edge_fibres[2].components is edge_fibres[4].components
-        assert [f.time for f in edge_fibres] == [0, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), 5]
+        assert v1 is edge_fibres[1] is v2
+        assert edge_fibres[0] is edge_fibres[2] is edge_fibres[4]
+
+    @pytest.mark.parametrize(
+        "scene, distinct",
+        [(pulsing_box_scene(400), 2), (comb_scene(24), 26)],
+        ids=["pulsing", "comb"],
+    )
+    def test_one_fibre_per_distinct_alive_geometry(self, scene, distinct):
+        # pulsing's boxes share one rectangle, so the stub or nothing is
+        # alive; comb's walls are two boxes each, and the alive wall sets
+        # are all walls, all but one of the 24, or none
+        _, vertex_fibres, edge_fibres = scene_fibres(scene)
+        assert len({id(f) for f in (*vertex_fibres, *edge_fibres)}) == distinct
 
     def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
         scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])
@@ -349,11 +359,12 @@ def test_fibres_and_validation_match_the_fraction_reference(base_seed):
         )
         times, vertex_fibres, edge_fibres = scene_fibres(scene)
         assert times == (critical_times(scene) or (Fraction(0),))
-        for fibre in (*vertex_fibres, *edge_fibres):
-            xs, ys, comps = reference_fibre(scene, fibre.time)
+        edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
+        for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
+            xs, ys, comps = reference_fibre(scene, t)
             assert (fibre.xs, fibre.ys) == (xs, ys)
             assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
-            assert gap_components(scene, fibre.time) == fibre
+            assert gap_components(scene, t) == fibre
         report = validate_scene(scene)
         assert (report.ok, report.problems) == reference_validate(scene, times)
         invalid += not report.ok
