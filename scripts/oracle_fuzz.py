@@ -6,6 +6,8 @@ decides by the reachability sweep, and insists the sweep's verdict, the
 verdict of the simplex called directly on the coboundary, the sweep's
 certificate and the decomposability of the simplex witness all line up.
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
+The flow decomposition is the test reference in `tests/reference_chains.py`,
+which the script finds next to itself in the checkout.
 
 Usage: python scripts/oracle_fuzz.py --count 10000 --seed 7
 """
@@ -14,13 +16,16 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from random import Random
 
 from evasion.cli import sheaf_to_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
-from evasion.oracle import flow_decompose
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_chains import flow_decompose  # noqa: E402
 
 
 def main() -> int:

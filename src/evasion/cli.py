@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from evasion import geometry
+import evasion.geometry as geometry
 from evasion.cones import PolyhedralCone, lp_positive_kernel
 from evasion.geometry import (
     Box,
@@ -81,22 +81,26 @@ def _interval_from(obj, what: str) -> tuple:
     return lo, hi
 
 
+def _fields(data, names, what: str, schema: str) -> list:
+    """The named fields of a JSON object, each required, in `names` order."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {schema} JSON: {what} must be an object, got {data!r}")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"malformed {schema} JSON: {what} has no {missing[0]!r}")
+    return [data[name] for name in names]
+
+
+def _intervals(data, axes: str, what: str) -> list[tuple]:
+    """The intervals of a box or of the window, one per axis."""
+    return [_interval_from(iv, f"{what} {axis}") for axis, iv in zip(axes, _fields(data, axes, what, "scene"))]
+
+
 def scene_from_jsonable(data) -> Scene:
     if not isinstance(data, dict) or "window" not in data:
         raise ValueError("scene JSON must be an object with a 'window' field")
-    try:
-        win = data["window"]
-        boxes = []
-        for i, b in enumerate(_list(data.get("boxes", []), "boxes")):
-            if not isinstance(b, dict):
-                raise ValueError(f"malformed scene JSON: box {i} must be an object, got {b!r}")
-            missing = [axis for axis in ("t", "x", "y") if axis not in b]
-            if missing:
-                raise ValueError(f"malformed scene JSON: box {i} has no {missing[0]!r} interval")
-            boxes.append(Box(*(_interval_from(b[axis], f"box {i} {axis}") for axis in ("t", "x", "y"))))
-        return Scene(_interval_from(win["x"], "window x"), _interval_from(win["y"], "window y"), tuple(boxes))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scene JSON: {exc!r}") from exc
+    boxes = [Box(*_intervals(b, "txy", f"box {i}")) for i, b in enumerate(_list(data.get("boxes", []), "boxes"))]
+    return Scene(*_intervals(data["window"], "xy", "window"), tuple(boxes))
 
 
 def _interval_json(iv) -> list:
@@ -160,32 +164,33 @@ def sheaf_to_jsonable(S: ConeSheaf) -> dict:
 
 
 def _stalk_from_jsonable(cell: str, data) -> PolyhedralCone:
-    labels = tuple(str(lab) for lab in _list(data["labels"], f"labels of the stalk over {cell}"))
+    what = f"the stalk over {cell}"
+    (labels,) = _fields(data, ("labels",), what, "sheaf")
+    labels = tuple(str(lab) for lab in _list(labels, f"labels of {what}"))
     repeated = [lab for lab, n in Counter(labels).items() if n > 1]
     if repeated:
         # two columns named alike would collide in the witness support
-        raise ValueError(f"labels of the stalk over {cell} repeat {', '.join(map(repr, repeated))}")
-    if "generators" in data:
-        what = f"generators of the stalk over {cell}"
-        gens = [tuple(parse_rational(c) for c in _list(g, what)) for g in _list(data["generators"], what)]
-        ambient = data.get("ambient_dim", len(gens[0]) if gens else 0)
-        ambient = _count(ambient, f"ambient_dim of the stalk over {cell}")
+        raise ValueError(f"labels of {what} repeat {', '.join(map(repr, repeated))}")
+    if "generators" not in data:
+        return PolyhedralCone.free(labels)
+    gens = [
+        tuple(parse_rational(c) for c in _list(g, f"generators of {what}"))
+        for g in _list(data["generators"], f"generators of {what}")
+    ]
+    ambient = _count(data.get("ambient_dim", len(gens[0]) if gens else 0), f"ambient_dim of {what}")
+    try:
         return PolyhedralCone(ambient, tuple(gens), labels)
-    return PolyhedralCone.free(labels)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def sheaf_from_jsonable(data) -> ConeSheaf:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("sheaf JSON must be an object with a 'vertices' field")
-    try:
-        return _sheaf_from_jsonable(data)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed sheaf JSON: {exc!r}") from exc
-
-
-def _sheaf_from_jsonable(data) -> ConeSheaf:
     strat = Stratification(tuple(parse_rational(t) for t in _list(data["vertices"], "vertices")))
     stalks = data.get("stalks", {})
+    if not isinstance(stalks, dict):
+        raise ValueError(f"malformed sheaf JSON: stalks must be an object, got {stalks!r}")
 
     def stalk(cell: str) -> PolyhedralCone:
         if cell not in stalks:
@@ -195,12 +200,14 @@ def _sheaf_from_jsonable(data) -> ConeSheaf:
     vertex_stalks = tuple(stalk(strat.vertex_id(i)) for i in range(strat.k))
     edge_stalks = tuple(stalk(strat.edge_id(j)) for j in range(strat.edge_count))
     maps: dict[tuple[str, str], Matrix] = {}
-    for r in data.get("restrictions", []):
-        key = (str(r["from"]), str(r["to"]))
+    for n, r in enumerate(_list(data.get("restrictions", []), "restrictions")):
+        source, target, matrix = _fields(r, ("from", "to", "matrix"), f"restriction {n}", "sheaf")
+        key = (str(source), str(target))
         if key in maps:
             raise ValueError(f"duplicate restriction {key[0]}->{key[1]}")
+        _fields(matrix, ("rows", "cols", "entries"), f"the matrix of the restriction {key[0]}->{key[1]}", "sheaf")
         try:
-            maps[key] = matrix_from_jsonable(r["matrix"])
+            maps[key] = matrix_from_jsonable(matrix)
         except ValueError as exc:
             raise ValueError(f"matrix of the restriction {key[0]}->{key[1]}: {exc}") from exc
     left, right = [], []

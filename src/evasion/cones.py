@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from evasion.linalg import Matrix, ONE, SparseRow, Vec, ZERO, kernel_ray, solve_nonneg, vec
+from evasion.linalg import Matrix, ONE, SparseRow, Vec, ZERO, kernel_ray, vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -95,19 +95,14 @@ class PolyhedralCone:
 def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
     """Find a nonzero nonnegative kernel point of A, or certify none exists.
 
-    The nonnegative kernel cone is probed on the unit l1 slice sum(x) = 1,
-    which excludes the zero vector; Bland pivoting makes the outcome exact
+    The bounded simplex (`linalg.kernel_ray`) maximises sum(x) over the box
+    0 <= x <= 1 inside the kernel; Bland pivoting makes the outcome exact
     and deterministic. The returned witness/certificate is verified before
     being handed back.
     """
     if A.cols < 1:
         raise ValueError("lp_positive_kernel needs at least one column")
-    return decide_positive_kernel(A.nonzeros, A.cols)
-
-
-def decide_positive_kernel(rows: list[SparseRow], ncols: int) -> FeasibilityResult:
-    """Sparse-row entry point of lp_positive_kernel; verifies its own output."""
-    return verified_decision(rows, ncols, *kernel_ray(rows, ncols))
+    return verified_decision(A.nonzeros, A.cols, *kernel_ray(A.nonzeros, A.cols))
 
 
 def verified_decision(rows: list[SparseRow], ncols: int, witness, certificate) -> FeasibilityResult:
@@ -169,9 +164,10 @@ def cone_membership(v, K: PolyhedralCone) -> bool:
         return all(c >= 0 for c in v)
     if not any(v):
         return True
-    if not K.generators:
-        return False
-    x, _ = solve_nonneg(K.generator_matrix().nonzeros, len(K.generators), list(v))
+    # a kernel point of [G | -v] with mass on the -v column is G lam = s v with s > 0
+    n = len(K.generators)
+    rows = [{**r, n: -c} if c else r for r, c in zip(K.generator_matrix().nonzeros, v)]
+    x, _ = kernel_ray(rows, n + 1, objective=(n,))
     return x is not None
 
 

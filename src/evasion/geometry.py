@@ -466,6 +466,8 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
     containing it (the gap at a critical time is dominated by the coverage
     there, so the component persists to both sides). A vertex and an edge
     with the same alive key share one fibre, and the map is the identity.
+    Each distinct (vertex fibre, edge fibre) pair gets one restriction
+    matrix, shared by every incidence that has it.
     """
     report = validate_scene(scene)
     if not report.ok:
@@ -480,18 +482,23 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
             cones[labels] = PolyhedralCone.free(labels)
         return cones[labels]
 
+    # a restriction depends only on its two fibres, which samples share
+    restrictions: dict[tuple[int, int], Matrix] = {}
     left_maps, right_maps = [], []
     for i, vf in enumerate(vertex_fibres):
         for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
-            rows: list[SparseRow] = [{} for _ in ef.components]
-            for c, comp in enumerate(vf.components):
-                target = ef.face_index.get(_edge_face(vf, c, ef))
-                if target is None:
-                    raise GeometryError(
-                        f"component {comp.label} at t={times[i]} does not persist to the {side} edge"
-                    )
-                rows[target][c] = ONE
-            maps.append(Matrix(len(rows), len(vf.components), tuple(rows)))
+            key = (id(vf), id(ef))
+            if key not in restrictions:
+                rows: list[SparseRow] = [{} for _ in ef.components]
+                for c, comp in enumerate(vf.components):
+                    target = ef.face_index.get(_edge_face(vf, c, ef))
+                    if target is None:
+                        raise GeometryError(
+                            f"component {comp.label} at t={times[i]} does not persist to the {side} edge"
+                        )
+                    rows[target][c] = ONE
+                restrictions[key] = Matrix(len(rows), len(vf.components), tuple(rows))
+            maps.append(restrictions[key])
     return ConeSheaf(
         strat=Stratification(times),
         vertex_stalks=tuple(stalk(f) for f in vertex_fibres),

@@ -174,94 +174,6 @@ def _row_sub(target: SparseRow, source: SparseRow, factor: Fraction) -> None:
             target.pop(j, None)
 
 
-def solve_nonneg(rows: list[SparseRow], ncols: int, rhs: list[Fraction]):
-    """Decide {x >= 0 : Mx = b} by an exact phase-one simplex (Bland's rule).
-
-    Returns (x, None) with an exact feasible point, or (None, u) with a
-    Farkas vector satisfying u'M <= 0 componentwise and u'b > 0. Bland's
-    pivoting rule guarantees termination despite degeneracy.
-    """
-    m = len(rows)
-    if len(rhs) != m:
-        raise ValueError("rhs length does not match row count")
-    tableau: list[SparseRow] = []
-    b: list[Fraction] = []
-    flips: list[int] = []
-    for i in range(m):
-        r = dict(rows[i])
-        bb = rhs[i]
-        if bb < 0:
-            r = {j: -v for j, v in r.items()}
-            bb = -bb
-            flips.append(-1)
-        else:
-            flips.append(1)
-        r[ncols + i] = ONE  # artificial variable
-        tableau.append(r)
-        b.append(bb)
-    basis = [ncols + i for i in range(m)]
-    # reduced costs for phase-one objective (minimise the artificial sum)
-    obj: SparseRow = {}
-    for r in tableau:
-        for j, v in r.items():
-            if j < ncols:
-                nv = obj.get(j, ZERO) - v
-                if nv:
-                    obj[j] = nv
-                else:
-                    obj.pop(j, None)
-    objval = sum(b, ZERO)
-
-    while True:
-        entering = None
-        for j, v in obj.items():
-            if v < 0 and (entering is None or j < entering):
-                entering = j
-        if entering is None:
-            break
-        best = None
-        for i in range(m):
-            a = tableau[i].get(entering)
-            if a and a > 0:
-                key = (b[i] / a, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            raise AssertionError("phase-one objective cannot be unbounded")
-        p = best[1]
-        prow = tableau[p]
-        pv = prow[entering]
-        if pv != 1:
-            prow = {j: v / pv for j, v in prow.items()}
-            tableau[p] = prow
-            b[p] /= pv
-        bp = b[p]
-        for i in range(m):
-            if i == p:
-                continue
-            f = tableau[i].get(entering)
-            if f:
-                _row_sub(tableau[i], prow, f)
-                if bp:
-                    b[i] -= f * bp
-        f = obj.get(entering)
-        if f:
-            _row_sub(obj, prow, f)
-            objval += f * bp  # reduced cost is negative: the artificial sum drops
-        basis[p] = entering
-
-    if objval == 0:
-        xs = [ZERO] * ncols
-        for i, bv in enumerate(basis):
-            if bv < ncols:
-                xs[bv] = b[i]
-        return xs, None
-    if objval < 0:
-        raise AssertionError("phase-one objective went negative")
-    u = [(ONE - obj.get(ncols + i, ZERO)) * flips[i] for i in range(m)]
-    return None, u
-
-
 def solve_square_sparse(rows: list[SparseRow], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a nonsingular sparse square system Ax = b exactly.
 
@@ -276,27 +188,30 @@ def solve_square_sparse(rows: list[SparseRow], rhs: list[Fraction]) -> list[Frac
     return list(basis[0][:n])
 
 
-def kernel_ray(rows: list[SparseRow], ncols: int):
-    """Find a nonzero nonnegative kernel point of M, or a strict dual vector.
+def kernel_ray(rows: list[SparseRow], ncols: int, objective=None):
+    """Find a kernel point of M >= 0 with positive mass on the objective
+    columns (all columns by default), or a dual vector proving none exists.
 
-    Runs a bounded-variable simplex (Bland's rule) on max sum(x) over
-    {Mx = 0, 0 <= x <= 1}, starting from the artificial basis pinned to
-    [0, 0]. Two things keep banded inputs near-linear: artificial columns
-    are never materialised in the tableau (the infeasibility dual is
+    Runs a bounded-variable simplex (Bland's rule) on max sum(x_j, j in
+    objective) over {Mx = 0, 0 <= x <= 1}, starting from the artificial
+    basis pinned to [0, 0]. Two things keep banded inputs near-linear:
+    artificial columns are never materialised in the tableau (the dual is
     recovered at the end from one solve against the final basis), and the
     search stops at the first strictly positive objective value, since the
     simplex point is primal-feasible throughout and any positive mass
     already scales to a witness.
 
     Returns (x, None) with x >= 0, sum(x) = 1, Mx = 0 exactly, or (None, u)
-    with (M'u)_j >= 1 for every column j (the optimum-zero duals).
+    with (M'u)_j >= 1 for every objective column j and >= 0 for the others
+    (the optimum-zero duals: every variable is still at zero there).
     """
     m = len(rows)
     tableau = [dict(r) for r in rows]
     basis = [ncols + i for i in range(m)]  # artificial ids, columns kept implicit
     values = [ZERO] * m
     at_upper = [False] * ncols
-    obj = {j: ONE for j in range(ncols)}  # reduced costs of max sum(x)
+    cost = dict.fromkeys(range(ncols) if objective is None else objective, ONE)
+    obj = dict(cost)  # reduced costs, updated by every pivot
     z = ZERO
 
     def upper(var: int) -> Fraction:
@@ -374,14 +289,14 @@ def kernel_ray(rows: list[SparseRow], ncols: int):
         if total <= 0:
             raise AssertionError("positive objective with nonpositive support")
         return [v / total for v in xs], None
-    # optimum is zero: the duals of the final basis certify M'u >= 1
+    # optimum is zero: the duals of the final basis price every column at its cost or more
     cols = columns(rows, ncols)
     eqs: list[SparseRow] = []
     rhs: list[Fraction] = []
     for var in basis:
         if var < ncols:
             eqs.append(cols[var])
-            rhs.append(ONE)
+            rhs.append(cost.get(var, ZERO))
         else:
             eqs.append({var - ncols: ONE})
             rhs.append(ZERO)

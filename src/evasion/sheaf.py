@@ -22,7 +22,7 @@ the same exact re-checks (`cones.verified_decision`):
     each vertex generator is an arc from its left to its right image. A
     left-to-right reachability sweep decides them in O(#generators) and
     emits both Stiemke objects (`section_sweep`).
-  * Every other sheaf goes to the bounded simplex (`cones.decide_positive_kernel`),
+  * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
 
@@ -37,8 +37,8 @@ from evasion.cones import (
     FeasibilityResult,
     PolyhedralCone,
     cone_membership,
-    decide_positive_kernel,
     is_positive_cone,
+    lp_positive_kernel,
     verified_decision,
 )
 from evasion.linalg import Matrix, SparseRow, ZERO, columns, rank
@@ -298,7 +298,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         # no generator anywhere: only the zero section exists, vacuous certificate
         decision = FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * len(rows))
     elif maps is None:
-        decision = decide_positive_kernel(rows, ncols)
+        decision = lp_positive_kernel(sections.coboundary)
     else:
         choices, certificate = section_sweep(S, maps)
         witness = None

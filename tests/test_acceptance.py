@@ -19,7 +19,6 @@ from evasion.cli import main, scene_from_jsonable, sheaf_from_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
 from evasion.geometry import build_sheaf, extract_path, verify_evasion_path
 from evasion.linalg import kernel_basis
-from evasion.oracle import enumerate_sections
 from evasion.randgen import pulsing_box_scene, random_function_like_sheaf, random_scene
 from evasion.sheaf import global_sections, refine
 
@@ -36,6 +35,7 @@ from golden import (
     geometric_name,
     reorder_to_golden,
 )
+from reference_chains import enumerate_sections
 
 SCOREBOARD: dict = {"infeasible": [], "evasion": []}
 

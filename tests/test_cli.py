@@ -375,6 +375,23 @@ def _one_vertex_sheaf(v1_labels, entries):
     }
 
 
+def _without(sheaf, *path):
+    # a copy of the sheaf with the field at `path` removed
+    sheaf = json.loads(json.dumps(sheaf))
+    *parents, last = path
+    node = sheaf
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return sheaf
+
+
+def _with_v1_stalk(stalk):
+    sheaf = _one_vertex_sheaf(["a"], ["1"])
+    sheaf["stalks"]["v1"] = stalk
+    return sheaf
+
+
 @pytest.mark.parametrize(
     "sheaf, named",
     [
@@ -382,6 +399,18 @@ def _one_vertex_sheaf(v1_labels, entries):
         (_one_vertex_sheaf(["a"], "1"), ["v1->e1", "entries", "list"]),  # a string read per character
         (_one_vertex_sheaf(["a"], ["1", "0"]), ["v1->e1", "1x1", "2"]),
         ({**_one_vertex_sheaf(["a"], ["1"]), "vertices": "0"}, ["vertices", "list"]),
+        (_without(_one_vertex_sheaf(["a"], ["1"]), "restrictions", 0, "from"), ["restriction 0", "'from'"]),
+        (
+            _without(_one_vertex_sheaf(["a"], ["1"]), "restrictions", 1, "matrix", "rows"),
+            ["restriction v1->e2", "'rows'"],
+        ),
+        ({**_one_vertex_sheaf(["a"], ["1"]), "restrictions": {}}, ["restrictions", "list"]),
+        (_with_v1_stalk(["a"]), ["stalk over v1", "object"]),
+        (
+            _with_v1_stalk({"labels": ["a", "b"], "generators": [["1"]]}),
+            ["stalk over v1", "labels must parallel generators"],
+        ),
+        (_with_v1_stalk({"labels": ["a"], "generators": [["0"]]}), ["stalk over v1", "zero vector"]),
     ],
 )
 def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
@@ -392,18 +421,30 @@ def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
     assert all(part in report["error"] for part in named), report["error"]
 
 
+WINDOW = {"x": [0, 4], "y": [0, 4]}
+
+
+# the box cases' ids are pinned so that their test names do not change
 @pytest.mark.parametrize(
-    "boxes, named",
+    "scene, named",
     [
-        ({}, ["boxes", "list"]),  # an object would be read as no boxes
-        ("", ["boxes", "list"]),  # so would an empty string
-        ([[[0, 1], [1, 2], [1, 2]]], ["box 0", "object"]),
-        ([{"t": [0, 1], "x": [1, 2]}], ["malformed scene JSON", "box 0", "'y'"]),
+        # an object would be read as no boxes
+        pytest.param({"window": WINDOW, "boxes": {}}, ["boxes", "list"], id="boxes0-named0"),
+        # so would an empty string
+        pytest.param({"window": WINDOW, "boxes": ""}, ["boxes", "list"], id="-named1"),
+        pytest.param({"window": WINDOW, "boxes": [[[0, 1], [1, 2], [1, 2]]]}, ["box 0", "object"], id="boxes2-named2"),
+        pytest.param(
+            {"window": WINDOW, "boxes": [{"t": [0, 1], "x": [1, 2]}]},
+            ["malformed scene JSON", "box 0", "'y'"],
+            id="boxes3-named3",
+        ),
+        pytest.param({"window": {"x": [0, 4]}}, ["malformed scene JSON", "window", "'y'"], id="window-without-y"),
+        pytest.param({"window": [0, 4]}, ["malformed scene JSON", "window", "object"], id="window-as-list"),
     ],
 )
-def test_ambiguous_scene_json_is_rejected(capsys, tmp_path, boxes, named):
+def test_ambiguous_scene_json_is_rejected(capsys, tmp_path, scene, named):
     bad = tmp_path / "ambiguous.json"
-    bad.write_text(json.dumps({"window": {"x": [0, 4], "y": [0, 4]}, "boxes": boxes}))
+    bad.write_text(json.dumps(scene))
     code, report = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert all(part in report["error"] for part in named), report["error"]

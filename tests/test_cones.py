@@ -12,11 +12,12 @@ from evasion.cones import (
     is_valid_certificate,
     lp_positive_kernel,
 )
-from evasion.linalg import Matrix, kernel_basis, rank
+from evasion.linalg import Matrix, kernel_basis, kernel_ray, rank
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
 
 from golden import BLOCKED_COBOUNDARY, OPEN_COBOUNDARY
+from reference_lp import solve_nonneg
 
 # column order for both golden matrices: v1.t, v2.t, v2.m, v2.b, v3.t, v3.m, v3.b, v4.b
 OPEN_SUPPORT_COLUMNS = {0, 2, 5, 7}
@@ -241,12 +242,45 @@ def test_positive_cones_have_no_nonneg_kernel(K, lam):
     assert any(combo), "nonzero nonnegative combination vanished in a positive cone"
 
 
+@st.composite
+def membership_cases(draw):
+    # mixed-sign generators, plus a negated copy of one of them half the
+    # time, which makes the cone contain a line (not pointed)
+    K = draw(generated_cones())
+    gens = list(K.generators)
+    if draw(st.booleans()):
+        gens.append(tuple(-c for c in draw(st.sampled_from(gens))))
+    v = draw(st.lists(small_entries, min_size=K.ambient_dim, max_size=K.ambient_dim))
+    return PolyhedralCone.make(gens), v
+
+
+@given(membership_cases())
+@settings(max_examples=300, deadline=None)
+def test_cone_membership_agrees_with_phase_one(case):
+    K, v = case
+    x, _ = solve_nonneg(K.generator_matrix().nonzeros, len(K.generators), [Fraction(c) for c in v])
+    assert cone_membership(v, K) == (x is not None)
+
+
+@given(small_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_ray_answers_for_its_objective_columns(M, data):
+    objective = data.draw(st.sets(st.integers(min_value=0, max_value=M.cols - 1), min_size=1))
+    x, u = kernel_ray(M.to_sparse_rows(), M.cols, objective=sorted(objective))
+    if x is not None:
+        assert min(x) >= 0 and sum(x) == 1 and not any(M.mul_vec(x))
+        assert any(x[j] for j in objective)
+    else:
+        priced = [sum((M.at(i, j) * u[i] for i in range(M.rows)), Fraction(0)) for j in range(M.cols)]
+        assert all(p >= (1 if j in objective else 0) for j, p in enumerate(priced))
+
+
 @given(small_matrices())
 @settings(max_examples=150, deadline=None)
 def test_bounded_simplex_agrees_with_phase_one_formulation(M):
     # same question, two formulations: max-support over the box versus a
     # phase-one simplex on the explicit unit-sum row
-    from evasion.linalg import ONE, ZERO, kernel_ray, solve_nonneg
+    from evasion.linalg import ONE, ZERO
 
     rows = M.to_sparse_rows()
     rows.append({j: ONE for j in range(M.cols)})

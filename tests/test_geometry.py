@@ -318,6 +318,18 @@ class TestFibreSharing:
         _, vertex_fibres, edge_fibres = scene_fibres(scene)
         assert len({id(f) for f in (*vertex_fibres, *edge_fibres)}) == distinct
 
+    @pytest.mark.parametrize(
+        "scene, distinct",
+        [(pulsing_box_scene(400), 2), (comb_scene(24), 26)],
+        ids=["pulsing", "comb"],
+    )
+    def test_one_restriction_per_distinct_fibre_pair(self, scene, distinct):
+        # 800 and 98 incidences
+        _, vertex_fibres, edge_fibres = scene_fibres(scene)
+        pairs = {(id(vf), id(edge_fibres[i + side])) for i, vf in enumerate(vertex_fibres) for side in (0, 1)}
+        sheaf = build_sheaf(scene)
+        assert len({id(M) for M in (*sheaf.left_maps, *sheaf.right_maps)}) == len(pairs) == distinct
+
     def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
         scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])
         times, (vertex,), (left, right) = scene_fibres(scene)

@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from evasion.cli import sheaf_from_jsonable
 from evasion.cones import PolyhedralCone, is_positive_cone, lp_positive_kernel
 from evasion.linalg import Matrix, kernel_basis
-from evasion.oracle import (
-    UnsupportedSheafError,
-    dp_section_exists,
-    enumerate_sections,
-    flow_decompose,
-)
+from evasion.oracle import UnsupportedSheafError, dp_section_exists
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import ConeSheaf, Stratification, assemble_coboundary, global_sections
 
 from conftest import load_fixture
+from reference_chains import enumerate_sections, flow_decompose
 from test_sheaf import crossing_sheaf, free
 
 
