@@ -9,9 +9,9 @@ Subcommands:
   path    scene.json  -> extracted evasion path as JSON
 
 Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
-serialised as "p" or "p/q" strings (ints allowed on input, floats rejected)
-so reports stay exact and diffable; reports are byte-identical across runs
-except for the timing block.
+serialised as "p" or "p/q" strings (on input, ints and any string `Fraction`
+reads exactly are allowed, floats rejected) so reports stay exact and
+diffable; reports are byte-identical across runs except for the timing block.
 """
 
 from __future__ import annotations
@@ -360,29 +360,36 @@ def _load_json(path_str: str):
     return json.loads(raw.decode("utf-8")), digest
 
 
+def run_check(scene: Scene) -> tuple[GlobalSections, EvasionPath | None, dict[str, float]]:
+    """The stages of `evasion check`: gap fibres, scene validation, cone
+    sheaf, decision ("lp") and, for EVASION only, the path.
+
+    Returns the sections, the path (None for NO_EVASION) and the wall time
+    of each stage in milliseconds. Each stage is looked up on its module
+    when it runs, so that a wrapper installed there (a profiler's, say)
+    sees the call.
+    """
+    timing: dict[str, float] = {}
+
+    def stage(name: str, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        timing[name] = (time.perf_counter() - t0) * 1000
+        return result
+
+    stage("fibres", geometry.scene_fibres, scene)
+    report = stage("validate", validate_scene, scene)
+    if not report.ok:
+        raise SceneValidationError(report)
+    sections = stage("lp", global_sections, stage("build_sheaf", build_sheaf, scene))
+    path = stage("path", extract_path, scene, sections) if sections.decision.feasible else None
+    return sections, path, timing
+
+
 def cmd_check(args) -> int:
     data, digest = _load_json(args.scene)
     scene = scene_from_jsonable(data)
-
-    timing: dict[str, float] = {}
-    t0 = time.perf_counter()
-    # looked up on the module, so that a wrapper installed there (a
-    # profiler's, say) sees this call as it sees validate_scene's
-    geometry.scene_fibres(scene)
-    timing["fibres"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    report = validate_scene(scene)
-    timing["validate"] = (time.perf_counter() - t0) * 1000
-    if not report.ok:
-        raise SceneValidationError(report)
-
-    t0 = time.perf_counter()
-    sheaf = build_sheaf(scene)
-    timing["build_sheaf"] = (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
-    sections = global_sections(sheaf)
-    timing["lp"] = (time.perf_counter() - t0) * 1000
-
+    sections, path, timing = run_check(scene)
     feasible = sections.decision.feasible
     out: dict = {
         "verdict": "EVASION" if feasible else "NO_EVASION",
@@ -401,14 +408,10 @@ def cmd_check(args) -> int:
                 decision_feasible=feasible,
                 simplex_feasible=exists,
             )
-    path = None
-    if feasible:
-        t0 = time.perf_counter()
-        path = extract_path(scene, sections)
-        timing["path"] = (time.perf_counter() - t0) * 1000
+    if path is not None:
         out["path"] = path_to_jsonable(path)
         if args.path_out:
-            Path(args.path_out).write_text(json.dumps(path_to_jsonable(path), indent=2, sort_keys=True))
+            Path(args.path_out).write_text(json.dumps(out["path"], indent=2, sort_keys=True))
     if args.plot:
         Path(args.plot).write_text(render_scene_svg(scene, path))
     out["timing_ms"] = {k: round(v, 3) for k, v in timing.items()}
@@ -459,12 +462,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_path(args) -> int:
     data, digest = _load_json(args.scene)
-    scene = scene_from_jsonable(data)
-    sections = global_sections(build_sheaf(scene))
-    if not sections.decision.feasible:
+    _, path, _ = run_check(scene_from_jsonable(data))
+    if path is None:
         _emit({"verdict": "NO_EVASION", "input_digest": digest})
         return EXIT_NO_EVASION
-    path = extract_path(scene, sections)
     payload = path_to_jsonable(path)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -29,7 +30,8 @@ def vec(items) -> Vec:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "p", "p/q" or a plain int. Floats are rejected: they would
+    """Parse a plain int or any string `Fraction` reads exactly: "p", "p/q",
+    and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
     silently contaminate the exact pipeline."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -54,6 +56,8 @@ class Matrix:
     Exact zeros are never stored, so equal matrices compare equal. The row
     dicts may be shared with whoever built the matrix and must not be
     mutated; `to_sparse_rows` hands out copies for in-place elimination.
+    Neither may the dicts of `column_nonzeros`, built once and shared by
+    every reader.
     """
 
     rows: int
@@ -104,6 +108,11 @@ class Matrix:
 
     def to_sparse_rows(self) -> list[SparseRow]:
         return [dict(r) for r in self.nonzeros]
+
+    @cached_property
+    def column_nonzeros(self) -> tuple[SparseRow, ...]:
+        """The nonzeros of each column as {row: value}."""
+        return tuple(columns(self.nonzeros, self.cols))
 
 
 def columns(rows, ncols: int) -> list[SparseRow]:

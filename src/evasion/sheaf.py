@@ -41,7 +41,7 @@ from evasion.cones import (
     lp_positive_kernel,
     verified_decision,
 )
-from evasion.linalg import Matrix, SparseRow, ZERO, columns, rank
+from evasion.linalg import Matrix, SparseRow, ZERO, rank
 
 CellLabel = tuple[str, str]  # (cell id, generator label)
 # per vertex: (left edge generator, right edge generator) of each vertex generator
@@ -175,12 +175,12 @@ class GlobalSections:
     decision: FeasibilityResult | None = None
 
 
-def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
+def _generator_images(M: Matrix, stalk: PolyhedralCone) -> tuple[SparseRow, ...]:
     """Image under M of each generator of the stalk M acts on, as {coordinate: value}.
 
-    Reads the columns of M once; for a free stalk the images are the columns.
+    For a free stalk the images are the columns of M.
     """
-    cols = columns(M.nonzeros, M.cols)
+    cols = M.column_nonzeros
     if stalk.is_free:
         return cols
     images = []
@@ -191,7 +191,7 @@ def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
                 for d, v in cols[c].items():
                     image[d] = image.get(d, ZERO) + v * x
         images.append({d: v for d, v in image.items() if v})
-    return images
+    return tuple(images)
 
 
 def validate_sheaf(S: ConeSheaf) -> SheafReport:
@@ -226,8 +226,8 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
     return SheafReport(not violations, tuple(violations))
 
 
-def _assemble_sparse(S: ConeSheaf):
-    """Sparse rows of the substituted coboundary D*G, with row/column labels."""
+def _assemble(S: ConeSheaf) -> GlobalSections:
+    """The labelled substituted coboundary D*G of a valid sheaf."""
     strat = S.strat
     col_labels: list[CellLabel] = []
     col_offsets: list[int] = []
@@ -254,7 +254,7 @@ def _assemble_sparse(S: ConeSheaf):
             for g, image in enumerate(_generator_images(M, S.vertex_stalks[vi])):
                 for d, val in image.items():
                     rows[base + d][offset + g] = val if sign > 0 else -val
-    return rows, tuple(row_labels), tuple(col_labels)
+    return GlobalSections(Matrix(len(rows), len(col_labels), tuple(rows)), tuple(row_labels), tuple(col_labels))
 
 
 def _normalise(S: ConeSheaf) -> ConeSheaf:
@@ -270,12 +270,7 @@ def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
     report = validate_sheaf(S)
     if not report.ok:
         raise SheafValidationError(report)
-    rows, row_labels, col_labels = _assemble_sparse(S)
-    return GlobalSections(
-        coboundary=Matrix(len(rows), len(col_labels), tuple(rows)),
-        row_labels=row_labels,
-        column_labels=col_labels,
-    )
+    return _assemble(S)
 
 
 def global_sections(S: ConeSheaf) -> GlobalSections:
@@ -285,15 +280,18 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     per vertex, summing to one, whose induced edge values agree everywhere.
     Infeasible: the certificate is a strict dual vector over the coboundary
     rows (vacuous when no vertex carries any generator). Function-like
-    sheaves are decided by `section_sweep`, all others by the simplex.
+    sheaves are decided by `section_sweep`; all others are validated first
+    and decided by the simplex.
     """
     S = _normalise(S)
-    sections = assemble_coboundary(S)
-    rows, ncols = sections.coboundary.nonzeros, sections.coboundary.cols
     try:
         maps = generator_maps(S)
     except UnsupportedSheafError:
         maps = None
+    # generator_maps accepts only free stalks and restrictions sending each
+    # generator onto one generator, so such a sheaf is valid as it stands
+    sections = assemble_coboundary(S) if maps is None else _assemble(S)
+    rows, ncols = sections.coboundary.nonzeros, sections.coboundary.cols
     if ncols == 0:
         # no generator anywhere: only the zero section exists, vacuous certificate
         decision = FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * len(rows))
@@ -328,7 +326,7 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
             raise UnsupportedSheafError(f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free")
     images = []
     for i, j, M in S.incidences():
-        cols = columns(M.nonzeros, M.cols)
+        cols = M.column_nonzeros
         for c, col in enumerate(cols):
             if len(col) != 1 or 1 not in col.values():
                 raise UnsupportedSheafError(

@@ -21,6 +21,12 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def fixtures_with(field: str) -> list[str]:
+    """Names of the fixtures with a top-level `field`: "window" for scenes,
+    "vertices" for sheaves."""
+    return sorted(p.name for p in FIXTURES.glob("*.json") if field in json.loads(p.read_text()))
+
+
 @pytest.fixture
 def base_seed() -> int:
     return int(os.environ.get("EVASION_SEED", "20240817"))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from evasion.linalg import ZERO
 from evasion.oracle import _chain_from_vertex_choices
-from evasion.sheaf import ConeSheaf, SectionChain, _assemble_sparse, _normalise, generator_maps
+from evasion.sheaf import ConeSheaf, SectionChain, _normalise, assemble_coboundary, generator_maps
 
 
 def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
@@ -54,7 +54,8 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
     maps = generator_maps(S)
     k = S.strat.k
     x = tuple(Fraction(c) for c in x)
-    rows, _, col_labels = _assemble_sparse(S)
+    sections = assemble_coboundary(S)
+    rows, col_labels = sections.coboundary.nonzeros, sections.column_labels
     if len(x) != len(col_labels):
         raise ValueError(f"witness length {len(x)} does not match {len(col_labels)} generators")
     if any(c < 0 for c in x) or not any(x):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evasion.cli import main
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, fixtures_with, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +258,31 @@ class TestMatrixOraclePath:
         assert code == 2
         assert report["verdict"] == "NO_EVASION"
 
+    @pytest.mark.parametrize("name", fixtures_with("window"))
+    def test_path_and_check_write_the_same_path(self, capsys, tmp_path, name):
+        by_path, by_check = tmp_path / "path.json", tmp_path / "check.json"
+        path_code, _ = run_cli(capsys, "path", fixture_path(name), "-o", str(by_path))
+        check_code, _ = run_cli(capsys, "check", fixture_path(name), "--path", str(by_check))
+        assert path_code == check_code
+        if path_code == 0:
+            assert by_path.read_bytes() == by_check.read_bytes()
+        else:
+            assert not by_path.exists() and not by_check.exists()
+
+    def test_path_and_check_reject_a_disconnected_scene_alike(self, capsys, tmp_path):
+        island = tmp_path / "island.json"
+        island.write_text(
+            json.dumps(
+                {
+                    "window": {"x": [0, 10], "y": [0, 10]},
+                    "boxes": [{"t": [0, 1], "x": [4, 5], "y": [4, 5]}],
+                }
+            )
+        )
+        by_path = run_cli(capsys, "path", str(island))
+        assert by_path == run_cli(capsys, "check", str(island))
+        assert by_path[0] == 1 and by_path[1]["error"] == "scene validation failed"
+
 
 def test_module_entry_point_runs(tmp_path):
     import subprocess
@@ -296,6 +321,9 @@ def test_rational_parsing_round_trip():
     for text in ("3", "-7", "5/3", "-22/7"):
         assert format_rational(parse_rational(text)) == text
     assert parse_rational(4) == Fraction(4)
+    # any string Fraction reads exactly is accepted, not only "p" and "p/q"
+    for text, value in (("4.5", Fraction(9, 2)), ("1e1", 10), ("1_000", 1000), (" 2 ", 2)):
+        assert parse_rational(text) == value
     for bad in (1.5, True, "x", "1/0", None):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evasion.linalg
+import evasion.sheaf
 from evasion.cli import scene_from_jsonable
 from evasion.cones import FEASIBLE, FeasibilityResult, lp_positive_kernel
 from evasion.geometry import (
@@ -25,7 +27,7 @@ from evasion.geometry import (
     validate_scene,
     verify_evasion_path,
 )
-from evasion.linalg import Matrix
+from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
 from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
 from evasion.sheaf import SectionChain, assemble_coboundary, global_sections, validate_sheaf
@@ -329,6 +331,31 @@ class TestFibreSharing:
         pairs = {(id(vf), id(edge_fibres[i + side])) for i, vf in enumerate(vertex_fibres) for side in (0, 1)}
         sheaf = build_sheaf(scene)
         assert len({id(M) for M in (*sheaf.left_maps, *sheaf.right_maps)}) == len(pairs) == distinct
+
+    @pytest.mark.parametrize(
+        "scene, distinct",
+        [(pulsing_box_scene(400), 2), (comb_scene(24), 26)],
+        ids=["pulsing", "comb"],
+    )
+    def test_each_restriction_is_read_once(self, scene, distinct, monkeypatch):
+        # one column view per distinct restriction, not one per incidence,
+        # and a scene sheaf is valid by construction, so never validated
+        builds, validations = [], []
+
+        def counted_columns(rows, ncols):
+            builds.append(ncols)
+            return columns(rows, ncols)
+
+        def counted_validation(S):
+            validations.append(S)
+            return validate_sheaf(S)
+
+        monkeypatch.setattr(evasion.linalg, "columns", counted_columns)
+        # a module that binds `columns` by name would escape the wrapper above
+        monkeypatch.setattr(evasion.sheaf, "columns", counted_columns, raising=False)
+        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted_validation)
+        global_sections(build_sheaf(scene))
+        assert (len(builds), len(validations)) == (distinct, 0)
 
     def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
         scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evasion.sheaf
+from evasion.cli import scene_from_jsonable, sheaf_from_jsonable
 from evasion.cones import PolyhedralCone, is_valid_certificate, lp_positive_kernel
+from evasion.geometry import build_sheaf
 from evasion.linalg import Matrix, kernel_basis
 from evasion.randgen import random_function_like_sheaf
 from evasion.oracle import dp_section_exists
@@ -19,6 +22,7 @@ from evasion.sheaf import (
     validate_sheaf,
 )
 
+from conftest import fixtures_with, load_fixture
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_KERNEL_GENERATOR,
@@ -229,6 +233,44 @@ class TestGlobalSections:
         sections = global_sections(sheaf)
         assert sections.decision.feasible
         assert label_names(sections.column_labels) == ["v1.u"]
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("name", fixtures_with("window"))
+    def test_scene_sheaves_are_decided_without_validation(self, name, monkeypatch):
+        sheaf = build_sheaf(scene_from_jsonable(load_fixture(name)))
+
+        def refuse(S):
+            raise AssertionError("a sheaf the sweep accepts is valid by construction")
+
+        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", refuse)
+        assert global_sections(sheaf).decision is not None
+
+    @pytest.mark.parametrize(
+        "sheaf",
+        [
+            sheaf_from_jsonable(load_fixture("nonfree_feasible.json")),
+            # free stalks, but v1->e2 and v2->e2 are zero
+            ConeSheaf(
+                Stratification.make([0, 1]),
+                (free(["a"]),) * 2,
+                (free(["a"]),) * 3,
+                (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])),
+                (Matrix.from_rows([[0]]), Matrix.from_rows([[1]])),
+            ),
+        ],
+        ids=["nonfree", "zero_column"],
+    )
+    def test_sheaves_outside_the_sweep_are_validated(self, sheaf, monkeypatch):
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return validate_sheaf(S)
+
+        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted)
+        assert global_sections(sheaf).decision.feasible
+        assert len(calls) == 1
 
 
 class TestRefine:
