@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Fuzz the section sweep against the bounded simplex.
+"""Fuzz the section sweep against the bounded simplex and a rational rank.
 
 Draws random free function-like cone sheaves, which `global_sections`
 decides by the reachability sweep, and insists the sweep's verdict, the
 verdict of the simplex called directly on the coboundary, the sweep's
-certificate and the decomposability of the simplex witness all line up.
+certificate and the decomposability of the simplex witness all line up,
+and that the sweep's kernel_dim (a cycle rank) is the coboundary's columns
+minus its rank.
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
 The flow decomposition is the test reference in `tests/reference_chains.py`,
 which the script finds next to itself in the checkout.
@@ -21,6 +23,7 @@ from random import Random
 
 from evasion.cli import sheaf_to_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
+from evasion.linalg import rank
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
 
@@ -43,6 +46,7 @@ def main() -> int:
         sections = global_sections(sheaf)
         simplex = lp_positive_kernel(sections.coboundary)
         ok = simplex.feasible == sections.decision.feasible
+        ok = ok and sections.kernel_dim == sections.coboundary.cols - rank(sections.coboundary)
         if ok and sections.decision.feasible:
             feasible += 1
             decomposition = flow_decompose(sheaf, simplex.witness)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from evasion.linalg import Matrix, ONE, SparseRow, Vec, ZERO, kernel_ray, vec
+from evasion.linalg import Matrix, ONE, Vec, ZERO, columns, kernel_ray, vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -97,45 +97,19 @@ def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
 
     The bounded simplex (`linalg.kernel_ray`) maximises sum(x) over the box
     0 <= x <= 1 inside the kernel; Bland pivoting makes the outcome exact
-    and deterministic. The returned witness/certificate is verified before
-    being handed back.
+    and deterministic. The witness is re-checked as a normalised nonnegative
+    kernel point and the certificate by `is_valid_certificate`.
     """
     if A.cols < 1:
         raise ValueError("lp_positive_kernel needs at least one column")
-    return verified_decision(A.nonzeros, A.cols, *kernel_ray(A.nonzeros, A.cols))
-
-
-def verified_decision(rows: list[SparseRow], ncols: int, witness, certificate) -> FeasibilityResult:
-    """Wrap a decider's (witness, None) or (None, certificate) after exact re-checks.
-
-    Every decider hands its Stiemke object through here: the witness must be
-    nonnegative, sum to one and lie in the kernel; the certificate must make
-    every column of A'y strictly positive. A failure is a bug in the decider.
-    """
+    witness, certificate = kernel_ray(A.nonzeros, A.cols)
     if witness is not None:
-        witness = tuple(witness)
-        if any(c < 0 for c in witness) or sum(witness) != 1:
-            raise AssertionError("witness is not a normalised nonnegative vector")
-        # a zero coordinate adds nothing to a row's sum, so only the support is read
-        support = {j: c for j, c in enumerate(witness) if c}
-        for r in rows:
-            if sum((v * support[j] for j, v in r.items() if j in support), ZERO):
-                raise AssertionError("witness is not in the kernel")
-        return FeasibilityResult(FEASIBLE, witness=witness)
-    certificate = tuple(certificate)
-    if not _certifies(rows, ncols, certificate):
-        raise AssertionError("decider produced an invalid infeasibility certificate")
-    return FeasibilityResult(INFEASIBLE, certificate=certificate)
-
-
-def _certifies(rows: list[SparseRow], ncols: int, y: Vec) -> bool:
-    against = [ZERO] * ncols
-    for i, r in enumerate(rows):
-        yi = y[i]
-        if yi:
-            for j, v in r.items():
-                against[j] += v * yi
-    return all(c > 0 for c in against)
+        if any(c < 0 for c in witness) or sum(witness) != 1 or any(A.mul_vec(witness)):
+            raise AssertionError("witness is not a normalised nonnegative kernel point")
+        return FeasibilityResult(FEASIBLE, witness=tuple(witness))
+    if not is_valid_certificate(A, certificate):
+        raise AssertionError("simplex produced an invalid infeasibility certificate")
+    return FeasibilityResult(INFEASIBLE, certificate=tuple(certificate))
 
 
 def is_valid_certificate(A: Matrix, y) -> bool:
@@ -147,7 +121,7 @@ def is_valid_certificate(A: Matrix, y) -> bool:
     y = vec(y)
     if len(y) != A.rows:
         raise ValueError(f"certificate length {len(y)} does not match {A.rows} rows")
-    return _certifies(A.nonzeros, A.cols, y)
+    return all(sum((v * y[i] for i, v in col.items()), ZERO) > 0 for col in columns(A.nonzeros, A.cols))
 
 
 def cone_membership(v, K: PolyhedralCone) -> bool:

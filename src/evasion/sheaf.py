@@ -13,15 +13,15 @@ unbounded edges contribute no rows since they have noncompact closure).
 Writing each vertex element in generator coordinates turns "nonzero section
 exists" into a positive-kernel LP.
 
-Two deciders answer that LP, and both hand their witness or certificate to
-the same exact re-checks (`cones.verified_decision`):
+Two deciders answer that LP, and each re-checks its own witness or
+certificate exactly:
 
   * Function-like sheaves (every stalk free, every restriction a 0/1 matrix
     with exactly one 1 per column; all scene sheaves are of this kind) have
     a node-arc incidence matrix as coboundary: edge generators are nodes and
     each vertex generator is an arc from its left to its right image. A
     left-to-right reachability sweep decides them in O(#generators) and
-    emits both Stiemke objects (`section_sweep`).
+    emits both Stiemke objects (`section_sweep`); kernel_dim is a cycle rank.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -31,15 +31,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, count, pairwise
 
 from evasion.cones import (
+    FEASIBLE,
     INFEASIBLE,
     FeasibilityResult,
     PolyhedralCone,
     cone_membership,
     is_positive_cone,
     lp_positive_kernel,
-    verified_decision,
 )
 from evasion.linalg import Matrix, SparseRow, ZERO, rank
 
@@ -280,35 +281,38 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     per vertex, summing to one, whose induced edge values agree everywhere.
     Infeasible: the certificate is a strict dual vector over the coboundary
     rows (vacuous when no vertex carries any generator). Function-like
-    sheaves are decided by `section_sweep`; all others are validated first
-    and decided by the simplex.
+    sheaves are decided, re-checked and counted on their integer generator
+    maps; all others are validated, decided by the simplex and ranked.
     """
     S = _normalise(S)
     try:
         maps = generator_maps(S)
     except UnsupportedSheafError:
-        maps = None
+        sections = assemble_coboundary(S)
+        M = sections.coboundary
+        # no generator anywhere: only the zero section exists, vacuous certificate
+        decision = lp_positive_kernel(M) if M.cols else FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * M.rows)
+        return replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
     # generator_maps accepts only free stalks and restrictions sending each
     # generator onto one generator, so such a sheaf is valid as it stands
-    sections = assemble_coboundary(S) if maps is None else _assemble(S)
-    rows, ncols = sections.coboundary.nonzeros, sections.coboundary.cols
-    if ncols == 0:
-        # no generator anywhere: only the zero section exists, vacuous certificate
-        decision = FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * len(rows))
-    elif maps is None:
-        decision = lp_positive_kernel(sections.coboundary)
+    choices, y = section_sweep(S, maps)
+    if choices is not None:
+        # consecutive choices must meet on their shared edge; weight 1/k each
+        meets = [maps[i][1][g] == maps[i + 1][0][h] for i, (g, h) in enumerate(pairwise(choices))]
+        if len(choices) != len(maps) or not all(meets):
+            raise AssertionError("witness chain does not meet on a shared edge")
+        blocks = [[ZERO] * len(stalk.generators) for stalk in S.vertex_stalks]
+        for block, g in zip(blocks, choices):
+            block[g] = Fraction(1, len(maps))
+        decision = FeasibilityResult(FEASIBLE, witness=tuple(chain.from_iterable(blocks)))
     else:
-        choices, certificate = section_sweep(S, maps)
-        witness = None
-        if choices is not None:
-            # the chain with weight 1/k on each chosen vertex generator
-            witness = [ZERO] * ncols
-            offset = 0
-            for stalk, g in zip(S.vertex_stalks, choices):
-                witness[offset + g] = Fraction(1, S.strat.k)
-                offset += len(stalk.generators)
-        decision = verified_decision(rows, ncols, witness, certificate)
-    return replace(sections, kernel_dim=ncols - rank(sections.coboundary), decision=decision)
+        # zero on both unbounded edges and a drop along every arc make D'y >= 1
+        if [len(block) for block in y] != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
+            raise AssertionError("potential is not one block per edge, zero on the unbounded edges")
+        if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(maps) for li, ri in zip(left, right)):
+            raise AssertionError("potential does not drop along every arc")
+        decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
+    return replace(_assemble(S), kernel_dim=cycle_rank(S, maps), decision=decision)
 
 
 def generator_maps(S: ConeSheaf) -> GeneratorMaps:
@@ -338,7 +342,7 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
     return tuple(zip(images[0::2], images[1::2]))
 
 
-def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, list[Fraction] | None]:
+def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, list[list[int]] | None]:
     """Decide a function-like sheaf by reachability from the left unbounded edge.
 
     Edge generators are nodes and vertex generator g of vertex i is an arc
@@ -348,10 +352,10 @@ def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, 
     Returns (choices, None) with one vertex generator per vertex: the chain
     ending in the least reachable generator of the right unbounded edge,
     each vertex taking its least generator that continues it. Otherwise
-    returns (None, y) with y over the coboundary rows: -j on generators of
-    edge j reachable from the left, and elsewhere the length of the longest
-    chain from the generator to the right unbounded edge or a dead end.
-    Each column then gets (D'y)_g >= 1.
+    returns (None, y) with one block of integers per edge: 0 on both
+    unbounded edges, -j on generators of edge j reachable from the left, and
+    elsewhere the length of the longest chain from the generator to the
+    right unbounded edge or a dead end. Each arc then drops by at least 1.
     """
     k = S.strat.k
     reach = [dict.fromkeys(range(len(S.edge_stalks[0].generators)))]
@@ -371,15 +375,36 @@ def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, 
         choices.reverse()
         return choices, None
     longest = [0] * len(S.edge_stalks[k].generators)
-    blocks = []
+    blocks = [longest]
     for j in range(k - 1, 0, -1):
         left, right = maps[j]
         here = [0] * len(S.edge_stalks[j].generators)
         for li, ri in zip(left, right):
             here[li] = max(here[li], longest[ri] + 1)
-        blocks.append([Fraction(-j) if d in reach[j] else Fraction(n) for d, n in enumerate(here)])
+        blocks.append([-j if d in reach[j] else n for d, n in enumerate(here)])
         longest = here
-    return None, [y for block in reversed(blocks) for y in block]
+    return None, [[0] * len(S.edge_stalks[0].generators), *blocks[::-1]]
+
+
+def cycle_rank(S: ConeSheaf, maps: GeneratorMaps) -> int:
+    """kernel_dim of a function-like sheaf: arcs minus the edges of a spanning forest of the
+    arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows)."""
+    k, ids = S.strat.k, count(1)
+    node = [[next(ids) if 0 < j < k else 0 for _ in stalk.generators] for j, stalk in enumerate(S.edge_stalks)]
+    parent = list(range(next(ids)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    kernel = sum(len(left) for left, _ in maps)
+    for i, (left, right) in enumerate(maps):
+        for li, ri in zip(left, right):
+            a, b = find(node[i][li]), find(node[i + 1][ri])
+            parent[a] = b
+            kernel -= a != b
+    return kernel
 
 
 def refine(S: ConeSheaf, t) -> ConeSheaf:

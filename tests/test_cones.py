@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evasion.cones
 from evasion.cones import (
     PolyhedralCone,
     cone_membership,
@@ -49,6 +50,21 @@ class TestLpPositiveKernel:
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
             lp_positive_kernel(Matrix.zeros(2, 0))
+
+    @pytest.mark.parametrize(
+        "matrix, answer",
+        [
+            # the open witness with its weight moved off one support column
+            (OPEN_COBOUNDARY, ([Fraction(1, 2), 0, 0, 0, 0, Fraction(1, 4), 0, Fraction(1, 4)], None)),
+            # a dual vector that pairs to zero with every column
+            (BLOCKED_COBOUNDARY, (None, [Fraction(0)] * BLOCKED_COBOUNDARY.rows)),
+        ],
+        ids=["bad_witness", "bad_dual"],
+    )
+    def test_wrong_simplex_answers_are_caught(self, matrix, answer, monkeypatch):
+        monkeypatch.setattr(evasion.cones, "kernel_ray", lambda rows, ncols: answer)
+        with pytest.raises(AssertionError):
+            lp_positive_kernel(matrix)
 
 
 class TestKernelBasis:

@@ -9,8 +9,8 @@ import evasion.sheaf
 from evasion.cli import scene_from_jsonable, sheaf_from_jsonable
 from evasion.cones import PolyhedralCone, is_valid_certificate, lp_positive_kernel
 from evasion.geometry import build_sheaf
-from evasion.linalg import Matrix, kernel_basis
-from evasion.randgen import random_function_like_sheaf
+from evasion.linalg import Matrix, kernel_basis, rank
+from evasion.randgen import comb_scene, pulsing_box_scene, random_function_like_sheaf
 from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
@@ -72,6 +72,19 @@ def crossing_sheaf(open_variant: bool) -> ConeSheaf:
         onehot(1, 1, [0]),      # v4 -> e5
     )
     return ConeSheaf(strat, vertex_stalks, edge_stalks, left_maps, right_maps)
+
+
+def empty_vertex_sheaf() -> ConeSheaf:
+    """Two vertices without generators between nonempty unbounded edges."""
+    none = PolyhedralCone(0, (), ())
+    one = free(["u"])
+    return ConeSheaf(
+        Stratification.make([0, 1]),
+        (none, none),
+        (one, none, one),
+        (Matrix.zeros(1, 0), Matrix.zeros(0, 0)),
+        (Matrix.zeros(0, 0), Matrix.zeros(1, 0)),
+    )
 
 
 def label_names(labels):
@@ -208,17 +221,7 @@ class TestGlobalSections:
         assert x_v1 == list(lam[2:4])  # identity restriction matches v2 block
 
     def test_empty_vertex_stalks_are_infeasible_with_vacuous_certificate(self):
-        strat = Stratification.make([0, 1])
-        none = PolyhedralCone(0, (), ())
-        one = free(["u"])
-        sheaf = ConeSheaf(
-            strat,
-            (none, none),
-            (one, none, one),
-            (Matrix.zeros(1, 0), Matrix.zeros(0, 0)),
-            (Matrix.zeros(0, 0), Matrix.zeros(1, 0)),
-        )
-        sections = global_sections(sheaf)
+        sections = global_sections(empty_vertex_sheaf())
         assert not sections.decision.feasible
         assert is_valid_certificate(sections.coboundary, sections.decision.certificate)
 
@@ -235,15 +238,91 @@ class TestGlobalSections:
         assert label_names(sections.column_labels) == ["v1.u"]
 
 
+class TestKernelDim:
+    """The sweep's cycle rank against the rational rank of the coboundary."""
+
+    @staticmethod
+    def assert_cycle_rank_is_the_rank_deficiency(sheaf):
+        sections = global_sections(sheaf)
+        assert sections.kernel_dim == sections.coboundary.cols - rank(sections.coboundary)
+        return sections.kernel_dim
+
+    def test_seeded_random_function_like_sheaves(self, base_seed):
+        for seed in range(base_seed, base_seed + 2000):
+            self.assert_cycle_rank_is_the_rank_deficiency(random_function_like_sheaf(Random(seed)))
+
+    @pytest.mark.parametrize("scene", [pulsing_box_scene(400), comb_scene(24)], ids=["pulsing400", "comb24"])
+    def test_benchmark_scenes(self, scene):
+        self.assert_cycle_rank_is_the_rank_deficiency(build_sheaf(scene))
+
+    def test_one_vertex_sheaf_counts_every_arc_as_a_ground_loop(self):
+        sheaf = ConeSheaf(
+            Stratification.make([0]),
+            (free(["a", "b", "c"]),),
+            (free(["u", "w"]), free(["u"])),
+            (onehot(2, 3, [0, 1, 1]),),
+            (onehot(1, 3, [0, 0, 0]),),
+        )
+        assert self.assert_cycle_rank_is_the_rank_deficiency(sheaf) == 3
+
+    def test_empty_vertex_stalks_have_no_kernel(self):
+        assert self.assert_cycle_rank_is_the_rank_deficiency(empty_vertex_sheaf()) == 0
+
+
+class TestSweepRechecks:
+    """A wrong object from `section_sweep` must not leave `global_sections`."""
+
+    @staticmethod
+    def patch_sweep(monkeypatch, corrupt):
+        sweep = evasion.sheaf.section_sweep
+        monkeypatch.setattr(evasion.sheaf, "section_sweep", lambda S, maps: corrupt(maps, *sweep(S, maps)))
+
+    def test_chain_that_does_not_meet_on_a_shared_edge(self, monkeypatch):
+        def swap(maps, choices, y):
+            # v2 takes a generator whose image on e2 is not where v1's choice lands
+            left = maps[1][0]
+            choices[1] = next(g for g in range(len(left)) if left[g] != left[choices[1]])
+            return choices, y
+
+        self.patch_sweep(monkeypatch, swap)
+        with pytest.raises(AssertionError, match="shared edge"):
+            global_sections(crossing_sheaf(True))
+
+    def test_potential_with_an_arc_that_does_not_drop(self, monkeypatch):
+        def move(maps, choices, y):
+            y[1][maps[0][1][0]] += 1  # v1's first arc now ends where it starts, at level 0
+            return choices, y
+
+        self.patch_sweep(monkeypatch, move)
+        with pytest.raises(AssertionError, match="every arc"):
+            global_sections(crossing_sheaf(False))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # every entry one higher: each arc still drops, but not from zero on the unbounded edges
+            lambda maps, choices, y: (choices, [[v + 1 for v in block] for block in y]),
+            # every block one edge early: the blocks no longer fit the edges
+            lambda maps, choices, y: (choices, [*y[1:], [0]]),
+        ],
+        ids=["plus_one", "one_edge_early"],
+    )
+    def test_potential_off_by_one(self, corrupt, monkeypatch):
+        self.patch_sweep(monkeypatch, corrupt)
+        with pytest.raises(AssertionError, match="unbounded edges"):
+            global_sections(crossing_sheaf(False))
+
+
 class TestValidateOnce:
     @pytest.mark.parametrize("name", fixtures_with("window"))
     def test_scene_sheaves_are_decided_without_validation(self, name, monkeypatch):
         sheaf = build_sheaf(scene_from_jsonable(load_fixture(name)))
 
-        def refuse(S):
-            raise AssertionError("a sheaf the sweep accepts is valid by construction")
+        def refuse(*args):
+            raise AssertionError("a sheaf the sweep accepts is valid by construction and counted in integers")
 
         monkeypatch.setattr(evasion.sheaf, "validate_sheaf", refuse)
+        monkeypatch.setattr(evasion.sheaf, "rank", refuse)
         assert global_sections(sheaf).decision is not None
 
     @pytest.mark.parametrize(
@@ -264,13 +343,13 @@ class TestValidateOnce:
     def test_sheaves_outside_the_sweep_are_validated(self, sheaf, monkeypatch):
         calls = []
 
-        def counted(S):
-            calls.append(S)
-            return validate_sheaf(S)
+        def counted(f):
+            return lambda arg: calls.append(f.__name__) or f(arg)
 
-        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted)
+        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted(validate_sheaf))
+        monkeypatch.setattr(evasion.sheaf, "rank", counted(rank))
         assert global_sections(sheaf).decision.feasible
-        assert len(calls) == 1
+        assert calls == ["validate_sheaf", "rank"]
 
 
 class TestRefine:
