@@ -5,8 +5,9 @@ Draws random free function-like cone sheaves, which `global_sections`
 decides by the reachability sweep, and insists the sweep's verdict, the
 verdict of the simplex called directly on the coboundary, the sweep's
 certificate and the decomposability of the simplex witness all line up,
-and that the sweep's kernel_dim (a cycle rank) is the coboundary's columns
-minus its rank.
+that the sweep's kernel_dim (a cycle rank) is the coboundary's columns
+minus its rank, and that the coboundary the decided sections build when
+read is `assemble_coboundary`'s, labels included.
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
 The flow decomposition is the test reference in `tests/reference_chains.py`,
 which the script finds next to itself in the checkout.
@@ -25,7 +26,7 @@ from evasion.cli import sheaf_to_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
 from evasion.linalg import rank
 from evasion.randgen import random_function_like_sheaf
-from evasion.sheaf import global_sections
+from evasion.sheaf import assemble_coboundary, global_sections
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference_chains import flow_decompose  # noqa: E402
@@ -44,8 +45,14 @@ def main() -> int:
     for trial in range(args.count):
         sheaf = random_function_like_sheaf(rng, args.max_vertices, args.max_gens)
         sections = global_sections(sheaf)
+        assembled = assemble_coboundary(sheaf)
+        same = (sections.row_labels, sections.column_labels, sections.coboundary) == (
+            assembled.row_labels,
+            assembled.column_labels,
+            assembled.coboundary,
+        )
         simplex = lp_positive_kernel(sections.coboundary)
-        ok = simplex.feasible == sections.decision.feasible
+        ok = same and simplex.feasible == sections.decision.feasible
         ok = ok and sections.kernel_dim == sections.coboundary.cols - rank(sections.coboundary)
         if ok and sections.decision.feasible:
             feasible += 1
@@ -54,7 +61,8 @@ def main() -> int:
         elif ok:
             ok = is_valid_certificate(sections.coboundary, sections.decision.certificate)
         if not ok:
-            print(f"disagreement at trial {trial} (seed {args.seed}):", file=sys.stderr)
+            what = "disagreement" if same else "coboundary differs from assemble_coboundary's"
+            print(f"{what} at trial {trial} (seed {args.seed}):", file=sys.stderr)
             json.dump(sheaf_to_jsonable(sheaf), sys.stderr, indent=2)
             return 1
     print(f"{args.count} sheaves checked, {feasible} feasible, no disagreements (seed {args.seed})")

@@ -2,8 +2,8 @@
 """Wall-clock scaling of the full decision pipeline on two scene families.
 
 - pulsing n: rank-one stalks at every cell and n critical times, so the
-  numbers isolate the pipeline's bookkeeping (arrangement sweeps,
-  coboundary assembly, decision, path extraction) as the timeline grows.
+  numbers isolate the pipeline's bookkeeping (arrangement sweeps, sheaf
+  construction, decision, path extraction) as the timeline grows.
 - comb m: m walls opening one after another, about m+1 gap components per
   cell and 2m+1 critical times, so stalks and arrangements grow too.
 

@@ -354,10 +354,23 @@ def _fail(message: str, **extra) -> int:
     return EXIT_ERROR
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"malformed JSON: duplicate key {repeated!r}")
+    return obj
+
+
 def _load_json(path_str: str):
+    """The parsed file and its SHA-256; a repeated key or nesting too deep to
+    parse is malformed JSON, not a silent last-one-wins or a crash."""
     raw = Path(path_str).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    return json.loads(raw.decode("utf-8")), digest
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys), digest
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply to parse") from None
 
 
 def run_check(scene: Scene) -> tuple[GlobalSections, EvasionPath | None, dict[str, float]]:

@@ -87,19 +87,9 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple({i: ONE} for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple({} for _ in range(rows)))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.nonzeros[i].get(j, ZERO)
-
     def row(self, i: int) -> Vec:
         r = self.nonzeros[i]
         return tuple(r.get(j, ZERO) for j in range(self.cols))
-
-    def col(self, j: int) -> Vec:
-        return tuple(r.get(j, ZERO) for r in self.nonzeros)
 
     def mul_vec(self, v) -> Vec:
         if len(v) != self.cols:

@@ -20,8 +20,9 @@ certificate exactly:
     with exactly one 1 per column; all scene sheaves are of this kind) have
     a node-arc incidence matrix as coboundary: edge generators are nodes and
     each vertex generator is an arc from its left to its right image. A
-    left-to-right reachability sweep decides them in O(#generators) and
-    emits both Stiemke objects (`section_sweep`); kernel_dim is a cycle rank.
+    left-to-right reachability sweep decides them in O(#generators), without
+    building that matrix, and emits both Stiemke objects (`section_sweep`);
+    kernel_dim is a cycle rank.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -29,9 +30,10 @@ certificate exactly:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, count, pairwise
+from functools import cached_property
+from itertools import accumulate, chain, count, pairwise
 
 from evasion.cones import (
     FEASIBLE,
@@ -161,19 +163,35 @@ class SectionChain:
 
 @dataclass(frozen=True)
 class GlobalSections:
-    """Coboundary of a cone sheaf in generator coordinates, plus the decision.
+    """Global sections of a cone sheaf: the labelled coboundary, plus the decision.
 
     Columns are vertex-stalk generators, rows are ambient coordinates of
     precompact edge stalks (for free stalks those coincide with labelled
-    generators). kernel_dim (columns minus rank) and decision are None when
-    only the matrix was assembled.
+    generators). The matrix is built from the sheaf on first read. kernel_dim
+    (columns minus rank) and decision are None when only labels were built.
     """
 
-    coboundary: Matrix
+    sheaf: ConeSheaf = field(repr=False)
     row_labels: tuple[CellLabel, ...]
     column_labels: tuple[CellLabel, ...]
     kernel_dim: int | None = None
     decision: FeasibilityResult | None = None
+
+    @cached_property
+    def coboundary(self) -> Matrix:
+        """The signed substituted coboundary D*G of the sheaf."""
+        S = self.sheaf
+        col_offsets = [0, *accumulate(len(stalk.labels) for stalk in S.vertex_stalks)]
+        rows: list[SparseRow] = [{} for _ in self.row_labels]
+        base = 0
+        for j in range(1, S.strat.k):  # precompact edges only; unbounded maps are zeroed out
+            # left endpoint enters with -, right endpoint with +
+            for vi, M, sign in ((j - 1, S.right_maps[j - 1], -1), (j, S.left_maps[j], 1)):
+                for col, image in enumerate(_generator_images(M, S.vertex_stalks[vi]), col_offsets[vi]):
+                    for d, val in image.items():
+                        rows[base + d][col] = val if sign > 0 else -val
+            base += S.edge_stalks[j].ambient_dim
+        return Matrix(len(rows), len(self.column_labels), tuple(rows))
 
 
 def _generator_images(M: Matrix, stalk: PolyhedralCone) -> tuple[SparseRow, ...]:
@@ -227,35 +245,16 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
     return SheafReport(not violations, tuple(violations))
 
 
-def _assemble(S: ConeSheaf) -> GlobalSections:
-    """The labelled substituted coboundary D*G of a valid sheaf."""
+def _labels(S: ConeSheaf) -> tuple[tuple[CellLabel, ...], tuple[CellLabel, ...]]:
+    """Row and column labels of the coboundary of a valid sheaf."""
     strat = S.strat
-    col_labels: list[CellLabel] = []
-    col_offsets: list[int] = []
-    for i, stalk in enumerate(S.vertex_stalks):
-        col_offsets.append(len(col_labels))
-        vid = strat.vertex_id(i)
-        col_labels.extend((vid, lab) for lab in stalk.labels)
-    rows: list[SparseRow] = []
     row_labels: list[CellLabel] = []
-    for j in range(1, strat.k):  # precompact edges only; unbounded maps are zeroed out
-        stalk = S.edge_stalks[j]
-        eid = strat.edge_id(j)
-        if stalk.is_free:
-            coord_labels = stalk.labels
-        else:
-            coord_labels = tuple(f"x{d}" for d in range(stalk.ambient_dim))
-        base = len(rows)
-        for d in range(stalk.ambient_dim):
-            row_labels.append((eid, coord_labels[d]))
-            rows.append({})
-        # left endpoint enters with -, right endpoint with +
-        for vi, M, sign in ((j - 1, S.right_maps[j - 1], -1), (j, S.left_maps[j], 1)):
-            offset = col_offsets[vi]
-            for g, image in enumerate(_generator_images(M, S.vertex_stalks[vi])):
-                for d, val in image.items():
-                    rows[base + d][offset + g] = val if sign > 0 else -val
-    return GlobalSections(Matrix(len(rows), len(col_labels), tuple(rows)), tuple(row_labels), tuple(col_labels))
+    for j in range(1, strat.k):  # precompact edges only
+        stalk, eid = S.edge_stalks[j], strat.edge_id(j)
+        coord_labels = stalk.labels if stalk.is_free else [f"x{d}" for d in range(stalk.ambient_dim)]
+        row_labels.extend((eid, lab) for lab in coord_labels)
+    vertices = zip(map(strat.vertex_id, range(strat.k)), S.vertex_stalks)
+    return tuple(row_labels), tuple((vid, lab) for vid, stalk in vertices for lab in stalk.labels)
 
 
 def _normalise(S: ConeSheaf) -> ConeSheaf:
@@ -266,12 +265,12 @@ def _normalise(S: ConeSheaf) -> ConeSheaf:
 
 
 def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
-    """Labelled coboundary matrix only; kernel_dim and decision left unset."""
+    """Labelled coboundary only; kernel_dim and decision left unset."""
     S = _normalise(S)
     report = validate_sheaf(S)
     if not report.ok:
         raise SheafValidationError(report)
-    return _assemble(S)
+    return GlobalSections(S, *_labels(S))
 
 
 def global_sections(S: ConeSheaf) -> GlobalSections:
@@ -292,7 +291,9 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         M = sections.coboundary
         # no generator anywhere: only the zero section exists, vacuous certificate
         decision = lp_positive_kernel(M) if M.cols else FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * M.rows)
-        return replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
+        sections = replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
+        vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
+        return sections
     # generator_maps accepts only free stalks and restrictions sending each
     # generator onto one generator, so such a sheaf is valid as it stands
     choices, y = section_sweep(S, maps)
@@ -312,7 +313,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
-    return replace(_assemble(S), kernel_dim=cycle_rank(S, maps), decision=decision)
+    return GlobalSections(S, *_labels(S), cycle_rank(S, maps), decision)
 
 
 def generator_maps(S: ConeSheaf) -> GeneratorMaps:
@@ -328,17 +329,19 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
     for cell, stalk in cells:
         if not stalk.is_free:
             raise UnsupportedSheafError(f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free")
-    images = []
+    images, read = [], {}  # id of each distinct restriction -> its image tuple
     for i, j, M in S.incidences():
-        cols = M.column_nonzeros
-        for c, col in enumerate(cols):
-            if len(col) != 1 or 1 not in col.values():
-                raise UnsupportedSheafError(
-                    f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
-                    f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not col else 'is not a single 1'}; "
-                    "the sweep requires 0/1 restrictions with exactly one 1 per column"
-                )
-        images.append(tuple(next(iter(col)) for col in cols))
+        if id(M) not in read:
+            cols = M.column_nonzeros
+            for c, col in enumerate(cols):
+                if len(col) != 1 or 1 not in col.values():
+                    raise UnsupportedSheafError(
+                        f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
+                        f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not col else 'is not a single 1'}; "
+                        "the sweep requires 0/1 restrictions with exactly one 1 per column"
+                    )
+            read[id(M)] = tuple(next(iter(col)) for col in cols)
+        images.append(read[id(M)])
     return tuple(zip(images[0::2], images[1::2]))
 
 
@@ -418,20 +421,15 @@ def refine(S: ConeSheaf, t) -> ConeSheaf:
     j = S.strat.find_edge(t)
     stalk = S.edge_stalks[j]
     ident = Matrix.identity(stalk.ambient_dim)
-    times = list(S.strat.vertex_times)
-    times.insert(j, t)
-    vertex_stalks = list(S.vertex_stalks)
-    vertex_stalks.insert(j, stalk)
-    edge_stalks = list(S.edge_stalks)
-    edge_stalks[j : j + 1] = [stalk, stalk]
-    left_maps = list(S.left_maps)
-    left_maps.insert(j, ident)
-    right_maps = list(S.right_maps)
-    right_maps.insert(j, ident)
+
+    def insert(items: tuple, item) -> tuple:
+        return (*items[:j], item, *items[j:])
+
+    # the edge's stalk at j is its left daughter, the copy after it its right one
     return ConeSheaf(
-        strat=Stratification(tuple(times)),
-        vertex_stalks=tuple(vertex_stalks),
-        edge_stalks=tuple(edge_stalks),
-        left_maps=tuple(left_maps),
-        right_maps=tuple(right_maps),
+        strat=Stratification(insert(S.strat.vertex_times, t)),
+        vertex_stalks=insert(S.vertex_stalks, stalk),
+        edge_stalks=insert(S.edge_stalks, stalk),
+        left_maps=insert(S.left_maps, ident),
+        right_maps=insert(S.right_maps, ident),
     )

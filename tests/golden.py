@@ -74,5 +74,5 @@ def reorder_to_golden(sections, golden_rows, golden_cols) -> Matrix:
     row_perm = [row_names.index(name) for name in golden_rows]
     M = sections.coboundary
     return Matrix.from_rows(
-        [[M.at(i, j) for j in col_perm] for i in row_perm]
+        [[M.row(i)[j] for j in col_perm] for i in row_perm]
     )

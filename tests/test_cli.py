@@ -360,6 +360,15 @@ def test_malformed_sheaf_schema_is_a_clean_input_error(capsys, tmp_path):
     assert "malformed sheaf" in report["error"]
 
 
+@pytest.mark.parametrize("command", ["check", "lp"])
+def test_json_nested_too_deeply_to_parse_is_malformed(capsys, tmp_path, command):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    code, report = run_cli(capsys, command, str(bad))
+    assert code == 1
+    assert report["error"].startswith("malformed JSON")
+
+
 def test_sheaf_labels_must_be_a_list(capsys, tmp_path):
     bad = tmp_path / "string_labels.json"
     bad.write_text(
@@ -439,11 +448,17 @@ def _with_v1_stalk(stalk):
             ["stalk over v1", "labels must parallel generators"],
         ),
         (_with_v1_stalk({"labels": ["a"], "generators": [["0"]]}), ["stalk over v1", "zero vector"]),
+        # a second v1 stalk would silently replace the first
+        pytest.param(
+            json.dumps(_one_vertex_sheaf(["a"], ["1"])).replace('"e2": {', '"v1": {"labels": ["b"]}, "e2": {'),
+            ["malformed JSON", "duplicate key", "'v1'"],
+            id="duplicate-key",
+        ),
     ],
 )
 def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
     bad = tmp_path / "ambiguous.json"
-    bad.write_text(json.dumps(sheaf))
+    bad.write_text(sheaf if isinstance(sheaf, str) else json.dumps(sheaf))
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert all(part in report["error"] for part in named), report["error"]
@@ -468,11 +483,17 @@ WINDOW = {"x": [0, 4], "y": [0, 4]}
         ),
         pytest.param({"window": {"x": [0, 4]}}, ["malformed scene JSON", "window", "'y'"], id="window-without-y"),
         pytest.param({"window": [0, 4]}, ["malformed scene JSON", "window", "object"], id="window-as-list"),
+        # the second t would silently win
+        pytest.param(
+            '{"window": {"x": [0, 4], "y": [0, 4]}, "boxes": [{"t": [0, 1], "x": [1, 2], "y": [1, 2], "t": [2, 3]}]}',
+            ["malformed JSON", "duplicate key", "'t'"],
+            id="duplicate-key",
+        ),
     ],
 )
 def test_ambiguous_scene_json_is_rejected(capsys, tmp_path, scene, named):
     bad = tmp_path / "ambiguous.json"
-    bad.write_text(json.dumps(scene))
+    bad.write_text(scene if isinstance(scene, str) else json.dumps(scene))
     code, report = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert all(part in report["error"] for part in named), report["error"]

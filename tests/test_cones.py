@@ -30,7 +30,7 @@ def frac_matrix(rows):
 
 class TestLpPositiveKernel:
     def test_zero_map_is_feasible(self):
-        res = lp_positive_kernel(Matrix.zeros(1, 1))
+        res = lp_positive_kernel(Matrix.from_rows([[0]]))
         assert res.feasible
         assert res.witness == (Fraction(1),)
 
@@ -49,7 +49,7 @@ class TestLpPositiveKernel:
 
     def test_no_columns_rejected(self):
         with pytest.raises(ValueError):
-            lp_positive_kernel(Matrix.zeros(2, 0))
+            lp_positive_kernel(Matrix.from_rows([[], []]))
 
     @pytest.mark.parametrize(
         "matrix, answer",
@@ -136,14 +136,14 @@ class TestIsPositiveCone:
 
 class TestIsValidCertificate:
     def test_zero_matrix_has_no_certificate(self):
-        assert not is_valid_certificate(Matrix.zeros(2, 2), (1, 1))
+        assert not is_valid_certificate(Matrix.from_rows([[0, 0], [0, 0]]), (1, 1))
 
     def test_one_by_one(self):
         assert is_valid_certificate(Matrix.from_rows([[1]]), (1,))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            is_valid_certificate(Matrix.zeros(2, 2), (1,))
+            is_valid_certificate(Matrix.from_rows([[0, 0], [0, 0]]), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_kernel_ray_answers_for_its_objective_columns(M, data):
         assert min(x) >= 0 and sum(x) == 1 and not any(M.mul_vec(x))
         assert any(x[j] for j in objective)
     else:
-        priced = [sum((M.at(i, j) * u[i] for i in range(M.rows)), Fraction(0)) for j in range(M.cols)]
+        priced = [sum((v * u[i] for i, v in M.column_nonzeros[j].items()), Fraction(0)) for j in range(M.cols)]
         assert all(p >= (1 if j in objective else 0) for j, p in enumerate(priced))
 
 

@@ -30,7 +30,7 @@ from evasion.geometry import (
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
 from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
-from evasion.sheaf import SectionChain, assemble_coboundary, global_sections, validate_sheaf
+from evasion.sheaf import SectionChain, assemble_coboundary, generator_maps, global_sections, validate_sheaf
 
 from conftest import load_fixture
 from reference_geometry import reference_fibre, reference_validate
@@ -354,8 +354,14 @@ class TestFibreSharing:
         # a module that binds `columns` by name would escape the wrapper above
         monkeypatch.setattr(evasion.sheaf, "columns", counted_columns, raising=False)
         monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted_validation)
-        global_sections(build_sheaf(scene))
+        sheaf = build_sheaf(scene)
+        global_sections(sheaf)
         assert (len(builds), len(validations)) == (distinct, 0)
+        # generator_maps reads the view of each distinct restriction, not of each of the 800 or 98 incidences
+        reads, view = [], Matrix.column_nonzeros
+        monkeypatch.setattr(Matrix, "column_nonzeros", property(lambda M: reads.append(M) or view.__get__(M)))
+        generator_maps(sheaf)
+        assert len(reads) == distinct
 
     def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
         scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])
@@ -436,8 +442,8 @@ def test_vertex_components_persist_to_both_sides(seed):
     sheaf = build_sheaf(scene)
     for M in (*sheaf.left_maps, *sheaf.right_maps):
         for c in range(M.cols):
-            assert sum(1 for r in range(M.rows) if M.at(r, c)) == 1
-            assert all(M.at(r, c) in (0, 1) for r in range(M.rows))
+            assert len(M.column_nonzeros[c]) == 1
+            assert all(v in (0, 1) for v in M.column_nonzeros[c].values())
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())

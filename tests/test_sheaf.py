@@ -82,8 +82,8 @@ def empty_vertex_sheaf() -> ConeSheaf:
         Stratification.make([0, 1]),
         (none, none),
         (one, none, one),
-        (Matrix.zeros(1, 0), Matrix.zeros(0, 0)),
-        (Matrix.zeros(0, 0), Matrix.zeros(1, 0)),
+        (Matrix.from_rows([[]]), Matrix.from_rows([])),
+        (Matrix.from_rows([]), Matrix.from_rows([[]])),
     )
 
 
@@ -211,8 +211,8 @@ class TestGlobalSections:
         sections = global_sections(sheaf)
         assert sections.decision.feasible
         # block of v1: columns are the generators themselves
-        assert sections.coboundary.col(0)[:2] == (Fraction(-1), Fraction(0))
-        assert sections.coboundary.col(1)[:2] == (Fraction(-1), Fraction(-1))
+        assert sections.coboundary.row(0)[:2] == (Fraction(-1), Fraction(-1))
+        assert sections.coboundary.row(1)[:2] == (Fraction(0), Fraction(-1))
         lam = sections.decision.witness
         x_v1 = [
             sum((lam[g] * wedge.generators[g][d] for g in range(2)), Fraction(0))
@@ -319,10 +319,11 @@ class TestValidateOnce:
         sheaf = build_sheaf(scene_from_jsonable(load_fixture(name)))
 
         def refuse(*args):
-            raise AssertionError("a sheaf the sweep accepts is valid by construction and counted in integers")
+            raise AssertionError("a sheaf the sweep accepts is valid by construction and decided in integers")
 
         monkeypatch.setattr(evasion.sheaf, "validate_sheaf", refuse)
         monkeypatch.setattr(evasion.sheaf, "rank", refuse)
+        monkeypatch.setattr(evasion.sheaf, "_generator_images", refuse)  # every coboundary entry is read through it
         assert global_sections(sheaf).decision is not None
 
     @pytest.mark.parametrize(
@@ -344,11 +345,16 @@ class TestValidateOnce:
         calls = []
 
         def counted(f):
-            return lambda arg: calls.append(f.__name__) or f(arg)
+            return lambda *args: calls.append(f.__name__) or f(*args)
 
         monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted(validate_sheaf))
         monkeypatch.setattr(evasion.sheaf, "rank", counted(rank))
-        assert global_sections(sheaf).decision.feasible
+        sections = global_sections(sheaf)
+        assert sections.decision.feasible
+        assert calls == ["validate_sheaf", "rank"]
+        # the matrix the simplex decided is the one read back, not a second build
+        monkeypatch.setattr(evasion.sheaf, "_generator_images", counted(evasion.sheaf._generator_images))
+        assert sections.coboundary.cols == len(sections.column_labels)
         assert calls == ["validate_sheaf", "rank"]
 
 
@@ -446,6 +452,9 @@ def test_lp_matches_dp_on_function_like_sheaves(seed):
     sections = global_sections(sheaf)
     exists, chain = dp_section_exists(sheaf)
     assert exists == sections.decision.feasible == lp_positive_kernel(sections.coboundary).feasible
+    # built from the sheaf on first read, then kept
+    assert sections.coboundary is sections.coboundary
+    assert sections.coboundary == assemble_coboundary(sheaf).coboundary
     if exists:
         k = sheaf.strat.k
         expected = [
