@@ -7,22 +7,26 @@
 - comb m: m walls opening one after another, about m+1 gap components per
   cell and 2m+1 critical times, so stalks and arrangements grow too.
 
-Each scene runs through `evasion.cli.run_check`, the pipeline of
-`evasion check`, and the columns are its `timing_ms` stages in
-milliseconds: fibres, validate, build_sheaf, lp and path. "fibres" builds
-the gap fibres, and the later stages take them from it, so "validate" is
-scene validation alone and "build_sheaf" sheaf construction alone.
+Each scene is written as JSON text, and "parse" times reading it back with
+`evasion.cli.scene_from_jsonable`. The scene then runs through
+`evasion.cli.run_check`, the pipeline of `evasion check`, and the other
+columns are its `timing_ms` stages in milliseconds: fibres, validate,
+build_sheaf, lp and path. "fibres" builds the gap fibres, and the later
+stages take them from it, so "validate" is scene validation alone and
+"build_sheaf" sheaf construction alone.
 
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
 """
 
 import argparse
+import json
+import time
 
-from evasion.cli import run_check
+from evasion.cli import run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.geometry import critical_times
 from evasion.randgen import comb_scene, pulsing_box_scene
 
-STAGES = ("fibres", "validate", "build_sheaf", "lp", "path")
+STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path")
 
 
 def main() -> None:
@@ -33,8 +37,12 @@ def main() -> None:
     print(f"{'family':>8} {'size':>6} {'times':>6}" + "".join(f" {stage:>11}" for stage in STAGES) + "  verdict")
     cases = [("pulsing", n, pulsing_box_scene) for n in args.sizes] + [("comb", m, comb_scene) for m in args.comb]
     for family, size, make in cases:
-        scene = make(size)
-        sections, _, timing = run_check(scene)
+        text = json.dumps(scene_to_jsonable(make(size)))
+        t0 = time.perf_counter()
+        scene = scene_from_jsonable(json.loads(text))
+        parse_ms = (time.perf_counter() - t0) * 1000
+        _, sections, _, timing = run_check(scene)
+        timing["parse"] = parse_ms
         columns = "".join(f" {timing[stage]:>9.1f}ms" if stage in timing else f" {'-':>11}" for stage in STAGES)
         verdict = "EVASION" if sections.decision.feasible else "NO_EVASION"
         print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns}  {verdict}")

@@ -31,11 +31,11 @@ from evasion.cones import PolyhedralCone, lp_positive_kernel
 from evasion.geometry import (
     Box,
     EvasionPath,
+    Fibres,
     PathSegment,
     Scene,
     SceneValidationError,
     build_sheaf,
-    critical_times,
     extract_path,
 )
 from evasion.linalg import Matrix, format_rational, parse_rational
@@ -286,10 +286,14 @@ def path_from_jsonable(data) -> EvasionPath:
 # ---------------------------------------------------------------------------
 # svg rendering (time horizontally, spatial y vertically)
 
-def render_scene_svg(scene: Scene, path: EvasionPath | None = None) -> str:
-    times = critical_times(scene)
-    t_lo = (times[0] - 1) if times else Fraction(-1)
-    t_hi = (times[-1] + 1) if times else Fraction(1)
+def render_scene_svg(scene: Scene, fibres: Fibres, path: EvasionPath | None = None) -> str:
+    """The scene's gaps, boxes and path, from the fibres `scene_fibres` built."""
+    vts, vertex_fibres, edge_fibres = fibres
+    # a scene without critical times has one synthetic vertex at t=0, drawn
+    # as a cell but given no dashed line; it shares its fibre with both
+    # edges, while a real first vertex holds a box its left edge lacks
+    times = () if vertex_fibres[0] is edge_fibres[0] else vts
+    t_lo, t_hi = vts[0] - 1, vts[-1] + 1
     y_lo, y_hi = scene.window_y
     width, height, margin = 720.0, 360.0, 30.0
 
@@ -305,9 +309,6 @@ def render_scene_svg(scene: Scene, path: EvasionPath | None = None) -> str:
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" height="{height - 2 * margin}" '
         'fill="#f4f6f8" stroke="#333"/>',
     ]
-    # a scene without critical times has one synthetic vertex at t=0, drawn
-    # as a cell but given no dashed line
-    vts, vertex_fibres, edge_fibres = geometry.scene_fibres(scene)
     cells = []
     for j, ef in enumerate(edge_fibres):
         lo = vts[j - 1] if j >= 1 else t_lo
@@ -382,15 +383,15 @@ def _load_json(path_str: str):
         raise ValueError("malformed JSON: nested too deeply to parse") from None
 
 
-def run_check(scene: Scene) -> tuple[GlobalSections, EvasionPath | None, dict[str, float]]:
+def run_check(scene: Scene) -> tuple[Fibres, GlobalSections, EvasionPath | None, dict[str, float]]:
     """The stages of `evasion check`: gap fibres, scene validation, cone
     sheaf, decision ("lp") and, for EVASION only, the path.
 
     The fibres are built once and handed to validation, the sheaf builder
-    and path extraction. Returns the sections, the path (None for
-    NO_EVASION) and the wall time of each stage in milliseconds. Each stage
-    is looked up on its module when it runs, so that a wrapper installed
-    there (a profiler's, say) sees the call.
+    and path extraction. Returns the fibres, the sections, the path (None
+    for NO_EVASION) and the wall time of each stage in milliseconds. Each
+    stage is looked up on its module when it runs, so that a wrapper
+    installed there (a profiler's, say) sees the call.
     """
     timing: dict[str, float] = {}
 
@@ -406,13 +407,19 @@ def run_check(scene: Scene) -> tuple[GlobalSections, EvasionPath | None, dict[st
         raise SceneValidationError(report)
     sections = stage("lp", global_sections, stage("build_sheaf", geometry.sheaf_from_fibres, fibres))
     path = stage("path", extract_path, scene, fibres, sections) if sections.decision.feasible else None
-    return sections, path, timing
+    return fibres, sections, path, timing
 
 
 def cmd_check(args) -> int:
+    t0 = time.perf_counter()
     data, digest = _load_json(args.scene)
     scene = scene_from_jsonable(data)
-    sections, path, timing = run_check(scene)
+    parse_ms = (time.perf_counter() - t0) * 1000
+    fibres, sections, path, timing = run_check(scene)
+    timing["parse"] = parse_ms
+    # drawn now, so that the fibres are not kept alive while the report is built
+    svg = render_scene_svg(scene, fibres, path) if args.plot else None
+    del fibres
     feasible = sections.decision.feasible
     out: dict = {
         "verdict": "EVASION" if feasible else "NO_EVASION",
@@ -435,8 +442,8 @@ def cmd_check(args) -> int:
         out["path"] = path_to_jsonable(path)
         if args.path_out:
             Path(args.path_out).write_text(json.dumps(out["path"], indent=2, sort_keys=True))
-    if args.plot:
-        Path(args.plot).write_text(render_scene_svg(scene, path))
+    if svg is not None:
+        Path(args.plot).write_text(svg)
     out["timing_ms"] = {k: round(v, 3) for k, v in timing.items()}
     _emit(out)
     return EXIT_EVASION if feasible else EXIT_NO_EVASION
@@ -485,7 +492,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_path(args) -> int:
     data, digest = _load_json(args.scene)
-    _, path, _ = run_check(scene_from_jsonable(data))
+    _, _, path, _ = run_check(scene_from_jsonable(data))
     if path is None:
         _emit({"verdict": "NO_EVASION", "input_digest": digest})
         return EXIT_NO_EVASION

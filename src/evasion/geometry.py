@@ -12,14 +12,20 @@ grid) are each entirely covered or entirely gap, and two gap faces are
 connected exactly when they are incident, so connected components come out
 of a flood fill with no numeric slack.
 
-The arrangement runs on integer ranks. Each scene gets one rank table: the
-sorted distinct x and y coordinates of the window and of every
-window-relevant box clamped to it, and each box's rank rectangle. Ranking is
-strictly increasing on those finite sets and every comparison the
+The arrangement and the time sweep run on integer ranks. Each scene gets one
+rank table that ranks its three axes once: the x and y coordinates of the
+window and of every box, and the times of the window-relevant boxes. Values
+are deduplicated by their (numerator, denominator) pair and sorted by the
+exact key (integer part, value), so no `Fraction` is hashed and two are
+compared only when they share an integer part. Window relevance and clamping
+compare ranks, and the table keeps the sorted distinct x and y coordinates of
+the window and of the relevant boxes clamped to it, the critical times, and
+each relevant box's rank rectangle and time span. Ranking is strictly
+increasing on those finite sets and every comparison the sweep, the
 arrangement, the validation and the restrictions make is between their
 members, so ranks take every branch the rationals would; `Fraction` values
-appear only in the outputs (grid coordinates, anchors, interior points, the
-sample time of a validation message).
+appear only in the outputs (grid coordinates, vertex times, anchors, interior
+points, the sample time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -194,43 +200,38 @@ def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
     return coords[k] if i % 2 == 0 else (coords[k] + coords[k + 1]) / 2
 
 
-def _relevant(scene: Scene, box: Box) -> bool:
-    # does the closed box meet the open window interior?
-    return (
-        box.x[0] < scene.window_x[1]
-        and box.x[1] > scene.window_x[0]
-        and box.y[0] < scene.window_y[1]
-        and box.y[1] > scene.window_y[0]
-    )
+def _ranks(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+    """The sorted distinct values, and the rank of each value among them.
 
-
-def _clamp(iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
-    return max(iv[0], lo), min(iv[1], hi)
-
-
-def _ranked(window: Interval, ivs: list[Interval]) -> tuple[tuple[Fraction, ...], list[tuple[int, int]]]:
-    """Sorted distinct coordinates of the window and of the intervals clamped
-    to it, and the rank pair of each clamped interval."""
-    clamped = [_clamp(iv, *window) for iv in ivs]
-    coords = tuple(sorted({*window, *(c for iv in clamped for c in iv)}))
-    rank = {c: k for k, c in enumerate(coords)}
-    return coords, [(rank[lo], rank[hi]) for lo, hi in clamped]
+    Values are told apart by their (numerator, denominator) pair, which is
+    exact since `Fraction`s are normalised, and sorted by the exact key
+    (integer part, value), so two values are compared as `Fraction`s only
+    when they share an integer part and none is hashed."""
+    pairs = [v.as_integer_ratio() for v in values]
+    distinct = dict(zip(pairs, values))
+    order = sorted(distinct.items(), key=lambda item: (item[0][0] // item[0][1], item[1]))
+    rank = {pair: k for k, (pair, _) in enumerate(order)}
+    return [v for _, v in order], [rank[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
 class _RankTable:
     """The integer coordinates of one scene.
 
-    `boxes` are the window-relevant boxes, and `rects[b]` is box b clamped
-    to the window as ranks (x0, x1, y0, y1) into `xs` and `ys`. `xmid` and
+    Each axis is ranked once over the window and every box (`_ranks`), and
+    window relevance and clamping compare those ranks. The table keeps the
+    window-relevant boxes only: `rects[b]` is box b clamped to the window
+    as ranks (x0, x1, y0, y1) into `xs` and `ys`, and `spans[b]` its time
+    interval as ranks into `ts`, the sorted critical times. `xmid` and
     `ymid` memoise interval midpoints by rank pair, since the fibres of one
     scene share most of their intervals.
     """
 
-    boxes: tuple[Box, ...]
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
+    ts: tuple[Fraction, ...]
     rects: tuple[Rect, ...]
+    spans: tuple[tuple[int, int], ...]
     xmid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
     ymid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
 
@@ -243,10 +244,28 @@ def _midpoint(coords: tuple[Fraction, ...], lo: int, hi: int, memo: dict[tuple[i
 
 
 def _rank_table(scene: Scene) -> _RankTable:
-    boxes = tuple(b for b in scene.boxes if _relevant(scene, b))
-    xs, xr = _ranked(scene.window_x, [b.x for b in boxes])
-    ys, yr = _ranked(scene.window_y, [b.y for b in boxes])
-    return _RankTable(boxes, xs, ys, tuple(x + y for x, y in zip(xr, yr)))
+    boxes = scene.boxes
+    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in boxes for c in b.x)])
+    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in boxes for c in b.y)])
+    times, clamped = [], []
+    for box, x0, x1, y0, y1 in zip(boxes, bx[0::2], bx[1::2], by[0::2], by[1::2]):
+        # does the closed box meet the open window interior?
+        if x0 < wx1 and x1 > wx0 and y0 < wy1 and y1 > wy0:
+            times += box.t
+            clamped.append((max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1)))
+    # keep the ranks the window and the clamped relevant boxes use
+    xcut = sorted({wx0, wx1, *(c for r in clamped for c in r[:2])})
+    ycut = sorted({wy0, wy1, *(c for r in clamped for c in r[2:])})
+    xpos = {r: k for k, r in enumerate(xcut)}
+    ypos = {r: k for k, r in enumerate(ycut)}
+    ts, tr = _ranks(times)
+    return _RankTable(
+        tuple(xv[r] for r in xcut),
+        tuple(yv[r] for r in ycut),
+        tuple(ts),
+        tuple((xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for x0, x1, y0, y1 in clamped),
+        tuple(zip(tr[0::2], tr[1::2])),
+    )
 
 
 def _arrange(table: _RankTable, key: Key) -> GapFibre:
@@ -312,7 +331,9 @@ def gap_components(scene: Scene, t) -> GapFibre:
     """
     t = Fraction(t)
     table = _rank_table(scene)
-    alive = {table.rects[b] for b, box in enumerate(table.boxes) if box.alive(t)}
+    # a box is alive iff ts[t0] <= t <= ts[t1]
+    lo, hi = bisect_left(table.ts, t), bisect_right(table.ts, t)
+    alive = {rect for rect, (t0, t1) in zip(table.rects, table.spans) if t0 < hi and t1 >= lo}
     return _arrange(table, tuple(sorted(alive)))
 
 
@@ -335,8 +356,7 @@ def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     Between consecutive returned times the alive set is constant, so the gap
     is a product of a fixed fibre with the open interval.
     """
-    ts = {e for b in scene.boxes if _relevant(scene, b) for e in b.t}
-    return tuple(sorted(ts))
+    return _rank_table(scene).ts
 
 
 def _coverage_connected(key: Key, top_x: int, top_y: int) -> bool:
@@ -373,22 +393,20 @@ def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
     return (times[j - 1] + times[j]) / 2
 
 
-def _sample_keys(table: _RankTable) -> tuple[tuple[Fraction, ...], list[Key]]:
-    """Critical times and the alive key of every sample, in one sweep: the
+def _sample_keys(table: _RankTable) -> list[Key]:
+    """The alive key of every sample, in one sweep over the time ranks: the
     sorted distinct rank rectangles of the boxes alive there.
 
     Sample 2j is the edge sample before vertex j and sample 2j + 1 is vertex
-    j, so a box alive on [times[a], times[b]] is alive at samples 2a + 1
-    through 2b + 1.
+    j, so a box alive on [ts[a], ts[b]] is alive at samples 2a + 1 through
+    2b + 1. A scene without critical times has one vertex and no box.
     """
-    times = tuple(sorted({e for b in table.boxes for e in b.t})) or (Fraction(0),)
-    rank = {t: k for k, t in enumerate(times)}
-    n = 2 * len(times) + 1
+    n = 2 * max(len(table.ts), 1) + 1
     born: list[list[int]] = [[] for _ in range(n)]
     dies: list[list[int]] = [[] for _ in range(n)]
-    for b, box in enumerate(table.boxes):
-        born[2 * rank[box.t[0]] + 1].append(b)
-        dies[2 * rank[box.t[1]] + 1].append(b)
+    for b, (t0, t1) in enumerate(table.spans):
+        born[2 * t0 + 1].append(b)
+        dies[2 * t1 + 1].append(b)
     rects = table.rects
     alive: set[int] = set()
     key: Key = ()
@@ -401,7 +419,7 @@ def _sample_keys(table: _RankTable) -> tuple[tuple[Fraction, ...], list[Key]]:
         if dies[s]:
             alive.difference_update(dies[s])
             key = tuple(sorted({rects[b] for b in alive}))
-    return times, keys
+    return keys
 
 
 # critical times, then the gap fibre at every vertex and at every edge sample
@@ -421,13 +439,13 @@ def scene_fibres(scene: Scene) -> Fibres:
     if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
         raise ValueError("window has empty interior")
     table = _rank_table(scene)
-    times, keys = _sample_keys(table)
+    keys = _sample_keys(table)
     fibres: dict[Key, GapFibre] = {}
     for key in keys:
         if key not in fibres:
             fibres[key] = _arrange(table, key)
     samples = [fibres[key] for key in keys]
-    return times, tuple(samples[1::2]), tuple(samples[0::2])
+    return table.ts or (Fraction(0),), tuple(samples[1::2]), tuple(samples[0::2])
 
 
 def validate_fibres(fibres: Fibres) -> SceneReport:

@@ -51,12 +51,17 @@ def parse_rational(value) -> Fraction:
     and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
     silently contaminate the exact pipeline. A literal whose exponent would
     write it out past MAX_LITERAL_DIGITS digits is rejected too, before
-    `Fraction` spends unbounded time expanding it."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    `Fraction` spends unbounded time expanding it.
+
+    A plain decimal integer (an optional "-" and at most MAX_LITERAL_DIGITS
+    ASCII digits) is read by `int` directly, skipping `Fraction`'s pattern
+    match; it is the form scenes are written in, and every other string
+    takes the `Fraction` route, so values and error messages are the same
+    either way."""
     if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdecimal() and len(digits) <= MAX_LITERAL_DIGITS:
+            return Fraction(int(value))
         if _exponent_too_large(value):
             raise ValueError(
                 f"unsupported rational literal: {value!r} (over {MAX_LITERAL_DIGITS} digits written out)"
@@ -65,6 +70,10 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"unsupported rational literal: {value!r}") from exc
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     raise ValueError(f"unsupported rational value: {value!r} (floats are not accepted)")
 
 

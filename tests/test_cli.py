@@ -7,6 +7,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import evasion.geometry as geometry
 from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.geometry import Scene
+from evasion.linalg import parse_rational
 from evasion.randgen import comb_scene, pulsing_box_scene
 
 from conftest import fixture_path, fixtures_with, load_fixture
@@ -116,7 +118,7 @@ class TestCheck:
 
     def test_fibres_are_timed_apart_from_validation(self, capsys):
         _, report = run_cli(capsys, "check", fixture_path("crossing_open.json"))
-        assert set(report["timing_ms"]) == {"fibres", "validate", "build_sheaf", "lp", "path"}
+        assert set(report["timing_ms"]) == {"parse", "fibres", "validate", "build_sheaf", "lp", "path"}
 
 
 @pytest.mark.parametrize(
@@ -314,7 +316,7 @@ def test_check_and_path_never_hash_the_scene(capsys, tmp_path, monkeypatch, make
         raise AssertionError("the pipeline hashed the scene")
 
     monkeypatch.setattr(Scene, "__hash__", unhashable)
-    sections, path, _ = run_check(scene)
+    _, sections, path, _ = run_check(scene)
     assert (path is not None) is sections.decision.feasible
     code, report = run_cli(capsys, "path", str(scene_file))
     assert code == (0 if path is not None else 2), report
@@ -399,6 +401,63 @@ def test_rational_parsing_round_trip():
     for bad in (1.5, True, "x", "1/0", None):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def _read_by_fraction(text: str):
+    """The value `Fraction` reads from a literal with no exponent, or the
+    message `parse_rational` gives when it reads none."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"unsupported rational literal: {text!r}"
+
+
+def _read_by_parser(text: str):
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        return str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+INTEGER_LIKE_LITERALS = [
+    "0", "-0", "007", "-007", "+5", " 2 ", "1_000", "-", "", "--5", "-+5", "5-",
+    "\u0663", "-\u0663", "\u00b2", "9" * 4300, "-" + "9" * 4300, "9" * 4301, "-" + "9" * 4301,
+]
+
+
+@pytest.mark.parametrize(
+    "text", INTEGER_LIKE_LITERALS, ids=lambda text: ascii(text) if len(text) < 9 else f"{text[:2]}_{len(text)}_chars"
+)
+def test_integer_literals_read_as_fraction_reads_them(text):
+    assert _read_by_parser(text) == _read_by_fraction(text)
+
+
+@given(
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=80) | st.text(st.characters(categories=["Nd", "No"]), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_signed_digit_strings_read_as_fraction_reads_them(sign, digits):
+    text = sign + digits
+    assert _read_by_parser(text) == _read_by_fraction(text)
+
+
+def test_check_plot_builds_the_fibres_once(capsys, monkeypatch, tmp_path):
+    scene_file = tmp_path / "pulsing.json"
+    scene_file.write_text(json.dumps(scene_to_jsonable(pulsing_box_scene(400))))
+    build, calls = geometry.scene_fibres, []
+
+    def counted(scene):
+        calls.append(scene)
+        return build(scene)
+
+    monkeypatch.setattr(geometry, "scene_fibres", counted)
+    code, _ = run_cli(capsys, "check", "--plot", str(tmp_path / "pulsing.svg"), str(scene_file))
+    assert code == 0
+    assert len(calls) == 1
+    assert (tmp_path / "pulsing.svg").read_text().startswith("<svg")
 
 
 def test_plot_renders_without_a_path_on_blocked_scenes(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import evasion.geometry
 import evasion.linalg
 import evasion.sheaf
-from evasion.cli import scene_from_jsonable
+from evasion.cli import main, scene_from_jsonable, scene_to_jsonable
 from evasion.cones import FEASIBLE, FeasibilityResult, lp_positive_kernel
 from evasion.geometry import (
     Box,
@@ -423,6 +424,90 @@ def test_fibres_and_validation_match_the_fraction_reference(base_seed):
         assert (report.ok, report.problems) == reference_validate(scene, times)
         invalid += not report.ok
     assert 20 < invalid < 300  # both outcomes are well represented
+
+
+# k/97 share the integer part 0, and -1/3, -1/2 and -2/3 the floor -1
+TIED = (*(Fraction(k, 97) for k in range(97)), Fraction(-1, 3), Fraction(-1, 2), Fraction(-2, 3), Fraction(1))
+
+
+def tied_scene(rng: Random) -> Scene:
+    """Up to 10 boxes on tied coordinates in the window (-1/2, 1) x (-1/3, 1).
+    Of 8 boxes, 3 hang off the window's left edge, 3 stand on its lower
+    edge, 1 is free and 1 covers the whole window."""
+    boxes = []
+    for _ in range(rng.randint(1, 10)):
+        t, (x0, x1), (y0, y1) = (tuple(sorted(rng.choices(TIED, k=2))) for _ in range(3))
+        kind = rng.randrange(8)
+        if kind < 3:
+            x0 = Fraction(-2, 3)
+        elif kind < 6:
+            y0 = Fraction(-1, 2)
+        elif kind == 7:
+            x0, x1, y0, y1 = Fraction(-2, 3), 1, Fraction(-1, 2), 1
+        boxes.append(Box.make(t, (x0, x1), (y0, y1)))
+    return Scene.make((Fraction(-1, 2), 1), (Fraction(-1, 3), 1), boxes)
+
+
+def reordered(scene: Scene, rng: Random) -> list[Scene]:
+    """The scene with its boxes in reverse and in shuffled order."""
+    shuffled = list(scene.boxes)
+    rng.shuffle(shuffled)
+    return [replace(scene, boxes=boxes) for boxes in (scene.boxes[::-1], tuple(shuffled))]
+
+
+def test_ranking_is_exact_under_box_order_and_tied_integer_parts(base_seed):
+    rng = Random(base_seed)
+    invalid = 0
+    for _ in range(60):
+        scene = tied_scene(rng)
+        fibres = scene_fibres(scene)
+        times, vertex_fibres, edge_fibres = fibres
+        assert times == (critical_times(scene) or (Fraction(0),))
+        edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
+        for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
+            xs, ys, comps = reference_fibre(scene, t)
+            assert (fibre.xs, fibre.ys) == (xs, ys)
+            assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
+        report = validate_fibres(fibres)
+        assert (report.ok, report.problems) == reference_validate(scene, times)
+        invalid += not report.ok
+        for other in reordered(scene, rng):
+            assert scene_fibres(other) == fibres
+    assert 5 < invalid < 55  # both outcomes are well represented
+
+
+def test_check_reports_ignore_box_order_and_literal_forms(capsys, tmp_path, base_seed):
+    rng = Random(base_seed)
+
+    def report(data) -> str:
+        # everything but the timings and the digest of the file's bytes
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(data))
+        code = main(["check", str(scene_file)])
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timing_ms", None)
+        out.pop("input_digest", None)
+        return f"{code} {json.dumps(out, indent=2, sort_keys=True)}"
+
+    def rewritten(text: str) -> str:
+        # an equal literal in another form: "1/2" as "2/4", "3" as "9/3"
+        q, k = Fraction(text), rng.randint(2, 3)
+        return f"{k * q.numerator}/{k * q.denominator}"
+
+    verdicts = set()
+    for _ in range(16):
+        scene = tied_scene(rng)
+        data = scene_to_jsonable(scene)
+        expected = report(data)
+        verdicts.add(expected[0])
+        for other in reordered(scene, rng):
+            assert report(scene_to_jsonable(other)) == expected
+        forms = {
+            "window": {axis: [rewritten(c) for c in iv] for axis, iv in data["window"].items()},
+            "boxes": [{axis: [rewritten(c) for c in iv] for axis, iv in b.items()} for b in data["boxes"]],
+        }
+        assert report(forms) == expected
+    assert len(verdicts) > 1
 
 
 # ---------------------------------------------------------------------------
