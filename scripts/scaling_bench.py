@@ -15,18 +15,41 @@ build_sheaf, lp and path. "fibres" builds the gap fibres, and the later
 stages take them from it, so "validate" is scene validation alone and
 "build_sheaf" sheaf construction alone.
 
+Each case runs REPEATS times and every column is the median over those runs.
+"gc" is the number of cyclic-GC collections, all generations, during one
+`run_check`, read from `gc.get_stats()` before and after it.
+
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
 """
 
 import argparse
+import gc
 import json
 import time
+from statistics import median
 
 from evasion.cli import run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.geometry import critical_times
 from evasion.randgen import comb_scene, pulsing_box_scene
 
 STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path")
+REPEATS = 5
+
+
+def collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def run_once(text: str) -> tuple[dict[str, float], int, str]:
+    """Stage times in ms, GC collections during the check, and the verdict."""
+    t0 = time.perf_counter()
+    scene = scene_from_jsonable(json.loads(text))
+    parse_ms = (time.perf_counter() - t0) * 1000
+    before = collections()
+    _, sections, _, timing = run_check(scene)
+    gcs = collections() - before
+    timing["parse"] = parse_ms
+    return timing, gcs, "EVASION" if sections.decision.feasible else "NO_EVASION"
 
 
 def main() -> None:
@@ -34,18 +57,20 @@ def main() -> None:
     parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000], help="pulsing critical times")
     parser.add_argument("--comb", nargs="*", type=int, default=[10, 40], metavar="M", help="comb walls")
     args = parser.parse_args()
-    print(f"{'family':>8} {'size':>6} {'times':>6}" + "".join(f" {stage:>11}" for stage in STAGES) + "  verdict")
+    header = "".join(f" {stage:>11}" for stage in STAGES)
+    print(f"{'family':>8} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     cases = [("pulsing", n, pulsing_box_scene) for n in args.sizes] + [("comb", m, comb_scene) for m in args.comb]
     for family, size, make in cases:
-        text = json.dumps(scene_to_jsonable(make(size)))
-        t0 = time.perf_counter()
-        scene = scene_from_jsonable(json.loads(text))
-        parse_ms = (time.perf_counter() - t0) * 1000
-        _, sections, _, timing = run_check(scene)
-        timing["parse"] = parse_ms
-        columns = "".join(f" {timing[stage]:>9.1f}ms" if stage in timing else f" {'-':>11}" for stage in STAGES)
-        verdict = "EVASION" if sections.decision.feasible else "NO_EVASION"
-        print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns}  {verdict}")
+        scene = make(size)
+        text = json.dumps(scene_to_jsonable(scene))
+        runs = [run_once(text) for _ in range(REPEATS)]
+        columns = ""
+        for stage in STAGES:
+            times = [timing[stage] for timing, _, _ in runs if stage in timing]
+            columns += f" {median(times):>9.1f}ms" if len(times) == REPEATS else f" {'-':>11}"
+        collected = median(n for _, n, _ in runs)
+        verdict = runs[0][2]
+        print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns} {collected:>4g}  {verdict}")
 
 
 if __name__ == "__main__":

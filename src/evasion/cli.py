@@ -83,7 +83,9 @@ def _interval_from(obj, what: str) -> tuple:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"{what} interval must be a two-element list, got {obj!r}")
     lo, hi = _rational(obj[0], what), _rational(obj[1], what)
-    if lo > hi:
+    # ordered on integers: denominators are positive
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if a * d > c * b:
         raise ValueError(f"{what} interval [{format_rational(lo)}, {format_rational(hi)}] is reversed")
     return lo, hi
 
@@ -318,8 +320,7 @@ def render_scene_svg(scene: Scene, fibres: Fibres, path: EvasionPath | None = No
         eps = (t_hi - t_lo) / 400
         cells.append((vts[i] - eps, vts[i] + eps, vf))
     for lo, hi, fibre in cells:
-        for comp in fibre.components:
-            ylo, yhi = comp.y_extent(fibre)
+        for ylo, yhi in fibre.y_extents():
             parts.append(
                 f'<rect x="{sx(lo):.2f}" y="{sy(yhi):.2f}" width="{max(sx(hi) - sx(lo), 0.5):.2f}" '
                 f'height="{max(sy(ylo) - sy(yhi), 0.5):.2f}" fill="#9fd49f" fill-opacity="0.35"/>'

@@ -10,7 +10,11 @@ All computations run on the exact rectangle arrangement induced by the
 window and the alive boxes: faces (open cells, open edges, vertices of the
 grid) are each entirely covered or entirely gap, and two gap faces are
 connected exactly when they are incident, so connected components come out
-of a flood fill with no numeric slack.
+of a flood fill with no numeric slack. The fill writes each gap face's
+component number into one flat owner array per fibre; a check reads only
+component counts and the owners of single faces, and the component objects
+(label, anchor, interior point, faces) are built from that array only when
+a reader asks for them.
 
 The arrangement and the time sweep run on integer ranks. Each scene gets one
 rank table that ranks its three axes once: the x and y coordinates of the
@@ -24,8 +28,8 @@ each relevant box's rank rectangle and time span. Ranking is strictly
 increasing on those finite sets and every comparison the sweep, the
 arrangement, the validation and the restrictions make is between their
 members, so ranks take every branch the rationals would; `Fraction` values
-appear only in the outputs (grid coordinates, vertex times, anchors, interior
-points, the sample time of a validation message).
+appear only in the outputs (grid coordinates, vertex times, the anchors and
+interior points read off a fibre, the sample time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -39,10 +43,12 @@ and a scene builds one fibre per distinct key, shared by its samples.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from evasion.cones import PolyhedralCone
 from evasion.linalg import Matrix, ONE, SparseRow, ZERO
@@ -134,18 +140,18 @@ class SceneReport:
 
 @dataclass(frozen=True)
 class GapComponent:
-    """One connected component of the open gap at a fixed time."""
+    """One connected component of the open gap at a fixed time, for tests and
+    tools that inspect a fibre; a check reads the fibre's owner array instead."""
 
     label: str
     anchor: Point  # lexicographically least face corner; the deterministic sort key
     interior_point: Point  # centre of the least open 2-face
     faces: frozenset[Face]
 
-    def y_extent(self, fibre: "GapFibre") -> Interval:
-        ys = fibre.ys
-        lo = min(ys[j // 2] for _, j in self.faces)
-        hi = max(ys[j // 2 + 1] if j % 2 else ys[j // 2] for _, j in self.faces)
-        return lo, hi
+
+def component_label(c: int) -> str:
+    """The label of component c of a fibre, and of its stalk generator."""
+    return f"g{c}"
 
 
 @dataclass(frozen=True)
@@ -153,46 +159,64 @@ class GapFibre:
     """Gap components of one alive coverage geometry, on its arrangement grid.
 
     Grid faces are indexed by (i, j): even indices are grid lines, odd
-    indices are the open intervals between them. `xr` and `yr` are the scene
-    table ranks of the grid lines, `seeds[c]` is the least open 2-face of
-    component c, whose centre is its interior point, and `connected` says
-    whether the coverage (window frame plus alive boxes) is connected.
-    Samples with one alive key share one fibre; only the grid and the
-    components are compared.
+    indices are the open intervals between them. Face (i, j) sits at
+    i * ny + j of the flat `owner` array, which holds the number of the gap
+    component the face belongs to, or -1 if the face is covered. Components
+    are numbered in the order of their least face corner. `seeds[c]` is the
+    flat index of component c's least open 2-face: the lower-left corner of
+    that face is the component's anchor, and its centre is the component's
+    interior point. Everything else about a component is read off `owner`
+    when asked for; `components` builds the component objects on first
+    read, and a check never reads them. `xr` and `yr` are the scene table
+    ranks of the grid lines, and `connected` says whether the coverage
+    (window frame plus alive boxes) is connected. Samples with one alive
+    key share one fibre; only the grid and the owner array are compared.
     """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
-    components: tuple[GapComponent, ...]
+    owner: array
+    ny: int = field(repr=False, compare=False)  # faces per grid column, 2 * len(ys) - 1
     connected: bool = field(repr=False, compare=False)
     xr: tuple[int, ...] = field(repr=False, compare=False)
     yr: tuple[int, ...] = field(repr=False, compare=False)
-    seeds: tuple[Face, ...] = field(repr=False, compare=False)
-    face_index: dict[Face, int] = field(repr=False, compare=False)
+    seeds: tuple[int, ...] = field(repr=False, compare=False)
 
-    def locate(self, p: Point) -> int | None:
-        """Component index containing p, or None if p is covered."""
-        face = self._face_of(p)
-        if face is None:
-            return None
-        return self.face_index.get(face)
+    def face_centre(self, g: int) -> Point:
+        i, j = divmod(g, self.ny)
+        return _face_centre(self.xs, i), _face_centre(self.ys, j)
 
-    def _face_of(self, p: Point) -> Face | None:
-        i = _axis_index(self.xs, p[0])
-        j = _axis_index(self.ys, p[1])
-        if i is None or j is None:
-            return None
-        return i, j
+    def interior_point(self, c: int) -> Point:
+        return self.face_centre(self.seeds[c])
 
-    def face_centre(self, face: Face) -> Point:
-        return _face_centre(self.xs, face[0]), _face_centre(self.ys, face[1])
+    def y_extents(self) -> list[Interval]:
+        """The least and the greatest y of each component, in one pass over
+        `owner`: face j spans ys[j // 2] to ys[(j + 1) // 2]."""
+        ny, owner = self.ny, self.owner
+        lo, hi = [ny] * len(self.seeds), [-1] * len(self.seeds)
+        for g, c in enumerate(owner):
+            if c >= 0:
+                j = g % ny
+                if j < lo[c]:
+                    lo[c] = j
+                if j > hi[c]:
+                    hi[c] = j
+        return [(self.ys[a // 2], self.ys[(b + 1) // 2]) for a, b in zip(lo, hi)]
 
-
-def _axis_index(coords: tuple[Fraction, ...], c: Fraction) -> int | None:
-    if c <= coords[0] or c >= coords[-1]:
-        return None
-    k = bisect_left(coords, c)
-    return 2 * k if coords[k] == c else 2 * k - 1
+    @cached_property
+    def components(self) -> tuple[GapComponent, ...]:
+        """Component objects for reports and tests, built on first read."""
+        ny, xs, ys = self.ny, self.xs, self.ys
+        faces: list[list[Face]] = [[] for _ in self.seeds]
+        for g, c in enumerate(self.owner):
+            if c >= 0:
+                faces[c].append(divmod(g, ny))
+        comps = []
+        for c, seed in enumerate(self.seeds):
+            i, j = divmod(seed, ny)
+            anchor = (xs[i // 2], ys[j // 2])
+            comps.append(GapComponent(component_label(c), anchor, self.face_centre(seed), frozenset(faces[c])))
+        return tuple(comps)
 
 
 def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
@@ -222,9 +246,7 @@ class _RankTable:
     window relevance and clamping compare those ranks. The table keeps the
     window-relevant boxes only: `rects[b]` is box b clamped to the window
     as ranks (x0, x1, y0, y1) into `xs` and `ys`, and `spans[b]` its time
-    interval as ranks into `ts`, the sorted critical times. `xmid` and
-    `ymid` memoise interval midpoints by rank pair, since the fibres of one
-    scene share most of their intervals.
+    interval as ranks into `ts`, the sorted critical times.
     """
 
     xs: tuple[Fraction, ...]
@@ -232,15 +254,6 @@ class _RankTable:
     ts: tuple[Fraction, ...]
     rects: tuple[Rect, ...]
     spans: tuple[tuple[int, int], ...]
-    xmid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
-    ymid: dict[tuple[int, int], Fraction] = field(default_factory=dict, repr=False, compare=False)
-
-
-def _midpoint(coords: tuple[Fraction, ...], lo: int, hi: int, memo: dict[tuple[int, int], Fraction]) -> Fraction:
-    c = memo.get((lo, hi))
-    if c is None:
-        c = memo[lo, hi] = (coords[lo] + coords[hi]) / 2
-    return c
 
 
 def _rank_table(scene: Scene) -> _RankTable:
@@ -270,7 +283,7 @@ def _rank_table(scene: Scene) -> _RankTable:
 
 def _arrange(table: _RankTable, key: Key) -> GapFibre:
     """Gap components of the window with the key's rectangles covered,
-    labelled g0, g1, ... in the order of their least face corner."""
+    numbered in the order of their least face corner."""
     xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in key for c in r[:2])}))
     yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in key for c in r[2:])}))
     xpos = {r: k for k, r in enumerate(xr)}
@@ -292,35 +305,28 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     # row-major order. Each fill below therefore starts at its component's
     # least open 2-face, whose lower-left corner is the least corner of the
     # component (every gap face shares a corner with a gap 2-face of the
-    # same component): components come out in anchor order.
-    xs = tuple(table.xs[r] for r in xr)
-    ys = tuple(table.ys[r] for r in yr)
-    components, seeds, face_index = [], [], {}
-    for seed in range(nx * ny):
-        if covered[seed]:
-            continue
+    # same component): components come out in anchor order. The fill marks
+    # the faces it reaches as covered, so the next seed is the next 0 flag.
+    owner = array("i", [-1]) * (nx * ny)
+    seeds = []
+    seed = covered.find(0)
+    while seed >= 0:
+        c = len(seeds)
+        seeds.append(seed)
         covered[seed] = 1
-        stack, faces = [seed], []
+        stack = [seed]
         while stack:
             g = stack.pop()
-            faces.append(g)
+            owner[g] = c
             for h in (g - ny, g + ny, g - 1, g + 1):
                 if not covered[h]:
                     covered[h] = 1
                     stack.append(h)
-        idx = len(components)
-        i, j = divmod(seed, ny)
-        a, b = i // 2, j // 2
-        face_set = frozenset(divmod(g, ny) for g in faces)
-        centre = (
-            _midpoint(table.xs, xr[a], xr[a + 1], table.xmid),
-            _midpoint(table.ys, yr[b], yr[b + 1], table.ymid),
-        )
-        components.append(GapComponent(f"g{idx}", (xs[a], ys[b]), centre, face_set))
-        seeds.append((i, j))
-        face_index.update(dict.fromkeys(face_set, idx))
+        seed = covered.find(0, seed)
     connected = _coverage_connected(key, len(table.xs) - 1, len(table.ys) - 1)
-    return GapFibre(xs, ys, tuple(components), connected, xr, yr, tuple(seeds), face_index)
+    xs = tuple(table.xs[r] for r in xr)
+    ys = tuple(table.ys[r] for r in yr)
+    return GapFibre(xs, ys, owner, ny, connected, xr, yr, tuple(seeds))
 
 
 def gap_components(scene: Scene, t) -> GapFibre:
@@ -335,19 +341,6 @@ def gap_components(scene: Scene, t) -> GapFibre:
     lo, hi = bisect_left(table.ts, t), bisect_right(table.ts, t)
     alive = {rect for rect, (t0, t1) in zip(table.rects, table.spans) if t0 < hi and t1 >= lo}
     return _arrange(table, tuple(sorted(alive)))
-
-
-def point_uncovered(scene: Scene, t, p: Point) -> bool:
-    """Direct point probe: strictly inside the window and in no alive box.
-
-    Deliberately independent of the arrangement machinery; the tests hold
-    the two against each other.
-    """
-    t = Fraction(t)
-    x, y = Fraction(p[0]), Fraction(p[1])
-    if not (scene.window_x[0] < x < scene.window_x[1] and scene.window_y[0] < y < scene.window_y[1]):
-        return False
-    return not any(b.alive(t) and b.contains((x, y)) for b in scene.boxes)
 
 
 def critical_times(scene: Scene) -> tuple[Fraction, ...]:
@@ -469,19 +462,21 @@ def validate_scene(scene: Scene) -> SceneReport:
     return validate_fibres(scene_fibres(scene))
 
 
-def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> Face:
-    """The face of the edge fibre's grid holding the least open 2-face of
-    component c of the adjacent vertex fibre.
+def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> int:
+    """The face of the edge fibre's grid, as an index into its `owner`,
+    holding the least open 2-face of component c of the adjacent vertex
+    fibre.
 
     The boxes alive on an edge are alive at its end vertices too, so the
     edge's grid lines are among the vertex's, and each open interval of the
     vertex grid lies inside one open interval of the edge grid: a bisection
     of its lower rank finds that interval.
     """
-    i, j = vf.seeds[c]
+    seed = vf.seeds[c]
     if ef is vf:
-        return i, j
-    return 2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1, 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
+        return seed
+    i, j = divmod(seed, vf.ny)
+    return (2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1) * ef.ny + 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
 
 
 def build_sheaf(scene: Scene) -> ConeSheaf:
@@ -499,24 +494,19 @@ def sheaf_from_fibres(fibres: Fibres) -> ConeSheaf:
     """Free-cone sheaf on gap components over the critical stratification,
     from fibres that passed `validate_fibres`.
 
-    Stalks are free cones on the gap components of the cell's sample time;
-    the restriction of a vertex component is the unique edge component
+    Stalks are free cones on the gap components of the cell's sample time,
+    labelled by position, so fibres with as many components share one cone.
+    The restriction of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
-    there, so the component persists to both sides). A vertex and an edge
-    with the same alive key share one fibre, and the map is the identity.
-    Each distinct (vertex fibre, edge fibre) pair gets one restriction
-    matrix, shared by every incidence that has it.
+    there, so the component persists to both sides): the edge fibre's owner
+    of the face `_edge_face` finds. A vertex and an edge with the same alive
+    key share one fibre, and the map is the identity. Each distinct (vertex
+    fibre, edge fibre) pair gets one restriction matrix, shared by every
+    incidence that has it.
     """
     times, vertex_fibres, edge_fibres = fibres
-    cones: dict[tuple[str, ...], PolyhedralCone] = {}
-
-    def stalk(fibre: GapFibre) -> PolyhedralCone:
-        # stalks with the same labels are the same cone, built once
-        labels = tuple(c.label for c in fibre.components)
-        if labels not in cones:
-            cones[labels] = PolyhedralCone.free(labels)
-        return cones[labels]
-
+    counts = {len(f.seeds) for f in (*vertex_fibres, *edge_fibres)}
+    cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in counts}
     # a restriction depends only on its two fibres, which samples share
     restrictions: dict[tuple[int, int], Matrix] = {}
     left_maps, right_maps = [], []
@@ -524,20 +514,20 @@ def sheaf_from_fibres(fibres: Fibres) -> ConeSheaf:
         for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
             key = (id(vf), id(ef))
             if key not in restrictions:
-                rows: list[SparseRow] = [{} for _ in ef.components]
-                for c, comp in enumerate(vf.components):
-                    target = ef.face_index.get(_edge_face(vf, c, ef))
-                    if target is None:
+                rows: list[SparseRow] = [{} for _ in ef.seeds]
+                for c in range(len(vf.seeds)):
+                    target = ef.owner[_edge_face(vf, c, ef)]
+                    if target < 0:
                         raise GeometryError(
-                            f"component {comp.label} at t={times[i]} does not persist to the {side} edge"
+                            f"component {component_label(c)} at t={times[i]} does not persist to the {side} edge"
                         )
                     rows[target][c] = ONE
-                restrictions[key] = Matrix(len(rows), len(vf.components), tuple(rows))
+                restrictions[key] = Matrix(len(rows), len(vf.seeds), tuple(rows))
             maps.append(restrictions[key])
     return ConeSheaf(
         strat=Stratification(times),
-        vertex_stalks=tuple(stalk(f) for f in vertex_fibres),
-        edge_stalks=tuple(stalk(f) for f in edge_fibres),
+        vertex_stalks=tuple(cones[len(f.seeds)] for f in vertex_fibres),
+        edge_stalks=tuple(cones[len(f.seeds)] for f in edge_fibres),
         left_maps=tuple(left_maps),
         right_maps=tuple(right_maps),
     )
@@ -565,23 +555,24 @@ class EvasionPath:
     chain: SectionChain
 
 
-def _route(fibre: GapFibre, comp: GapComponent, f0: Face, f1: Face) -> list[Point]:
+def _route(fibre: GapFibre, c: int, f0: int, f1: int) -> list[Point]:
     """Waypoints (face centres) of a face path from face f0 to face f1 inside
-    one gap component. Consecutive waypoints live on incident faces, so each
+    gap component c. Consecutive waypoints live on incident faces, so each
     straight hop stays inside the open component."""
-    if f0 not in comp.faces or f1 not in comp.faces:
+    owner, ny = fibre.owner, fibre.ny
+    if owner[f0] != c or owner[f1] != c:
         raise GeometryError("route endpoints are not inside the expected gap component")
     if f0 == f1:
         return []
-    prev: dict[Face, Face] = {f0: f0}
+    prev: dict[int, int] = {f0: f0}
     queue = deque([f0])
     while queue:
         cur = queue.popleft()
         if cur == f1:
             break
-        i, j = cur
-        for nbr in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nbr in comp.faces and nbr not in prev:
+        # gap faces are inside the covered frame, so no neighbour leaves the grid
+        for nbr in (cur - ny, cur + ny, cur - 1, cur + 1):
+            if owner[nbr] == c and nbr not in prev:
                 prev[nbr] = cur
                 queue.append(nbr)
     if f1 not in prev:
@@ -603,8 +594,9 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     (GeometryError otherwise). The path sits at a rational interior point
     of each chosen component, and migrates between those points by straight
     hops across the face graph strictly inside each open edge interval,
-    where the gap fibre is constant. The result is verified against the
-    scene's boxes exactly before being returned.
+    where the gap fibre is constant. Components are read off the fibres'
+    owner arrays. The result is verified against the scene's boxes exactly
+    before being returned.
     """
     if sections.decision is None or not sections.decision.feasible:
         raise ValueError("extract_path needs a feasible global-sections decision")
@@ -614,28 +606,33 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     for (cell, lab), v in zip(sections.column_labels, sections.decision.witness):
         if v:
             support.setdefault(cell, []).append(lab)
+    # a stalk labels its generators by position, so a label's index is its component
     chosen: list[int] = []
-    for i, vf in enumerate(vertex_fibres):
+    for i, stalk in enumerate(sections.sheaf.vertex_stalks):
         labels = support.get(f"v{i + 1}", [])
-        c = next((c for c, comp in enumerate(vf.components) if [comp.label] == labels), None)
-        if c is None:
+        if len(labels) != 1 or labels[0] not in stalk.labels:
             raise GeometryError(f"witness support is not a single chain: v{i + 1} carries {labels}")
-        chosen.append(c)
-    vertex_comps = [vf.components[c] for vf, c in zip(vertex_fibres, chosen)]
-    vertex_points = [comp.interior_point for comp in vertex_comps]
+        chosen.append(stalk.labels.index(labels[0]))
+    # samples share fibres, so an interior point is worked out once per fibre and component
+    points: dict[tuple[int, int], Point] = {}
+    vertex_points = []
+    for vf, c in zip(vertex_fibres, chosen):
+        if (id(vf), c) not in points:
+            points[id(vf), c] = vf.interior_point(c)
+        vertex_points.append(points[id(vf), c])
     # ends[j][i]: the face of edge j's grid holding vertex i's chosen component
-    ends: list[dict[int, Face]] = []
-    edge_comps: list[GapComponent] = []
+    ends: list[dict[int, int]] = []
+    edge_comps: list[int] = []
     cells: list[tuple[str, str]] = []
     for j, ef in enumerate(edge_fibres):
         ends.append({i: _edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k})
-        targets = {ef.face_index.get(face) for face in ends[j].values()}
-        if len(targets) != 1 or None in targets:
+        targets = {ef.owner[face] for face in ends[j].values()}
+        if len(targets) != 1 or -1 in targets:
             raise GeometryError(f"witness support is not a single chain across e{j + 1}")
-        edge_comps.append(ef.components[targets.pop()])
-        cells.append((f"e{j + 1}", edge_comps[j].label))
+        edge_comps.append(targets.pop())
+        cells.append((f"e{j + 1}", component_label(edge_comps[j])))
         if j < k:
-            cells.append((f"v{j + 1}", vertex_comps[j].label))
+            cells.append((f"v{j + 1}", component_label(chosen[j])))
 
     segments: list[PathSegment] = []
     cur_start: Fraction | None = None

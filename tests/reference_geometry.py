@@ -5,8 +5,14 @@ arrangement: a `Fraction` grid per sample with a union-find over its gap
 faces, and pairwise box intersection on raw coordinates for coverage
 connectivity. They share no code with the production path beyond the scene
 types and `critical_times`, and the tests require equal results.
+
+Also here are the point probes the tests hold the arrangement against: the
+direct box-membership probe `point_uncovered`, exact point location in a
+reference fibre (`reference_locate`), and `locate`, which reads a
+production fibre's owner array at the face holding a point.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -140,3 +146,47 @@ def reference_validate(scene, times: tuple[Fraction, ...]) -> tuple[bool, tuple[
             ):
                 return False, (f"gap component {label} escapes the window at t={t}",)
     return True, ()
+
+
+def point_uncovered(scene, t, p) -> bool:
+    """Direct point probe: strictly inside the window and in no alive box.
+
+    Deliberately independent of the arrangement machinery; the tests hold
+    the two against each other.
+    """
+    t = Fraction(t)
+    x, y = Fraction(p[0]), Fraction(p[1])
+    if not (scene.window_x[0] < x < scene.window_x[1] and scene.window_y[0] < y < scene.window_y[1]):
+        return False
+    return not any(b.alive(t) and b.contains((x, y)) for b in scene.boxes)
+
+
+def _axis_index(coords, c):
+    """The grid index (even on a line, odd between lines) of coordinate c
+    strictly inside the grid, or None outside it or on its frame."""
+    if c <= coords[0] or c >= coords[-1]:
+        return None
+    k = bisect_left(coords, c)
+    return 2 * k if coords[k] == c else 2 * k - 1
+
+
+def _face_of(xs, ys, p):
+    i, j = _axis_index(xs, p[0]), _axis_index(ys, p[1])
+    return None if i is None or j is None else (i, j)
+
+
+def locate(fibre, p):
+    """The component of a production fibre containing p, read off its owner
+    array, or None if p is covered."""
+    face = _face_of(fibre.xs, fibre.ys, p)
+    if face is None:
+        return None
+    c = fibre.owner[face[0] * fibre.ny + face[1]]
+    return None if c < 0 else c
+
+
+def reference_locate(xs, ys, comps, p):
+    """The index of the `reference_fibre` component containing p, or None
+    if p is covered."""
+    face = _face_of(xs, ys, p)
+    return next((k for k, (_, _, _, faces) in enumerate(comps) if face in faces), None)

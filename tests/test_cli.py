@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import evasion.geometry as geometry
 from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
-from evasion.geometry import Scene
+from evasion.geometry import Box, Scene
 from evasion.linalg import parse_rational
 from evasion.randgen import comb_scene, pulsing_box_scene
 
@@ -343,6 +343,32 @@ def test_a_check_builds_and_validates_the_fibres_once(capsys, monkeypatch, comma
     assert calls == {"scene_fibres": 1, "validate_fibres": 1}
 
 
+def blacked_out_pulsing_scene(n: int) -> Scene:
+    """The pulsing scene plus a full-window blackout at t = n + 1/2, after its last pulse."""
+    base = pulsing_box_scene(n)
+    instant = Fraction(2 * n + 1, 2)
+    return Scene(base.window_x, base.window_y, (*base.boxes, Box.make((instant, instant), base.window_x, base.window_y)))
+
+
+@pytest.mark.parametrize(
+    "scene, expected",
+    [(comb_scene(24), 602), (blacked_out_pulsing_scene(400), 2)],
+    ids=["comb", "blocked"],
+)
+def test_a_check_builds_no_component_objects(monkeypatch, scene, expected):
+    # a check reads component counts and restriction targets off the owner
+    # arrays; the component objects are built only when a reader asks
+    built = []
+    make = geometry.GapComponent
+    monkeypatch.setattr(geometry, "GapComponent", lambda *args: built.append(args) or make(*args))
+    fibres, sections, path, _ = run_check(scene)
+    assert built == []
+    assert (path is not None) is sections.decision.feasible is (expected == 602)
+    times, vertex_fibres, edge_fibres = fibres
+    distinct = {id(f): f for f in (*vertex_fibres, *edge_fibres)}
+    assert sum(len(f.components) for f in distinct.values()) == len(built) == expected
+
+
 @pytest.mark.parametrize("command", ["check", "path", "sheaf"])
 def test_empty_interior_window_is_one_input_error(capsys, tmp_path, command):
     flat = tmp_path / "flat.json"
@@ -529,6 +555,39 @@ def test_reversed_box_interval_is_rejected(capsys, tmp_path, box, axis):
     code, report = run_cli(capsys, "check", str(bad))
     assert code == 1
     assert f"box 0 {axis} interval" in report["error"] and "reversed" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "window, box, message",
+    [
+        ({"x": [0, 4], "y": [0, 4]}, {"t": ["1/3", "1/4"], "x": [0, 1], "y": [0, 1]}, "box 0 t interval [1/3, 1/4]"),
+        ({"x": [0, 4], "y": [0, 4]}, {"t": [0, 1], "x": [0, 1], "y": ["-1/3", "-1/2"]}, "box 0 y interval [-1/3, -1/2]"),
+        ({"x": ["7/2", "10/3"], "y": [0, 4]}, None, "window x interval [7/2, 10/3]"),
+        ({"x": [0, 4], "y": [0, 4]}, {"t": [2, "3/2"], "x": [0, 1], "y": [0, 1]}, "box 0 t interval [2, 3/2]"),
+    ],
+    ids=["tied-integer-parts", "negative-ends", "window", "integer-and-fraction"],
+)
+def test_reversed_intervals_keep_their_messages(window, box, message):
+    data = {"window": window, "boxes": [] if box is None else [box]}
+    with pytest.raises(ValueError) as exc:
+        scene_from_jsonable(data)
+    assert str(exc.value) == f"{message} is reversed"
+
+
+def test_equal_interval_ends_are_accepted():
+    data = {"window": {"x": [0, 4], "y": [0, 4]}, "boxes": [{"t": ["1/3", "2/6"], "x": ["-1/2", "-1/2"], "y": [0, 4]}]}
+    box = scene_from_jsonable(data).boxes[0]
+    assert box.t == (Fraction(1, 3), Fraction(1, 3)) and box.x == (Fraction(-1, 2), Fraction(-1, 2))
+
+
+def test_reading_a_scene_compares_no_fractions(monkeypatch):
+    # interval ends are ordered by cross-multiplying their integer ratios
+    data = json.loads(json.dumps(scene_to_jsonable(pulsing_box_scene(400))))
+    calls = []
+    richcmp = Fraction._richcmp
+    monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: calls.append(op) or richcmp(a, b, op))
+    scene = scene_from_jsonable(data)
+    assert (len(calls), len(scene.boxes)) == (0, 200)
 
 
 def _one_vertex_sheaf(v1_labels, entries):

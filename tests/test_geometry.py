@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import evasion.geometry
@@ -24,8 +24,8 @@ from evasion.geometry import (
     critical_times,
     extract_path,
     gap_components,
-    point_uncovered,
     scene_fibres,
+    sheaf_from_fibres,
     validate_fibres,
     validate_scene,
     verify_evasion_path,
@@ -36,7 +36,7 @@ from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, ran
 from evasion.sheaf import SectionChain, assemble_coboundary, generator_maps, global_sections, validate_sheaf
 
 from conftest import load_fixture
-from reference_geometry import reference_fibre, reference_validate
+from reference_geometry import locate, point_uncovered, reference_fibre, reference_locate, reference_validate
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_COLUMNS,
@@ -403,6 +403,34 @@ FRAME_BOXES = (
 SHIFTS = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(0))
 
 
+def assert_fibres_match_the_reference(scene: Scene) -> bool:
+    """The scene's fibres, validation and restriction targets against the
+    `Fraction` reference; returns whether the scene is valid.
+
+    A restriction target is found with no ranks and no owner array: the edge
+    component of the reference fibre at the edge's sample time that holds
+    the vertex component's reference interior point."""
+    fibres = scene_fibres(scene)
+    times, vertex_fibres, edge_fibres = fibres
+    assert times == (critical_times(scene) or (Fraction(0),))
+    edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
+    reference = {}
+    for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
+        reference[t] = reference_fibre(scene, t)
+        xs, ys, comps = reference[t]
+        assert (fibre.xs, fibre.ys) == (xs, ys)
+        assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
+        assert gap_components(scene, t) == fibre
+    sheaf = sheaf_from_fibres(fibres)
+    for i, t in enumerate(times):
+        for M, te in ((sheaf.left_maps[i], edge_times[i]), (sheaf.right_maps[i], edge_times[i + 1])):
+            targets = [reference_locate(*reference[te], point) for _, _, point, _ in reference[t][2]]
+            assert [dict(M.column_nonzeros[c]) for c in range(M.cols)] == [{r: 1} for r in targets]
+    report = validate_fibres(fibres)
+    assert (report.ok, report.problems) == reference_validate(scene, times)
+    return report.ok
+
+
 def test_fibres_and_validation_match_the_fraction_reference(base_seed):
     rng = Random(base_seed)
     invalid = 0
@@ -412,18 +440,13 @@ def test_fibres_and_validation_match_the_fraction_reference(base_seed):
         scene = Scene(raw.window_x, raw.window_y, raw.boxes + extra).shifted(
             *(rng.choice(SHIFTS) for _ in range(3))
         )
-        times, vertex_fibres, edge_fibres = scene_fibres(scene)
-        assert times == (critical_times(scene) or (Fraction(0),))
-        edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
-        for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
-            xs, ys, comps = reference_fibre(scene, t)
-            assert (fibre.xs, fibre.ys) == (xs, ys)
-            assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
-            assert gap_components(scene, t) == fibre
-        report = validate_fibres((times, vertex_fibres, edge_fibres))
-        assert (report.ok, report.problems) == reference_validate(scene, times)
-        invalid += not report.ok
+        invalid += not assert_fibres_match_the_reference(scene)
     assert 20 < invalid < 300  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(12)], ids=["pulsing", "comb"])
+def test_family_fibres_match_the_fraction_reference(scene):
+    assert assert_fibres_match_the_reference(scene)
 
 
 # k/97 share the integer part 0, and -1/3, -1/2 and -2/3 the floor -1
@@ -553,5 +576,66 @@ def test_arrangement_agrees_with_the_point_probe(seed, data):
             Fraction(data.draw(st.integers(min_value=-2, max_value=26)), 2),
             Fraction(data.draw(st.integers(min_value=-2, max_value=26)), 2),
         )
-        located = fibre.locate(p)
+        located = locate(fibre, p)
         assert (located is not None) == point_uncovered(scene, t, p)
+
+
+def _kept(iv):
+    return iv
+
+
+def _boxes_mapped(scene: Scene, t=_kept, x=_kept, y=_kept) -> Scene:
+    """The scene with each box's t, x and y intervals mapped, and the window's x and y."""
+    return Scene(x(scene.window_x), y(scene.window_y), tuple(Box(t(b.t), x(b.x), y(b.y)) for b in scene.boxes))
+
+
+def _halves(box: Box, axis: int) -> tuple[Box, Box]:
+    """Two closed boxes whose union is the box, split at the midpoint of one axis."""
+    ivs = [box.t, box.x, box.y]
+    lo, hi = ivs[axis]
+    mid = (lo + hi) / 2
+    first, second = list(ivs), list(ivs)
+    first[axis], second[axis] = (lo, mid), (mid, hi)
+    return Box(*first), Box(*second)
+
+
+def metamorphic_images(scene: Scene, a: Fraction, b: Fraction, axes: list[int]) -> dict[str, Scene]:
+    """The scene under each transformation that keeps its verdict and kernel_dim."""
+    return {
+        "time reversal": _boxes_mapped(scene, t=lambda iv: (-iv[1], -iv[0])),
+        "x-y swap": Scene(scene.window_y, scene.window_x, tuple(Box(box.t, box.y, box.x) for box in scene.boxes)),
+        "x mirror": _boxes_mapped(scene, x=lambda iv: (-iv[1], -iv[0])),
+        "rescale": _boxes_mapped(scene, t=lambda iv: (a * iv[0], a * iv[1]), x=lambda iv: (b * iv[0], b * iv[1])),
+        "box split": Scene(
+            scene.window_x,
+            scene.window_y,
+            tuple(half for box, axis in zip(scene.boxes, axes) for half in _halves(box, axis)),
+        ),
+    }
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: random_candidate(Random(seed), 6)),
+        st.integers(min_value=1, max_value=6).map(lambda k: pulsing_box_scene(2 * k)),
+        st.integers(min_value=1, max_value=5).map(comb_scene),
+    ),
+    POSITIVE,
+    POSITIVE,
+    # the axis to split each box along; no drawn scene has more than 12 boxes
+    st.lists(st.integers(min_value=0, max_value=2), min_size=12, max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
+    assume(validate_scene(scene).ok)
+
+    def outcome(s: Scene) -> tuple[bool, int]:
+        sections = global_sections(build_sheaf(s))
+        return sections.decision.feasible, sections.kernel_dim
+
+    expected = outcome(scene)
+    for name, image in metamorphic_images(scene, a, b, axes).items():
+        assert outcome(image) == expected, name
