@@ -7,7 +7,9 @@ verdict of the simplex called directly on the coboundary, the sweep's
 certificate and the decomposability of the simplex witness all line up,
 that the sweep's kernel_dim (a cycle rank) is the coboundary's columns
 minus its rank, and that the coboundary the decided sections build when
-read is `assemble_coboundary`'s, labels included.
+read is `assemble_coboundary`'s, labels included. On every feasible draw
+the sweep's witness must decompose into exactly its own chain at weight
+1/k, and that chain must be the one `evasion oracle` reports.
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
 The flow decomposition is the test reference in `tests/reference_chains.py`,
 which the script finds next to itself in the checkout.
@@ -19,14 +21,16 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 from evasion.cli import sheaf_to_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
 from evasion.linalg import rank
+from evasion.oracle import dp_section_exists
 from evasion.randgen import random_function_like_sheaf
-from evasion.sheaf import assemble_coboundary, global_sections
+from evasion.sheaf import assemble_coboundary, global_sections, section_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference_chains import flow_decompose  # noqa: E402
@@ -57,7 +61,11 @@ def main() -> int:
         if ok and sections.decision.feasible:
             feasible += 1
             decomposition = flow_decompose(sheaf, simplex.witness)
-            ok = bool(decomposition)
+            S = sections.sheaf
+            chain = section_chain(S, sections.chain)
+            own = flow_decompose(S, sections.decision.witness)
+            ok = bool(decomposition) and own == [(chain, Fraction(1, S.strat.k))]
+            ok = ok and dp_section_exists(sheaf) == (True, chain)
         elif ok:
             ok = is_valid_certificate(sections.coboundary, sections.decision.certificate)
         if not ok:

@@ -52,7 +52,7 @@ from functools import cached_property
 
 from evasion.cones import PolyhedralCone
 from evasion.linalg import Matrix, ONE, SparseRow, ZERO
-from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratification
+from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratification, section_chain
 
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -585,34 +585,28 @@ def _route(fibre: GapFibre, c: int, f0: int, f1: int) -> list[Point]:
 
 
 def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> EvasionPath:
-    """Turn a feasible global-sections witness into a concrete evasion path.
+    """Turn a feasible sweep decision's section chain into a concrete evasion path.
 
     `fibres` are the scene's `scene_fibres` and `sections` the global
-    sections of the sheaf built from them. The witness support must be a
-    single section chain: one gap component per vertex, each persisting
-    into the same component of the edge it shares with the next vertex
-    (GeometryError otherwise). The path sits at a rational interior point
-    of each chosen component, and migrates between those points by straight
-    hops across the face graph strictly inside each open edge interval,
-    where the gap fibre is constant. Components are read off the fibres'
-    owner arrays. The result is verified against the scene's boxes exactly
-    before being returned.
+    sections of the sheaf built from them. `sections.chain` names one gap
+    component per cell, which must be a component of that cell's fibre, and
+    each vertex component must persist into the components the chain names
+    on both edges beside it (GeometryError otherwise). The path sits at a
+    rational interior point of each vertex component, and migrates between
+    those points by straight hops across the face graph strictly inside each
+    open edge interval, where the gap fibre is constant. Components and
+    routes are read off the fibres' owner arrays. The result is verified
+    against the scene's boxes exactly before being returned.
     """
-    if sections.decision is None or not sections.decision.feasible:
-        raise ValueError("extract_path needs a feasible global-sections decision")
+    chain = sections.chain
+    if chain is None:
+        raise ValueError("extract_path needs the section chain of a feasible sweep decision")
     times, vertex_fibres, edge_fibres = fibres
     k = len(times)
-    support: dict[str, list[str]] = {}
-    for (cell, lab), v in zip(sections.column_labels, sections.decision.witness):
-        if v:
-            support.setdefault(cell, []).append(lab)
-    # a stalk labels its generators by position, so a label's index is its component
-    chosen: list[int] = []
-    for i, stalk in enumerate(sections.sheaf.vertex_stalks):
-        labels = support.get(f"v{i + 1}", [])
-        if len(labels) != 1 or labels[0] not in stalk.labels:
-            raise GeometryError(f"witness support is not a single chain: v{i + 1} carries {labels}")
-        chosen.append(stalk.labels.index(labels[0]))
+    edge_comps, chosen = chain[0::2], chain[1::2]
+    # an edge index that names no component of its fibre owns no face, which _route checks
+    if len(chain) != 2 * k + 1 or not all(0 <= c < len(vf.seeds) for vf, c in zip(vertex_fibres, chosen)):
+        raise GeometryError("section chain does not have one gap component per cell")
     # samples share fibres, so an interior point is worked out once per fibre and component
     points: dict[tuple[int, int], Point] = {}
     vertex_points = []
@@ -620,34 +614,26 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
         if (id(vf), c) not in points:
             points[id(vf), c] = vf.interior_point(c)
         vertex_points.append(points[id(vf), c])
-    # ends[j][i]: the face of edge j's grid holding vertex i's chosen component
-    ends: list[dict[int, int]] = []
-    edge_comps: list[int] = []
-    cells: list[tuple[str, str]] = []
+    # routes[j] runs inside edge j's component from vertex j-1's to vertex j's;
+    # on an unbounded edge it only checks that the one vertex's component persists into it
+    routes = []
     for j, ef in enumerate(edge_fibres):
-        ends.append({i: _edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k})
-        targets = {ef.owner[face] for face in ends[j].values()}
-        if len(targets) != 1 or -1 in targets:
-            raise GeometryError(f"witness support is not a single chain across e{j + 1}")
-        edge_comps.append(targets.pop())
-        cells.append((f"e{j + 1}", component_label(edge_comps[j])))
-        if j < k:
-            cells.append((f"v{j + 1}", component_label(chosen[j])))
+        ends = [_edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k]
+        routes.append(_route(ef, edge_comps[j], ends[0], ends[-1]))
 
     segments: list[PathSegment] = []
     cur_start: Fraction | None = None
     cur_point = vertex_points[0]
     for i in range(k - 1):
         a, b = times[i], times[i + 1]
-        route = _route(edge_fibres[i + 1], edge_comps[i + 1], ends[i + 1][i], ends[i + 1][i + 1])
-        positions = [vertex_points[i], *route, vertex_points[i + 1]]
+        positions = [vertex_points[i], *routes[i + 1], vertex_points[i + 1]]
         hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
         for h, nxt in enumerate(hops):
             s = a + (b - a) * Fraction(h + 1, len(hops) + 1)
             segments.append(PathSegment(cur_start, s, cur_point))
             cur_start, cur_point = s, nxt
     segments.append(PathSegment(cur_start, None, cur_point))
-    path = EvasionPath(segments=tuple(segments), chain=SectionChain(tuple(cells)))
+    path = EvasionPath(segments=tuple(segments), chain=section_chain(sections.sheaf, chain))
     verify_evasion_path(scene, path)
     return path
 

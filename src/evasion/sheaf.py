@@ -21,7 +21,9 @@ certificate exactly:
     a node-arc incidence matrix as coboundary: edge generators are nodes and
     each vertex generator is an arc from its left to its right image. A
     left-to-right reachability sweep decides them in O(#generators), without
-    building that matrix, and emits both Stiemke objects (`section_sweep`);
+    building that matrix, and emits both Stiemke objects (`section_sweep`).
+    Its section chain, one generator per cell, is kept on the result: the
+    witness is built from it, and `section_chain` labels it for every reader.
     kernel_dim is a cycle rank.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
@@ -33,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, count, pairwise
+from itertools import accumulate, count
 
 from evasion.cones import (
     FEASIBLE,
@@ -49,6 +51,8 @@ from evasion.linalg import Matrix, SparseRow, ZERO, rank
 CellLabel = tuple[str, str]  # (cell id, generator label)
 # per vertex: (left edge generator, right edge generator) of each vertex generator
 GeneratorMaps = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+# one generator index per cell in time order: e1, v1, e2, ..., vk, e(k+1)
+Chain = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,16 @@ class SectionChain:
     def as_dict(self) -> dict[str, str]:
         return dict(self.cells)
 
-    def vertex_labels(self) -> dict[str, str]:
-        return {cell: lab for cell, lab in self.cells if cell.startswith("v")}
+
+def section_chain(S: ConeSheaf, chain: Chain) -> SectionChain:
+    """The labels of a chain of generator indices, one per cell in time order."""
+    strat = S.strat
+    cells = []
+    for n, g in enumerate(chain):
+        i = n // 2
+        cell, stalk = (strat.vertex_id(i), S.vertex_stalks[i]) if n % 2 else (strat.edge_id(i), S.edge_stalks[i])
+        cells.append((cell, stalk.labels[g]))
+    return SectionChain(tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,9 @@ class GlobalSections:
     precompact edge stalks (for free stalks those coincide with labelled
     generators). The matrix is built from the sheaf on first read. kernel_dim
     (columns minus rank) and decision are None when only labels were built.
+    chain is the sweep's section chain, one generator index per cell in time
+    order (`section_chain` labels it), on a feasible sweep decision; the
+    witness is built from it. It is None for every other decision.
     """
 
     sheaf: ConeSheaf = field(repr=False)
@@ -176,6 +191,7 @@ class GlobalSections:
     column_labels: tuple[CellLabel, ...]
     kernel_dim: int | None = None
     decision: FeasibilityResult | None = None
+    chain: Chain | None = None
 
     @cached_property
     def coboundary(self) -> Matrix:
@@ -296,16 +312,19 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         return sections
     # generator_maps accepts only free stalks and restrictions sending each
     # generator onto one generator, so such a sheaf is valid as it stands
-    choices, y = section_sweep(S, maps)
-    if choices is not None:
-        # consecutive choices must meet on their shared edge; weight 1/k each
-        meets = [maps[i][1][g] == maps[i + 1][0][h] for i, (g, h) in enumerate(pairwise(choices))]
-        if len(choices) != len(maps) or not all(meets):
-            raise AssertionError("witness chain does not meet on a shared edge")
+    chain, y = section_sweep(S, maps)
+    if chain is not None:
+        # every vertex generator must restrict to the edge generators beside it; weight 1/k each
+        edges, vertices = chain[0::2], chain[1::2]
+        if len(chain) != 2 * len(maps) + 1:
+            raise AssertionError("witness chain does not have one generator per cell")
+        if any(maps[i][0][g] != edges[i] or maps[i][1][g] != edges[i + 1] for i, g in enumerate(vertices)):
+            raise AssertionError("witness chain does not restrict to its edge generators")
         blocks = [[ZERO] * len(stalk.generators) for stalk in S.vertex_stalks]
-        for block, g in zip(blocks, choices):
-            block[g] = Fraction(1, len(maps))
-        decision = FeasibilityResult(FEASIBLE, witness=tuple(chain.from_iterable(blocks)))
+        weight = Fraction(1, len(maps))
+        for block, g in zip(blocks, vertices):
+            block[g] = weight
+        decision = FeasibilityResult(FEASIBLE, witness=tuple(v for block in blocks for v in block))
     else:
         # zero on both unbounded edges and a drop along every arc make D'y >= 1
         if [len(block) for block in y] != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
@@ -313,7 +332,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
-    return GlobalSections(S, *_labels(S), cycle_rank(S, maps), decision)
+    return GlobalSections(S, *_labels(S), cycle_rank(S, maps), decision, chain)
 
 
 def generator_maps(S: ConeSheaf) -> GeneratorMaps:
@@ -324,11 +343,13 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
     matrix with exactly one 1 per column.
     """
     strat = S.strat
-    cells = [*zip(map(strat.vertex_id, range(strat.k)), S.vertex_stalks)]
-    cells += zip(map(strat.edge_id, range(strat.edge_count)), S.edge_stalks)
-    for cell, stalk in cells:
-        if not stalk.is_free:
-            raise UnsupportedSheafError(f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free")
+    # cell ids are formatted only to name the stalk at fault
+    for cell_id, stalks in ((strat.vertex_id, S.vertex_stalks), (strat.edge_id, S.edge_stalks)):
+        for i, stalk in enumerate(stalks):
+            if not stalk.is_free:
+                raise UnsupportedSheafError(
+                    f"the sweep requires free (orthant) stalks; the stalk over {cell_id(i)} is not free"
+                )
     images, read = [], {}  # id of each distinct restriction -> its image tuple
     for i, j, M in S.incidences():
         if id(M) not in read:
@@ -345,16 +366,18 @@ def generator_maps(S: ConeSheaf) -> GeneratorMaps:
     return tuple(zip(images[0::2], images[1::2]))
 
 
-def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, list[list[int]] | None]:
+def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[Chain | None, list[list[int]] | None]:
     """Decide a function-like sheaf by reachability from the left unbounded edge.
 
     Edge generators are nodes and vertex generator g of vertex i is an arc
     from maps[i][0][g] in edge i to maps[i][1][g] in edge i+1. A nonzero
     section is a chain of arcs from the left to the right unbounded edge.
 
-    Returns (choices, None) with one vertex generator per vertex: the chain
-    ending in the least reachable generator of the right unbounded edge,
-    each vertex taking its least generator that continues it. Otherwise
+    Returns (chain, None) with one generator index per cell in time order
+    (e1, v1, e2, ..., vk, e(k+1)): the chain ending in the least reachable
+    generator of the right unbounded edge, each vertex taking its least
+    generator that continues it, and each edge the left image of the vertex
+    after it, which the backtrack visits anyway. Otherwise
     returns (None, y) with one block of integers per edge: 0 on both
     unbounded edges, -j on generators of edge j reachable from the left, and
     elsewhere the length of the longest chain from the generator to the
@@ -370,13 +393,12 @@ def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[list[int] | None, 
         reach.append(nxt)
     if reach[k]:
         target = min(reach[k])
-        choices: list[int] = []
+        backwards = [target]
         for i in range(k - 1, -1, -1):
             g = reach[i + 1][target]
-            choices.append(g)
             target = maps[i][0][g]
-        choices.reverse()
-        return choices, None
+            backwards += (g, target)
+        return tuple(reversed(backwards)), None
     longest = [0] * len(S.edge_stalks[k].generators)
     blocks = [longest]
     for j in range(k - 1, 0, -1):

@@ -1,16 +1,17 @@
 """Section enumeration and flow decomposition of free, function-like sheaves.
 
-Test references for the section chains of `evasion.oracle`: a brute-force
+Test references for the section chains of `evasion.sheaf`: a brute-force
 list of every chain, and the split of a kernel point, such as a simplex
-witness, into weighted chains. Only tests and `scripts/oracle_fuzz.py` use
-them; the production decision is the sweep of `evasion.sheaf`.
+witness, into weighted chains. Each walks the vertices itself and keeps its
+own generator index per cell; only the labels come from the public
+`section_chain`. Only tests and `scripts/oracle_fuzz.py` use them; the
+production decision is the sweep of `evasion.sheaf`.
 """
 
 from fractions import Fraction
 
 from evasion.linalg import ZERO
-from evasion.oracle import _chain_from_vertex_choices
-from evasion.sheaf import ConeSheaf, SectionChain, _normalise, assemble_coboundary, generator_maps
+from evasion.sheaf import ConeSheaf, SectionChain, _normalise, assemble_coboundary, generator_maps, section_chain
 
 
 def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
@@ -21,23 +22,24 @@ def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
     maps = generator_maps(S)
     k = S.strat.k
     chains: list[SectionChain] = []
-    prefix: list[int] = []
+    cells: list[int] = []  # generator per cell, e1 v1 e2 ... up to the edge the walk stands on
 
-    def walk(i: int, incoming: int | None) -> bool:
+    def walk(i: int) -> bool:
         if i == k:
-            chains.append(_chain_from_vertex_choices(S, maps, prefix))
+            chains.append(section_chain(S, tuple(cells)))
             return len(chains) >= cap
         left_f, right_f = maps[i]
         for g, (li, ri) in enumerate(zip(left_f, right_f)):
-            if incoming is not None and li != incoming:
+            if i and li != cells[-1]:
                 continue
-            prefix.append(g)
-            if walk(i + 1, ri):
+            step = (g, ri) if i else (li, g, ri)
+            cells.extend(step)
+            if walk(i + 1):
                 return True
-            prefix.pop()
+            del cells[-len(step):]
         return False
 
-    walk(0, None)
+    walk(0)
     return chains
 
 
@@ -91,7 +93,10 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
         weight = min(work[offsets[i] + g] for i, g in enumerate(choices))
         for i, g in enumerate(choices):
             work[offsets[i] + g] -= weight
-        out.append((_chain_from_vertex_choices(S, maps, choices), weight))
+        cells = [maps[0][0][choices[0]]]
+        for i, g in enumerate(choices):
+            cells += (g, maps[i][1][g])
+        out.append((section_chain(S, tuple(cells)), weight))
     if any(work):
         raise ValueError("witness mass left over after decomposition; not a decomposable witness")
     return out

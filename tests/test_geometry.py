@@ -11,7 +11,7 @@ import evasion.geometry
 import evasion.linalg
 import evasion.sheaf
 from evasion.cli import main, scene_from_jsonable, scene_to_jsonable
-from evasion.cones import FEASIBLE, FeasibilityResult, lp_positive_kernel
+from evasion.cones import lp_positive_kernel
 from evasion.geometry import (
     Box,
     EvasionPath,
@@ -226,17 +226,18 @@ class TestExtractPath:
     @pytest.mark.parametrize(
         "support",
         [
-            {"v1.g0", "v2.g0", "v3.g1", "v4.g0"},  # v2's bottom strand misses v1's top one on e2
-            {"v1.g0", "v2.g0", "v2.g1", "v3.g1", "v4.g0"},  # two generators at v2
-            {"v1.g0", "v3.g1", "v4.g0"},  # nothing at v2
+            # the sweep's chain is e1.g0 v1.g0 e2.g1 v2.g1 e3.g1 v3.g1 e4.g0 v4.g0 e5.g0
+            (0, 0, 1, 0, 1, 1, 0, 0, 0),  # v2 on the other strand, which misses e2.g1
+            (0, 0, 1, 0, 1, 1, 1, 0, 0, 0),  # two generators at v2
+            (0, 0, 1, 1, 1, 0, 0, 0),  # nothing at v2
+            (0, 0, 1, 1, 1, 1, 0, 0, 1),  # e5 names a component its one-component fibre lacks
         ],
     )
     def test_support_that_is_not_a_single_chain_is_rejected(self, support):
         sections = global_sections(build_sheaf(OPEN_SCENE))
-        names = [f"{cell}.{lab}" for cell, lab in sections.column_labels]
-        witness = tuple(Fraction(1, len(support)) if n in support else Fraction(0) for n in names)
-        forged = replace(sections, decision=FeasibilityResult(FEASIBLE, witness=witness))
-        with pytest.raises(GeometryError, match="single chain"):
+        assert sections.chain == (0, 0, 1, 1, 1, 1, 0, 0, 0)
+        forged = replace(sections, chain=support)
+        with pytest.raises(GeometryError, match="one gap component per cell|expected gap component"):
             extract_path(OPEN_SCENE, scene_fibres(OPEN_SCENE), forged)
 
 

@@ -99,7 +99,8 @@ class TestFlowDecompose:
         assert len(decomposition) == 1
         chain, weight = decomposition[0]
         assert weight == Fraction(1, 4)
-        assert chain.vertex_labels() == {"v1": "t", "v2": "m", "v3": "m", "v4": "b"}
+        # cells alternate e1, v1, e2, ..., so every second one is a vertex's
+        assert dict(chain.cells[1::2]) == {"v1": "t", "v2": "m", "v3": "m", "v4": "b"}
 
     def test_two_disjoint_chains_are_recovered_with_weights(self):
         # two parallel strands, witness = (1*top + 2*bottom)/3
@@ -109,11 +110,11 @@ class TestFlowDecompose:
         sheaf = ConeSheaf(strat, (two, two), (two, two, two), (ident, ident), (ident, ident))
         x = [Fraction(1, 6), Fraction(2, 6), Fraction(1, 6), Fraction(2, 6)]
         decomposition = flow_decompose(sheaf, x)
-        weights = {chain.vertex_labels()["v1"]: w for chain, w in decomposition}
+        weights = {dict(chain.cells[1::2])["v1"]: w for chain, w in decomposition}
         assert weights == {"a": Fraction(1, 6), "b": Fraction(2, 6)}
         total = {}
         for chain, w in decomposition:
-            for cell, lab in chain.vertex_labels().items():
+            for cell, lab in dict(chain.cells[1::2]).items():
                 total[(cell, lab)] = total.get((cell, lab), Fraction(0)) + w
         assert total == {
             ("v1", "a"): Fraction(1, 6),
@@ -143,7 +144,7 @@ class TestFlowDecompose:
         assert len(decomposition) == 1
         chain, weight = decomposition[0]
         assert weight == Fraction(1, 2)
-        assert chain.vertex_labels() == {"v1": "top", "v2": "top"}
+        assert dict(chain.cells[1::2]) == {"v1": "top", "v2": "top"}
 
     def test_invalid_witness_is_rejected(self):
         sheaf = crossing_sheaf(True)
@@ -164,7 +165,7 @@ class TestPositiveConeOfSectionClasses:
         names = [f"{c}.{l}" for c, l in sections.column_labels]
         vectors = []
         for chain in chains:
-            labels = chain.vertex_labels()
+            labels = dict(chain.cells[1::2])
             indicator = [Fraction(1) if n.split(".")[0] in labels and labels[n.split(".")[0]] == n.split(".")[1] else Fraction(0) for n in names]
             coords = _coordinates_in_basis(kernel, indicator)
             vectors.append(tuple(coords))
@@ -212,7 +213,7 @@ def test_dp_chain_indicator_is_a_kernel_element(seed):
     if not exists:
         return
     sections = assemble_coboundary(sheaf)
-    labels = chain.vertex_labels()
+    labels = dict(chain.cells[1::2])
     indicator = [
         Fraction(1) if labels.get(cell) == lab else Fraction(0)
         for cell, lab in sections.column_labels
@@ -234,7 +235,7 @@ def test_flow_decomposition_reassembles_the_witness(seed):
     decomposition = flow_decompose(sheaf, witness)
     total = [Fraction(0)] * len(witness)
     for chain, w in decomposition:
-        labels = chain.vertex_labels()
+        labels = dict(chain.cells[1::2])
         for idx, (cell, lab) in enumerate(sections.column_labels):
             if labels.get(cell) == lab:
                 total[idx] += w

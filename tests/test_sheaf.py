@@ -19,6 +19,7 @@ from evasion.sheaf import (
     assemble_coboundary,
     global_sections,
     refine,
+    section_chain,
     validate_sheaf,
 )
 
@@ -278,20 +279,34 @@ class TestSweepRechecks:
         monkeypatch.setattr(evasion.sheaf, "section_sweep", lambda S, maps: corrupt(maps, *sweep(S, maps)))
 
     def test_chain_that_does_not_meet_on_a_shared_edge(self, monkeypatch):
-        def swap(maps, choices, y):
+        def swap(maps, chain, y):
             # v2 takes a generator whose image on e2 is not where v1's choice lands
             left = maps[1][0]
-            choices[1] = next(g for g in range(len(left)) if left[g] != left[choices[1]])
-            return choices, y
+            g = next(g for g in range(len(left)) if left[g] != left[chain[3]])
+            return (*chain[:3], g, *chain[4:]), y
 
         self.patch_sweep(monkeypatch, swap)
-        with pytest.raises(AssertionError, match="shared edge"):
+        with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
+            global_sections(crossing_sheaf(True))
+
+    def test_edge_generator_that_is_not_the_vertex_left_image(self, monkeypatch):
+        def shift(maps, chain, y):
+            # e1 names a generator v1's left restriction does not reach; no other cell changes
+            return (chain[0] + 1, *chain[1:]), y
+
+        self.patch_sweep(monkeypatch, shift)
+        with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
+            global_sections(crossing_sheaf(True))
+
+    def test_chain_without_one_generator_per_cell(self, monkeypatch):
+        self.patch_sweep(monkeypatch, lambda maps, chain, y: (chain[1:], y))  # e1 dropped
+        with pytest.raises(AssertionError, match="one generator per cell"):
             global_sections(crossing_sheaf(True))
 
     def test_potential_with_an_arc_that_does_not_drop(self, monkeypatch):
-        def move(maps, choices, y):
+        def move(maps, chain, y):
             y[1][maps[0][1][0]] += 1  # v1's first arc now ends where it starts, at level 0
-            return choices, y
+            return chain, y
 
         self.patch_sweep(monkeypatch, move)
         with pytest.raises(AssertionError, match="every arc"):
@@ -301,9 +316,9 @@ class TestSweepRechecks:
         "corrupt",
         [
             # every entry one higher: each arc still drops, but not from zero on the unbounded edges
-            lambda maps, choices, y: (choices, [[v + 1 for v in block] for block in y]),
+            lambda maps, chain, y: (chain, [[v + 1 for v in block] for block in y]),
             # every block one edge early: the blocks no longer fit the edges
-            lambda maps, choices, y: (choices, [*y[1:], [0]]),
+            lambda maps, chain, y: (chain, [*y[1:], [0]]),
         ],
         ids=["plus_one", "one_edge_early"],
     )
@@ -351,6 +366,7 @@ class TestValidateOnce:
         monkeypatch.setattr(evasion.sheaf, "rank", counted(rank))
         sections = global_sections(sheaf)
         assert sections.decision.feasible
+        assert sections.chain is None  # a simplex witness is not read as a chain
         assert calls == ["validate_sheaf", "rank"]
         # the matrix the simplex decided is the one read back, not a second build
         monkeypatch.setattr(evasion.sheaf, "_generator_images", counted(evasion.sheaf._generator_images))
@@ -452,10 +468,12 @@ def test_lp_matches_dp_on_function_like_sheaves(seed):
     sections = global_sections(sheaf)
     exists, chain = dp_section_exists(sheaf)
     assert exists == sections.decision.feasible == lp_positive_kernel(sections.coboundary).feasible
+    assert (sections.chain is None) == (not exists)
     # built from the sheaf on first read, then kept
     assert sections.coboundary is sections.coboundary
     assert sections.coboundary == assemble_coboundary(sheaf).coboundary
     if exists:
+        assert section_chain(sections.sheaf, sections.chain) == chain
         k = sheaf.strat.k
         expected = [
             Fraction(1, k) if chain.as_dict()[cell] == lab else Fraction(0)
