@@ -43,7 +43,6 @@ from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
-    SectionChain,
     SheafValidationError,
     Stratification,
     assemble_coboundary,
@@ -267,7 +266,7 @@ def path_to_jsonable(path: EvasionPath) -> dict:
                 "point": [format_rational(seg.point[0]), format_rational(seg.point[1])],
             }
         )
-    return {"segments": segments, "chain": path.chain.as_dict()}
+    return {"segments": segments, "chain": dict(path.chain)}
 
 
 def path_from_jsonable(data) -> EvasionPath:
@@ -281,8 +280,7 @@ def path_from_jsonable(data) -> EvasionPath:
                 (parse_rational(seg["point"][0]), parse_rational(seg["point"][1])),
             )
         )
-    chain = SectionChain(tuple((c, l) for c, l in data.get("chain", {}).items()))
-    return EvasionPath(tuple(segs), chain)
+    return EvasionPath(tuple(segs), tuple(data.get("chain", {}).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def cmd_oracle(args) -> int:
     exists, chain = dp_section_exists(sheaf)
     out: dict = {"section_exists": exists}
     if chain is not None:
-        out["chain"] = chain.as_dict()
+        out["chain"] = dict(chain)
     _emit(out)
     return EXIT_EVASION if exists else EXIT_NO_EVASION
 

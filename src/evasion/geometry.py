@@ -16,6 +16,18 @@ component counts and the owners of single faces, and the component objects
 (label, anchor, interior point, faces) are built from that array only when
 a reader asks for them.
 
+The scene contract, connected coverage, is read off the same cover flags by
+Alexander duality: on the sphere (the plane plus a point at infinity, which
+the fence covers) the rank of the gap's first homology is the number of
+coverage components minus one. A connected open planar set has Euler
+characteristic 1 minus its number of holes, so the coverage is connected
+exactly when the gap's Euler characteristic equals its number of
+components. The covered faces form a closed subcomplex of the grid, so that
+characteristic is the number of gap faces of even dimension minus that of
+odd ones, and face (i, j) has dimension congruent to i + j, the parity of
+its flat index, as each grid column holds an odd number of faces. A fully
+covered window has no gap, characteristic 0, and connected coverage.
+
 The arrangement and the time sweep run on integer ranks. Each scene gets one
 rank table that ranks its three axes once: the x and y coordinates of the
 window and of every box, and the times of the window-relevant boxes. Values
@@ -51,8 +63,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from evasion.cones import PolyhedralCone
-from evasion.linalg import Matrix, ONE, SparseRow, ZERO
-from evasion.sheaf import ConeSheaf, GlobalSections, SectionChain, Stratification, section_chain
+from evasion.linalg import Matrix, ONE, SparseRow, ZERO, format_rational
+from evasion.sheaf import CellLabel, ConeSheaf, GlobalSections, Stratification, section_chain
 
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -169,8 +181,9 @@ class GapFibre:
     when asked for; `components` builds the component objects on first
     read, and a check never reads them. `xr` and `yr` are the scene table
     ranks of the grid lines, and `connected` says whether the coverage
-    (window frame plus alive boxes) is connected. Samples with one alive
-    key share one fibre; only the grid and the owner array are compared.
+    (window frame plus alive boxes) is connected, which the gap's Euler
+    characteristic tells (module docstring). Samples with one alive key
+    share one fibre; only the grid and the owner array are compared.
     """
 
     xs: tuple[Fraction, ...]
@@ -283,7 +296,9 @@ def _rank_table(scene: Scene) -> _RankTable:
 
 def _arrange(table: _RankTable, key: Key) -> GapFibre:
     """Gap components of the window with the key's rectangles covered,
-    numbered in the order of their least face corner."""
+    numbered in the order of their least face corner. The coverage is
+    connected iff the gap's Euler characteristic, its faces at even flat
+    indices minus those at odd ones, is the number of components."""
     xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in key for c in r[:2])}))
     yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in key for c in r[2:])}))
     xpos = {r: k for k, r in enumerate(xr)}
@@ -307,6 +322,7 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     # component (every gap face shares a corner with a gap 2-face of the
     # same component): components come out in anchor order. The fill marks
     # the faces it reaches as covered, so the next seed is the next 0 flag.
+    euler = covered[0::2].count(0) - covered[1::2].count(0)
     owner = array("i", [-1]) * (nx * ny)
     seeds = []
     seed = covered.find(0)
@@ -323,7 +339,7 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
                     covered[h] = 1
                     stack.append(h)
         seed = covered.find(0, seed)
-    connected = _coverage_connected(key, len(table.xs) - 1, len(table.ys) - 1)
+    connected = euler == len(seeds)
     xs = tuple(table.xs[r] for r in xr)
     ys = tuple(table.ys[r] for r in yr)
     return GapFibre(xs, ys, owner, ny, connected, xr, yr, tuple(seeds))
@@ -350,32 +366,6 @@ def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     is a product of a fixed fibre with the open interval.
     """
     return _rank_table(scene).ts
-
-
-def _coverage_connected(key: Key, top_x: int, top_y: int) -> bool:
-    """Coverage = window frame + the key's rectangles; connected iff every
-    rectangle reaches the frame in the intersection graph of the closed
-    rectangles.
-
-    A rectangle touches the frame iff its box is not strictly inside the
-    window, i.e. it reaches rank 0 or the top rank on some axis. Boxes
-    outside the open window meet no box strictly inside it, so they join
-    the frame and nothing else, and only window-relevant boxes are keyed."""
-    reached, waiting = [], []
-    for r in key:
-        x0, x1, y0, y1 = r
-        (reached if x0 == 0 or x1 == top_x or y0 == 0 or y1 == top_y else waiting).append(r)
-    while waiting and reached:
-        x0, x1, y0, y1 = reached.pop()
-        still = []
-        for r in waiting:
-            a0, a1, b0, b1 = r
-            if a0 <= x1 and x0 <= a1 and b0 <= y1 and y0 <= b1:
-                reached.append(r)
-            else:
-                still.append(r)
-        waiting = still
-    return not waiting
 
 
 def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
@@ -443,8 +433,10 @@ def scene_fibres(scene: Scene) -> Fibres:
 
 def validate_fibres(fibres: Fibres) -> SceneReport:
     """Coverage must be connected at every critical time and inside every
-    edge. Gap components stay strictly inside the window by construction:
-    the arrangement's outermost grid lines are the covered frame."""
+    edge, as each fibre's Euler count tells (`GapFibre.connected`). Gap
+    components stay strictly inside the window by construction: the
+    arrangement's outermost grid lines are the covered frame. The message
+    names the first sample time at fault, written out in full."""
     times, vertex_fibres, edge_fibres = fibres
     for j, ef in enumerate(edge_fibres):
         if not ef.connected:
@@ -453,7 +445,7 @@ def validate_fibres(fibres: Fibres) -> SceneReport:
             t = times[j]
         else:
             continue
-        return SceneReport(False, (f"coverage is disconnected at t={t}",))
+        return SceneReport(False, (f"coverage is disconnected at t={format_rational(t)}",))
     return SceneReport(True, ())
 
 
@@ -552,7 +544,7 @@ class EvasionPath:
     """
 
     segments: tuple[PathSegment, ...]
-    chain: SectionChain
+    chain: tuple[CellLabel, ...]  # (cell id, gap component label) in time order
 
 
 def _route(fibre: GapFibre, c: int, f0: int, f1: int) -> list[Point]:

@@ -14,6 +14,7 @@ proportion to their nonzeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -78,7 +79,16 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """q as "p" or "p/q", whatever the length of p and q: arithmetic on
+    accepted input (a path's hop times, a sample midpoint) can outgrow the
+    reader's literal bound and must still be written out."""
+    n, d = q.numerator, q.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        # past CPython's limit on int-to-str conversion (4300 digits by
+        # default); the conversion to Decimal is exact and not bound by it
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ raise UnsupportedSheafError.
 from __future__ import annotations
 
 from evasion.sheaf import (
+    CellLabel,
     ConeSheaf,
-    SectionChain,
     UnsupportedSheafError,
     _normalise,
     generator_maps,
@@ -24,10 +24,10 @@ from evasion.sheaf import (
     section_sweep,
 )
 
-__all__ = ["SectionChain", "UnsupportedSheafError", "dp_section_exists"]
+__all__ = ["UnsupportedSheafError", "dp_section_exists"]
 
 
-def dp_section_exists(S: ConeSheaf) -> tuple[bool, SectionChain | None]:
+def dp_section_exists(S: ConeSheaf) -> tuple[bool, tuple[CellLabel, ...] | None]:
     """The production reachability sweep (`sheaf.section_sweep`), as a chain.
 
     Returns (True, chain) with the sweep's witness chain, or (False, None)

@@ -23,7 +23,8 @@ certificate exactly:
     left-to-right reachability sweep decides them in O(#generators), without
     building that matrix, and emits both Stiemke objects (`section_sweep`).
     Its section chain, one generator per cell, is kept on the result: the
-    witness is built from it, and `section_chain` labels it for every reader.
+    witness is built from it, and `section_chain` labels it for every reader
+    with the cell ids the stratification formats once.
     kernel_dim is a cycle rank.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
@@ -78,11 +79,17 @@ class Stratification:
     def edge_count(self) -> int:
         return self.k + 1
 
+    @cached_property
+    def cells(self) -> tuple[str, ...]:
+        """Every cell id in time order: e1, v1, e2, ..., vk, e(k+1), each
+        formatted once."""
+        return tuple(f"{'v' if n % 2 else 'e'}{n // 2 + 1}" for n in range(2 * self.k + 1))
+
     def vertex_id(self, i: int) -> str:
-        return f"v{i + 1}"
+        return self.cells[2 * i + 1]
 
     def edge_id(self, j: int) -> str:
-        return f"e{j + 1}"
+        return self.cells[2 * j]
 
     def find_edge(self, t: Fraction) -> int:
         """Index of the open edge containing t; error if t is a vertex time."""
@@ -152,25 +159,12 @@ class UnsupportedSheafError(ValueError):
     """Sheaf is outside the free, function-like class the sweep decides."""
 
 
-@dataclass(frozen=True)
-class SectionChain:
-    """One generator label per cell, unbounded edges included."""
-
-    cells: tuple[tuple[str, str], ...]  # (cell id, generator label) in time order
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.cells)
-
-
-def section_chain(S: ConeSheaf, chain: Chain) -> SectionChain:
-    """The labels of a chain of generator indices, one per cell in time order."""
-    strat = S.strat
-    cells = []
-    for n, g in enumerate(chain):
-        i = n // 2
-        cell, stalk = (strat.vertex_id(i), S.vertex_stalks[i]) if n % 2 else (strat.edge_id(i), S.edge_stalks[i])
-        cells.append((cell, stalk.labels[g]))
-    return SectionChain(tuple(cells))
+def section_chain(S: ConeSheaf, chain: Chain) -> tuple[CellLabel, ...]:
+    """The (cell id, generator label) of a chain of generator indices, one
+    per cell in time order, unbounded edges included."""
+    stalks = (S.edge_stalks, S.vertex_stalks)
+    cells = zip(S.strat.cells, chain, strict=True)
+    return tuple((cell, stalks[n % 2][n // 2].labels[g]) for n, (cell, g) in enumerate(cells))
 
 
 @dataclass(frozen=True)
@@ -263,13 +257,12 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
 
 def _labels(S: ConeSheaf) -> tuple[tuple[CellLabel, ...], tuple[CellLabel, ...]]:
     """Row and column labels of the coboundary of a valid sheaf."""
-    strat = S.strat
+    cells = S.strat.cells
     row_labels: list[CellLabel] = []
-    for j in range(1, strat.k):  # precompact edges only
-        stalk, eid = S.edge_stalks[j], strat.edge_id(j)
+    for eid, stalk in zip(cells[2:-1:2], S.edge_stalks[1:-1]):  # precompact edges only
         coord_labels = stalk.labels if stalk.is_free else [f"x{d}" for d in range(stalk.ambient_dim)]
         row_labels.extend((eid, lab) for lab in coord_labels)
-    vertices = zip(map(strat.vertex_id, range(strat.k)), S.vertex_stalks)
+    vertices = zip(cells[1::2], S.vertex_stalks)
     return tuple(row_labels), tuple((vid, lab) for vid, stalk in vertices for lab in stalk.labels)
 
 

@@ -11,17 +11,17 @@ production decision is the sweep of `evasion.sheaf`.
 from fractions import Fraction
 
 from evasion.linalg import ZERO
-from evasion.sheaf import ConeSheaf, SectionChain, _normalise, assemble_coboundary, generator_maps, section_chain
+from evasion.sheaf import CellLabel, ConeSheaf, _normalise, assemble_coboundary, generator_maps, section_chain
 
 
-def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
+def enumerate_sections(S: ConeSheaf, cap: int) -> list[tuple[CellLabel, ...]]:
     """All section chains in lexicographic order of vertex choices, up to cap."""
     if cap <= 0:
         return []
     S = _normalise(S)
     maps = generator_maps(S)
     k = S.strat.k
-    chains: list[SectionChain] = []
+    chains: list[tuple[CellLabel, ...]] = []
     cells: list[int] = []  # generator per cell, e1 v1 e2 ... up to the edge the walk stands on
 
     def walk(i: int) -> bool:
@@ -43,7 +43,7 @@ def enumerate_sections(S: ConeSheaf, cap: int) -> list[SectionChain]:
     return chains
 
 
-def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
+def flow_decompose(S: ConeSheaf, x) -> list[tuple[tuple[CellLabel, ...], Fraction]]:
     """Split a feasibility witness into weighted section chains.
 
     Conservation of each precompact edge generator's mass means the greedy
@@ -71,7 +71,7 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[SectionChain, Fraction]]:
         offsets.append(pos)
         pos += len(stalk.generators)
     work = list(x)
-    out: list[tuple[SectionChain, Fraction]] = []
+    out: list[tuple[tuple[CellLabel, ...], Fraction]] = []
     while True:
         start = next((g for g in range(len(S.vertex_stalks[0].generators)) if work[offsets[0] + g] > 0), None)
         if start is None:

@@ -2,9 +2,10 @@
 
 The loop versions that `evasion.geometry` replaced with its integer rank
 arrangement: a `Fraction` grid per sample with a union-find over its gap
-faces, and pairwise box intersection on raw coordinates for coverage
-connectivity. They share no code with the production path beyond the scene
-types and `critical_times`, and the tests require equal results.
+faces, and a union-find over pairwise box contacts on raw coordinates for
+coverage connectivity, which the arrangement reads off the gap's Euler
+characteristic instead. They share no code with the production path beyond
+the scene types and `critical_times`, and the tests require equal results.
 
 Also here are the point probes the tests hold the arrangement against: the
 direct box-membership probe `point_uncovered`, exact point location in a

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import evasion.geometry as geometry
 from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
-from evasion.geometry import Box, Scene
+from evasion.geometry import Box, EvasionPath, PathSegment, Scene, verify_evasion_path
 from evasion.linalg import parse_rational
 from evasion.randgen import comb_scene, pulsing_box_scene
 
@@ -748,6 +749,70 @@ def test_a_huge_exponent_ends_a_check_at_once(tmp_path):
     assert result.returncode == 1
     report = json.loads(result.stdout)
     assert report == {"error": "box 0 t: unsupported rational literal: '1e999999999' (over 4300 digits written out)"}
+
+
+# the longest integer literal the reader accepts
+NINES = "9" * 4300
+
+
+def _exact(text: str) -> Fraction:
+    """A written rational read back exactly: `Decimal` reads integers of any
+    length, where `int` and `Fraction` strings stop at 4300 digits."""
+    p, _, q = text.partition("/")
+    return Fraction(Decimal(p)) / Fraction(Decimal(q or "1"))
+
+
+def test_path_times_past_the_literal_bound_are_written_out(capsys, tmp_path):
+    # vertices at -N, 0 and N for N of 4300 nines; the path hops four times
+    # in (0, N), at kN/5 for k = 1..4, and 2N needs 4301 digits
+    data = {
+        "window": {"x": [0, 9], "y": [0, 9]},
+        "boxes": [
+            {"t": ["-" + NINES, 0], "x": [0, 5], "y": [0, 8]},
+            {"t": [0, NINES], "x": [4, 6], "y": [6, 9]},
+            {"t": ["-" + NINES, NINES], "x": [2, 8], "y": [8, 9]},
+        ],
+    }
+    scene_file, path_file, svg_file = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "scene.svg"
+    scene_file.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "check", str(scene_file), "--path", str(path_file), "--plot", str(svg_file))
+    assert code == 0 and report["verdict"] == "EVASION"
+    assert json.loads(path_file.read_text()) == report["path"]
+    assert svg_file.read_text().startswith("<svg")
+    segments = report["path"]["segments"]
+    assert max(len(t) for seg in segments for t in seg["t"] if t is not None) > 4300
+    path = EvasionPath(
+        tuple(
+            PathSegment(*(None if t is None else _exact(t) for t in seg["t"]), tuple(map(_exact, seg["point"])))
+            for seg in segments
+        ),
+        tuple(report["path"]["chain"].items()),
+    )
+    assert [seg.start for seg in path.segments[1:]] == [Fraction(k * (10**4300 - 1), 5) for k in range(1, 5)]
+    verify_evasion_path(scene_from_jsonable(data), path)
+
+
+def test_a_disconnected_sample_past_the_literal_bound_is_named(capsys, tmp_path):
+    # a floating box alive on [a, b], bridged to the frame at t = a and at
+    # t = b only; the edge sample (a + b) / 2 has a denominator of 4401 digits
+    a, b = Fraction(1, 10**2200), Fraction(2, 10**2200 + 1)
+    ta, tb = f"1/1{'0' * 2200}", f"2/1{'0' * 2199}1"
+    data = {
+        "window": {"x": [0, 9], "y": [0, 9]},
+        "boxes": [
+            {"t": [ta, tb], "x": [4, 5], "y": [4, 5]},
+            {"t": [ta, ta], "x": [0, 4], "y": [4, 5]},
+            {"t": [tb, tb], "x": [5, 9], "y": [4, 5]},
+        ],
+    }
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "check", str(scene_file))
+    assert code == 1 and report["error"] == "scene validation failed"
+    (violation,) = report["violations"]
+    prefix = "coverage is disconnected at t="
+    assert violation.startswith(prefix)
+    assert _exact(violation[len(prefix) :]) == (a + b) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from evasion.geometry import (
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
 from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
-from evasion.sheaf import SectionChain, assemble_coboundary, generator_maps, global_sections, validate_sheaf
+from evasion.sheaf import assemble_coboundary, generator_maps, global_sections, validate_sheaf
 
 from conftest import load_fixture
 from reference_geometry import locate, point_uncovered, reference_fibre, reference_locate, reference_validate
@@ -83,6 +83,29 @@ class TestValidateScene:
     def test_empty_window_is_an_input_error(self):
         with pytest.raises(ValueError):
             validate_scene(Scene.make((3, 3), (0, 5)))
+
+    def test_a_ring_clear_of_the_frame_splits_the_gap_and_is_disconnected(self):
+        # four boxes, each touching the next, around the hole (4, 6) x (4, 6)
+        ring = [((3, 7), (3, 4)), ((6, 7), (3, 7)), ((3, 7), (6, 7)), ((3, 4), (3, 7))]
+        scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), x, y) for x, y in ring])
+        assert len(gap_components(scene, 0).seeds) == 2
+        assert not validate_scene(scene).ok
+
+    @pytest.mark.parametrize("x, y", [((5, 5), (5, 5)), ((5, 5), (3, 7))], ids=["point", "zero-width segment"])
+    def test_a_floating_degenerate_box_is_disconnected(self, x, y):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), x, y)])
+        assert len(gap_components(scene, 0).seeds) == 1
+        assert validate_scene(scene).problems == ("coverage is disconnected at t=0",)
+
+    def test_a_fully_covered_window_has_no_gap_and_is_connected(self):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), (0, 10), (0, 10))])
+        assert gap_components(scene, 0).seeds == ()
+        assert validate_scene(scene).ok
+
+    def test_a_box_touching_the_window_at_an_outside_corner_is_connected(self):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), (10, 12), (-2, 0))])
+        assert len(gap_components(scene, 0).seeds) == 1
+        assert validate_scene(scene).ok
 
 
 class TestCriticalTimes:
@@ -187,7 +210,7 @@ class TestExtractPath:
         path = extract_path(OPEN_SCENE, scene_fibres(OPEN_SCENE), sections)
         named = {
             cell: geometric_name(cell, lab).split(".")[1]
-            for cell, lab in path.chain.cells
+            for cell, lab in path.chain
             if cell in ("v1", "v2", "v3", "v4", "e2", "e3", "e4")
         }
         assert named == {"v1": "t", "e2": "t", "v2": "m", "e3": "m", "v3": "m", "e4": "b", "v4": "b"}
@@ -244,7 +267,7 @@ class TestExtractPath:
 def _path(*segments) -> EvasionPath:
     return EvasionPath(
         tuple(PathSegment(lo, hi, (Fraction(x), Fraction(y))) for lo, hi, (x, y) in segments),
-        SectionChain(()),
+        (),
     )
 
 
@@ -443,6 +466,25 @@ def test_fibres_and_validation_match_the_fraction_reference(base_seed):
         )
         invalid += not assert_fibres_match_the_reference(scene)
     assert 20 < invalid < 300  # both outcomes are well represented
+
+
+def small_integer_scene(rng: Random) -> Scene:
+    """1 to 6 boxes on integer coordinates from -2 to 8 with sides from 0 to
+    3, in the window (0, 6) x (0, 6): point boxes, zero-width segments and
+    boxes meeting at corners or along the frame are common."""
+    boxes = []
+    for _ in range(rng.randint(1, 6)):
+        t0, (w, h) = rng.randint(0, 6), (rng.randint(0, 3), rng.randint(0, 3))
+        x0, y0 = rng.randint(-2, 8 - w), rng.randint(-2, 8 - h)
+        boxes.append(Box.make((t0, t0 + rng.randint(0, 3)), (x0, x0 + w), (y0, y0 + h)))
+    return Scene.make((0, 6), (0, 6), boxes)
+
+
+def test_euler_count_matches_the_reference_on_small_integer_scenes(base_seed):
+    # the reference decides connectivity by a union-find over box contacts
+    rng = Random(base_seed)
+    invalid = sum(not assert_fibres_match_the_reference(small_integer_scene(rng)) for _ in range(500))
+    assert 50 < invalid < 450  # both outcomes are well represented
 
 
 @pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(12)], ids=["pulsing", "comb"])

@@ -25,7 +25,7 @@ class TestDpSectionExists:
     def test_open_crossing_has_the_expected_chain(self):
         exists, chain = dp_section_exists(crossing_sheaf(True))
         assert exists
-        assert chain.as_dict() == {
+        assert dict(chain) == {
             "e1": "s",
             "v1": "t",
             "e2": "t",
@@ -83,7 +83,7 @@ class TestEnumerateSections:
 
     def test_double_lens_sections_are_the_four_strand_pairs(self):
         chains = enumerate_sections(fixture_sheaf("double_lens.json"), cap=10)
-        picks = {(c.as_dict()["v1"], c.as_dict()["v3"]) for c in chains}
+        picks = {(dict(c)["v1"], dict(c)["v3"]) for c in chains}
         assert picks == {("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")}
 
     def test_cap_truncates(self):
@@ -100,7 +100,7 @@ class TestFlowDecompose:
         chain, weight = decomposition[0]
         assert weight == Fraction(1, 4)
         # cells alternate e1, v1, e2, ..., so every second one is a vertex's
-        assert dict(chain.cells[1::2]) == {"v1": "t", "v2": "m", "v3": "m", "v4": "b"}
+        assert dict(chain[1::2]) == {"v1": "t", "v2": "m", "v3": "m", "v4": "b"}
 
     def test_two_disjoint_chains_are_recovered_with_weights(self):
         # two parallel strands, witness = (1*top + 2*bottom)/3
@@ -110,11 +110,11 @@ class TestFlowDecompose:
         sheaf = ConeSheaf(strat, (two, two), (two, two, two), (ident, ident), (ident, ident))
         x = [Fraction(1, 6), Fraction(2, 6), Fraction(1, 6), Fraction(2, 6)]
         decomposition = flow_decompose(sheaf, x)
-        weights = {dict(chain.cells[1::2])["v1"]: w for chain, w in decomposition}
+        weights = {dict(chain[1::2])["v1"]: w for chain, w in decomposition}
         assert weights == {"a": Fraction(1, 6), "b": Fraction(2, 6)}
         total = {}
         for chain, w in decomposition:
-            for cell, lab in dict(chain.cells[1::2]).items():
+            for cell, lab in dict(chain[1::2]).items():
                 total[(cell, lab)] = total.get((cell, lab), Fraction(0)) + w
         assert total == {
             ("v1", "a"): Fraction(1, 6),
@@ -144,7 +144,7 @@ class TestFlowDecompose:
         assert len(decomposition) == 1
         chain, weight = decomposition[0]
         assert weight == Fraction(1, 2)
-        assert dict(chain.cells[1::2]) == {"v1": "top", "v2": "top"}
+        assert dict(chain[1::2]) == {"v1": "top", "v2": "top"}
 
     def test_invalid_witness_is_rejected(self):
         sheaf = crossing_sheaf(True)
@@ -165,7 +165,7 @@ class TestPositiveConeOfSectionClasses:
         names = [f"{c}.{l}" for c, l in sections.column_labels]
         vectors = []
         for chain in chains:
-            labels = dict(chain.cells[1::2])
+            labels = dict(chain[1::2])
             indicator = [Fraction(1) if n.split(".")[0] in labels and labels[n.split(".")[0]] == n.split(".")[1] else Fraction(0) for n in names]
             coords = _coordinates_in_basis(kernel, indicator)
             vectors.append(tuple(coords))
@@ -213,7 +213,7 @@ def test_dp_chain_indicator_is_a_kernel_element(seed):
     if not exists:
         return
     sections = assemble_coboundary(sheaf)
-    labels = dict(chain.cells[1::2])
+    labels = dict(chain[1::2])
     indicator = [
         Fraction(1) if labels.get(cell) == lab else Fraction(0)
         for cell, lab in sections.column_labels
@@ -235,7 +235,7 @@ def test_flow_decomposition_reassembles_the_witness(seed):
     decomposition = flow_decompose(sheaf, witness)
     total = [Fraction(0)] * len(witness)
     for chain, w in decomposition:
-        labels = dict(chain.cells[1::2])
+        labels = dict(chain[1::2])
         for idx, (cell, lab) in enumerate(sections.column_labels):
             if labels.get(cell) == lab:
                 total[idx] += w

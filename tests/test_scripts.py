@@ -15,8 +15,9 @@ ROOT = Path(__file__).parent.parent
     [
         (["oracle_fuzz.py", "--count", "200"], ["200 sheaves checked", "no disagreements"]),
         (["scaling_bench.py", "10", "--comb", "4"], ["parse", "gc", "pulsing", "comb", "EVASION"]),
+        (["criteria_gap.py", "--count", "200"], ["200 random scenes", "NO_EVASION", "no EVASION draw has kernel_dim 0"]),
     ],
-    ids=["oracle_fuzz", "scaling_bench"],
+    ids=["oracle_fuzz", "scaling_bench", "criteria_gap"],
 )
 def test_script_runs(argv, expected):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

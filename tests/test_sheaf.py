@@ -92,6 +92,16 @@ def label_names(labels):
     return [f"{cell}.{lab}" for cell, lab in labels]
 
 
+class TestStratification:
+    def test_cells_are_the_ids_in_time_order_built_once(self):
+        strat = Stratification.make([1, 2])
+        assert strat.cells == ("e1", "v1", "e2", "v2", "e3")
+        assert strat.cells is strat.cells
+        assert [strat.vertex_id(i) for i in range(2)] == ["v1", "v2"]
+        assert [strat.edge_id(j) for j in range(3)] == ["e1", "e2", "e3"]
+        assert Stratification.make([]).cells == ("e1",)
+
+
 class TestValidateSheaf:
     def test_free_inclusion_sheaf_is_ok(self):
         assert validate_sheaf(crossing_sheaf(True)).ok
@@ -476,7 +486,7 @@ def test_lp_matches_dp_on_function_like_sheaves(seed):
         assert section_chain(sections.sheaf, sections.chain) == chain
         k = sheaf.strat.k
         expected = [
-            Fraction(1, k) if chain.as_dict()[cell] == lab else Fraction(0)
+            Fraction(1, k) if dict(chain)[cell] == lab else Fraction(0)
             for cell, lab in sections.column_labels
         ]
         assert list(sections.decision.witness) == expected
