@@ -18,14 +18,13 @@ Usage: python scripts/oracle_fuzz.py --count 10000 --seed 7
 """
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from evasion.cli import sheaf_to_jsonable
+from evasion.cli import sheaf_to_jsonable, write_json
 from evasion.cones import is_valid_certificate, lp_positive_kernel
 from evasion.linalg import rank
 from evasion.oracle import dp_section_exists
@@ -71,7 +70,7 @@ def main() -> int:
         if not ok:
             what = "disagreement" if same else "coboundary differs from assemble_coboundary's"
             print(f"{what} at trial {trial} (seed {args.seed}):", file=sys.stderr)
-            json.dump(sheaf_to_jsonable(sheaf), sys.stderr, indent=2)
+            write_json(sheaf_to_jsonable(sheaf), sys.stderr)
             return 1
     print(f"{args.count} sheaves checked, {feasible} feasible, no disagreements (seed {args.seed})")
     return 0

@@ -13,7 +13,9 @@ Each scene is written as JSON text, and "parse" times reading it back with
 columns are its `timing_ms` stages in milliseconds: fibres, validate,
 build_sheaf, lp and path. "fibres" builds the gap fibres, and the later
 stages take them from it, so "validate" is scene validation alone and
-"build_sheaf" sheaf construction alone.
+"build_sheaf" sheaf construction alone. "report" builds the report's
+sections and path payload (`sections_to_jsonable` and `path_to_jsonable`),
+and "write" serialises it with `evasion.cli.write_json` into memory.
 
 Each case runs REPEATS times and every column is the median over those runs.
 "gc" is the number of cyclic-GC collections, all generations, during one
@@ -24,15 +26,23 @@ Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
 
 import argparse
 import gc
+import io
 import json
 import time
 from statistics import median
 
-from evasion.cli import run_check, scene_from_jsonable, scene_to_jsonable
+from evasion.cli import (
+    path_to_jsonable,
+    run_check,
+    scene_from_jsonable,
+    scene_to_jsonable,
+    sections_to_jsonable,
+    write_json,
+)
 from evasion.geometry import critical_times
 from evasion.randgen import comb_scene, pulsing_box_scene
 
-STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path")
+STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write")
 REPEATS = 5
 
 
@@ -46,9 +56,17 @@ def run_once(text: str) -> tuple[dict[str, float], int, str]:
     scene = scene_from_jsonable(json.loads(text))
     parse_ms = (time.perf_counter() - t0) * 1000
     before = collections()
-    _, sections, _, timing = run_check(scene)
+    _, sections, path, timing = run_check(scene)
     gcs = collections() - before
     timing["parse"] = parse_ms
+    t0 = time.perf_counter()
+    payload = {"sections": sections_to_jsonable(sections, include_matrix=False)}
+    if path is not None:
+        payload["path"] = path_to_jsonable(path)
+    t1 = time.perf_counter()
+    write_json(payload, io.StringIO())
+    t2 = time.perf_counter()
+    timing["report"], timing["write"] = (t1 - t0) * 1000, (t2 - t1) * 1000
     return timing, gcs, "EVASION" if sections.decision.feasible else "NO_EVASION"
 
 

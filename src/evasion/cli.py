@@ -22,8 +22,10 @@ import json
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import evasion.geometry as geometry
@@ -78,17 +80,6 @@ def _rational(value, what: str) -> Fraction:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def _interval_from(obj, what: str) -> tuple:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"{what} interval must be a two-element list, got {obj!r}")
-    lo, hi = _rational(obj[0], what), _rational(obj[1], what)
-    # ordered on integers: denominators are positive
-    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    if a * d > c * b:
-        raise ValueError(f"{what} interval [{format_rational(lo)}, {format_rational(hi)}] is reversed")
-    return lo, hi
-
-
 def _fields(data, names, what: str, schema: str) -> list:
     """The named fields of a JSON object, each required, in `names` order."""
     if not isinstance(data, dict):
@@ -99,16 +90,60 @@ def _fields(data, names, what: str, schema: str) -> list:
     return [data[name] for name in names]
 
 
-def _intervals(data, axes: str, what: str) -> list[tuple]:
-    """The intervals of a box or of the window, one per axis."""
-    return [_interval_from(iv, f"{what} {axis}") for axis, iv in zip(axes, _fields(data, axes, what, "scene"))]
+def _part(box: int | None) -> str:
+    """A box, or the window, as a scene reader's message names it."""
+    return "window" if box is None else f"box {box}"
+
+
+class _Literals(dict):
+    """Literal string -> its value, each string parsed on first lookup."""
+
+    def __missing__(self, literal: str) -> Fraction:
+        self[literal] = value = parse_rational(literal)
+        return value
 
 
 def scene_from_jsonable(data) -> Scene:
+    """The scene a JSON object describes, or a ValueError naming the field at fault.
+
+    Each box is checked whole before the next: its fields, then its t, x
+    and y intervals, each end parsed before the interval's order is
+    checked; the window comes last. So the first bad literal is the one
+    named. A field name such as `box 17 t` is formatted only for a message.
+    Within one call each distinct literal string is parsed once, by
+    `parse_rational`. Ints, floats and bools are parsed every time, since
+    `1`, `1.0` and `True` hash alike and would otherwise share an outcome
+    and a message.
+    """
     if not isinstance(data, dict) or "window" not in data:
         raise ValueError("scene JSON must be an object with a 'window' field")
-    boxes = [Box(*_intervals(b, "txy", f"box {i}")) for i, b in enumerate(_list(data.get("boxes", []), "boxes"))]
-    return Scene(*_intervals(data["window"], "xy", "window"), tuple(boxes))
+    parsed = _Literals()
+
+    def intervals(obj, axes: str, box: int | None) -> list[tuple]:
+        if not isinstance(obj, dict) or not obj.keys() >= set(axes):
+            _fields(obj, axes, _part(box), "scene")  # raises
+        out = []
+        for axis in axes:
+            iv = obj[axis]
+            if not isinstance(iv, (list, tuple)) or len(iv) != 2:
+                raise ValueError(f"{_part(box)} {axis} interval must be a two-element list, got {iv!r}")
+            lo, hi = iv
+            try:
+                lo = parsed[lo] if type(lo) is str else parse_rational(lo)
+                hi = parsed[hi] if type(hi) is str else parse_rational(hi)
+            except ValueError as exc:
+                raise ValueError(f"{_part(box)} {axis}: {exc}") from exc
+            # ordered on integers: denominators are positive
+            (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            if a * d > c * b:
+                raise ValueError(
+                    f"{_part(box)} {axis} interval [{format_rational(lo)}, {format_rational(hi)}] is reversed"
+                )
+            out.append((lo, hi))
+        return out
+
+    boxes = [Box(*intervals(b, "txy", i)) for i, b in enumerate(_list(data.get("boxes", []), "boxes"))]
+    return Scene(*intervals(data["window"], "xy", None), tuple(boxes))
 
 
 def _interval_json(iv) -> list:
@@ -125,13 +160,25 @@ def scene_to_jsonable(scene: Scene) -> dict:
     }
 
 
+class DenseEntries:
+    """A matrix's entries as dense row-major strings, which `write_json`
+    writes one row at a time: the rows x cols list is never built."""
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+
+    def rows(self) -> Iterator[list[str]]:
+        M = self.matrix
+        for nonzeros in M.nonzeros:
+            row = ["0"] * M.cols
+            for j, v in nonzeros.items():
+                row[j] = format_rational(v)
+            yield row
+
+
 def matrix_to_jsonable(M: Matrix) -> dict:
     """Dense row-major `entries`, the one place a matrix is written out in full."""
-    return {
-        "rows": M.rows,
-        "cols": M.cols,
-        "entries": [format_rational(e) for i in range(M.rows) for e in M.row(i)],
-    }
+    return {"rows": M.rows, "cols": M.cols, "entries": DenseEntries(M)}
 
 
 def matrix_from_jsonable(data) -> Matrix:
@@ -234,18 +281,10 @@ def sheaf_from_jsonable(data) -> ConeSheaf:
 
 
 def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
-    out: dict = {
-        "kernel_dim": sec.kernel_dim,
-        "columns": [f"{cell}.{lab}" for cell, lab in sec.column_labels],
-        "rows": [f"{cell}.{lab}" for cell, lab in sec.row_labels],
-    }
+    out: dict = {"kernel_dim": sec.kernel_dim, "columns": sec.column_names, "rows": sec.row_names}
     if sec.decision is not None:
         if sec.decision.feasible:
-            support = {
-                f"{cell}.{lab}": format_rational(v)
-                for (cell, lab), v in zip(sec.column_labels, sec.decision.witness)
-                if v
-            }
+            support = {name: format_rational(v) for name, v in zip(sec.column_names, sec.decision.witness) if v}
             out["witness"] = {"support": support}
         else:
             out["certificate"] = [format_rational(v) for v in sec.decision.certificate]
@@ -281,6 +320,83 @@ def path_from_jsonable(data) -> EvasionPath:
             )
         )
     return EvasionPath(tuple(segs), tuple(data.get("chain", {}).items()))
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+_quote = encode_basestring_ascii  # json's C string encoder, where CPython has it
+
+
+def write_json(value, out) -> None:
+    """Write `value` to the text stream `out` as exactly the text of
+    `json.dumps(value, indent=2, sort_keys=True)`, a `DenseEntries` taken as
+    its list of entries.
+
+    Every report, path file and sheaf goes through here. `json.dumps` falls
+    back to its pure-Python encoder when asked to indent; this writer quotes
+    each string, and each list of strings or object of string values whole,
+    with json's C `encode_basestring_ascii`, and numbers, booleans and null
+    with `json.dumps` itself. Object keys must be strings. What is built is
+    handed to `out` before each row of a `DenseEntries`, so a dense matrix
+    is held one row at a time.
+    """
+    parts: list[str] = []
+
+    def encode(v, nl: str) -> None:
+        # nl is a newline and the indent of the line v is on
+        if isinstance(v, str):
+            parts.append(_quote(v))
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                parts.append("[]")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            if isinstance(v[0], str):
+                try:
+                    parts.append(f"[{inner}{sep.join(map(_quote, v))}{nl}]")
+                    return
+                except TypeError:  # not a list of strings after all
+                    pass
+            parts.append("[")
+            for n, item in enumerate(v):
+                parts.append(sep if n else inner)
+                encode(item, inner)
+            parts.append(nl + "]")
+        elif isinstance(v, dict):
+            if not v:
+                parts.append("{}")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            items = sorted(v.items())
+            if isinstance(items[0][1], str):
+                try:
+                    parts.append(f"{{{inner}{sep.join(_quote(k) + ': ' + _quote(x) for k, x in items)}{nl}}}")
+                    return
+                except TypeError:  # not an object of string values after all
+                    pass
+            parts.append("{")
+            for n, (key, item) in enumerate(items):
+                parts.append(f"{sep if n else inner}{_quote(key)}: ")
+                encode(item, inner)
+            parts.append(nl + "}")
+        elif isinstance(v, DenseEntries):
+            inner = nl + "  "
+            sep = "," + inner
+            lead = "[" + inner  # before the first entry, then sep between rows
+            for row in v.rows():
+                if row:
+                    out.write("".join(parts))
+                    parts[:] = [lead + sep.join(map(_quote, row))]
+                    lead = sep
+            parts.append(nl + "]" if lead is sep else "[]")
+        else:
+            parts.append(json.dumps(v))  # a number, a boolean or null
+
+    encode(value, "\n")
+    out.write("".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +471,13 @@ def render_scene_svg(scene: Scene, fibres: Fibres, path: EvasionPath | None = No
 # commands
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(payload, sys.stdout)
+    sys.stdout.write("\n")
+
+
+def _write_file(path_str: str, payload: dict) -> None:
+    with open(path_str, "w") as out:
+        write_json(payload, out)
 
 
 def _fail(message: str, **extra) -> int:
@@ -440,7 +562,7 @@ def cmd_check(args) -> int:
     if path is not None:
         out["path"] = path_to_jsonable(path)
         if args.path_out:
-            Path(args.path_out).write_text(json.dumps(out["path"], indent=2, sort_keys=True))
+            _write_file(args.path_out, out["path"])
     if svg is not None:
         Path(args.plot).write_text(svg)
     out["timing_ms"] = {k: round(v, 3) for k, v in timing.items()}
@@ -497,7 +619,7 @@ def cmd_path(args) -> int:
         return EXIT_NO_EVASION
     payload = path_to_jsonable(path)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_file(args.out, payload)
         _emit({"verdict": "EVASION", "input_digest": digest, "path_file": args.out})
     else:
         _emit({"verdict": "EVASION", "input_digest": digest, "path": payload})

@@ -85,6 +85,12 @@ class PolyhedralCone:
         n = self.ambient_dim
         return all(g[i] == 1 and g.count(ZERO) == n - 1 for i, g in enumerate(self.generators))
 
+    @cached_property
+    def coordinate_labels(self) -> tuple[str, ...]:
+        """Names of the ambient coordinates: the generator labels of a free
+        cone, x0, x1, ... of any other."""
+        return self.labels if self.is_free else tuple(f"x{d}" for d in range(self.ambient_dim))
+
     def generator_matrix(self) -> Matrix:
         """Columns are the generators (ambient_dim x num_generators)."""
         gens = self.generators

@@ -599,13 +599,17 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     # an edge index that names no component of its fibre owns no face, which _route checks
     if len(chain) != 2 * k + 1 or not all(0 <= c < len(vf.seeds) for vf, c in zip(vertex_fibres, chosen)):
         raise GeometryError("section chain does not have one gap component per cell")
-    # samples share fibres, so an interior point is worked out once per fibre and component
-    points: dict[tuple[int, int], Point] = {}
+    # an interior point is the centre of the component's seed face, so it is
+    # worked out once per rank rectangle of that face (the scene ranks of the
+    # grid lines around it), which the fibres of one scene share
+    points: dict[tuple[int, int, int, int], Point] = {}
     vertex_points = []
     for vf, c in zip(vertex_fibres, chosen):
-        if (id(vf), c) not in points:
-            points[id(vf), c] = vf.interior_point(c)
-        vertex_points.append(points[id(vf), c])
+        i, j = divmod(vf.seeds[c], vf.ny)
+        rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
+        if rect not in points:
+            points[rect] = vf.interior_point(c)
+        vertex_points.append(points[rect])
     # routes[j] runs inside edge j's component from vertex j-1's to vertex j's;
     # on an unbounded edge it only checks that the one vertex's component persists into it
     routes = []

@@ -26,6 +26,8 @@ SparseRow = dict[int, Fraction]
 
 # CPython's default limit on the digits of an int read from a string
 MAX_LITERAL_DIGITS = 4300
+# the most characters of a literal an error message quotes
+MAX_ECHO = 100
 
 
 def vec(items) -> Vec:
@@ -47,6 +49,14 @@ def _exponent_too_large(text: str) -> bool:
     return sum(c.isdigit() for c in mantissa) + shift > MAX_LITERAL_DIGITS
 
 
+def _echo(text: str) -> str:
+    """The literal as an error message quotes it: whole up to MAX_ECHO
+    characters, else its first MAX_ECHO characters and its length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     """Parse a plain int or any string `Fraction` reads exactly: "p", "p/q",
     and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
@@ -58,19 +68,20 @@ def parse_rational(value) -> Fraction:
     ASCII digits) is read by `int` directly, skipping `Fraction`'s pattern
     match; it is the form scenes are written in, and every other string
     takes the `Fraction` route, so values and error messages are the same
-    either way."""
+    either way. Messages quote a literal through `_echo`, so an overlong
+    one is named by its prefix and its length."""
     if isinstance(value, str):
         digits = value[1:] if value[:1] == "-" else value
         if digits.isascii() and digits.isdecimal() and len(digits) <= MAX_LITERAL_DIGITS:
             return Fraction(int(value))
         if _exponent_too_large(value):
             raise ValueError(
-                f"unsupported rational literal: {value!r} (over {MAX_LITERAL_DIGITS} digits written out)"
+                f"unsupported rational literal: {_echo(value)} (over {MAX_LITERAL_DIGITS} digits written out)"
             )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"unsupported rational literal: {value!r}") from exc
+            raise ValueError(f"unsupported rational literal: {_echo(value)}") from exc
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):

@@ -173,26 +173,44 @@ class GlobalSections:
 
     Columns are vertex-stalk generators, rows are ambient coordinates of
     precompact edge stalks (for free stalks those coincide with labelled
-    generators). The matrix is built from the sheaf on first read. kernel_dim
-    (columns minus rank) and decision are None when only labels were built.
-    chain is the sweep's section chain, one generator index per cell in time
-    order (`section_chain` labels it), on a feasible sweep decision; the
-    witness is built from it. It is None for every other decision.
+    generators). The labels and the matrix are built from the sheaf on first
+    read: `row_labels` and `column_labels` as (cell id, label) pairs,
+    `row_names` and `column_names` as the "cell.label" strings a report
+    prints, each formatted once from `Stratification.cells` and the stalk
+    labels. kernel_dim (columns minus rank) and decision are None when only
+    the coboundary was asked for. chain is the sweep's section chain, one
+    generator index per cell in time order (`section_chain` labels it), on a
+    feasible sweep decision; the witness is built from it. It is None for
+    every other decision.
     """
 
     sheaf: ConeSheaf = field(repr=False)
-    row_labels: tuple[CellLabel, ...]
-    column_labels: tuple[CellLabel, ...]
     kernel_dim: int | None = None
     decision: FeasibilityResult | None = None
     chain: Chain | None = None
+
+    @cached_property
+    def row_labels(self) -> tuple[CellLabel, ...]:
+        return tuple((cell, lab) for cell, stalk in _row_stalks(self.sheaf) for lab in stalk.coordinate_labels)
+
+    @cached_property
+    def column_labels(self) -> tuple[CellLabel, ...]:
+        return tuple((cell, lab) for cell, stalk in _column_stalks(self.sheaf) for lab in stalk.labels)
+
+    @cached_property
+    def row_names(self) -> tuple[str, ...]:
+        return tuple([f"{cell}.{lab}" for cell, stalk in _row_stalks(self.sheaf) for lab in stalk.coordinate_labels])
+
+    @cached_property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple([f"{cell}.{lab}" for cell, stalk in _column_stalks(self.sheaf) for lab in stalk.labels])
 
     @cached_property
     def coboundary(self) -> Matrix:
         """The signed substituted coboundary D*G of the sheaf."""
         S = self.sheaf
         col_offsets = [0, *accumulate(len(stalk.labels) for stalk in S.vertex_stalks)]
-        rows: list[SparseRow] = [{} for _ in self.row_labels]
+        rows: list[SparseRow] = [{} for stalk in S.edge_stalks[1:-1] for _ in range(stalk.ambient_dim)]
         base = 0
         for j in range(1, S.strat.k):  # precompact edges only; unbounded maps are zeroed out
             # left endpoint enters with -, right endpoint with +
@@ -201,7 +219,7 @@ class GlobalSections:
                     for d, val in image.items():
                         rows[base + d][col] = val if sign > 0 else -val
             base += S.edge_stalks[j].ambient_dim
-        return Matrix(len(rows), len(self.column_labels), tuple(rows))
+        return Matrix(len(rows), col_offsets[-1], tuple(rows))
 
 
 def _generator_images(M: Matrix, stalk: PolyhedralCone) -> tuple[SparseRow, ...]:
@@ -255,15 +273,16 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
     return SheafReport(not violations, tuple(violations))
 
 
-def _labels(S: ConeSheaf) -> tuple[tuple[CellLabel, ...], tuple[CellLabel, ...]]:
-    """Row and column labels of the coboundary of a valid sheaf."""
-    cells = S.strat.cells
-    row_labels: list[CellLabel] = []
-    for eid, stalk in zip(cells[2:-1:2], S.edge_stalks[1:-1]):  # precompact edges only
-        coord_labels = stalk.labels if stalk.is_free else [f"x{d}" for d in range(stalk.ambient_dim)]
-        row_labels.extend((eid, lab) for lab in coord_labels)
-    vertices = zip(cells[1::2], S.vertex_stalks)
-    return tuple(row_labels), tuple((vid, lab) for vid, stalk in vertices for lab in stalk.labels)
+def _row_stalks(S: ConeSheaf):
+    """(edge id, stalk) of each precompact edge: the coboundary's row blocks,
+    one row per ambient coordinate of the stalk."""
+    return zip(S.strat.cells[2:-1:2], S.edge_stalks[1:-1])
+
+
+def _column_stalks(S: ConeSheaf):
+    """(vertex id, stalk) of each vertex: the coboundary's column blocks, one
+    column per generator of the stalk."""
+    return zip(S.strat.cells[1::2], S.vertex_stalks)
 
 
 def _normalise(S: ConeSheaf) -> ConeSheaf:
@@ -279,7 +298,7 @@ def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
     report = validate_sheaf(S)
     if not report.ok:
         raise SheafValidationError(report)
-    return GlobalSections(S, *_labels(S))
+    return GlobalSections(S)
 
 
 def global_sections(S: ConeSheaf) -> GlobalSections:
@@ -325,7 +344,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
-    return GlobalSections(S, *_labels(S), cycle_rank(S, maps), decision, chain)
+    return GlobalSections(S, cycle_rank(S, maps), decision, chain)
 
 
 def generator_maps(S: ConeSheaf) -> GeneratorMaps:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from decimal import Decimal
@@ -12,13 +13,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evasion.cli as cli
 import evasion.geometry as geometry
-from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
+from evasion.cli import (
+    main,
+    matrix_to_jsonable,
+    path_from_jsonable,
+    path_to_jsonable,
+    run_check,
+    scene_from_jsonable,
+    scene_to_jsonable,
+    sections_to_jsonable,
+    write_json,
+)
 from evasion.geometry import Box, EvasionPath, PathSegment, Scene, verify_evasion_path
-from evasion.linalg import parse_rational
+from evasion.linalg import Matrix, format_rational, parse_rational
 from evasion.randgen import comb_scene, pulsing_box_scene
 
 from conftest import fixture_path, fixtures_with, load_fixture
@@ -432,11 +444,13 @@ def test_rational_parsing_round_trip():
 
 def _read_by_fraction(text: str):
     """The value `Fraction` reads from a literal with no exponent, or the
-    message `parse_rational` gives when it reads none."""
+    message `parse_rational` gives when it reads none: the literal quoted
+    whole up to 100 characters, else its first 100 and its length."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        return f"unsupported rational literal: {text!r}"
+        echo = repr(text) if len(text) <= 100 else f"{text[:100]!r}... ({len(text)} characters)"
+        return f"unsupported rational literal: {echo}"
 
 
 def _read_by_parser(text: str):
@@ -589,6 +603,93 @@ def test_reading_a_scene_compares_no_fractions(monkeypatch):
     monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: calls.append(op) or richcmp(a, b, op))
     scene = scene_from_jsonable(data)
     assert (len(calls), len(scene.boxes)) == (0, 200)
+
+
+def test_each_distinct_literal_string_is_parsed_once(monkeypatch):
+    # 200 boxes and the window hold 1204 literals, 401 of them distinct
+    data = json.loads(json.dumps(scene_to_jsonable(pulsing_box_scene(400))))
+    calls = []
+    monkeypatch.setattr(cli, "parse_rational", lambda value: calls.append(value) or parse_rational(value))
+    assert scene_from_jsonable(data) == pulsing_box_scene(400)
+    assert len(calls) == len(set(calls)) == 401
+
+
+@pytest.mark.parametrize(
+    "later, outcome",
+    [
+        (1, (Fraction(1), Fraction(2))),
+        (1.0, "box 1 t: unsupported rational value: 1.0 (floats are not accepted)"),
+        (True, "box 1 t: not a rational: True"),
+    ],
+    ids=["int", "float", "bool"],
+)
+def test_a_number_equal_to_an_earlier_literal_string_is_read_on_its_own(later, outcome):
+    # "1", 1, 1.0 and True hash alike; only the string is memoised
+    box = {"t": ["1", "2"], "x": ["1", "2"], "y": ["1", "2"]}
+    data = {"window": {"x": ["0", "9"], "y": ["0", "9"]}, "boxes": [box, {**box, "t": [later, "2"]}]}
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as exc:
+            scene_from_jsonable(data)
+        assert str(exc.value) == outcome
+    else:
+        assert scene_from_jsonable(data).boxes[1].t == outcome
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@example(["a", 1])
+@example({"a": "x", "b": [1], "": {}})
+@example({"\u00e9\"\n": ["\x00", "\u2603", "\U0001f600"], "z": ()})
+@example([[], {}, (), ""])
+@settings(max_examples=200, deadline=None)
+def test_the_writer_writes_the_bytes_of_json_dumps(value):
+    out = io.StringIO()
+    write_json(value, out)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_entries_are_written_as_the_dense_list(rows, cols, data):
+    values = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=rows * cols, max_size=rows * cols))
+    M = Matrix(rows, cols, tuple({j: v for j, v in enumerate(values[i * cols : (i + 1) * cols]) if v} for i in range(rows)))
+    out = io.StringIO()
+    write_json({"matrix": matrix_to_jsonable(M), "after": [1]}, out)
+    dense = {"rows": rows, "cols": cols, "entries": [format_rational(v) for v in values]}
+    assert out.getvalue() == json.dumps({"matrix": dense, "after": [1]}, indent=2, sort_keys=True)
+
+
+def test_a_dense_matrix_is_written_one_row_at_a_time(tmp_path):
+    # comb m=12's coboundary has about 100,000 entries, nearly all "0"
+    scene_file, report = tmp_path / "comb.json", tmp_path / "report.json"
+    scene_file.write_text(json.dumps(scene_to_jsonable(comb_scene(12))))
+    with redirect_stdout(io.StringIO()):
+        main(["check", str(scene_file)])  # first use: the parser and its caches
+    with report.open("w") as out, redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = main(["check", "--matrix", str(scene_file)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert json.loads(report.read_text())["sections"]["matrix"]["rows"] > 200
+    assert peak < report.stat().st_size / 2
+
+
+def test_a_report_formats_no_label_pairs():
+    # the report's names come straight from the cell ids and stalk labels
+    _, sections, path, _ = run_check(pulsing_box_scene(40))
+    report = sections_to_jsonable(sections, include_matrix=False)
+    path_to_jsonable(path)
+    assert report["columns"] is sections.column_names and report["rows"] is sections.row_names
+    assert "row_labels" not in vars(sections) and "column_labels" not in vars(sections)
 
 
 def _one_vertex_sheaf(v1_labels, entries):
@@ -762,17 +863,20 @@ def _exact(text: str) -> Fraction:
     return Fraction(Decimal(p)) / Fraction(Decimal(q or "1"))
 
 
+# vertices at -N, 0 and N for N of 4300 nines; the path hops four times
+# in (0, N), at kN/5 for k = 1..4, and 2N needs 4301 digits
+LONG_HOPS_SCENE = {
+    "window": {"x": [0, 9], "y": [0, 9]},
+    "boxes": [
+        {"t": ["-" + NINES, 0], "x": [0, 5], "y": [0, 8]},
+        {"t": [0, NINES], "x": [4, 6], "y": [6, 9]},
+        {"t": ["-" + NINES, NINES], "x": [2, 8], "y": [8, 9]},
+    ],
+}
+
+
 def test_path_times_past_the_literal_bound_are_written_out(capsys, tmp_path):
-    # vertices at -N, 0 and N for N of 4300 nines; the path hops four times
-    # in (0, N), at kN/5 for k = 1..4, and 2N needs 4301 digits
-    data = {
-        "window": {"x": [0, 9], "y": [0, 9]},
-        "boxes": [
-            {"t": ["-" + NINES, 0], "x": [0, 5], "y": [0, 8]},
-            {"t": [0, NINES], "x": [4, 6], "y": [6, 9]},
-            {"t": ["-" + NINES, NINES], "x": [2, 8], "y": [8, 9]},
-        ],
-    }
+    data = LONG_HOPS_SCENE
     scene_file, path_file, svg_file = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "scene.svg"
     scene_file.write_text(json.dumps(data))
     code, report = run_cli(capsys, "check", str(scene_file), "--path", str(path_file), "--plot", str(svg_file))
@@ -790,6 +894,22 @@ def test_path_times_past_the_literal_bound_are_written_out(capsys, tmp_path):
     )
     assert [seg.start for seg in path.segments[1:]] == [Fraction(k * (10**4300 - 1), 5) for k in range(1, 5)]
     verify_evasion_path(scene_from_jsonable(data), path)
+
+
+def test_a_path_file_past_the_literal_bound_is_refused_by_a_bounded_message(capsys, tmp_path):
+    # the path reader takes no literal past the bound back; it names the
+    # first such hop time by its first 100 characters and its length
+    scene_file, path_file = tmp_path / "scene.json", tmp_path / "path.json"
+    scene_file.write_text(json.dumps(LONG_HOPS_SCENE))
+    assert main(["check", str(scene_file), "--path", str(path_file)]) == 0
+    capsys.readouterr()
+    data = json.loads(path_file.read_text())
+    times = [t for seg in data["segments"] for t in seg["t"] if t is not None]
+    first = next(t for t in times if len(t.partition("/")[0]) > 4300)
+    assert len(first) == 4303
+    with pytest.raises(ValueError) as exc:
+        path_from_jsonable(data)
+    assert str(exc.value) == f"unsupported rational literal: {first[:100]!r}... (4303 characters)"
 
 
 def test_a_disconnected_sample_past_the_literal_bound_is_named(capsys, tmp_path):

@@ -241,6 +241,30 @@ class TestExtractPath:
                 t = Fraction(2)  # single constant segment: probe inside the wall epoch
             assert point_uncovered(scene, t, seg.point)
 
+    def test_interior_points_are_worked_out_once_per_rank_rectangle(self, monkeypatch):
+        # distinct vertex fibres whose chosen components have one seed rectangle share its point
+        rects = []
+        interior_point = evasion.geometry.GapFibre.interior_point
+
+        def recorded(fibre, c):
+            i, j = divmod(fibre.seeds[c], fibre.ny)
+            rects.append((fibre.xr[i // 2], fibre.xr[i // 2 + 1], fibre.yr[j // 2], fibre.yr[j // 2 + 1]))
+            return interior_point(fibre, c)
+
+        monkeypatch.setattr(evasion.geometry.GapFibre, "interior_point", recorded)
+        rng, shared = Random(7), 0
+        for _ in range(100):
+            scene = random_scene(rng, 10)
+            sections = global_sections(build_sheaf(scene))
+            if sections.decision.feasible:
+                fibres = scene_fibres(scene)
+                rects.clear()
+                extract_path(scene, fibres, sections)
+                assert len(rects) == len(set(rects))
+                chosen = zip(fibres[1], sections.chain[1::2])
+                shared += len({(id(vf), c) for vf, c in chosen}) - len(rects)
+        assert shared > 0
+
     def test_infeasible_decision_is_rejected(self):
         sections = global_sections(build_sheaf(BLOCKED_SCENE))
         with pytest.raises(ValueError):

@@ -249,6 +249,46 @@ class TestGlobalSections:
         assert label_names(sections.column_labels) == ["v1.u"]
 
 
+def _simplex_sheaf_with_coordinate_rows() -> ConeSheaf:
+    """Two vertices around an edge whose stalk is not free, so the simplex
+    decides it and the coboundary rows over that edge are named x0 and x1."""
+    return ConeSheaf(
+        Stratification.make([0, 1]),
+        (free(["a"]), free(["b"])),
+        (free(["u"]), PolyhedralCone.make([[1, 0], [1, 1]], ["p", "q"]), free(["w"])),
+        (Matrix.from_rows([[1]]), Matrix.from_rows([[1], [0]])),
+        (Matrix.from_rows([[1], [1]]), Matrix.from_rows([[1]])),
+    )
+
+
+@pytest.mark.parametrize(
+    "sheaf",
+    [
+        *(
+            pytest.param(lambda name=name: sheaf_from_jsonable(load_fixture(name)), id=name)
+            for name in fixtures_with("vertices")
+        ),
+        pytest.param(_simplex_sheaf_with_coordinate_rows, id="coordinate_rows"),
+        pytest.param(lambda: ConeSheaf(Stratification.make([]), (), (free(["u"]),), (), ()), id="vertex_free"),
+        pytest.param(lambda: random_function_like_sheaf(Random(4)), id="function_like"),
+    ],
+)
+@pytest.mark.parametrize("sections_of", [global_sections, assemble_coboundary])
+def test_report_names_are_the_formatted_labels(sheaf, sections_of):
+    sections = sections_of(sheaf())
+    assert sections.row_names == tuple(label_names(sections.row_labels))
+    assert sections.column_names == tuple(label_names(sections.column_labels))
+    assert (len(sections.row_names), len(sections.column_names)) == (sections.coboundary.rows, sections.coboundary.cols)
+
+
+def test_rows_over_a_stalk_that_is_not_free_are_its_coordinates():
+    sections = global_sections(_simplex_sheaf_with_coordinate_rows())
+    assert sections.row_names == ("e2.x0", "e2.x1")
+    assert sections.column_names == ("v1.a", "v2.b")
+    # a and b restrict to (1, 1) and (1, 0) over e2: decided by the simplex, no section
+    assert sections.chain is None and not sections.decision.feasible
+
+
 class TestKernelDim:
     """The sweep's cycle rank against the rational rank of the coboundary."""
 
