@@ -10,6 +10,11 @@ minus its rank, and that the coboundary the decided sections build when
 read is `assemble_coboundary`'s, labels included. On every feasible draw
 the sweep's witness must decompose into exactly its own chain at weight
 1/k, and that chain must be the one `evasion oracle` reports.
+The draws are born as image tuples, so every draw also goes through both
+converters: the 0/1 matrices it builds on request must convert back to its
+tuples (`generator_maps`), and the sheaf file `evasion sheaf` would write
+must read back to the same decision, kernel_dim and chain; a draw that
+breaks this is reported as "matrix round trip differs".
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
 The flow decomposition is the test reference in `tests/reference_chains.py`,
 which the script finds next to itself in the checkout.
@@ -18,21 +23,44 @@ Usage: python scripts/oracle_fuzz.py --count 10000 --seed 7
 """
 
 import argparse
+import io
+import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from evasion.cli import sheaf_to_jsonable, write_json
+from evasion.cli import sheaf_from_jsonable, sheaf_to_jsonable, write_json
 from evasion.cones import is_valid_certificate, lp_positive_kernel
 from evasion.linalg import rank
 from evasion.oracle import dp_section_exists
 from evasion.randgen import random_function_like_sheaf
-from evasion.sheaf import assemble_coboundary, global_sections, section_chain
+from evasion.sheaf import ConeSheaf, assemble_coboundary, generator_maps, global_sections, section_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference_chains import flow_decompose  # noqa: E402
+
+
+def round_trip(sheaf, sections) -> bool:
+    """Do the sheaf's matrices convert back to its image tuples, and does the
+    file `evasion sheaf` would write decide as the sheaf does?"""
+    try:
+        S = ConeSheaf(sheaf.strat, sheaf.vertex_stalks, sheaf.edge_stalks, sheaf.left_maps, sheaf.right_maps)
+        out = io.StringIO()
+        write_json(sheaf_to_jsonable(sheaf), out)
+        read = global_sections(sheaf_from_jsonable(json.loads(out.getvalue())))
+        maps = generator_maps(S).maps
+    except ValueError:  # a matrix of the wrong shape or not 0/1
+        return False
+    alike = (read.decision, read.kernel_dim, read.chain) == (sections.decision, sections.kernel_dim, sections.chain)
+    return maps == sheaf.maps and alike
+
+
+def report(what: str, trial: int, seed: int, sheaf) -> int:
+    print(f"{what} at trial {trial} (seed {seed}):", file=sys.stderr)
+    write_json(sheaf_to_jsonable(sheaf), sys.stderr)
+    return 1
 
 
 def main() -> int:
@@ -48,6 +76,8 @@ def main() -> int:
     for trial in range(args.count):
         sheaf = random_function_like_sheaf(rng, args.max_vertices, args.max_gens)
         sections = global_sections(sheaf)
+        if not round_trip(sheaf, sections):
+            return report("matrix round trip differs", trial, args.seed, sheaf)
         assembled = assemble_coboundary(sheaf)
         same = (sections.row_labels, sections.column_labels, sections.coboundary) == (
             assembled.row_labels,
@@ -69,9 +99,7 @@ def main() -> int:
             ok = is_valid_certificate(sections.coboundary, sections.decision.certificate)
         if not ok:
             what = "disagreement" if same else "coboundary differs from assemble_coboundary's"
-            print(f"{what} at trial {trial} (seed {args.seed}):", file=sys.stderr)
-            write_json(sheaf_to_jsonable(sheaf), sys.stderr)
-            return 1
+            return report(what, trial, args.seed, sheaf)
     print(f"{args.count} sheaves checked, {feasible} feasible, no disagreements (seed {args.seed})")
     return 0
 

@@ -193,7 +193,6 @@ def matrix_from_jsonable(data) -> Matrix:
 
 def sheaf_to_jsonable(S: ConeSheaf) -> dict:
     strat = S.strat
-    stalks: dict[str, dict] = {}
 
     def stalk_json(cone: PolyhedralCone) -> dict:
         out: dict = {"labels": list(cone.labels)}
@@ -202,19 +201,14 @@ def sheaf_to_jsonable(S: ConeSheaf) -> dict:
             out["generators"] = [[format_rational(c) for c in g] for g in cone.generators]
         return out
 
-    for j in range(strat.edge_count):
-        stalks[strat.edge_id(j)] = stalk_json(S.edge_stalks[j])
-        if j < strat.k:
-            stalks[strat.vertex_id(j)] = stalk_json(S.vertex_stalks[j])
-    restrictions = []
-    for i, j, M in S.incidences():
-        restrictions.append(
-            {"from": strat.vertex_id(i), "to": strat.edge_id(j), "matrix": matrix_to_jsonable(M)}
-        )
+    stalks = (S.edge_stalks, S.vertex_stalks)  # cell n's stalk is stalks[n % 2][n // 2]
     return {
         "vertices": [format_rational(t) for t in strat.vertex_times],
-        "stalks": stalks,
-        "restrictions": restrictions,
+        "stalks": {cell: stalk_json(stalks[n % 2][n // 2]) for n, cell in enumerate(strat.cells)},
+        "restrictions": [
+            {"from": strat.vertex_id(i), "to": strat.edge_id(j), "matrix": matrix_to_jsonable(M)}
+            for i, j, M in S.incidences()
+        ],
     }
 
 
@@ -242,19 +236,26 @@ def _stalk_from_jsonable(cell: str, data) -> PolyhedralCone:
 def sheaf_from_jsonable(data) -> ConeSheaf:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("sheaf JSON must be an object with a 'vertices' field")
-    times = _list(data["vertices"], "vertices")
-    strat = Stratification(tuple(_rational(t, f"the time of vertex v{i + 1}") for i, t in enumerate(times)))
+    times = [_rational(t, f"the time of vertex v{i + 1}") for i, t in enumerate(_list(data["vertices"], "vertices"))]
+    for i in range(1, len(times)):
+        if times[i] <= times[i - 1]:
+            late, early = format_rational(times[i]), format_rational(times[i - 1])
+            raise ValueError(f"vertex times must be strictly increasing: v{i + 1} ({late}) is not after v{i} ({early})")
+    strat = Stratification(tuple(times))
     stalks = data.get("stalks", {})
     if not isinstance(stalks, dict):
         raise ValueError(f"malformed sheaf JSON: stalks must be an object, got {stalks!r}")
+    stalks = dict(stalks)  # each cell's stalk is popped, so that what is left names no cell
 
     def stalk(cell: str) -> PolyhedralCone:
         if cell not in stalks:
             raise ValueError(f"missing stalk for cell {cell}")
-        return _stalk_from_jsonable(cell, stalks[cell])
+        return _stalk_from_jsonable(cell, stalks.pop(cell))
 
-    vertex_stalks = tuple(stalk(strat.vertex_id(i)) for i in range(strat.k))
-    edge_stalks = tuple(stalk(strat.edge_id(j)) for j in range(strat.edge_count))
+    vertex_stalks = tuple(map(stalk, strat.cells[1::2]))
+    edge_stalks = tuple(map(stalk, strat.cells[0::2]))
+    if stalks:
+        raise ValueError(f"stalks for cells the stratification lacks: {', '.join(stalks)}")
     maps: dict[tuple[str, str], Matrix] = {}
     for n, r in enumerate(_list(data.get("restrictions", []), "restrictions")):
         source, target, matrix = _fields(r, ("from", "to", "matrix"), f"restriction {n}", "sheaf")

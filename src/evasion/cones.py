@@ -74,7 +74,7 @@ class PolyhedralCone:
         """Nonnegative orthant on one basis vector per label."""
         labels = tuple(labels)
         n = len(labels)
-        gens = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        gens = tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n))
         return cls(n, gens, labels)
 
     @cached_property

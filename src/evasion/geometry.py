@@ -63,8 +63,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from evasion.cones import PolyhedralCone
-from evasion.linalg import Matrix, ONE, SparseRow, ZERO, format_rational
-from evasion.sheaf import CellLabel, ConeSheaf, GlobalSections, Stratification, section_chain
+from evasion.linalg import ONE, ZERO, format_rational
+from evasion.sheaf import CellLabel, FunctionSheaf, GlobalSections, Stratification, section_chain
 
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -471,10 +471,10 @@ def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> int:
     return (2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1) * ef.ny + 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
 
 
-def build_sheaf(scene: Scene) -> ConeSheaf:
-    """The cone sheaf of a scene: its fibres, built once and validated
-    (SceneValidationError if the coverage is disconnected), then
-    `sheaf_from_fibres`."""
+def build_sheaf(scene: Scene) -> FunctionSheaf:
+    """The cone sheaf of a scene, as integer generator maps: its fibres, built
+    once and validated (SceneValidationError if the coverage is disconnected),
+    then `sheaf_from_fibres`."""
     fibres = scene_fibres(scene)
     report = validate_fibres(fibres)
     if not report.ok:
@@ -482,46 +482,43 @@ def build_sheaf(scene: Scene) -> ConeSheaf:
     return sheaf_from_fibres(fibres)
 
 
-def sheaf_from_fibres(fibres: Fibres) -> ConeSheaf:
+def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     """Free-cone sheaf on gap components over the critical stratification,
-    from fibres that passed `validate_fibres`.
+    from fibres that passed `validate_fibres`, as integer generator maps.
 
     Stalks are free cones on the gap components of the cell's sample time,
     labelled by position, so fibres with as many components share one cone.
-    The restriction of a vertex component is the unique edge component
+    The image of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
     there, so the component persists to both sides): the edge fibre's owner
     of the face `_edge_face` finds. A vertex and an edge with the same alive
     key share one fibre, and the map is the identity. Each distinct (vertex
-    fibre, edge fibre) pair gets one restriction matrix, shared by every
-    incidence that has it.
+    fibre, edge fibre) pair gets one image tuple, shared by every incidence
+    that has it.
     """
     times, vertex_fibres, edge_fibres = fibres
     counts = {len(f.seeds) for f in (*vertex_fibres, *edge_fibres)}
     cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in counts}
-    # a restriction depends only on its two fibres, which samples share
-    restrictions: dict[tuple[int, int], Matrix] = {}
-    left_maps, right_maps = [], []
+    # an image tuple depends only on its two fibres, which samples share
+    built: dict[tuple[int, int], tuple[int, ...]] = {}
+    images = []
     for i, vf in enumerate(vertex_fibres):
-        for side, ef, maps in (("left", edge_fibres[i], left_maps), ("right", edge_fibres[i + 1], right_maps)):
+        for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
             key = (id(vf), id(ef))
-            if key not in restrictions:
-                rows: list[SparseRow] = [{} for _ in ef.seeds]
-                for c in range(len(vf.seeds)):
-                    target = ef.owner[_edge_face(vf, c, ef)]
-                    if target < 0:
-                        raise GeometryError(
-                            f"component {component_label(c)} at t={times[i]} does not persist to the {side} edge"
-                        )
-                    rows[target][c] = ONE
-                restrictions[key] = Matrix(len(rows), len(vf.seeds), tuple(rows))
-            maps.append(restrictions[key])
-    return ConeSheaf(
+            if key not in built:
+                image = tuple(ef.owner[_edge_face(vf, c, ef)] for c in range(len(vf.seeds)))
+                if -1 in image:
+                    raise GeometryError(
+                        f"component {component_label(image.index(-1))} at t={times[i]} "
+                        f"does not persist to the {side} edge"
+                    )
+                built[key] = image
+            images.append(built[key])
+    return FunctionSheaf(
         strat=Stratification(times),
         vertex_stalks=tuple(cones[len(f.seeds)] for f in vertex_fibres),
         edge_stalks=tuple(cones[len(f.seeds)] for f in edge_fibres),
-        left_maps=tuple(left_maps),
-        right_maps=tuple(right_maps),
+        maps=tuple(zip(images[0::2], images[1::2])),
     )
 
 

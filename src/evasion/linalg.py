@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -109,8 +108,6 @@ class Matrix:
     Exact zeros are never stored, so equal matrices compare equal. The row
     dicts may be shared with whoever built the matrix and must not be
     mutated; `to_sparse_rows` hands out copies for in-place elimination.
-    Neither may the dicts of `column_nonzeros`, built once and shared by
-    every reader.
     """
 
     rows: int
@@ -151,11 +148,6 @@ class Matrix:
 
     def to_sparse_rows(self) -> list[SparseRow]:
         return [dict(r) for r in self.nonzeros]
-
-    @cached_property
-    def column_nonzeros(self) -> tuple[SparseRow, ...]:
-        """The nonzeros of each column as {row: value}."""
-        return tuple(columns(self.nonzeros, self.cols))
 
 
 def columns(rows, ncols: int) -> list[SparseRow]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from evasion.sheaf import (
     CellLabel,
     ConeSheaf,
+    FunctionSheaf,
     UnsupportedSheafError,
     _normalise,
     generator_maps,
@@ -27,14 +28,14 @@ from evasion.sheaf import (
 __all__ = ["UnsupportedSheafError", "dp_section_exists"]
 
 
-def dp_section_exists(S: ConeSheaf) -> tuple[bool, tuple[CellLabel, ...] | None]:
+def dp_section_exists(S: ConeSheaf | FunctionSheaf) -> tuple[bool, tuple[CellLabel, ...] | None]:
     """The production reachability sweep (`sheaf.section_sweep`), as a chain.
 
     Returns (True, chain) with the sweep's witness chain, or (False, None)
     when no compatible system of choices exists.
     """
     S = _normalise(S)
-    chain, _ = section_sweep(S, generator_maps(S))
+    chain, _ = section_sweep(S if isinstance(S, FunctionSheaf) else generator_maps(S))
     if chain is None:
         return False, None
     return True, section_chain(S, chain)

@@ -13,12 +13,11 @@ from random import Random
 
 from evasion.cones import PolyhedralCone
 from evasion.geometry import Box, Scene, validate_scene
-from evasion.linalg import Matrix, ONE, SparseRow
-from evasion.sheaf import ConeSheaf, Stratification
+from evasion.sheaf import FunctionSheaf, Stratification
 
 
-def random_function_like_sheaf(rng: Random, max_vertices: int = 6, max_gens: int = 4) -> ConeSheaf:
-    """Free-cone sheaf with total 0/1 function-like restrictions.
+def random_function_like_sheaf(rng: Random, max_vertices: int = 6, max_gens: int = 4) -> FunctionSheaf:
+    """Free-cone sheaf with total function-like restrictions, as random images.
 
     Every stalk is a nonempty orthant and every vertex generator maps to
     exactly one generator on each side: the class where the combinatorial
@@ -31,15 +30,12 @@ def random_function_like_sheaf(rng: Random, max_vertices: int = 6, max_gens: int
     edge_stalks = tuple(PolyhedralCone.free([f"g{i}" for i in range(n)]) for n in edge_sizes)
     vertex_stalks = tuple(PolyhedralCone.free([f"g{i}" for i in range(n)]) for n in vertex_sizes)
 
-    def random_map(nv: int, ne: int) -> Matrix:
-        rows: list[SparseRow] = [{} for _ in range(ne)]
-        for c in range(nv):
-            rows[rng.randrange(ne)][c] = ONE
-        return Matrix(ne, nv, tuple(rows))
+    def random_image(nv: int, ne: int) -> tuple[int, ...]:
+        return tuple(rng.randrange(ne) for _ in range(nv))
 
-    left = tuple(random_map(vertex_sizes[i], edge_sizes[i]) for i in range(k))
-    right = tuple(random_map(vertex_sizes[i], edge_sizes[i + 1]) for i in range(k))
-    return ConeSheaf(strat, vertex_stalks, edge_stalks, left, right)
+    left = [random_image(vertex_sizes[i], edge_sizes[i]) for i in range(k)]
+    right = [random_image(vertex_sizes[i], edge_sizes[i + 1]) for i in range(k)]
+    return FunctionSheaf(strat, vertex_stalks, edge_stalks, tuple(zip(left, right)))
 
 
 _WINDOW = (Fraction(0), Fraction(12))

@@ -17,15 +17,15 @@ Two deciders answer that LP, and each re-checks its own witness or
 certificate exactly:
 
   * Function-like sheaves (every stalk free, every restriction a 0/1 matrix
-    with exactly one 1 per column; all scene sheaves are of this kind) have
-    a node-arc incidence matrix as coboundary: edge generators are nodes and
-    each vertex generator is an arc from its left to its right image. A
-    left-to-right reachability sweep decides them in O(#generators), without
-    building that matrix, and emits both Stiemke objects (`section_sweep`).
-    Its section chain, one generator per cell, is kept on the result: the
-    witness is built from it, and `section_chain` labels it for every reader
-    with the cell ids the stratification formats once.
-    kernel_dim is a cycle rank.
+    with exactly one 1 per column) are decided as `FunctionSheaf`s, which
+    keep each restriction as the tuple of its generators' images. Scene
+    sheaves are built so, and `generator_maps` converts a hand-written one.
+    The coboundary is a node-arc incidence matrix: edge generators are nodes
+    and each vertex generator an arc from its left to its right image. A
+    left-to-right reachability sweep decides it in O(#generators), building
+    no matrix, and emits both Stiemke objects (`section_sweep`). Its section
+    chain, one generator per cell, is kept on the result: the witness is
+    built from it, and `section_chain` labels it. kernel_dim is a cycle rank.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -47,7 +47,7 @@ from evasion.cones import (
     is_positive_cone,
     lp_positive_kernel,
 )
-from evasion.linalg import Matrix, SparseRow, ZERO, rank
+from evasion.linalg import Matrix, ONE, SparseRow, ZERO, columns, rank
 
 CellLabel = tuple[str, str]  # (cell id, generator label)
 # per vertex: (left edge generator, right edge generator) of each vertex generator
@@ -58,14 +58,10 @@ Chain = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Stratification:
-    """Strictly increasing critical times; k times induce k vertices and k+1 edges."""
+    """Strictly increasing critical times; k times induce k vertices and k+1 edges.
+    Whoever builds one keeps the order; the sheaf reader checks the times it reads."""
 
     vertex_times: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        ts = self.vertex_times
-        if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError("vertex times must be strictly increasing")
 
     @classmethod
     def make(cls, times) -> "Stratification":
@@ -74,10 +70,6 @@ class Stratification:
     @property
     def k(self) -> int:
         return len(self.vertex_times)
-
-    @property
-    def edge_count(self) -> int:
-        return self.k + 1
 
     @cached_property
     def cells(self) -> tuple[str, ...]:
@@ -118,20 +110,54 @@ class ConeSheaf:
             raise ValueError(f"expected {k + 1} edge stalks, got {len(self.edge_stalks)}")
         if len(self.left_maps) != k or len(self.right_maps) != k:
             raise ValueError("need one left and one right restriction per vertex")
-        for i in range(k):
-            for M, j in ((self.left_maps[i], i), (self.right_maps[i], i + 1)):
-                if M.rows != self.edge_stalks[j].ambient_dim or M.cols != self.vertex_stalks[i].ambient_dim:
-                    raise ValueError(
-                        f"restriction {self.strat.vertex_id(i)}->{self.strat.edge_id(j)} "
-                        f"has shape {M.rows}x{M.cols}, expected "
-                        f"{self.edge_stalks[j].ambient_dim}x{self.vertex_stalks[i].ambient_dim}"
-                    )
+        for i, j, M in self.incidences():
+            if M.rows != self.edge_stalks[j].ambient_dim or M.cols != self.vertex_stalks[i].ambient_dim:
+                raise ValueError(
+                    f"restriction {self.strat.vertex_id(i)}->{self.strat.edge_id(j)} "
+                    f"has shape {M.rows}x{M.cols}, expected "
+                    f"{self.edge_stalks[j].ambient_dim}x{self.vertex_stalks[i].ambient_dim}"
+                )
 
     def incidences(self):
         """Yield (vertex index, edge index, matrix) for every vertex/edge incidence."""
         for i in range(self.strat.k):
             yield i, i, self.left_maps[i]
             yield i, i + 1, self.right_maps[i]
+
+
+@dataclass(frozen=True)
+class FunctionSheaf:
+    """A free, function-like sheaf, valid as it stands: maps[i] holds the
+    left and the right image of each generator of vertex i. The 0/1 matrices
+    a `ConeSheaf` reader asks for are built on first read, one per distinct
+    image tuple and target size (there is one empty tuple)."""
+
+    strat: Stratification
+    vertex_stalks: tuple[PolyhedralCone, ...]
+    edge_stalks: tuple[PolyhedralCone, ...]
+    maps: GeneratorMaps
+
+    incidences = ConeSheaf.incidences
+
+    @cached_property
+    def left_maps(self) -> tuple[Matrix, ...]:
+        return self._matrices[0::2]
+
+    @cached_property
+    def right_maps(self) -> tuple[Matrix, ...]:
+        return self._matrices[1::2]
+
+    @cached_property
+    def _matrices(self) -> tuple[Matrix, ...]:  # in `incidences` order
+        built: dict[tuple[int, int], Matrix] = {}
+        out = []
+        for i, images in enumerate(self.maps):
+            for j, image in enumerate(images, i):
+                key = (id(image), len(self.edge_stalks[j].generators))
+                if key not in built:  # the columns {row: 1}, transposed
+                    built[key] = Matrix(key[1], len(image), tuple(columns(({r: ONE} for r in image), key[1])))
+                out.append(built[key])
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -184,7 +210,7 @@ class GlobalSections:
     every other decision.
     """
 
-    sheaf: ConeSheaf = field(repr=False)
+    sheaf: ConeSheaf | FunctionSheaf = field(repr=False)
     kernel_dim: int | None = None
     decision: FeasibilityResult | None = None
     chain: Chain | None = None
@@ -210,35 +236,25 @@ class GlobalSections:
         """The signed substituted coboundary D*G of the sheaf."""
         S = self.sheaf
         col_offsets = [0, *accumulate(len(stalk.labels) for stalk in S.vertex_stalks)]
-        rows: list[SparseRow] = [{} for stalk in S.edge_stalks[1:-1] for _ in range(stalk.ambient_dim)]
-        base = 0
-        for j in range(1, S.strat.k):  # precompact edges only; unbounded maps are zeroed out
-            # left endpoint enters with -, right endpoint with +
-            for vi, M, sign in ((j - 1, S.right_maps[j - 1], -1), (j, S.left_maps[j], 1)):
-                for col, image in enumerate(_generator_images(M, S.vertex_stalks[vi]), col_offsets[vi]):
+        # the first row of each edge; the unbounded edges have none, so their maps are zeroed out
+        row_offsets = [0, 0, *accumulate(stalk.ambient_dim for stalk in S.edge_stalks[1:-1])]
+        rows: list[SparseRow] = [{} for _ in range(row_offsets[-1])]
+        for i, j, M in S.incidences():
+            if 0 < j < S.strat.k:  # an edge's left endpoint (vertex j - 1) enters with -, its right with +
+                for col, image in enumerate(_generator_images(M, S.vertex_stalks[i]), col_offsets[i]):
                     for d, val in image.items():
-                        rows[base + d][col] = val if sign > 0 else -val
-            base += S.edge_stalks[j].ambient_dim
+                        rows[row_offsets[j] + d][col] = -val if i < j else val
         return Matrix(len(rows), col_offsets[-1], tuple(rows))
 
 
-def _generator_images(M: Matrix, stalk: PolyhedralCone) -> tuple[SparseRow, ...]:
+def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
     """Image under M of each generator of the stalk M acts on, as {coordinate: value}.
 
     For a free stalk the images are the columns of M.
     """
-    cols = M.column_nonzeros
     if stalk.is_free:
-        return cols
-    images = []
-    for gen in stalk.generators:
-        image: SparseRow = {}
-        for c, x in enumerate(gen):
-            if x:
-                for d, v in cols[c].items():
-                    image[d] = image.get(d, ZERO) + v * x
-        images.append({d: v for d, v in image.items() if v})
-    return tuple(images)
+        return columns(M.nonzeros, M.cols)
+    return [{d: v for d, v in enumerate(M.mul_vec(gen)) if v} for gen in stalk.generators]
 
 
 def validate_sheaf(S: ConeSheaf) -> SheafReport:
@@ -301,7 +317,7 @@ def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
     return GlobalSections(S)
 
 
-def global_sections(S: ConeSheaf) -> GlobalSections:
+def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
     """Decide whether the sheaf has a nonzero global section.
 
     Feasible: the witness lists nonnegative generator coordinates, one block
@@ -313,7 +329,7 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
     """
     S = _normalise(S)
     try:
-        maps = generator_maps(S)
+        F = S if isinstance(S, FunctionSheaf) else generator_maps(S)
     except UnsupportedSheafError:
         sections = assemble_coboundary(S)
         M = sections.coboundary
@@ -322,18 +338,17 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         sections = replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
         vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
         return sections
-    # generator_maps accepts only free stalks and restrictions sending each
-    # generator onto one generator, so such a sheaf is valid as it stands
-    chain, y = section_sweep(S, maps)
+    # a FunctionSheaf is valid as it stands
+    chain, y = section_sweep(F)
     if chain is not None:
         # every vertex generator must restrict to the edge generators beside it; weight 1/k each
         edges, vertices = chain[0::2], chain[1::2]
-        if len(chain) != 2 * len(maps) + 1:
+        if len(chain) != 2 * len(F.maps) + 1:
             raise AssertionError("witness chain does not have one generator per cell")
-        if any(maps[i][0][g] != edges[i] or maps[i][1][g] != edges[i + 1] for i, g in enumerate(vertices)):
+        if any(F.maps[i][0][g] != edges[i] or F.maps[i][1][g] != edges[i + 1] for i, g in enumerate(vertices)):
             raise AssertionError("witness chain does not restrict to its edge generators")
         blocks = [[ZERO] * len(stalk.generators) for stalk in S.vertex_stalks]
-        weight = Fraction(1, len(maps))
+        weight = Fraction(1, len(F.maps))
         for block, g in zip(blocks, vertices):
             block[g] = weight
         decision = FeasibilityResult(FEASIBLE, witness=tuple(v for block in blocks for v in block))
@@ -341,48 +356,45 @@ def global_sections(S: ConeSheaf) -> GlobalSections:
         # zero on both unbounded edges and a drop along every arc make D'y >= 1
         if [len(block) for block in y] != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
             raise AssertionError("potential is not one block per edge, zero on the unbounded edges")
-        if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(maps) for li, ri in zip(left, right)):
+        if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(F.maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
-    return GlobalSections(S, cycle_rank(S, maps), decision, chain)
+    return GlobalSections(S, cycle_rank(F), decision, chain)
 
 
-def generator_maps(S: ConeSheaf) -> GeneratorMaps:
-    """Each vertex generator's image generator in its left and right edge.
+def generator_maps(S: ConeSheaf) -> FunctionSheaf:
+    """The sheaf as a `FunctionSheaf`: each vertex generator's image in its left and right edge.
 
     Raises UnsupportedSheafError, naming the stalk or the restriction and
     column, unless every stalk is free and every restriction is a 0/1
     matrix with exactly one 1 per column.
     """
     strat = S.strat
-    # cell ids are formatted only to name the stalk at fault
-    for cell_id, stalks in ((strat.vertex_id, S.vertex_stalks), (strat.edge_id, S.edge_stalks)):
-        for i, stalk in enumerate(stalks):
+    for cells, stalks in ((strat.cells[1::2], S.vertex_stalks), (strat.cells[0::2], S.edge_stalks)):
+        for cell, stalk in zip(cells, stalks):
             if not stalk.is_free:
                 raise UnsupportedSheafError(
-                    f"the sweep requires free (orthant) stalks; the stalk over {cell_id(i)} is not free"
+                    f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free"
                 )
-    images, read = [], {}  # id of each distinct restriction -> its image tuple
+    images = []
     for i, j, M in S.incidences():
-        if id(M) not in read:
-            cols = M.column_nonzeros
-            for c, col in enumerate(cols):
-                if len(col) != 1 or 1 not in col.values():
-                    raise UnsupportedSheafError(
-                        f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
-                        f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not col else 'is not a single 1'}; "
-                        "the sweep requires 0/1 restrictions with exactly one 1 per column"
-                    )
-            read[id(M)] = tuple(next(iter(col)) for col in cols)
-        images.append(read[id(M)])
-    return tuple(zip(images[0::2], images[1::2]))
+        cols = columns(M.nonzeros, M.cols)
+        for c, col in enumerate(cols):
+            if len(col) != 1 or 1 not in col.values():
+                raise UnsupportedSheafError(
+                    f"restriction {strat.vertex_id(i)}->{strat.edge_id(j)} column {c} "
+                    f"({S.vertex_stalks[i].labels[c]}) {'is zero' if not col else 'is not a single 1'}; "
+                    "the sweep requires 0/1 restrictions with exactly one 1 per column"
+                )
+        images.append(tuple(next(iter(col)) for col in cols))
+    return FunctionSheaf(strat, S.vertex_stalks, S.edge_stalks, tuple(zip(images[0::2], images[1::2])))
 
 
-def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[Chain | None, list[list[int]] | None]:
+def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | None]:
     """Decide a function-like sheaf by reachability from the left unbounded edge.
 
     Edge generators are nodes and vertex generator g of vertex i is an arc
-    from maps[i][0][g] in edge i to maps[i][1][g] in edge i+1. A nonzero
+    from S.maps[i][0][g] in edge i to S.maps[i][1][g] in edge i+1. A nonzero
     section is a chain of arcs from the left to the right unbounded edge.
 
     Returns (chain, None) with one generator index per cell in time order
@@ -395,7 +407,7 @@ def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[Chain | None, list
     elsewhere the length of the longest chain from the generator to the
     right unbounded edge or a dead end. Each arc then drops by at least 1.
     """
-    k = S.strat.k
+    k, maps = S.strat.k, S.maps
     reach = [dict.fromkeys(range(len(S.edge_stalks[0].generators)))]
     for left, right in maps:
         nxt: dict[int, int] = {}  # right edge generator -> least vertex generator reaching it
@@ -423,8 +435,8 @@ def section_sweep(S: ConeSheaf, maps: GeneratorMaps) -> tuple[Chain | None, list
     return None, [[0] * len(S.edge_stalks[0].generators), *blocks[::-1]]
 
 
-def cycle_rank(S: ConeSheaf, maps: GeneratorMaps) -> int:
-    """kernel_dim of a function-like sheaf: arcs minus the edges of a spanning forest of the
+def cycle_rank(S: FunctionSheaf) -> int:
+    """kernel_dim, from the image tuples alone: arcs minus the edges of a spanning forest of the
     arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows)."""
     k, ids = S.strat.k, count(1)
     node = [[next(ids) if 0 < j < k else 0 for _ in stalk.generators] for j, stalk in enumerate(S.edge_stalks)]
@@ -435,11 +447,11 @@ def cycle_rank(S: ConeSheaf, maps: GeneratorMaps) -> int:
             parent[a] = a = parent[parent[a]]
         return a
 
-    kernel = sum(len(left) for left, _ in maps)
-    for i, (left, right) in enumerate(maps):
+    kernel = sum(len(left) for left, _ in S.maps)
+    for (left, right), here, there in zip(S.maps, node, node[1:]):
         for li, ri in zip(left, right):
-            a, b = find(node[i][li]), find(node[i + 1][ri])
-            parent[a] = b
+            a, b = find(here[li]), find(there[ri])
+            parent[b] = a  # under the earlier root, so that trees stay shallow as the layers go by
             kernel -= a != b
     return kernel
 

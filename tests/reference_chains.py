@@ -19,7 +19,7 @@ def enumerate_sections(S: ConeSheaf, cap: int) -> list[tuple[CellLabel, ...]]:
     if cap <= 0:
         return []
     S = _normalise(S)
-    maps = generator_maps(S)
+    maps = generator_maps(S).maps
     k = S.strat.k
     chains: list[tuple[CellLabel, ...]] = []
     cells: list[int] = []  # generator per cell, e1 v1 e2 ... up to the edge the walk stands on
@@ -53,7 +53,7 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[tuple[CellLabel, ...], Fractio
     """
     if S.strat.k == 0:
         raise ValueError("flow decomposition needs at least one vertex; refine first")
-    maps = generator_maps(S)
+    maps = generator_maps(S).maps
     k = S.strat.k
     x = tuple(Fraction(c) for c in x)
     sections = assemble_coboundary(S)

@@ -721,6 +721,11 @@ def _with_v1_stalk(stalk):
     return sheaf
 
 
+def _with_stalks(sheaf, **stalks):
+    sheaf["stalks"].update(stalks)
+    return sheaf
+
+
 @pytest.mark.parametrize(
     "sheaf, named",
     [
@@ -760,6 +765,12 @@ def _with_v1_stalk(stalk):
             ["generators of the stalk over v1", "float"],
             id="generator-float",
         ),
+        # stalks for a second vertex and a third edge would be silently ignored
+        pytest.param(
+            _with_stalks(_one_vertex_sheaf(["a"], ["1"]), v2={"labels": ["a"]}, e3={"labels": ["u"]}),
+            ["stalks for cells the stratification lacks: v2, e3"],
+            id="stalks-for-missing-cells",
+        ),
     ],
 )
 def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
@@ -768,6 +779,27 @@ def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert all(part in report["error"] for part in named), report["error"]
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        (["0", "2", "1"], "v3 (1) is not after v2 (2)"),
+        (["0", "1/2", "2/4"], "v3 (1/2) is not after v2 (1/2)"),
+    ],
+    ids=["decreasing", "repeated"],
+)
+def test_sheaf_vertex_times_out_of_order_are_named(capsys, tmp_path, times, message):
+    # the reader checks the order of the times it reads; a Stratification does not
+    stalks = {f"{'v' if n % 2 else 'e'}{n // 2 + 1}": {"labels": ["a"]} for n in range(2 * len(times) + 1)}
+    one = {"rows": 1, "cols": 1, "entries": ["1"]}
+    restrictions = [
+        {"from": f"v{i}", "to": f"e{j}", "matrix": one} for i in range(1, len(times) + 1) for j in (i, i + 1)
+    ]
+    bad = tmp_path / "unordered.json"
+    bad.write_text(json.dumps({"vertices": times, "stalks": stalks, "restrictions": restrictions}))
+    code, report = run_cli(capsys, "lp", str(bad))
+    assert (code, report) == (1, {"error": f"vertex times must be strictly increasing: {message}"})
 
 
 WINDOW = {"x": [0, 4], "y": [0, 4]}

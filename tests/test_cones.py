@@ -13,7 +13,7 @@ from evasion.cones import (
     is_valid_certificate,
     lp_positive_kernel,
 )
-from evasion.linalg import Matrix, kernel_basis, kernel_ray, rank
+from evasion.linalg import Matrix, columns, kernel_basis, kernel_ray, rank
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
 
@@ -287,7 +287,7 @@ def test_kernel_ray_answers_for_its_objective_columns(M, data):
         assert min(x) >= 0 and sum(x) == 1 and not any(M.mul_vec(x))
         assert any(x[j] for j in objective)
     else:
-        priced = [sum((v * u[i] for i, v in M.column_nonzeros[j].items()), Fraction(0)) for j in range(M.cols)]
+        priced = [sum((v * u[i] for i, v in col.items()), Fraction(0)) for col in columns(M.nonzeros, M.cols)]
         assert all(p >= (1 if j in objective else 0) for j, p in enumerate(priced))
 
 

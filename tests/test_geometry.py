@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import evasion.geometry
-import evasion.linalg
 import evasion.sheaf
-from evasion.cli import main, scene_from_jsonable, scene_to_jsonable
+from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.cones import lp_positive_kernel
 from evasion.geometry import (
     Box,
@@ -33,9 +32,9 @@ from evasion.geometry import (
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
 from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
-from evasion.sheaf import assemble_coboundary, generator_maps, global_sections, validate_sheaf
+from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
-from conftest import load_fixture
+from conftest import fixtures_with, load_fixture
 from reference_geometry import locate, point_uncovered, reference_fibre, reference_locate, reference_validate
 from golden import (
     BLOCKED_COBOUNDARY,
@@ -55,6 +54,14 @@ def fixture_scene(name: str) -> Scene:
 
 OPEN_SCENE = fixture_scene("crossing_open.json")
 BLOCKED_SCENE = fixture_scene("crossing_blocked.json")
+
+
+def blocked_scene() -> Scene:
+    """The benchmark's blocked scene: pulsing n=400, then a full-window
+    blackout at the single instant t = 400 1/2."""
+    base = pulsing_box_scene(400)
+    blackout = Box.make((Fraction(801, 2), Fraction(801, 2)), base.window_x, base.window_y)
+    return replace(base, boxes=(*base.boxes, blackout))
 
 
 class TestValidateScene:
@@ -384,42 +391,42 @@ class TestFibreSharing:
         ids=["pulsing", "comb"],
     )
     def test_one_restriction_per_distinct_fibre_pair(self, scene, distinct):
-        # 800 and 98 incidences
+        # 800 and 98 incidences, each an image tuple in sheaf.maps
         _, vertex_fibres, edge_fibres = scene_fibres(scene)
         pairs = {(id(vf), id(edge_fibres[i + side])) for i, vf in enumerate(vertex_fibres) for side in (0, 1)}
         sheaf = build_sheaf(scene)
-        assert len({id(M) for M in (*sheaf.left_maps, *sheaf.right_maps)}) == len(pairs) == distinct
+        assert len({id(image) for images in sheaf.maps for image in images}) == len(pairs) == distinct
 
     @pytest.mark.parametrize(
-        "scene, distinct",
-        [(pulsing_box_scene(400), 2), (comb_scene(24), 26)],
-        ids=["pulsing", "comb"],
+        "scene",
+        [
+            pytest.param(lambda: pulsing_box_scene(400), id="pulsing"),
+            pytest.param(blocked_scene, id="blocked"),
+            pytest.param(lambda: comb_scene(24), id="comb"),
+            *(pytest.param(lambda name=name: fixture_scene(name), id=name) for name in fixtures_with("window")),
+        ],
     )
-    def test_each_restriction_is_read_once(self, scene, distinct, monkeypatch):
-        # one column view per distinct restriction, not one per incidence,
-        # and a scene sheaf is valid by construction, so never validated
-        builds, validations = [], []
+    def test_a_check_builds_no_matrix(self, scene, monkeypatch):
+        # a scene sheaf is decided on its integer generator maps: no restriction
+        # matrix is built or read back, and the sheaf is valid by construction
+        built, post_init = [], Matrix.__post_init__
 
-        def counted_columns(rows, ncols):
-            builds.append(ncols)
-            return columns(rows, ncols)
+        def refuse(*args):
+            raise AssertionError("a scene sheaf is decided on its generator maps as they are built")
 
-        def counted_validation(S):
-            validations.append(S)
-            return validate_sheaf(S)
+        monkeypatch.setattr(Matrix, "__post_init__", lambda M: built.append(M) or post_init(M))
+        monkeypatch.setattr(evasion.sheaf, "generator_maps", refuse)
+        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", refuse)
+        _, sections, _, _ = run_check(scene())
+        assert sections.decision is not None and built == []
 
-        monkeypatch.setattr(evasion.linalg, "columns", counted_columns)
-        # a module that binds `columns` by name would escape the wrapper above
-        monkeypatch.setattr(evasion.sheaf, "columns", counted_columns, raising=False)
-        monkeypatch.setattr(evasion.sheaf, "validate_sheaf", counted_validation)
-        sheaf = build_sheaf(scene)
-        global_sections(sheaf)
-        assert (len(builds), len(validations)) == (distinct, 0)
-        # generator_maps reads the view of each distinct restriction, not of each of the 800 or 98 incidences
-        reads, view = [], Matrix.column_nonzeros
-        monkeypatch.setattr(Matrix, "column_nonzeros", property(lambda M: reads.append(M) or view.__get__(M)))
-        generator_maps(sheaf)
-        assert len(reads) == distinct
+    def test_deciding_a_scene_sheaf_compares_no_fractions(self, monkeypatch):
+        # the rank table's times are sorted and distinct, so the sheaf checks no order
+        fibres = scene_fibres(blocked_scene())
+        calls, richcmp = [], Fraction._richcmp
+        monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: calls.append(op) or richcmp(a, b, op))
+        sections = global_sections(sheaf_from_fibres(fibres))
+        assert (sections.decision.feasible, len(calls)) == (False, 0)
 
     def test_an_instantaneous_box_gives_a_vertex_unlike_both_edges(self):
         scene = Scene.make((0, 4), (0, 4), [Box.make((2, 2), (2, 2), (0, 4))])
@@ -473,7 +480,7 @@ def assert_fibres_match_the_reference(scene: Scene) -> bool:
     for i, t in enumerate(times):
         for M, te in ((sheaf.left_maps[i], edge_times[i]), (sheaf.right_maps[i], edge_times[i + 1])):
             targets = [reference_locate(*reference[te], point) for _, _, point, _ in reference[t][2]]
-            assert [dict(M.column_nonzeros[c]) for c in range(M.cols)] == [{r: 1} for r in targets]
+            assert columns(M.nonzeros, M.cols) == [{r: 1} for r in targets]
     report = validate_fibres(fibres)
     assert (report.ok, report.problems) == reference_validate(scene, times)
     return report.ok
@@ -625,9 +632,9 @@ def test_vertex_components_persist_to_both_sides(seed):
     scene = random_scene(Random(seed))
     sheaf = build_sheaf(scene)
     for M in (*sheaf.left_maps, *sheaf.right_maps):
-        for c in range(M.cols):
-            assert len(M.column_nonzeros[c]) == 1
-            assert all(v in (0, 1) for v in M.column_nonzeros[c].values())
+        for col in columns(M.nonzeros, M.cols):
+            assert len(col) == 1
+            assert all(v in (0, 1) for v in col.values())
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())

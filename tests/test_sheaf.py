@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 from random import Random
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evasion.sheaf
-from evasion.cli import scene_from_jsonable, sheaf_from_jsonable
+from evasion.cli import scene_from_jsonable, sheaf_from_jsonable, sheaf_to_jsonable, write_json
 from evasion.cones import PolyhedralCone, is_valid_certificate, lp_positive_kernel
 from evasion.geometry import build_sheaf
 from evasion.linalg import Matrix, kernel_basis, rank
@@ -17,6 +19,7 @@ from evasion.sheaf import (
     SheafValidationError,
     Stratification,
     assemble_coboundary,
+    generator_maps,
     global_sections,
     refine,
     section_chain,
@@ -320,13 +323,31 @@ class TestKernelDim:
         assert self.assert_cycle_rank_is_the_rank_deficiency(empty_vertex_sheaf()) == 0
 
 
+def written_and_read(sheaf):
+    """The sheaf as `evasion sheaf` writes it, read back as `evasion lp` reads it."""
+    out = io.StringIO()
+    write_json(sheaf_to_jsonable(sheaf), out)
+    return sheaf_from_jsonable(json.loads(out.getvalue()))
+
+
+def test_both_converters_round_trip_random_function_like_sheaves(base_seed):
+    # random sheaves are born as image tuples: the matrices they build must
+    # convert back to those tuples, and their file must decide alike
+    for seed in range(base_seed, base_seed + 2000):
+        F = random_function_like_sheaf(Random(seed))
+        S = ConeSheaf(F.strat, F.vertex_stalks, F.edge_stalks, F.left_maps, F.right_maps)
+        assert generator_maps(S).maps == F.maps
+        read, sections = global_sections(written_and_read(F)), global_sections(F)
+        assert (read.decision, read.kernel_dim, read.chain) == (sections.decision, sections.kernel_dim, sections.chain)
+
+
 class TestSweepRechecks:
     """A wrong object from `section_sweep` must not leave `global_sections`."""
 
     @staticmethod
     def patch_sweep(monkeypatch, corrupt):
         sweep = evasion.sheaf.section_sweep
-        monkeypatch.setattr(evasion.sheaf, "section_sweep", lambda S, maps: corrupt(maps, *sweep(S, maps)))
+        monkeypatch.setattr(evasion.sheaf, "section_sweep", lambda S: corrupt(S.maps, *sweep(S)))
 
     def test_chain_that_does_not_meet_on_a_shared_edge(self, monkeypatch):
         def swap(maps, chain, y):
