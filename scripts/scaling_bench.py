@@ -16,10 +16,16 @@ stages take them from it, so "validate" is scene validation alone and
 "build_sheaf" sheaf construction alone. "report" builds the report's
 sections and path payload (`sections_to_jsonable` and `path_to_jsonable`),
 and "write" serialises it with `evasion.cli.write_json` into memory.
+"check" is the whole command: in-process `evasion.cli.main(["check",
+file])` on the scene written to a file, its report sent to a buffer. Only
+this column sees what `main` does around the pipeline, such as pausing the
+cyclic garbage collector.
 
 Each case runs REPEATS times and every column is the median over those runs.
 "gc" is the number of cyclic-GC collections, all generations, during one
-`run_check`, read from `gc.get_stats()` before and after it.
+`run_check`, read from `gc.get_stats()` before and after it. That
+`run_check` runs with the collector on, as `main` would not run it, so the
+count measures the pipeline's allocation churn.
 
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
 """
@@ -28,10 +34,14 @@ import argparse
 import gc
 import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 from statistics import median
 
 from evasion.cli import (
+    main as evasion_main,
     path_to_jsonable,
     run_check,
     scene_from_jsonable,
@@ -42,7 +52,7 @@ from evasion.cli import (
 from evasion.geometry import critical_times
 from evasion.randgen import comb_scene, pulsing_box_scene
 
-STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write")
+STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
 REPEATS = 5
 
 
@@ -70,6 +80,14 @@ def run_once(text: str) -> tuple[dict[str, float], int, str]:
     return timing, gcs, "EVASION" if sections.decision.feasible else "NO_EVASION"
 
 
+def check_once(scene_file: Path) -> float:
+    """Wall time in ms of in-process `evasion check` on the file."""
+    with redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        evasion_main(["check", str(scene_file)])
+        return (time.perf_counter() - t0) * 1000
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000], help="pulsing critical times")
@@ -78,17 +96,22 @@ def main() -> None:
     header = "".join(f" {stage:>11}" for stage in STAGES)
     print(f"{'family':>8} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     cases = [("pulsing", n, pulsing_box_scene) for n in args.sizes] + [("comb", m, comb_scene) for m in args.comb]
-    for family, size, make in cases:
-        scene = make(size)
-        text = json.dumps(scene_to_jsonable(scene))
-        runs = [run_once(text) for _ in range(REPEATS)]
-        columns = ""
-        for stage in STAGES:
-            times = [timing[stage] for timing, _, _ in runs if stage in timing]
-            columns += f" {median(times):>9.1f}ms" if len(times) == REPEATS else f" {'-':>11}"
-        collected = median(n for _, n, _ in runs)
-        verdict = runs[0][2]
-        print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns} {collected:>4g}  {verdict}")
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_file = Path(tmp) / "scene.json"
+        for family, size, make in cases:
+            scene = make(size)
+            text = json.dumps(scene_to_jsonable(scene))
+            scene_file.write_text(text)
+            runs = [run_once(text) for _ in range(REPEATS)]
+            for timing, _, _ in runs:
+                timing["check"] = check_once(scene_file)
+            columns = ""
+            for stage in STAGES:
+                times = [timing[stage] for timing, _, _ in runs if stage in timing]
+                columns += f" {median(times):>9.1f}ms" if len(times) == REPEATS else f" {'-':>11}"
+            collected = median(n for _, n, _ in runs)
+            verdict = runs[0][2]
+            print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns} {collected:>4g}  {verdict}")
 
 
 if __name__ == "__main__":

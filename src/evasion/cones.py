@@ -55,7 +55,9 @@ class PolyhedralCone:
         for g in self.generators:
             if len(g) != self.ambient_dim:
                 raise ValueError("generator dimension mismatch")
-            if not any(g):
+            # tuple.count compares in C, and an entry that is the ZERO object
+            # matches it without a call; `any` would call Fraction.__bool__ on each
+            if g.count(ZERO) == len(g):
                 raise ValueError("zero vector is not a valid generator")
 
     @classmethod

@@ -608,18 +608,35 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
             points[rect] = vf.interior_point(c)
         vertex_points.append(points[rect])
     # routes[j] runs inside edge j's component from vertex j-1's to vertex j's;
-    # on an unbounded edge it only checks that the one vertex's component persists into it
+    # on an unbounded edge it only checks that the one vertex's component persists into it.
+    # A face or a route depends only on fibres, which samples share, and
+    # components, so each is found once per distinct tuple, fibres by identity
+    faces: dict[tuple[int, int, int], int] = {}
+    found: dict[tuple[int, int, int, int], list[Point]] = {}
     routes = []
     for j, ef in enumerate(edge_fibres):
-        ends = [_edge_face(vertex_fibres[i], chosen[i], ef) for i in (j - 1, j) if 0 <= i < k]
-        routes.append(_route(ef, edge_comps[j], ends[0], ends[-1]))
+        ends = []
+        for i in (j - 1, j):
+            if 0 <= i < k:
+                vf, c = vertex_fibres[i], chosen[i]
+                key = (id(vf), c, id(ef))
+                if key not in faces:
+                    faces[key] = _edge_face(vf, c, ef)
+                ends.append(faces[key])
+        key = (id(ef), edge_comps[j], ends[0], ends[-1])
+        if key not in found:
+            found[key] = _route(ef, edge_comps[j], ends[0], ends[-1])
+        routes.append(found[key])
 
     segments: list[PathSegment] = []
     cur_start: Fraction | None = None
     cur_point = vertex_points[0]
     for i in range(k - 1):
+        here, route, there = vertex_points[i], routes[i + 1], vertex_points[i + 1]
+        if not route and here == there:
+            continue  # no hop on this edge
         a, b = times[i], times[i + 1]
-        positions = [vertex_points[i], *routes[i + 1], vertex_points[i + 1]]
+        positions = [here, *route, there]
         hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
         for h, nxt in enumerate(hops):
             s = a + (b - a) * Fraction(h + 1, len(hops) + 1)

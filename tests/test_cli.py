@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -614,6 +615,44 @@ def test_each_distinct_literal_string_is_parsed_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 401
 
 
+WINDOW = {"x": ["0", "4"], "y": ["0", "4"]}
+GOOD_BOX = {"t": ["1", "2"], "x": ["0", "1"], "y": ["0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "boxes, window, message",
+    [
+        (
+            [{**GOOD_BOX, "t": ["2", "1"], "y": ["0", "1/0"]}],
+            WINDOW,
+            "box 0 t interval [2, 1] is reversed",
+        ),
+        (
+            [{**GOOD_BOX, "t": ["1/0", "2"], "x": ["1", "0"]}],
+            WINDOW,
+            "box 0 t: unsupported rational literal: '1/0'",
+        ),
+        (
+            [GOOD_BOX, {"t": ["1", "2"], "y": ["0", "1"]}],
+            {**WINDOW, "x": ["0", "four"]},
+            "malformed scene JSON: box 1 has no 'x'",
+        ),
+        (
+            [GOOD_BOX, GOOD_BOX, {**GOOD_BOX, "y": ["1", "0"]}],
+            {"x": ["0", "4"]},
+            "box 2 y interval [1, 0] is reversed",
+        ),
+    ],
+    ids=["reversed-t-before-bad-y", "bad-t-before-reversed-x", "missing-field-before-bad-window", "last-box-first"],
+)
+def test_the_first_fault_in_reading_order_is_named(capsys, tmp_path, boxes, window, message):
+    # each file holds two faults; a box is read whole, t then x then y, and the window last
+    bad = tmp_path / "two_faults.json"
+    bad.write_text(json.dumps({"window": window, "boxes": boxes}))
+    code, report = run_cli(capsys, "check", str(bad))
+    assert (code, report["error"]) == (1, message)
+
+
 @pytest.mark.parametrize(
     "later, outcome",
     [
@@ -681,6 +720,73 @@ def test_a_dense_matrix_is_written_one_row_at_a_time(tmp_path):
     assert code == 0
     assert json.loads(report.read_text())["sections"]["matrix"]["rows"] > 200
     assert peak < report.stat().st_size / 2
+
+
+@pytest.mark.parametrize("collector", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "scene, code",
+    [("crossing_open.json", 0), ("crossing_blocked.json", 2), (None, 1)],
+    ids=["evasion", "no-evasion", "malformed"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, collector, scene, code):
+    if scene is None:
+        path = tmp_path / "broken.json"
+        path.write_text('{"window": ')
+    else:
+        path = fixture_path(scene)
+    was = gc.isenabled()
+    (gc.enable if collector else gc.disable)()
+    try:
+        assert main(["check", str(path)]) == code
+        assert gc.isenabled() is collector
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def _collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def test_a_check_runs_no_collection_and_leaves_no_growing_garbage(tmp_path, monkeypatch):
+    files = []
+    for n in (40, 400):
+        files.append(tmp_path / f"pulsing{n}.json")
+        files[-1].write_text(json.dumps(scene_to_jsonable(pulsing_box_scene(n))))
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: (emit(payload), emitted.append(_collections())))
+    assert gc.isenabled()
+    with redirect_stdout(io.StringIO()):
+        main(["check", str(files[0])])  # first use: the parser and its caches
+        gc.collect()  # so that the few allocations before main cannot set off a collection
+        before = _collections()
+        assert main(["check", str(files[1])]) == 0
+    # pulsing n=400 sets off several collections when the collector is left on
+    assert emitted[-1] == before
+    left = []
+    gc.disable()
+    try:
+        gc.collect()
+        for scene_file in files:
+            with redirect_stdout(io.StringIO()):
+                main(["check", str(scene_file)])
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left[0] == left[1]
+
+
+def test_the_writer_leaves_no_reference_cycle():
+    _, sections, path, _ = run_check(pulsing_box_scene(40))
+    payload = {"sections": sections_to_jsonable(sections, include_matrix=True), "path": path_to_jsonable(path)}
+    gc.disable()
+    try:
+        gc.collect()
+        write_json(payload, io.StringIO())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_report_formats_no_label_pairs():

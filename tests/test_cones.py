@@ -13,7 +13,7 @@ from evasion.cones import (
     is_valid_certificate,
     lp_positive_kernel,
 )
-from evasion.linalg import Matrix, columns, kernel_basis, kernel_ray, rank
+from evasion.linalg import ONE, ZERO, Matrix, columns, kernel_basis, kernel_ray, rank
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import global_sections
 
@@ -220,6 +220,28 @@ def test_kernel_dim_is_columns_minus_dense_rank(seed):
     sections = global_sections(random_function_like_sheaf(Random(seed)))
     cob = sections.coboundary
     assert sections.kernel_dim == cob.cols - dense_rank(cob)
+
+
+def test_a_free_cone_makes_no_fraction_truth_test(monkeypatch):
+    # the zero-generator test counts ZERO in C; `any(g)` made 51,681 calls for 321 labels
+    calls = []
+    truth = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__", lambda q: calls.append(q) or truth(q))
+    K = PolyhedralCone.free([f"c{i}" for i in range(321)])
+    assert (len(calls), len(K.generators), K.is_free) == (0, 321, True)
+
+
+@pytest.mark.parametrize(
+    "zero",
+    [(ZERO, ZERO), (Fraction(0), Fraction(0, 5)), (0, 0), ()],
+    ids=["ZERO", "equal-fractions", "ints", "empty"],
+)
+def test_a_zero_generator_is_rejected(zero):
+    ambient = len(zero)
+    gens = ((ONE,) * ambient, zero) if ambient else (zero,)
+    with pytest.raises(ValueError) as exc:
+        PolyhedralCone(ambient, gens, tuple(f"g{i}" for i in range(len(gens))))
+    assert str(exc.value) == "zero vector is not a valid generator"
 
 
 @given(st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=0, max_size=4))

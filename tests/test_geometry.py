@@ -272,6 +272,28 @@ class TestExtractPath:
                 shared += len({(id(vf), c) for vf, c in chosen}) - len(rects)
         assert shared > 0
 
+    def test_each_fibre_transition_is_found_once(self, monkeypatch):
+        # pulsing n=400's 801 samples share two fibres; the parent found a face 800 times and a route 401 times
+        scene = pulsing_box_scene(400)
+        fibres, sections, _, _ = run_check(scene)
+        faces, routes = [], []
+        edge_face, route = evasion.geometry._edge_face, evasion.geometry._route
+
+        def face_once(vf, c, ef):
+            faces.append((id(vf), c, id(ef)))
+            return edge_face(vf, c, ef)
+
+        def route_once(fibre, c, f0, f1):
+            routes.append((id(fibre), c, f0, f1))
+            return route(fibre, c, f0, f1)
+
+        monkeypatch.setattr(evasion.geometry, "_edge_face", face_once)
+        monkeypatch.setattr(evasion.geometry, "_route", route_once)
+        path = extract_path(scene, fibres, sections)
+        assert faces and len(faces) == len(set(faces))
+        assert routes and len(routes) == len(set(routes))
+        assert path == run_check(scene)[2]
+
     def test_infeasible_decision_is_rejected(self):
         sections = global_sections(build_sheaf(BLOCKED_SCENE))
         with pytest.raises(ValueError):

@@ -14,7 +14,10 @@ ROOT = Path(__file__).parent.parent
     "argv, expected",
     [
         (["oracle_fuzz.py", "--count", "200"], ["200 sheaves checked", "no disagreements"]),
-        (["scaling_bench.py", "10", "--comb", "4"], ["parse", "report", "write", "gc", "pulsing", "comb", "EVASION"]),
+        (
+            ["scaling_bench.py", "10", "--comb", "4"],
+            ["parse", "report", "write", "check", "gc", "pulsing", "comb", "EVASION"],
+        ),
         (["criteria_gap.py", "--count", "200"], ["200 random scenes", "NO_EVASION", "no EVASION draw has kernel_dim 0"]),
     ],
     ids=["oracle_fuzz", "scaling_bench", "criteria_gap"],
