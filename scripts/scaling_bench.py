@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the full decision pipeline on two scene families.
+"""Wall-clock scaling of the full decision pipeline on four scene families,
+built by `evasion.randgen`.
 
 - pulsing n: rank-one stalks at every cell and n critical times, so the
   numbers isolate the pipeline's bookkeeping (arrangement sweeps, sheaf
   construction, decision, path extraction) as the timeline grows.
 - comb m: m walls opening one after another, about m+1 gap components per
   cell and 2m+1 critical times, so stalks and arrangements grow too.
+- blocked n: pulsing n plus a full-window blackout after the last pulse,
+  verdict NO_EVASION, so the check ends in the sweep's potential and its
+  certificate instead of a path.
+- slalom n: 2n boxes that each cover one half of the window in turn, so the
+  path hops at every event and its 2n segments are verified against every
+  box: the "path" column grows quadratically.
 
 Each scene is written as JSON text, and "parse" times reading it back with
 `evasion.cli.scene_from_jsonable`. The scene then runs through
@@ -28,6 +35,7 @@ Each case runs REPEATS times and every column is the median over those runs.
 count measures the pipeline's allocation churn.
 
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
+       [--blocked sizes ...] [--slalom sizes ...]
 """
 
 import argparse
@@ -50,7 +58,7 @@ from evasion.cli import (
     write_json,
 )
 from evasion.geometry import critical_times
-from evasion.randgen import comb_scene, pulsing_box_scene
+from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, slalom_scene
 
 STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
 REPEATS = 5
@@ -92,10 +100,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000], help="pulsing critical times")
     parser.add_argument("--comb", nargs="*", type=int, default=[10, 40], metavar="M", help="comb walls")
+    parser.add_argument("--blocked", nargs="*", type=int, default=[10, 100, 1000], metavar="N", help="blocked times")
+    parser.add_argument("--slalom", nargs="*", type=int, default=[10, 100], metavar="N", help="slalom box pairs")
     args = parser.parse_args()
     header = "".join(f" {stage:>11}" for stage in STAGES)
     print(f"{'family':>8} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
-    cases = [("pulsing", n, pulsing_box_scene) for n in args.sizes] + [("comb", m, comb_scene) for m in args.comb]
+    cases = [
+        *(("pulsing", n, pulsing_box_scene) for n in args.sizes),
+        *(("comb", m, comb_scene) for m in args.comb),
+        *(("blocked", n, blocked_scene) for n in args.blocked),
+        *(("slalom", n, slalom_scene) for n in args.slalom),
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         scene_file = Path(tmp) / "scene.json"
         for family, size, make in cases:

@@ -319,17 +319,28 @@ def path_to_jsonable(path: EvasionPath) -> dict:
 
 
 def path_from_jsonable(data) -> EvasionPath:
+    """A path file as `path_to_jsonable` writes it. A malformed file is a
+    ValueError naming the segment and the field at fault; a bad literal
+    keeps `parse_rational`'s message."""
+    (segments,) = _fields(data, ("segments",), "the path", "path")
     segs = []
-    for seg in data["segments"]:
-        lo, hi = seg["t"]
+    for n, seg in enumerate(_list(segments, "malformed path JSON: segments")):
+        t, point = _fields(seg, ("t", "point"), f"segment {n}", "path")
+        for name, pair in (("t", t), ("point", point)):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"malformed path JSON: segment {n} {name} must be a two-element list, got {pair!r}")
+        lo, hi = t
         segs.append(
             PathSegment(
                 None if lo is None else parse_rational(lo),
                 None if hi is None else parse_rational(hi),
-                (parse_rational(seg["point"][0]), parse_rational(seg["point"][1])),
+                (parse_rational(point[0]), parse_rational(point[1])),
             )
         )
-    return EvasionPath(tuple(segs), tuple(data.get("chain", {}).items()))
+    chain = data.get("chain", {})
+    if not isinstance(chain, dict):
+        raise ValueError(f"malformed path JSON: chain must be an object, got {chain!r}")
+    return EvasionPath(tuple(segs), tuple(chain.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A decision with its exact witness or certificate. Entries are exact
+    rationals: `Fraction`s from the simplex, and `int`s in the integer
+    potential the section sweep certifies with."""
+
     status: str
     witness: Vec | None = None
     certificate: Vec | None = None

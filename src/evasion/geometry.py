@@ -50,17 +50,22 @@ persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
 sections decide evasion. A fibre depends on the alive coverage geometry
 alone, so samples are keyed by the distinct rank rectangles alive there,
-and a scene builds one fibre per distinct key, shared by its samples.
+and a scene builds one fibre per distinct key, shared by its samples. The
+time sweep keeps the alive rectangles sorted as boxes are born and die, and
+copies them into a new key, looked up once, only at an event that changes
+them: O(events · log alive) Python steps plus one C-level key copy per event.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, starmap
+from operator import floordiv, itemgetter
 
 from evasion.cones import PolyhedralCone
 from evasion.linalg import ONE, ZERO, format_rational
@@ -241,14 +246,15 @@ def _ranks(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
     """The sorted distinct values, and the rank of each value among them.
 
     Values are told apart by their (numerator, denominator) pair, which is
-    exact since `Fraction`s are normalised, and sorted by the exact key
-    (integer part, value), so two values are compared as `Fraction`s only
-    when they share an integer part and none is hashed."""
+    exact since `Fraction`s are normalised, and sorted as (integer part,
+    value, pair) tuples, so two values are compared as `Fraction`s only
+    when they share an integer part, none is hashed, and the pairs, being
+    distinct, are never compared."""
     pairs = [v.as_integer_ratio() for v in values]
     distinct = dict(zip(pairs, values))
-    order = sorted(distinct.items(), key=lambda item: (item[0][0] // item[0][1], item[1]))
-    rank = {pair: k for k, (pair, _) in enumerate(order)}
-    return [v for _, v in order], [rank[pair] for pair in pairs]
+    order = sorted(zip(starmap(floordiv, distinct), distinct.values(), distinct))
+    rank = dict(zip(map(itemgetter(2), order), count()))
+    return list(map(itemgetter(1), order)), list(map(rank.__getitem__, pairs))
 
 
 @dataclass(frozen=True)
@@ -282,12 +288,12 @@ def _rank_table(scene: Scene) -> _RankTable:
     # keep the ranks the window and the clamped relevant boxes use
     xcut = sorted({wx0, wx1, *(c for r in clamped for c in r[:2])})
     ycut = sorted({wy0, wy1, *(c for r in clamped for c in r[2:])})
-    xpos = {r: k for k, r in enumerate(xcut)}
-    ypos = {r: k for k, r in enumerate(ycut)}
+    xpos = dict(zip(xcut, count()))
+    ypos = dict(zip(ycut, count()))
     ts, tr = _ranks(times)
     return _RankTable(
-        tuple(xv[r] for r in xcut),
-        tuple(yv[r] for r in ycut),
+        tuple(map(xv.__getitem__, xcut)),
+        tuple(map(yv.__getitem__, ycut)),
         tuple(ts),
         tuple((xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for x0, x1, y0, y1 in clamped),
         tuple(zip(tr[0::2], tr[1::2])),
@@ -376,33 +382,47 @@ def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
     return (times[j - 1] + times[j]) / 2
 
 
-def _sample_keys(table: _RankTable) -> list[Key]:
+def _sample_keys(table: _RankTable) -> list[tuple[int, Key]]:
     """The alive key of every sample, in one sweep over the time ranks: the
-    sorted distinct rank rectangles of the boxes alive there.
+    sorted distinct rank rectangles of the boxes alive there, as runs of
+    (number of samples, key) in sample order.
 
     Sample 2j is the edge sample before vertex j and sample 2j + 1 is vertex
     j, so a box alive on [ts[a], ts[b]] is alive at samples 2a + 1 through
-    2b + 1. A scene without critical times has one vertex and no box.
+    2b + 1: it is born at an odd sample and gone from an even one, and no
+    sample has both. A multiplicity per rectangle and a sorted list of the
+    alive rectangles, updated by bisection, follow the events, and a new
+    run with a copy of that list as its key starts only where the set of
+    rectangles changes. That is O(events · log alive) Python steps plus one
+    C-level key copy per event. A scene without critical times has one
+    vertex and no box.
     """
     n = 2 * max(len(table.ts), 1) + 1
-    born: list[list[int]] = [[] for _ in range(n)]
-    dies: list[list[int]] = [[] for _ in range(n)]
-    for b, (t0, t1) in enumerate(table.spans):
-        born[2 * t0 + 1].append(b)
-        dies[2 * t1 + 1].append(b)
-    rects = table.rects
-    alive: set[int] = set()
-    key: Key = ()
-    keys = []
-    for s in range(n):
-        if born[s]:
-            alive.update(born[s])
-            key = tuple(sorted({rects[b] for b in alive}))
-        keys.append(key)
-        if dies[s]:
-            alive.difference_update(dies[s])
-            key = tuple(sorted({rects[b] for b in alive}))
-    return keys
+    changes: dict[int, list[Rect]] = {}
+    for rect, (t0, t1) in zip(table.rects, table.spans):
+        changes.setdefault(2 * t0 + 1, []).append(rect)
+        changes.setdefault(2 * t1 + 2, []).append(rect)
+    alive: list[Rect] = []
+    boxes: dict[Rect, int] = {}  # the number of alive boxes on each rectangle
+    runs = []
+    start, key = 0, ()
+    for s, rects in sorted(changes.items()):
+        size = len(alive)
+        if s % 2:  # boxes born
+            for rect in rects:
+                boxes[rect] = boxes.get(rect, 0) + 1
+                if boxes[rect] == 1:
+                    insort(alive, rect)
+        else:  # boxes gone
+            for rect in rects:
+                boxes[rect] -= 1
+                if not boxes[rect]:
+                    del alive[bisect_left(alive, rect)]
+        if len(alive) != size:
+            runs.append((s - start, key))
+            start, key = s, tuple(alive)
+    runs.append((n - start, key))
+    return runs
 
 
 # critical times, then the gap fibre at every vertex and at every edge sample
@@ -417,17 +437,20 @@ def scene_fibres(scene: Scene) -> Fibres:
     Scenes with no critical box events still get one synthetic vertex at
     t=0 so the constant section is representable downstream. One fibre is
     built per distinct alive key, and every sample with that key gets the
-    same object. A window with empty interior is a ValueError.
+    same object: each run of `_sample_keys` looks its key up once, so the
+    samples cost O(events · log alive) Python steps plus one C-level key
+    copy and hash per event. A window with empty interior is a ValueError.
     """
     if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
         raise ValueError("window has empty interior")
     table = _rank_table(scene)
-    keys = _sample_keys(table)
     fibres: dict[Key, GapFibre] = {}
-    for key in keys:
-        if key not in fibres:
-            fibres[key] = _arrange(table, key)
-    samples = [fibres[key] for key in keys]
+    samples: list[GapFibre] = []
+    for length, key in _sample_keys(table):
+        fibre = fibres.get(key)
+        if fibre is None:
+            fibre = fibres[key] = _arrange(table, key)
+        samples += [fibre] * length
     return table.ts or (Fraction(0),), tuple(samples[1::2]), tuple(samples[0::2])
 
 

@@ -112,3 +112,30 @@ def comb_scene(m: int) -> Scene:
         boxes.append(Box.make((0, 2 * w), (w, w), (0, top)))
         boxes.append(Box.make((2 * w + 1, 2 * m + 1), (w, w), (0, top)))
     return Scene.make((0, top), (0, top), boxes)
+
+
+def blocked_scene(n_critical_times: int) -> Scene:
+    """NO_EVASION scaling family: `pulsing_box_scene(n_critical_times)` plus
+    a full-window blackout at the single instant t = n + 1/2, after the
+    last pulse. The blackout covers the whole window, so no path crosses
+    it, and the decider must certify that: the timeline is as long as
+    pulsing's, but the check ends in a potential, not a path."""
+    base = pulsing_box_scene(n_critical_times)
+    instant = Fraction(2 * n_critical_times + 1, 2)
+    blackout = Box.make((instant, instant), base.window_x, base.window_y)
+    return Scene(base.window_x, base.window_y, (*base.boxes, blackout))
+
+
+def slalom_scene(n: int) -> Scene:
+    """EVASION scaling family whose path hops at every event: window
+    (0, 4)^2 and, for each i < n, one box [4i+1, 4i+2] x [0, 2] x [0, 4]
+    and one box [4i+3, 4i+4] x [2, 4] x [0, 4] (t x x x y).
+
+    Each box covers one half of the window at full height while it lives,
+    so the gap is the other half, and the path moves to that half before
+    each box is born: its 2n boxes give it 2n segments."""
+    boxes = []
+    for i in range(n):
+        boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2), (0, 4)))
+        boxes.append(Box.make((4 * i + 3, 4 * i + 4), (2, 4), (0, 4)))
+    return Scene.make((0, 4), (0, 4), boxes)

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate
 
 from evasion.cones import (
     FEASIBLE,
@@ -323,9 +323,11 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
     Feasible: the witness lists nonnegative generator coordinates, one block
     per vertex, summing to one, whose induced edge values agree everywhere.
     Infeasible: the certificate is a strict dual vector over the coboundary
-    rows (vacuous when no vertex carries any generator). Function-like
-    sheaves are decided, re-checked and counted on their integer generator
-    maps; all others are validated, decided by the simplex and ranked.
+    rows (vacuous when no vertex carries any generator). Its entries are
+    exact rationals: the sweep's integer potential, kept as `int`s, or the
+    simplex's `Fraction`s. Function-like sheaves are decided, re-checked and
+    counted on their integer generator maps; all others are validated,
+    decided by the simplex and ranked.
     """
     S = _normalise(S)
     try:
@@ -354,11 +356,12 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         decision = FeasibilityResult(FEASIBLE, witness=tuple(v for block in blocks for v in block))
     else:
         # zero on both unbounded edges and a drop along every arc make D'y >= 1
-        if [len(block) for block in y] != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
+        if list(map(len, y)) != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
             raise AssertionError("potential is not one block per edge, zero on the unbounded edges")
-        if any(y[i][li] - y[i + 1][ri] < 1 for i, (left, right) in enumerate(F.maps) for li, ri in zip(left, right)):
+        # integers drop by at least 1 exactly where they drop at all
+        if any(a[li] <= b[ri] for a, b, (left, right) in zip(y, y[1:], F.maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
-        decision = FeasibilityResult(INFEASIBLE, certificate=tuple(Fraction(v) for block in y[1:-1] for v in block))
+        decision = FeasibilityResult(INFEASIBLE, certificate=tuple(v for block in y[1:-1] for v in block))
     return GlobalSections(S, cycle_rank(F), decision, chain)
 
 
@@ -406,41 +409,54 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
     unbounded edges, -j on generators of edge j reachable from the left, and
     elsewhere the length of the longest chain from the generator to the
     right unbounded edge or a dead end. Each arc then drops by at least 1.
+    Each stalk size is read once, and an arc from an unreachable generator
+    is passed over before its right image is read.
     """
     k, maps = S.strat.k, S.maps
-    reach = [dict.fromkeys(range(len(S.edge_stalks[0].generators)))]
+    sizes = [len(stalk.generators) for stalk in S.edge_stalks]
+    reached: dict[int, int | None] = dict.fromkeys(range(sizes[0]))
+    reach = [reached]
     for left, right in maps:
         nxt: dict[int, int] = {}  # right edge generator -> least vertex generator reaching it
-        for g, (li, ri) in enumerate(zip(left, right)):
-            if li in reach[-1] and ri not in nxt:
-                nxt[ri] = g
+        for g, li in enumerate(left):
+            if li in reached and right[g] not in nxt:
+                nxt[right[g]] = g
         reach.append(nxt)
-    if reach[k]:
-        target = min(reach[k])
+        reached = nxt
+    if reached:
+        target = min(reached)
         backwards = [target]
         for i in range(k - 1, -1, -1):
             g = reach[i + 1][target]
             target = maps[i][0][g]
             backwards += (g, target)
         return tuple(reversed(backwards)), None
-    longest = [0] * len(S.edge_stalks[k].generators)
+    longest = [0] * sizes[k]
     blocks = [longest]
     for j in range(k - 1, 0, -1):
         left, right = maps[j]
-        here = [0] * len(S.edge_stalks[j].generators)
+        here = [0] * sizes[j]
         for li, ri in zip(left, right):
-            here[li] = max(here[li], longest[ri] + 1)
-        blocks.append([-j if d in reach[j] else n for d, n in enumerate(here)])
+            if longest[ri] >= here[li]:
+                here[li] = longest[ri] + 1
+        block = here.copy()
+        for d in reach[j]:
+            block[d] = -j
+        blocks.append(block)
         longest = here
-    return None, [[0] * len(S.edge_stalks[0].generators), *blocks[::-1]]
+    blocks.append([0] * sizes[0])
+    return None, blocks[::-1]
 
 
 def cycle_rank(S: FunctionSheaf) -> int:
     """kernel_dim, from the image tuples alone: arcs minus the edges of a spanning forest of the
     arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows)."""
-    k, ids = S.strat.k, count(1)
-    node = [[next(ids) if 0 < j < k else 0 for _ in stalk.generators] for j, stalk in enumerate(S.edge_stalks)]
-    parent = list(range(next(ids)))
+    k = S.strat.k
+    # generator g of edge j is node offsets[j] + g, and those of both unbounded edges hang under node 0
+    offsets = list(accumulate((len(stalk.generators) for stalk in S.edge_stalks), initial=1))
+    parent = list(range(offsets[-1]))
+    for j in {0, k}:
+        parent[offsets[j] : offsets[j + 1]] = [0] * (offsets[j + 1] - offsets[j])
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -448,9 +464,9 @@ def cycle_rank(S: FunctionSheaf) -> int:
         return a
 
     kernel = sum(len(left) for left, _ in S.maps)
-    for (left, right), here, there in zip(S.maps, node, node[1:]):
+    for (left, right), here, there in zip(S.maps, offsets, offsets[1:]):
         for li, ri in zip(left, right):
-            a, b = find(here[li]), find(there[ri])
+            a, b = find(here + li), find(there + ri)
             parent[b] = a  # under the earlier root, so that trees stay shallow as the layers go by
             kernel -= a != b
     return kernel

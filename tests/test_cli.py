@@ -1050,6 +1050,30 @@ def test_a_path_file_past_the_literal_bound_is_refused_by_a_bounded_message(caps
     assert str(exc.value) == f"unsupported rational literal: {first[:100]!r}... (4303 characters)"
 
 
+_SEGMENT = {"t": [None, None], "point": ["1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "the path has no 'segments'"),
+        ([_SEGMENT], "the path must be an object, got ["),
+        ({"segments": "abc"}, "segments must be a list, got 'abc'"),
+        ({"segments": [1]}, "segment 0 must be an object, got 1"),
+        ({"segments": [_SEGMENT, {"t": [None], "point": ["1", "1"]}]}, "segment 1 t must be a two-element list"),
+        ({"segments": [_SEGMENT, {"t": [None, None]}]}, "segment 1 has no 'point'"),
+        ({"segments": [{"t": [None, None], "point": ["1"]}]}, "segment 0 point must be a two-element list"),
+        ({"segments": [_SEGMENT], "chain": [["e1", "g0"]]}, "chain must be an object"),
+    ],
+    ids=["empty", "top-level-list", "segments-string", "segment-not-object", "short-t", "no-point", "short-point", "chain-list"],
+)
+def test_a_malformed_path_file_is_a_located_value_error(data, message):
+    with pytest.raises(ValueError) as exc:
+        path_from_jsonable(data)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith("malformed path JSON: ") and message in str(exc.value)
+
+
 def test_a_disconnected_sample_past_the_literal_bound_is_named(capsys, tmp_path):
     # a floating box alive on [a, b], bridged to the frame at t = a and at
     # t = b only; the edge sample (a + b) / 2 has a denominator of 4401 digits

@@ -545,6 +545,34 @@ def test_family_fibres_match_the_fraction_reference(scene):
     assert assert_fibres_match_the_reference(scene)
 
 
+# scenes on the window (0, 4)^2 whose box events the sample keys must follow
+EVENT_SCENES = {
+    # two boxes on one rectangle: the key keeps it after the first one dies
+    "shared rectangle": [Box.make((0, 2), (0, 2), (1, 2)), Box.make((1, 3), (0, 2), (1, 2))],
+    "instantaneous box": [Box.make((1, 1), (0, 2), (1, 2))],
+    # one box born on the same rectangle and one on another as the first dies
+    "born at a death": [
+        Box.make((0, 1), (0, 2), (1, 2)),
+        Box.make((1, 2), (0, 2), (1, 2)),
+        Box.make((1, 3), (2, 4), (2, 3)),
+    ],
+    "box outside the window": [Box.make((0, 1), (5, 6), (5, 6)), Box.make((1, 2), (0, 2), (1, 2))],
+    "no boxes": [],
+}
+
+
+@pytest.mark.parametrize("boxes", EVENT_SCENES.values(), ids=EVENT_SCENES)
+def test_per_event_keys_match_the_fraction_reference(boxes):
+    assert assert_fibres_match_the_reference(Scene.make((0, 4), (0, 4), boxes))
+
+
+def test_a_rectangle_stays_in_the_key_while_any_box_on_it_lives():
+    _, _, edges = scene_fibres(Scene.make((0, 4), (0, 4), EVENT_SCENES["shared rectangle"]))
+    # edges 1 to 3 have one box, both and the other on the rectangle; 0 and 4 have none
+    assert edges[1] is edges[2] is edges[3] and edges[0] is edges[4]
+    assert len(edges[0].xs) == 2 and len(edges[1].xs) == 3
+
+
 # k/97 share the integer part 0, and -1/3, -1/2 and -2/3 the floor -1
 TIED = (*(Fraction(k, 97) for k in range(97)), Fraction(-1, 3), Fraction(-1, 2), Fraction(-2, 3), Fraction(1))
 

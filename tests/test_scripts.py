@@ -15,8 +15,11 @@ ROOT = Path(__file__).parent.parent
     [
         (["oracle_fuzz.py", "--count", "200"], ["200 sheaves checked", "no disagreements"]),
         (
-            ["scaling_bench.py", "10", "--comb", "4"],
-            ["parse", "report", "write", "check", "gc", "pulsing", "comb", "EVASION"],
+            ["scaling_bench.py", "10", "--comb", "4", "--blocked", "10", "--slalom", "4"],
+            [
+                "parse", "report", "write", "check", "gc",
+                "pulsing", "comb", "blocked", "slalom", "  EVASION", "NO_EVASION",
+            ],
         ),
         (["criteria_gap.py", "--count", "200"], ["200 random scenes", "NO_EVASION", "no EVASION draw has kernel_dim 0"]),
     ],

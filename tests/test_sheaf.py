@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evasion.sheaf
-from evasion.cli import scene_from_jsonable, sheaf_from_jsonable, sheaf_to_jsonable, write_json
+from evasion.cli import scene_from_jsonable, sections_to_jsonable, sheaf_from_jsonable, sheaf_to_jsonable, write_json
 from evasion.cones import PolyhedralCone, is_valid_certificate, lp_positive_kernel
 from evasion.geometry import build_sheaf
 from evasion.linalg import Matrix, kernel_basis, rank
-from evasion.randgen import comb_scene, pulsing_box_scene, random_function_like_sheaf
+from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, random_function_like_sheaf
 from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
@@ -339,6 +339,22 @@ def test_both_converters_round_trip_random_function_like_sheaves(base_seed):
         assert generator_maps(S).maps == F.maps
         read, sections = global_sections(written_and_read(F)), global_sections(F)
         assert (read.decision, read.kernel_dim, read.chain) == (sections.decision, sections.kernel_dim, sections.chain)
+
+
+@pytest.mark.parametrize(
+    "scene, certificate",
+    [
+        (scene_from_jsonable(load_fixture("crossing_blocked.json")), ["3", "-1", "2", "1", "-2", "1", "-3"]),
+        (blocked_scene(40), [str(-j) for j in range(1, 41)]),  # every edge before the blackout is reachable
+    ],
+    ids=["crossing_blocked", "blocked_40"],
+)
+def test_a_scene_sheaf_certificate_is_the_integer_potential(scene, certificate):
+    sections = global_sections(build_sheaf(scene))
+    assert not sections.decision.feasible
+    assert all(type(v) is int for v in sections.decision.certificate)
+    assert is_valid_certificate(sections.coboundary, sections.decision.certificate)
+    assert sections_to_jsonable(sections, include_matrix=False)["certificate"] == certificate
 
 
 class TestSweepRechecks:
