@@ -5,7 +5,7 @@ Subcommands:
   sheaf   scene.json  -> the constructed cone sheaf as JSON
   lp      sheaf.json  -> validate + coboundary + LP on an abstract sheaf
   matrix  sheaf.json  -> labelled coboundary matrix only
-  oracle  sheaf.json  -> the section sweep's chain (free function-like sheaves)
+  oracle  sheaf.json  -> global_sections' re-checked section chain (free function-like sheaves)
   path    scene.json  -> extracted evasion path as JSON
 
 Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
@@ -42,7 +42,6 @@ from evasion.geometry import (
     extract_path,
 )
 from evasion.linalg import Matrix, format_rational, parse_rational
-from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
@@ -50,6 +49,8 @@ from evasion.sheaf import (
     Stratification,
     assemble_coboundary,
     global_sections,
+    section_chain,
+    sweep_sections,
 )
 
 EXIT_EVASION = 0
@@ -236,6 +237,8 @@ def _stalk_from_jsonable(cell: str, data) -> PolyhedralCone:
         for g in _list(data["generators"], f"generators of {what}")
     ]
     ambient = _count(data.get("ambient_dim", len(gens[0]) if gens else 0), f"ambient_dim of {what}")
+    if ambient and not gens:  # the stalk is {0}: no generator has a coordinate, and every image into it is 0
+        raise ValueError(f"{what} has no generators, so its ambient_dim must be 0, got {ambient}")
     try:
         return PolyhedralCone(ambient, tuple(gens), labels)
     except ValueError as exc:
@@ -265,29 +268,41 @@ def sheaf_from_jsonable(data) -> ConeSheaf:
     edge_stalks = tuple(map(stalk, strat.cells[0::2]))
     if stalks:
         raise ValueError(f"stalks for cells the stratification lacks: {', '.join(stalks)}")
-    maps: dict[tuple[str, str], Matrix] = {}
+    # the shape of each incident restriction, so that no matrix is built to a declared size
+    shapes = {
+        (strat.vertex_id(i), strat.edge_id(j)): (edge_stalks[j].ambient_dim, vertex_stalks[i].ambient_dim)
+        for i in range(strat.k)
+        for j in (i, i + 1)
+    }
+    maps: dict[tuple[str, str], Matrix | None] = {}  # None for cells the stratification lacks
     for n, r in enumerate(_list(data.get("restrictions", []), "restrictions")):
         source, target, matrix = _fields(r, ("from", "to", "matrix"), f"restriction {n}", "sheaf")
         key = (str(source), str(target))
+        name = f"{key[0]}->{key[1]}"
         if key in maps:
-            raise ValueError(f"duplicate restriction {key[0]}->{key[1]}")
-        _fields(matrix, ("rows", "cols", "entries"), f"the matrix of the restriction {key[0]}->{key[1]}", "sheaf")
+            raise ValueError(f"duplicate restriction {name}")
+        maps[key] = None
+        want = shapes.get(key)
+        if want is None:
+            continue
+        _fields(matrix, ("rows", "cols", "entries"), f"the matrix of the restriction {name}", "sheaf")
         try:
-            maps[key] = matrix_from_jsonable(matrix)
+            shape = (_count(matrix["rows"], "rows"), _count(matrix["cols"], "cols"))
+            if shape == want:
+                maps[key] = matrix_from_jsonable(matrix)
         except ValueError as exc:
-            raise ValueError(f"matrix of the restriction {key[0]}->{key[1]}: {exc}") from exc
-    left, right = [], []
-    for i in range(strat.k):
-        vid = strat.vertex_id(i)
-        for j, bucket in ((i, left), (i + 1, right)):
-            key = (vid, strat.edge_id(j))
-            if key not in maps:
-                raise ValueError(f"missing restriction {key[0]}->{key[1]}")
-            bucket.append(maps.pop(key))
+            raise ValueError(f"matrix of the restriction {name}: {exc}") from exc
+        if shape != want:
+            raise ValueError(f"restriction {name} has shape {shape[0]}x{shape[1]}, expected {want[0]}x{want[1]}")
+    matrices = []  # in incidence order: v1->e1, v1->e2, v2->e2, ...
+    for key in shapes:
+        if key not in maps:
+            raise ValueError(f"missing restriction {key[0]}->{key[1]}")
+        matrices.append(maps.pop(key))
     if maps:
         extra = ", ".join(f"{a}->{b}" for a, b in maps)
         raise ValueError(f"restrictions for non-incident cells: {extra}")
-    return ConeSheaf(strat, vertex_stalks, edge_stalks, tuple(left), tuple(right))
+    return ConeSheaf(strat, vertex_stalks, edge_stalks, tuple(matrices[0::2]), tuple(matrices[1::2]))
 
 
 def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
@@ -527,6 +542,15 @@ def _load_json(path_str: str):
         raise ValueError("malformed JSON: nested too deeply to parse") from None
 
 
+def _decided(sections: GlobalSections, digest: str, include_matrix: bool) -> dict:
+    """The verdict, input digest and sections that `check` and `lp` report."""
+    return {
+        "verdict": "EVASION" if sections.decision.feasible else "NO_EVASION",
+        "input_digest": digest,
+        "sections": sections_to_jsonable(sections, include_matrix=include_matrix),
+    }
+
+
 def run_check(scene: Scene) -> tuple[Fibres, GlobalSections, EvasionPath | None, dict[str, float]]:
     """The stages of `evasion check`: gap fibres, scene validation, cone
     sheaf, decision ("lp") and, for EVASION only, the path.
@@ -565,11 +589,7 @@ def cmd_check(args) -> int:
     svg = render_scene_svg(scene, fibres, path) if args.plot else None
     del fibres
     feasible = sections.decision.feasible
-    out: dict = {
-        "verdict": "EVASION" if feasible else "NO_EVASION",
-        "input_digest": digest,
-        "sections": sections_to_jsonable(sections, include_matrix=args.matrix),
-    }
+    out = _decided(sections, digest, args.matrix)
     if args.oracle:
         t0 = time.perf_counter()
         cob = sections.coboundary
@@ -607,15 +627,8 @@ def _load_sheaf(path_str: str) -> tuple[ConeSheaf, str]:
 def cmd_lp(args) -> int:
     sheaf, digest = _load_sheaf(args.sheaf)
     sections = global_sections(sheaf)
-    feasible = sections.decision.feasible
-    _emit(
-        {
-            "verdict": "EVASION" if feasible else "NO_EVASION",
-            "input_digest": digest,
-            "sections": sections_to_jsonable(sections, include_matrix=args.matrix),
-        }
-    )
-    return EXIT_EVASION if feasible else EXIT_NO_EVASION
+    _emit(_decided(sections, digest, args.matrix))
+    return EXIT_EVASION if sections.decision.feasible else EXIT_NO_EVASION
 
 
 def cmd_matrix(args) -> int:
@@ -626,12 +639,12 @@ def cmd_matrix(args) -> int:
 
 def cmd_oracle(args) -> int:
     sheaf, _ = _load_sheaf(args.sheaf)
-    exists, chain = dp_section_exists(sheaf)
-    out: dict = {"section_exists": exists}
-    if chain is not None:
-        out["chain"] = dict(chain)
+    sections = sweep_sections(sheaf)
+    out: dict = {"section_exists": sections.decision.feasible}
+    if sections.chain is not None:
+        out["chain"] = dict(section_chain(sections.sheaf, sections.chain))
     _emit(out)
-    return EXIT_EVASION if exists else EXIT_NO_EVASION
+    return EXIT_EVASION if sections.decision.feasible else EXIT_NO_EVASION
 
 
 def cmd_path(args) -> int:

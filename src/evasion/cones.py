@@ -20,23 +20,20 @@ from functools import cached_property
 
 from evasion.linalg import Matrix, ONE, Vec, ZERO, columns, kernel_ray, vec
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """A decision with its exact witness or certificate. Entries are exact
-    rationals: `Fraction`s from the simplex, and `int`s in the integer
-    potential the section sweep certifies with."""
+    """A decision is its exact object: the witness when feasible, the
+    certificate otherwise. Entries are exact rationals: `Fraction`s from the
+    simplex, and `int`s in the integer potential the section sweep certifies
+    with."""
 
-    status: str
     witness: Vec | None = None
     certificate: Vec | None = None
 
     @property
     def feasible(self) -> bool:
-        return self.status == FEASIBLE
+        return self.witness is not None
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,10 @@ def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
     if witness is not None:
         if any(c < 0 for c in witness) or sum(witness) != 1 or any(A.mul_vec(witness)):
             raise AssertionError("witness is not a normalised nonnegative kernel point")
-        return FeasibilityResult(FEASIBLE, witness=tuple(witness))
+        return FeasibilityResult(witness=tuple(witness))
     if not is_valid_certificate(A, certificate):
         raise AssertionError("simplex produced an invalid infeasibility certificate")
-    return FeasibilityResult(INFEASIBLE, certificate=tuple(certificate))
+    return FeasibilityResult(certificate=tuple(certificate))
 
 
 def is_valid_certificate(A: Matrix, y) -> bool:

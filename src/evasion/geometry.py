@@ -351,20 +351,6 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     return GapFibre(xs, ys, owner, ny, connected, xr, yr, tuple(seeds))
 
 
-def gap_components(scene: Scene, t) -> GapFibre:
-    """Connected components of the open gap at time t, with stable labels.
-
-    Components are ordered (and labelled g0, g1, ...) by their least face
-    corner, so repeated runs and nearby sample times agree on names.
-    """
-    t = Fraction(t)
-    table = _rank_table(scene)
-    # a box is alive iff ts[t0] <= t <= ts[t1]
-    lo, hi = bisect_left(table.ts, t), bisect_right(table.ts, t)
-    alive = {rect for rect, (t0, t1) in zip(table.rects, table.spans) if t0 < hi and t1 >= lo}
-    return _arrange(table, tuple(sorted(alive)))
-
-
 def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     """Sorted times where the alive set of window-relevant boxes can change.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from evasion.cones import PolyhedralCone
-from evasion.geometry import Box, Scene, validate_scene
+from evasion.geometry import Box, Scene, scene_fibres, validate_fibres
 from evasion.sheaf import FunctionSheaf, Stratification
 
 
@@ -78,7 +78,7 @@ def random_scene(rng: Random, max_boxes: int = 5) -> Scene:
     disconnects are re-rolled so the result satisfies the scene contract."""
     for _ in range(64):
         scene = random_candidate(rng, max_boxes)
-        if validate_scene(scene).ok:
+        if validate_fibres(scene_fibres(scene)).ok:
             return scene
     raise RuntimeError("could not draw a valid random scene (generator misconfigured)")
 

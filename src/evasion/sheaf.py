@@ -26,6 +26,7 @@ certificate exactly:
     no matrix, and emits both Stiemke objects (`section_sweep`). Its section
     chain, one generator per cell, is kept on the result: the witness is
     built from it, and `section_chain` labels it. kernel_dim is a cycle rank.
+    `sweep_sections` takes this path or raises UnsupportedSheafError.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -39,8 +40,6 @@ from functools import cached_property
 from itertools import accumulate
 
 from evasion.cones import (
-    FEASIBLE,
-    INFEASIBLE,
     FeasibilityResult,
     PolyhedralCone,
     cone_membership,
@@ -336,7 +335,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         sections = assemble_coboundary(S)
         M = sections.coboundary
         # no generator anywhere: only the zero section exists, vacuous certificate
-        decision = lp_positive_kernel(M) if M.cols else FeasibilityResult(INFEASIBLE, certificate=(ZERO,) * M.rows)
+        decision = lp_positive_kernel(M) if M.cols else FeasibilityResult(certificate=(ZERO,) * M.rows)
         sections = replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
         vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
         return sections
@@ -353,7 +352,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         weight = Fraction(1, len(F.maps))
         for block, g in zip(blocks, vertices):
             block[g] = weight
-        decision = FeasibilityResult(FEASIBLE, witness=tuple(v for block in blocks for v in block))
+        decision = FeasibilityResult(witness=tuple(v for block in blocks for v in block))
     else:
         # zero on both unbounded edges and a drop along every arc make D'y >= 1
         if list(map(len, y)) != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
@@ -361,8 +360,15 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         # integers drop by at least 1 exactly where they drop at all
         if any(a[li] <= b[ri] for a, b, (left, right) in zip(y, y[1:], F.maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
-        decision = FeasibilityResult(INFEASIBLE, certificate=tuple(v for block in y[1:-1] for v in block))
+        decision = FeasibilityResult(certificate=tuple(v for block in y[1:-1] for v in block))
     return GlobalSections(S, cycle_rank(F), decision, chain)
+
+
+def sweep_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
+    """`global_sections` of a sheaf the sweep decides, its chain kept on a feasible
+    decision; UnsupportedSheafError, naming a cell of the normalised sheaf, for any other."""
+    S = _normalise(S)
+    return global_sections(S if isinstance(S, FunctionSheaf) else generator_maps(S))
 
 
 def generator_maps(S: ConeSheaf) -> FunctionSheaf:

@@ -11,14 +11,15 @@ production decision is the sweep of `evasion.sheaf`.
 from fractions import Fraction
 
 from evasion.linalg import ZERO
-from evasion.sheaf import CellLabel, ConeSheaf, _normalise, assemble_coboundary, generator_maps, section_chain
+from evasion.sheaf import CellLabel, ConeSheaf, assemble_coboundary, generator_maps, refine, section_chain
 
 
 def enumerate_sections(S: ConeSheaf, cap: int) -> list[tuple[CellLabel, ...]]:
     """All section chains in lexicographic order of vertex choices, up to cap."""
     if cap <= 0:
         return []
-    S = _normalise(S)
+    if S.strat.k == 0:  # one vertex with identity restrictions carries the constant sections
+        S = refine(S, 0)
     maps = generator_maps(S).maps
     k = S.strat.k
     chains: list[tuple[CellLabel, ...]] = []

@@ -10,11 +10,15 @@ the scene types and `critical_times`, and the tests require equal results.
 Also here are the point probes the tests hold the arrangement against: the
 direct box-membership probe `point_uncovered`, exact point location in a
 reference fibre (`reference_locate`), and `locate`, which reads a
-production fibre's owner array at the face holding a point.
+production fibre's owner array at the face holding a point. And
+`gap_components`, the production arrangement at a single time t, keyed by
+the boxes alive at t rather than by the time sweep of `scene_fibres`.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+
+from evasion.geometry import _arrange, _rank_table
 
 
 class UnionFind:
@@ -191,3 +195,17 @@ def reference_locate(xs, ys, comps, p):
     if p is covered."""
     face = _face_of(xs, ys, p)
     return next((k for k, (_, _, _, faces) in enumerate(comps) if face in faces), None)
+
+
+def gap_components(scene, t):
+    """Connected components of the open gap at time t, with stable labels.
+
+    Components are ordered (and labelled g0, g1, ...) by their least face
+    corner, so repeated runs and nearby sample times agree on names.
+    """
+    t = Fraction(t)
+    table = _rank_table(scene)
+    # a box is alive iff ts[t0] <= t <= ts[t1]
+    lo, hi = bisect_left(table.ts, t), bisect_right(table.ts, t)
+    alive = {rect for rect, (t0, t1) in zip(table.rects, table.spans) if t0 < hi and t1 >= lo}
+    return _arrange(table, tuple(sorted(alive)))

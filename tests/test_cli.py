@@ -908,6 +908,53 @@ def test_sheaf_vertex_times_out_of_order_are_named(capsys, tmp_path, times, mess
     assert (code, report) == (1, {"error": f"vertex times must be strictly increasing: {message}"})
 
 
+def _sheaf_declaring(size: int, fault: str) -> dict:
+    """A sheaf file of a few hundred bytes that declares `size` rows it does not spell out."""
+
+    def flat(rows: int) -> dict:
+        return {"rows": rows, "cols": 0, "entries": []}
+
+    if fault == "generator-free-stalk":  # e2 is {0} in a space of `size` coordinates
+        cells = {"e1": ["u"], "v1": [], "e2": [], "v2": [], "e3": ["u"]}
+        stalks = {cell: {"labels": labels} for cell, labels in cells.items()}
+        stalks["e2"].update(ambient_dim=size, generators=[])
+        rows = {"e1": 1, "e2": size, "e3": 1}
+        incidences = [("v1", "e1"), ("v1", "e2"), ("v2", "e2"), ("v2", "e3")]
+        restrictions = [{"from": v, "to": e, "matrix": flat(rows[e])} for v, e in incidences]
+        return {"vertices": ["0", "1"], "stalks": stalks, "restrictions": restrictions}
+    stalks = {"e1": {"labels": ["u"]}, "v1": {"labels": []}, "e2": {"labels": ["u"]}}
+    restrictions = [{"from": "v1", "to": e, "matrix": flat(1)} for e in ("e1", "e2")]
+    if fault == "tall-restriction":
+        restrictions[0]["matrix"] = flat(size)
+    else:  # a restriction between cells the stratification lacks
+        restrictions.append({"from": "v7", "to": "e9", "matrix": flat(size)})
+    return {"vertices": ["0"], "stalks": stalks, "restrictions": restrictions}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("tall-restriction", "restriction v1->e1 has shape 500000x0, expected 1x0"),
+        ("non-incident-restriction", "restrictions for non-incident cells: v7->e9"),
+        ("generator-free-stalk", "the stalk over e2 has no generators, so its ambient_dim must be 0, got 500000"),
+    ],
+    ids=["tall-restriction", "non-incident-restriction", "generator-free-stalk"],
+)
+def test_a_sheaf_file_costs_memory_in_proportion_to_what_it_spells_out(capsys, tmp_path, fault, message):
+    bad = tmp_path / "declared.json"
+    bad.write_text(json.dumps(_sheaf_declaring(500_000, fault)))
+    assert bad.stat().st_size < 600
+    cli.build_parser()  # first use, outside the traced call
+    tracemalloc.start()
+    try:
+        code = main(["lp", str(bad)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(capsys.readouterr().out)) == (1, {"error": message})
+    assert peak < 5 * 2**20
+
+
 WINDOW = {"x": [0, 4], "y": [0, 4]}
 
 

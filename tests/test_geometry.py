@@ -22,7 +22,6 @@ from evasion.geometry import (
     build_sheaf,
     critical_times,
     extract_path,
-    gap_components,
     scene_fibres,
     sheaf_from_fibres,
     validate_fibres,
@@ -35,7 +34,14 @@ from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, ran
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
-from reference_geometry import locate, point_uncovered, reference_fibre, reference_locate, reference_validate
+from reference_geometry import (
+    gap_components,
+    locate,
+    point_uncovered,
+    reference_fibre,
+    reference_locate,
+    reference_validate,
+)
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_COLUMNS,

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evasion.sheaf
-from evasion.cli import scene_from_jsonable, sections_to_jsonable, sheaf_from_jsonable, sheaf_to_jsonable, write_json
+from evasion.cli import (
+    main,
+    scene_from_jsonable,
+    sections_to_jsonable,
+    sheaf_from_jsonable,
+    sheaf_to_jsonable,
+    write_json,
+)
 from evasion.cones import PolyhedralCone, is_valid_certificate, lp_positive_kernel
 from evasion.geometry import build_sheaf
 from evasion.linalg import Matrix, kernel_basis, rank
@@ -358,14 +365,20 @@ def test_a_scene_sheaf_certificate_is_the_integer_potential(scene, certificate):
 
 
 class TestSweepRechecks:
-    """A wrong object from `section_sweep` must not leave `global_sections`."""
+    """A wrong object from `section_sweep` must not leave `global_sections`,
+    nor any entry that reads its decision: the subclasses below run every
+    case through `dp_section_exists` and through `evasion oracle`."""
+
+    @pytest.fixture
+    def decide(self):
+        return global_sections
 
     @staticmethod
     def patch_sweep(monkeypatch, corrupt):
         sweep = evasion.sheaf.section_sweep
         monkeypatch.setattr(evasion.sheaf, "section_sweep", lambda S: corrupt(S.maps, *sweep(S)))
 
-    def test_chain_that_does_not_meet_on_a_shared_edge(self, monkeypatch):
+    def test_chain_that_does_not_meet_on_a_shared_edge(self, decide, monkeypatch):
         def swap(maps, chain, y):
             # v2 takes a generator whose image on e2 is not where v1's choice lands
             left = maps[1][0]
@@ -374,30 +387,30 @@ class TestSweepRechecks:
 
         self.patch_sweep(monkeypatch, swap)
         with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
-            global_sections(crossing_sheaf(True))
+            decide(crossing_sheaf(True))
 
-    def test_edge_generator_that_is_not_the_vertex_left_image(self, monkeypatch):
+    def test_edge_generator_that_is_not_the_vertex_left_image(self, decide, monkeypatch):
         def shift(maps, chain, y):
             # e1 names a generator v1's left restriction does not reach; no other cell changes
             return (chain[0] + 1, *chain[1:]), y
 
         self.patch_sweep(monkeypatch, shift)
         with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
-            global_sections(crossing_sheaf(True))
+            decide(crossing_sheaf(True))
 
-    def test_chain_without_one_generator_per_cell(self, monkeypatch):
+    def test_chain_without_one_generator_per_cell(self, decide, monkeypatch):
         self.patch_sweep(monkeypatch, lambda maps, chain, y: (chain[1:], y))  # e1 dropped
         with pytest.raises(AssertionError, match="one generator per cell"):
-            global_sections(crossing_sheaf(True))
+            decide(crossing_sheaf(True))
 
-    def test_potential_with_an_arc_that_does_not_drop(self, monkeypatch):
+    def test_potential_with_an_arc_that_does_not_drop(self, decide, monkeypatch):
         def move(maps, chain, y):
             y[1][maps[0][1][0]] += 1  # v1's first arc now ends where it starts, at level 0
             return chain, y
 
         self.patch_sweep(monkeypatch, move)
         with pytest.raises(AssertionError, match="every arc"):
-            global_sections(crossing_sheaf(False))
+            decide(crossing_sheaf(False))
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -409,10 +422,28 @@ class TestSweepRechecks:
         ],
         ids=["plus_one", "one_edge_early"],
     )
-    def test_potential_off_by_one(self, corrupt, monkeypatch):
+    def test_potential_off_by_one(self, decide, corrupt, monkeypatch):
         self.patch_sweep(monkeypatch, corrupt)
         with pytest.raises(AssertionError, match="unbounded edges"):
-            global_sections(crossing_sheaf(False))
+            decide(crossing_sheaf(False))
+
+
+class TestSweepRechecksInDpSectionExists(TestSweepRechecks):
+    @pytest.fixture
+    def decide(self):
+        return dp_section_exists
+
+
+class TestSweepRechecksInTheOracleCommand(TestSweepRechecks):
+    @pytest.fixture
+    def decide(self, tmp_path):
+        def oracle(sheaf):
+            path = tmp_path / "sheaf.json"
+            with path.open("w") as out:
+                write_json(sheaf_to_jsonable(sheaf), out)
+            return main(["oracle", str(path)])
+
+        return oracle
 
 
 class TestValidateOnce:
