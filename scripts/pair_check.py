@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of `evasion check` between this checkout and another.
+
+Both `src/evasion` trees are imported into one process: the evasion modules
+are dropped from `sys.modules` and imported again from the other tree's
+`src`, as `perfbench/program.load_program` does, and each tree's `cli`
+keeps its own module objects. The scenes are built once by this tree's
+`evasion.randgen` and written as JSON files: pulsing, blocked and comb at
+one size each, and seeded `random_scene(rng, 10)` draws.
+
+Every file is first checked once in each tree, untimed, and the two reports
+are compared with `timing_ms` removed, exit codes included; any difference
+is printed and makes the exit status 1. Then each pair gives each tree one
+turn per family, the tree that runs first alternating from pair to pair. A
+turn runs in-process `cli.main(["check", file])` over the family's files,
+as many rounds as make about `--turn` seconds in this tree's untimed pass,
+and is timed as a whole. Running both trees in one process, turn by turn,
+keeps the load of a shared machine from reading as a difference between
+them.
+
+For each family the script prints each tree's median time per check with
+its quartiles over the pairs, the median of the paired ratios (this tree
+over the other; below 1 means this tree is faster) and the number of pairs
+this tree won.
+
+Usage: python scripts/pair_check.py OTHER_CHECKOUT [--pairs N] [--turn SECONDS]
+       [--seed S] [--pulsing N] [--blocked N] [--comb M] [--random COUNT]
+"""
+
+import argparse
+import importlib
+import io
+import json
+import sys
+import tempfile
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+from random import Random
+from statistics import median, quantiles
+
+THIS = Path(__file__).resolve().parent.parent
+
+
+def load_cli(checkout: Path):
+    """`evasion.cli` imported afresh from the checkout's `src`."""
+    src = checkout.resolve() / "src"
+    if not (src / "evasion" / "__init__.py").is_file():
+        raise SystemExit(f"no evasion package under {src}")
+    for name in [m for m in sys.modules if m == "evasion" or m.startswith("evasion.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        cli = importlib.import_module("evasion.cli")
+    finally:
+        sys.path.remove(str(src))
+    if Path(cli.__file__).resolve().parent != src / "evasion":
+        raise SystemExit(f"evasion was imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def write_scenes(cli, randgen, args, workdir: Path) -> dict[str, list[str]]:
+    """The scene files of each family."""
+    rng = Random(args.seed)
+    families = {
+        "pulsing": [randgen.pulsing_box_scene(args.pulsing)],
+        "blocked": [randgen.blocked_scene(args.blocked)],
+        "comb": [randgen.comb_scene(args.comb)],
+        "random": [randgen.random_scene(rng, 10) for _ in range(args.random)],
+    }
+    files = {}
+    for family, scenes in families.items():
+        files[family] = []
+        for n, scene in enumerate(scenes):
+            path = workdir / f"{family}{n}.json"
+            path.write_text(json.dumps(cli.scene_to_jsonable(scene)))
+            files[family].append(str(path))
+    return files
+
+
+def run(cli, path: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check", path])
+    return code, out.getvalue()
+
+
+def report_of(cli, path: str) -> tuple[int, dict]:
+    code, text = run(cli, path)
+    report = json.loads(text)
+    report.pop("timing_ms", None)
+    return code, report
+
+
+def timed(cli, paths: list[str], rounds: int = 1) -> float:
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        for path in paths:
+            run(cli, path)
+    return time.perf_counter() - t0
+
+
+def spread(times: list[float], per: int) -> str:
+    q1, _, q3 = quantiles(times, n=4, method="inclusive")
+    return f"{1000 * median(times) / per:9.3f} [{1000 * q1 / per:.3f}, {1000 * q3 / per:.3f}]"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the checkout to compare this one with")
+    parser.add_argument("--pairs", type=int, default=10, help="timed pairs per family, at least 2")
+    parser.add_argument("--turn", type=float, default=0.25, help="seconds of one tree's turn at a family")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the random scenes")
+    parser.add_argument("--pulsing", type=int, default=400, help="critical times of the pulsing scene")
+    parser.add_argument("--blocked", type=int, default=400, help="critical times of the blocked scene")
+    parser.add_argument("--comb", type=int, default=24, help="walls of the comb scene")
+    parser.add_argument("--random", type=int, default=200, help="number of random scenes")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    other = load_cli(args.other)
+    this = load_cli(THIS)
+    randgen = importlib.import_module("evasion.randgen")
+    trees = {"this": this, "other": other}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_scenes(this, randgen, args, Path(tmp))
+        differ = [
+            (family, path)
+            for family, paths in files.items()
+            for path in paths
+            if report_of(this, path) != report_of(other, path)
+        ]
+        rounds = {family: max(1, round(args.turn / timed(this, paths))) for family, paths in files.items()}
+        for family, path in differ:
+            print(f"reports differ outside timing_ms: {family} {Path(path).name}")
+        print(f"this: {THIS}\nother: {args.other.resolve()}")
+        print(f"{'family':8} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  wins")
+        for family, paths in files.items():
+            checks = len(paths) * rounds[family]
+            times: dict[str, list[float]] = {"this": [], "other": []}
+            for n in range(args.pairs):
+                for name in ("this", "other") if n % 2 == 0 else ("other", "this"):
+                    times[name].append(timed(trees[name], paths, rounds[family]))
+            ratios = [a / b for a, b in zip(times["this"], times["other"])]
+            wins = sum(r < 1 for r in ratios)
+            print(
+                f"{family:8} {checks:6}  {spread(times['this'], checks):>30}  "
+                f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {wins}/{args.pairs}"
+            )
+    print("reports identical outside timing_ms" if not differ else f"{len(differ)} reports differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

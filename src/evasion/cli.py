@@ -26,6 +26,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -309,8 +310,12 @@ def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
     out: dict = {"kernel_dim": sec.kernel_dim, "columns": sec.column_names, "rows": sec.row_names}
     if sec.decision is not None:
         if sec.decision.feasible:
-            support = {name: format_rational(v) for name, v in zip(sec.column_names, sec.decision.witness) if v}
-            out["witness"] = {"support": support}
+            # each distinct value object is formatted once (the sweep's witness holds two)
+            ids = list(map(id, sec.decision.witness))
+            text = {i: format_rational(v) for i, v in dict(zip(ids, sec.decision.witness)).items() if v}
+            held = list(map(text.__contains__, ids))
+            support = zip(compress(sec.column_names, held), map(text.__getitem__, compress(ids, held)))
+            out["witness"] = {"support": dict(support)}
         else:
             out["certificate"] = [format_rational(v) for v in sec.decision.certificate]
     if include_matrix:
@@ -372,10 +377,14 @@ def write_json(value, out) -> None:
     Every report, path file and sheaf goes through here. `json.dumps` falls
     back to its pure-Python encoder when asked to indent; this writer quotes
     each string, and each list of strings or object of string values whole,
-    with json's C `encode_basestring_ascii`, and numbers, booleans and null
-    with `json.dumps` itself. Object keys must be strings. What is built is
-    handed to `out` before each row of a `DenseEntries`, so a dense matrix
-    is held one row at a time.
+    with json's C `encode_basestring_ascii`. null, true and false are
+    literals, an exact `int` is its `int.__repr__` and a finite exact
+    `float` its `float.__repr__`, as `json.dumps` writes them; only NaN, the
+    infinities and subclasses of int or float go to `json.dumps` itself.
+    Each value costs one Python-level dispatch, and each list of strings
+    or object of string values one more. Object keys must be strings. What
+    is built is handed to `out` before each row of a `DenseEntries`, so a
+    dense matrix is held one row at a time.
     """
     parts: list[str] = []
     _encode(value, "\n", parts, out)
@@ -433,8 +442,18 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
                 parts[:] = [lead + sep.join(map(_quote, row))]
                 lead = sep
         parts.append(nl + "]" if lead is sep else "[]")
+    elif v is None:
+        parts.append("null")
+    elif v is True:
+        parts.append("true")
+    elif v is False:
+        parts.append("false")
+    elif type(v) is int:
+        parts.append(int.__repr__(v))
+    elif type(v) is float and v - v == 0:  # finite
+        parts.append(float.__repr__(v))
     else:
-        parts.append(json.dumps(v))  # a number, a boolean or null
+        parts.append(json.dumps(v))  # NaN, an infinity, or a subclass of int or float
 
 
 # ---------------------------------------------------------------------------

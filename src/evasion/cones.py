@@ -15,6 +15,7 @@ which is what makes the downstream verdicts trustworthy.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,12 +37,44 @@ class FeasibilityResult:
         return self.witness is not None
 
 
+class _UnitVectors(Sequence):
+    """The n unit vectors of a free cone's generators, each built when it is
+    read, so that a free stalk costs memory in proportion to its labels.
+    Equal to the tuple of those vectors."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> Vec:
+        n = self.n
+        if not -n <= i < n:
+            raise IndexError("generator index out of range")
+        i %= n
+        return (ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i)
+
+    def __eq__(self, other) -> bool:
+        return self.n == other.n if isinstance(other, _UnitVectors) else tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{self.n} unit vectors>"
+
+
 @dataclass(frozen=True)
 class PolyhedralCone:
     """Cone generated by finitely many nonzero rational vectors.
 
     Generators need not be extreme rays; redundancy is allowed. A cone with
-    no generators is the trivial cone {0}.
+    no generators is the trivial cone {0}. A free cone (`free`) is known to
+    be free from its construction, and its unit generators are built only
+    for a reader that asks for them; the sweep reads its labels alone.
     """
 
     ambient_dim: int
@@ -53,6 +86,8 @@ class PolyhedralCone:
             raise ValueError("negative ambient dimension")
         if len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
+        if isinstance(self.generators, _UnitVectors) and self.generators.n == self.ambient_dim:
+            return  # `free`'s unit vectors, valid by construction
         for g in self.generators:
             if len(g) != self.ambient_dim:
                 raise ValueError("generator dimension mismatch")
@@ -76,15 +111,15 @@ class PolyhedralCone:
     def free(cls, labels) -> "PolyhedralCone":
         """Nonnegative orthant on one basis vector per label."""
         labels = tuple(labels)
-        n = len(labels)
-        gens = tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n))
-        return cls(n, gens, labels)
+        return cls(len(labels), _UnitVectors(len(labels)), labels)
 
     @cached_property
     def is_free(self) -> bool:
+        if isinstance(self.generators, _UnitVectors):
+            return True
         if self.ambient_dim != len(self.generators):
             return False
-        # tuple.count compares in C, and `free` builds every zero as the ZERO object
+        # tuple.count compares in C, and an entry that is the ZERO object matches it without a call
         n = self.ambient_dim
         return all(g[i] == 1 and g.count(ZERO) == n - 1 for i, g in enumerate(self.generators))
 

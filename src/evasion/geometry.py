@@ -64,7 +64,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, starmap
+from itertools import compress, count, starmap
 from operator import floordiv, itemgetter
 
 from evasion.cones import PolyhedralCone
@@ -595,60 +595,74 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     open edge interval, where the gap fibre is constant. Components and
     routes are read off the fibres' owner arrays. The result is verified
     against the scene's boxes exactly before being returned.
+
+    A vertex is keyed by (fibre identity, chosen component) and an edge by
+    its transition: (left vertex key, edge fibre identity, edge component,
+    right vertex key), the unbounded edges missing one side. Samples share
+    fibres, so a long chain has few distinct keys. Each cell costs only
+    C-level passes: the key lists are built with `zip` and `map`, and
+    `dict` keeps each distinct key once, in time order. The range check,
+    the interior point, each `_edge_face`, each `_route` and each hop list
+    are worked out once per distinct key, and Python walks only the edges
+    whose transition moves the path (`itertools.compress`). Path
+    verification still checks every segment and jump against every box.
     """
     chain = sections.chain
     if chain is None:
         raise ValueError("extract_path needs the section chain of a feasible sweep decision")
     times, vertex_fibres, edge_fibres = fibres
     k = len(times)
-    edge_comps, chosen = chain[0::2], chain[1::2]
+    if len(chain) != 2 * k + 1:
+        raise GeometryError("section chain does not have one gap component per cell")
+    vkeys = list(zip(map(id, vertex_fibres), chain[1::2]))
+    tkeys = list(zip([None, *vkeys], map(id, edge_fibres), chain[0::2], [*vkeys, None]))
+    vertices = dict(zip(vkeys, vertex_fibres))  # each distinct vertex key once, with its fibre
     # an edge index that names no component of its fibre owns no face, which _route checks
-    if len(chain) != 2 * k + 1 or not all(0 <= c < len(vf.seeds) for vf, c in zip(vertex_fibres, chosen)):
+    if not all(0 <= c < len(vf.seeds) for (_, c), vf in vertices.items()):
         raise GeometryError("section chain does not have one gap component per cell")
     # an interior point is the centre of the component's seed face, so it is
     # worked out once per rank rectangle of that face (the scene ranks of the
     # grid lines around it), which the fibres of one scene share
     points: dict[tuple[int, int, int, int], Point] = {}
-    vertex_points = []
-    for vf, c in zip(vertex_fibres, chosen):
-        i, j = divmod(vf.seeds[c], vf.ny)
+    at: dict[tuple[int, int], Point] = {}
+    for vkey, vf in vertices.items():
+        i, j = divmod(vf.seeds[vkey[1]], vf.ny)
         rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
         if rect not in points:
-            points[rect] = vf.interior_point(c)
-        vertex_points.append(points[rect])
-    # routes[j] runs inside edge j's component from vertex j-1's to vertex j's;
-    # on an unbounded edge it only checks that the one vertex's component persists into it.
-    # A face or a route depends only on fibres, which samples share, and
-    # components, so each is found once per distinct tuple, fibres by identity
+            points[rect] = vf.interior_point(vkey[1])
+        at[vkey] = points[rect]
+    # a transition's route runs inside its edge component from the left
+    # vertex's face to the right one's; on an unbounded edge it only checks
+    # that the one vertex's component persists into it. A face and a route
+    # depend on fibres and components alone, so each is found once
     faces: dict[tuple[int, int, int], int] = {}
     found: dict[tuple[int, int, int, int], list[Point]] = {}
-    routes = []
-    for j, ef in enumerate(edge_fibres):
+    hops: dict[tuple, list[Point]] = {}  # the moving interior transitions
+    for tkey, ef in dict(zip(tkeys, edge_fibres)).items():
+        left, _, c, right = tkey
         ends = []
-        for i in (j - 1, j):
-            if 0 <= i < k:
-                vf, c = vertex_fibres[i], chosen[i]
-                key = (id(vf), c, id(ef))
-                if key not in faces:
-                    faces[key] = _edge_face(vf, c, ef)
-                ends.append(faces[key])
-        key = (id(ef), edge_comps[j], ends[0], ends[-1])
-        if key not in found:
-            found[key] = _route(ef, edge_comps[j], ends[0], ends[-1])
-        routes.append(found[key])
+        for vkey in (left, right):
+            if vkey is not None:
+                face = (*vkey, id(ef))
+                if face not in faces:
+                    faces[face] = _edge_face(vertices[vkey], vkey[1], ef)
+                ends.append(faces[face])
+        route = (id(ef), c, ends[0], ends[-1])
+        if route not in found:
+            found[route] = _route(ef, c, ends[0], ends[-1])
+        if left is not None and right is not None:
+            positions = [at[left], *found[route], at[right]]
+            moves = [p for prev, p in zip(positions, positions[1:]) if p != prev]
+            if moves:
+                hops[tkey] = moves
 
     segments: list[PathSegment] = []
     cur_start: Fraction | None = None
-    cur_point = vertex_points[0]
-    for i in range(k - 1):
-        here, route, there = vertex_points[i], routes[i + 1], vertex_points[i + 1]
-        if not route and here == there:
-            continue  # no hop on this edge
-        a, b = times[i], times[i + 1]
-        positions = [here, *route, there]
-        hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
-        for h, nxt in enumerate(hops):
-            s = a + (b - a) * Fraction(h + 1, len(hops) + 1)
+    cur_point = at[vkeys[0]]
+    for j in compress(range(k + 1), map(hops.__contains__, tkeys)):
+        a, b, moves = times[j - 1], times[j], hops[tkeys[j]]
+        for h, nxt in enumerate(moves, 1):
+            s = a + (b - a) * Fraction(h, len(moves) + 1)
             segments.append(PathSegment(cur_start, s, cur_point))
             cur_start, cur_point = s, nxt
     segments.append(PathSegment(cur_start, None, cur_point))

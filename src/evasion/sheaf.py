@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import add, attrgetter, getitem
 
 from evasion.cones import (
     FeasibilityResult,
@@ -152,7 +153,7 @@ class FunctionSheaf:
         out = []
         for i, images in enumerate(self.maps):
             for j, image in enumerate(images, i):
-                key = (id(image), len(self.edge_stalks[j].generators))
+                key = (id(image), len(self.edge_stalks[j].labels))
                 if key not in built:  # the columns {row: 1}, transposed
                     built[key] = Matrix(key[1], len(image), tuple(columns(({r: ONE} for r in image), key[1])))
                 out.append(built[key])
@@ -186,10 +187,18 @@ class UnsupportedSheafError(ValueError):
 
 def section_chain(S: ConeSheaf, chain: Chain) -> tuple[CellLabel, ...]:
     """The (cell id, generator label) of a chain of generator indices, one
-    per cell in time order, unbounded edges included."""
-    stalks = (S.edge_stalks, S.vertex_stalks)
-    cells = zip(S.strat.cells, chain, strict=True)
-    return tuple((cell, stalks[n % 2][n // 2].labels[g]) for n, (cell, g) in enumerate(cells))
+    per cell in time order, unbounded edges included; a ValueError if the
+    chain has another length.
+
+    The stalks are interleaved in cell order by two slice assignments, and
+    each label is read by `map` over the stalks' label tuples and the chain,
+    so the labelling takes C-level passes and no Python step per cell."""
+    cells = S.strat.cells
+    if len(chain) != len(cells):
+        raise ValueError(f"a chain of {len(chain)} generators does not name one per cell of {len(cells)}")
+    stalks: list = [None] * len(cells)
+    stalks[0::2], stalks[1::2] = S.edge_stalks, S.vertex_stalks
+    return tuple(zip(cells, map(getitem, map(attrgetter("labels"), stalks), chain)))
 
 
 @dataclass(frozen=True)
@@ -348,14 +357,16 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
             raise AssertionError("witness chain does not have one generator per cell")
         if any(F.maps[i][0][g] != edges[i] or F.maps[i][1][g] != edges[i + 1] for i, g in enumerate(vertices)):
             raise AssertionError("witness chain does not restrict to its edge generators")
-        blocks = [[ZERO] * len(stalk.generators) for stalk in S.vertex_stalks]
+        # weight 1/k at each vertex's chain generator, found by its column offset
+        offsets = list(accumulate((len(stalk.labels) for stalk in S.vertex_stalks), initial=0))
+        witness = [ZERO] * offsets.pop()
         weight = Fraction(1, len(F.maps))
-        for block, g in zip(blocks, vertices):
-            block[g] = weight
-        decision = FeasibilityResult(witness=tuple(v for block in blocks for v in block))
+        for col in map(add, offsets, vertices):
+            witness[col] = weight
+        decision = FeasibilityResult(witness=tuple(witness))
     else:
         # zero on both unbounded edges and a drop along every arc make D'y >= 1
-        if list(map(len, y)) != [len(stalk.generators) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
+        if list(map(len, y)) != [len(stalk.labels) for stalk in S.edge_stalks] or any(y[0] + y[-1]):
             raise AssertionError("potential is not one block per edge, zero on the unbounded edges")
         # integers drop by at least 1 exactly where they drop at all
         if any(a[li] <= b[ri] for a, b, (left, right) in zip(y, y[1:], F.maps) for li, ri in zip(left, right)):
@@ -419,7 +430,7 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
     is passed over before its right image is read.
     """
     k, maps = S.strat.k, S.maps
-    sizes = [len(stalk.generators) for stalk in S.edge_stalks]
+    sizes = [len(stalk.labels) for stalk in S.edge_stalks]
     reached: dict[int, int | None] = dict.fromkeys(range(sizes[0]))
     reach = [reached]
     for left, right in maps:
@@ -459,7 +470,7 @@ def cycle_rank(S: FunctionSheaf) -> int:
     arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows)."""
     k = S.strat.k
     # generator g of edge j is node offsets[j] + g, and those of both unbounded edges hang under node 0
-    offsets = list(accumulate((len(stalk.generators) for stalk in S.edge_stalks), initial=1))
+    offsets = list(accumulate((len(stalk.labels) for stalk in S.edge_stalks), initial=1))
     parent = list(range(offsets[-1]))
     for j in {0, k}:
         parent[offsets[j] : offsets[j + 1]] = [0] * (offsets[j + 1] - offsets[j])

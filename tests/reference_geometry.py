@@ -13,12 +13,31 @@ reference fibre (`reference_locate`), and `locate`, which reads a
 production fibre's owner array at the face holding a point. And
 `gap_components`, the production arrangement at a single time t, keyed by
 the boxes alive at t rather than by the time sweep of `scene_fibres`.
+
+`reference_extract_path` is the path extraction that walks every cell in
+Python, looking each face and route up per cell; `extract_path` works them
+out once per distinct fibre transition, and the tests require the same path
+or the same error from both. It shares `_edge_face`, `_route` and path
+verification with the production path.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from evasion.geometry import _arrange, _rank_table
+from evasion.geometry import (
+    EvasionPath,
+    Fibres,
+    GeometryError,
+    PathSegment,
+    Point,
+    Scene,
+    _arrange,
+    _edge_face,
+    _rank_table,
+    _route,
+    verify_evasion_path,
+)
+from evasion.sheaf import GlobalSections, section_chain
 
 
 class UnionFind:
@@ -209,3 +228,78 @@ def gap_components(scene, t):
     lo, hi = bisect_left(table.ts, t), bisect_right(table.ts, t)
     alive = {rect for rect, (t0, t1) in zip(table.rects, table.spans) if t0 < hi and t1 >= lo}
     return _arrange(table, tuple(sorted(alive)))
+
+
+def reference_extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> EvasionPath:
+    """`extract_path` as a loop over every cell, the version it replaced.
+
+    `fibres` are the scene's `scene_fibres` and `sections` the global
+    sections of the sheaf built from them. `sections.chain` names one gap
+    component per cell, which must be a component of that cell's fibre, and
+    each vertex component must persist into the components the chain names
+    on both edges beside it (GeometryError otherwise). The path sits at a
+    rational interior point of each vertex component, and migrates between
+    those points by straight hops across the face graph strictly inside each
+    open edge interval, where the gap fibre is constant. Components and
+    routes are read off the fibres' owner arrays. The result is verified
+    against the scene's boxes exactly before being returned.
+    """
+    chain = sections.chain
+    if chain is None:
+        raise ValueError("extract_path needs the section chain of a feasible sweep decision")
+    times, vertex_fibres, edge_fibres = fibres
+    k = len(times)
+    edge_comps, chosen = chain[0::2], chain[1::2]
+    # an edge index that names no component of its fibre owns no face, which _route checks
+    if len(chain) != 2 * k + 1 or not all(0 <= c < len(vf.seeds) for vf, c in zip(vertex_fibres, chosen)):
+        raise GeometryError("section chain does not have one gap component per cell")
+    # an interior point is the centre of the component's seed face, so it is
+    # worked out once per rank rectangle of that face (the scene ranks of the
+    # grid lines around it), which the fibres of one scene share
+    points: dict[tuple[int, int, int, int], Point] = {}
+    vertex_points = []
+    for vf, c in zip(vertex_fibres, chosen):
+        i, j = divmod(vf.seeds[c], vf.ny)
+        rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
+        if rect not in points:
+            points[rect] = vf.interior_point(c)
+        vertex_points.append(points[rect])
+    # routes[j] runs inside edge j's component from vertex j-1's to vertex j's;
+    # on an unbounded edge it only checks that the one vertex's component persists into it.
+    # A face or a route depends only on fibres, which samples share, and
+    # components, so each is found once per distinct tuple, fibres by identity
+    faces: dict[tuple[int, int, int], int] = {}
+    found: dict[tuple[int, int, int, int], list[Point]] = {}
+    routes = []
+    for j, ef in enumerate(edge_fibres):
+        ends = []
+        for i in (j - 1, j):
+            if 0 <= i < k:
+                vf, c = vertex_fibres[i], chosen[i]
+                key = (id(vf), c, id(ef))
+                if key not in faces:
+                    faces[key] = _edge_face(vf, c, ef)
+                ends.append(faces[key])
+        key = (id(ef), edge_comps[j], ends[0], ends[-1])
+        if key not in found:
+            found[key] = _route(ef, edge_comps[j], ends[0], ends[-1])
+        routes.append(found[key])
+
+    segments: list[PathSegment] = []
+    cur_start: Fraction | None = None
+    cur_point = vertex_points[0]
+    for i in range(k - 1):
+        here, route, there = vertex_points[i], routes[i + 1], vertex_points[i + 1]
+        if not route and here == there:
+            continue  # no hop on this edge
+        a, b = times[i], times[i + 1]
+        positions = [here, *route, there]
+        hops = [p for prev, p in zip(positions, positions[1:]) if p != prev]
+        for h, nxt in enumerate(hops):
+            s = a + (b - a) * Fraction(h + 1, len(hops) + 1)
+            segments.append(PathSegment(cur_start, s, cur_point))
+            cur_start, cur_point = s, nxt
+    segments.append(PathSegment(cur_start, None, cur_point))
+    path = EvasionPath(segments=tuple(segments), chain=section_chain(sections.sheaf, chain))
+    verify_evasion_path(scene, path)
+    return path

@@ -693,6 +693,20 @@ def test_the_writer_writes_the_bytes_of_json_dumps(value):
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
 
 
+class _Count(int):
+    """An int subclass, which the writer hands to `json.dumps`."""
+
+
+def test_numbers_and_literals_are_written_as_json_dumps_writes_them():
+    numbers = [0, -1, 10**30, 0.1, 1e16, 1e-7, -0.0, True, False, None]
+    fallback = [float("nan"), float("inf"), float("-inf"), _Count(7)]
+    value = {"numbers": numbers, "nested": [{"n": numbers}, [numbers, tuple(numbers)]], "fallback": fallback}
+    for v in (value, *numbers, *fallback):
+        out = io.StringIO()
+        write_json(v, out)
+        assert out.getvalue() == json.dumps(v, indent=2, sort_keys=True)
+
+
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_dense_entries_are_written_as_the_dense_list(rows, cols, data):
@@ -952,6 +966,28 @@ def test_a_sheaf_file_costs_memory_in_proportion_to_what_it_spells_out(capsys, t
     finally:
         tracemalloc.stop()
     assert (code, json.loads(capsys.readouterr().out)) == (1, {"error": message})
+    assert peak < 5 * 2**20
+
+
+def test_a_free_stalk_costs_memory_in_proportion_to_its_labels(capsys, tmp_path):
+    # v1 has no generators, so the sheaf has no section; 2000 dense unit generators took a 31 MB peak
+    n = 20_000
+    stalks = {"e1": {"labels": [f"c{i}" for i in range(n)]}, "v1": {"labels": []}, "e2": {"labels": ["u"]}}
+    restrictions = [
+        {"from": "v1", "to": e, "matrix": {"rows": rows, "cols": 0, "entries": []}} for e, rows in (("e1", n), ("e2", 1))
+    ]
+    sheaf = tmp_path / "free.json"
+    sheaf.write_text(json.dumps({"vertices": ["0"], "stalks": stalks, "restrictions": restrictions}))
+    cli.build_parser()  # first use, outside the traced call
+    tracemalloc.start()
+    try:
+        code = main(["lp", str(sheaf)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["verdict"]) == (2, "NO_EVASION")
+    assert report["sections"] == {"certificate": [], "columns": [], "kernel_dim": 0, "rows": []}
     assert peak < 5 * 2**20
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import evasion.geometry
 import evasion.sheaf
-from evasion.cli import main, run_check, scene_from_jsonable, scene_to_jsonable
+from evasion.cli import main, path_to_jsonable, run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.cones import lp_positive_kernel
 from evasion.geometry import (
     Box,
@@ -30,7 +31,7 @@ from evasion.geometry import (
 )
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
-from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene
+from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene, slalom_scene
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
@@ -38,6 +39,7 @@ from reference_geometry import (
     gap_components,
     locate,
     point_uncovered,
+    reference_extract_path,
     reference_fibre,
     reference_locate,
     reference_validate,
@@ -217,6 +219,16 @@ class TestBuildSheaf:
             assert validate_sheaf(build_sheaf(scene)).ok
 
 
+# chains forged on the open crossing, whose sweep chain is
+# e1.g0 v1.g0 e2.g1 v2.g1 e3.g1 v3.g1 e4.g0 v4.g0 e5.g0
+FORGED_CHAINS = [
+    (0, 0, 1, 0, 1, 1, 0, 0, 0),  # v2 on the other strand, which misses e2.g1
+    (0, 0, 1, 0, 1, 1, 1, 0, 0, 0),  # two generators at v2
+    (0, 0, 1, 1, 1, 0, 0, 0),  # nothing at v2
+    (0, 0, 1, 1, 1, 1, 0, 0, 1),  # e5 names a component its one-component fibre lacks
+]
+
+
 class TestExtractPath:
     def test_open_crossing_path_follows_the_expected_chain(self):
         sections = global_sections(build_sheaf(OPEN_SCENE))
@@ -305,22 +317,47 @@ class TestExtractPath:
         with pytest.raises(ValueError):
             extract_path(BLOCKED_SCENE, scene_fibres(BLOCKED_SCENE), sections)
 
-    @pytest.mark.parametrize(
-        "support",
-        [
-            # the sweep's chain is e1.g0 v1.g0 e2.g1 v2.g1 e3.g1 v3.g1 e4.g0 v4.g0 e5.g0
-            (0, 0, 1, 0, 1, 1, 0, 0, 0),  # v2 on the other strand, which misses e2.g1
-            (0, 0, 1, 0, 1, 1, 1, 0, 0, 0),  # two generators at v2
-            (0, 0, 1, 1, 1, 0, 0, 0),  # nothing at v2
-            (0, 0, 1, 1, 1, 1, 0, 0, 1),  # e5 names a component its one-component fibre lacks
-        ],
-    )
+    @pytest.mark.parametrize("support", FORGED_CHAINS)
     def test_support_that_is_not_a_single_chain_is_rejected(self, support):
         sections = global_sections(build_sheaf(OPEN_SCENE))
         assert sections.chain == (0, 0, 1, 1, 1, 1, 0, 0, 0)
         forged = replace(sections, chain=support)
         with pytest.raises(GeometryError, match="one gap component per cell|expected gap component"):
             extract_path(OPEN_SCENE, scene_fibres(OPEN_SCENE), forged)
+
+
+def _extracted(extract, scene, fibres, sections):
+    """The path file of one extraction, or the type and message of its error."""
+    try:
+        return path_to_jsonable(extract(scene, fibres, sections))
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _decided(scene):
+    """(scene, fibres, sections) of a valid scene, or None."""
+    fibres = scene_fibres(scene)
+    return (scene, fibres, global_sections(sheaf_from_fibres(fibres))) if validate_fibres(fibres).ok else None
+
+
+def test_extract_path_matches_the_per_cell_reference(base_seed):
+    scenes = [fixture_scene(name) for name in fixtures_with("window")]
+    cases = [case for case in map(_decided, [*scenes, pulsing_box_scene(40), comb_scene(6), slalom_scene(5)]) if case]
+    rng, drawn = Random(base_seed), 0
+    while drawn < 300:
+        case = _decided(random_candidate(rng, 10))
+        if case:
+            cases.append(case)
+            drawn += 1
+    open_sections = global_sections(build_sheaf(OPEN_SCENE))
+    cases += [(OPEN_SCENE, scene_fibres(OPEN_SCENE), replace(open_sections, chain=c)) for c in FORGED_CHAINS]
+    outcomes = Counter()
+    for case in cases:
+        got = _extracted(extract_path, *case)
+        assert got == _extracted(reference_extract_path, *case)
+        outcomes[got[0] if isinstance(got, tuple) else "hops" if len(got["segments"]) > 1 else "held"] += 1
+    assert outcomes["hops"] and outcomes["held"] and outcomes["ValueError"]
+    assert outcomes["GeometryError"] == len(FORGED_CHAINS)
 
 
 def _path(*segments) -> EvasionPath:

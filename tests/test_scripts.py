@@ -22,8 +22,15 @@ ROOT = Path(__file__).parent.parent
             ],
         ),
         (["criteria_gap.py", "--count", "200"], ["200 random scenes", "NO_EVASION", "no EVASION draw has kernel_dim 0"]),
+        (
+            [
+                "pair_check.py", str(ROOT), "--pairs", "2", "--turn", "0",
+                "--pulsing", "10", "--blocked", "10", "--comb", "3", "--random", "5",
+            ],
+            ["pulsing", "blocked", "comb", "random", "ratio", "wins", "reports identical outside timing_ms"],
+        ),
     ],
-    ids=["oracle_fuzz", "scaling_bench", "criteria_gap"],
+    ids=["oracle_fuzz", "scaling_bench", "criteria_gap", "pair_check"],
 )
 def test_script_runs(argv, expected):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

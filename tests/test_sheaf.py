@@ -604,6 +604,20 @@ def test_lp_matches_dp_on_function_like_sheaves(seed):
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
+def test_section_chain_labels_each_cell_and_refuses_another_length(seed):
+    rng = Random(seed)
+    sheaf = random_function_like_sheaf(rng)
+    stalks = [(sheaf.edge_stalks, sheaf.vertex_stalks)[n % 2][n // 2] for n in range(2 * sheaf.strat.k + 1)]
+    chain = tuple(rng.randrange(len(stalk.labels)) for stalk in stalks)
+    labelled = tuple((cell, stalk.labels[g]) for cell, stalk, g in zip(sheaf.strat.cells, stalks, chain))
+    assert section_chain(sheaf, chain) == labelled
+    for wrong in (chain[:-1], (*chain, 0)):
+        with pytest.raises(ValueError, match="does not name one per cell"):
+            section_chain(sheaf, wrong)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
 def test_feasible_witness_blocks_lie_in_vertex_stalks(seed):
     sheaf = random_function_like_sheaf(Random(seed))
     sections = global_sections(sheaf)
