@@ -589,9 +589,9 @@ def run_check(scene: Scene) -> tuple[Fibres, GlobalSections, EvasionPath | None,
         return result
 
     fibres = stage("fibres", geometry.scene_fibres, scene)
-    report = stage("validate", geometry.validate_fibres, fibres)
-    if not report.ok:
-        raise SceneValidationError(report)
+    problem = stage("validate", geometry.validate_fibres, fibres)
+    if problem is not None:
+        raise SceneValidationError(problem)
     sections = stage("lp", global_sections, stage("build_sheaf", geometry.sheaf_from_fibres, fibres))
     path = stage("path", extract_path, scene, fibres, sections) if sections.decision.feasible else None
     return fibres, sections, path, timing
@@ -753,13 +753,13 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
     except SceneValidationError as exc:
-        return _fail("scene validation failed", violations=list(exc.report.problems))
+        return _fail("scene validation failed", violations=[exc.problem])
     except SheafValidationError as exc:
         return _fail(
             "sheaf validation failed",
             violations=[
                 {"vertex": v.vertex, "edge": v.edge, "generator": v.generator, "message": v.message}
-                for v in exc.report.violations
+                for v in exc.violations
             ],
         )
     except (OSError, ValueError) as exc:  # UnsupportedSheafError included

@@ -79,9 +79,9 @@ Key = tuple[Rect, ...]
 
 
 class SceneValidationError(ValueError):
-    def __init__(self, report: "SceneReport"):
-        self.report = report
-        super().__init__("invalid scene: " + "; ".join(report.problems[:3]))
+    def __init__(self, problem: str):
+        self.problem = problem
+        super().__init__(f"invalid scene: {problem}")
 
 
 class GeometryError(RuntimeError):
@@ -147,12 +147,6 @@ class Scene:
             mv(self.window_y, dy),
             tuple(Box(mv(b.t, dt), mv(b.x, dx), mv(b.y, dy)) for b in self.boxes),
         )
-
-
-@dataclass(frozen=True)
-class SceneReport:
-    ok: bool
-    problems: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -360,14 +354,6 @@ def critical_times(scene: Scene) -> tuple[Fraction, ...]:
     return _rank_table(scene).ts
 
 
-def _edge_sample(times: tuple[Fraction, ...], j: int) -> Fraction:
-    if j == 0:
-        return times[0] - 1
-    if j == len(times):
-        return times[-1] + 1
-    return (times[j - 1] + times[j]) / 2
-
-
 def _sample_keys(table: _RankTable) -> list[tuple[int, Key]]:
     """The alive key of every sample, in one sweep over the time ranks: the
     sorted distinct rank rectangles of the boxes alive there, as runs of
@@ -440,25 +426,28 @@ def scene_fibres(scene: Scene) -> Fibres:
     return table.ts or (Fraction(0),), tuple(samples[1::2]), tuple(samples[0::2])
 
 
-def validate_fibres(fibres: Fibres) -> SceneReport:
-    """Coverage must be connected at every critical time and inside every
-    edge, as each fibre's Euler count tells (`GapFibre.connected`). Gap
-    components stay strictly inside the window by construction: the
-    arrangement's outermost grid lines are the covered frame. The message
-    names the first sample time at fault, written out in full."""
+def validate_fibres(fibres: Fibres) -> str | None:
+    """The first fault of the fibres, or None: coverage must be connected at
+    every critical time and inside every edge, as each fibre's Euler count
+    tells (`GapFibre.connected`). Gap components stay strictly inside the
+    window by construction: the arrangement's outermost grid lines are the
+    covered frame. The unbounded edges are not read: no box is alive there,
+    so their fibre is the open window, whose coverage is connected. The
+    message names the first sample time at fault, an edge by the midpoint
+    of its vertex times, written out in full."""
     times, vertex_fibres, edge_fibres = fibres
-    for j, ef in enumerate(edge_fibres):
-        if not ef.connected:
-            t = _edge_sample(times, j)
-        elif j < len(times) and not vertex_fibres[j].connected:
+    for j, vf in enumerate(vertex_fibres):
+        if j and not edge_fibres[j].connected:
+            t = (times[j - 1] + times[j]) / 2
+        elif not vf.connected:
             t = times[j]
         else:
             continue
-        return SceneReport(False, (f"coverage is disconnected at t={format_rational(t)}",))
-    return SceneReport(True, ())
+        return f"coverage is disconnected at t={format_rational(t)}"
+    return None
 
 
-def validate_scene(scene: Scene) -> SceneReport:
+def validate_scene(scene: Scene) -> str | None:
     """`validate_fibres` on the scene's fibres."""
     return validate_fibres(scene_fibres(scene))
 
@@ -485,9 +474,9 @@ def build_sheaf(scene: Scene) -> FunctionSheaf:
     once and validated (SceneValidationError if the coverage is disconnected),
     then `sheaf_from_fibres`."""
     fibres = scene_fibres(scene)
-    report = validate_fibres(fibres)
-    if not report.ok:
-        raise SceneValidationError(report)
+    problem = validate_fibres(fibres)
+    if problem is not None:
+        raise SceneValidationError(problem)
     return sheaf_from_fibres(fibres)
 
 

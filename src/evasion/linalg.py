@@ -238,12 +238,17 @@ def kernel_ray(rows: list[SparseRow], ncols: int, objective=None):
 
     Runs a bounded-variable simplex (Bland's rule) on max sum(x_j, j in
     objective) over {Mx = 0, 0 <= x <= 1}, starting from the artificial
-    basis pinned to [0, 0]. Two things keep banded inputs near-linear:
-    artificial columns are never materialised in the tableau (the dual is
-    recovered at the end from one solve against the final basis), and the
-    search stops at the first strictly positive objective value, since the
-    simplex point is primal-feasible throughout and any positive mass
-    already scales to a witness.
+    basis pinned to [0, 0]. Artificial columns are never materialised in
+    the tableau (the dual is recovered at the end from one solve against
+    the final basis), so a pivot updates only the entries M's own columns
+    fill in, not an m-wide artificial block per row. The search stops at
+    the first strictly positive objective value, since the simplex point
+    is primal-feasible throughout and any positive mass already scales to
+    a witness, so a feasible input pays no pivot past that point. Neither
+    makes banded inputs near-linear: on the pulsing coboundary, n - 1 rows
+    by n columns, the time grows about as n^2 (110 / 276 / 1081 ms at
+    n = 100 / 200 / 400, min of 3 runs on 2 cores, CPython 3.11.7).
+    ROADMAP item 20 is the open work on that.
 
     Returns (x, None) with x >= 0, sum(x) = 1, Mx = 0 exactly, or (None, u)
     with (M'u)_j >= 1 for every objective column j and >= 0 for the others

@@ -78,7 +78,7 @@ def random_scene(rng: Random, max_boxes: int = 5) -> Scene:
     disconnects are re-rolled so the result satisfies the scene contract."""
     for _ in range(64):
         scene = random_candidate(rng, max_boxes)
-        if validate_fibres(scene_fibres(scene)).ok:
+        if validate_fibres(scene_fibres(scene)) is None:
             return scene
     raise RuntimeError("could not draw a valid random scene (generator misconfigured)")
 

@@ -168,16 +168,10 @@ class SheafViolation:
     message: str
 
 
-@dataclass(frozen=True)
-class SheafReport:
-    ok: bool
-    violations: tuple[SheafViolation, ...]
-
-
 class SheafValidationError(ValueError):
-    def __init__(self, report: SheafReport):
-        self.report = report
-        lines = "; ".join(v.message for v in report.violations[:5])
+    def __init__(self, violations: tuple[SheafViolation, ...]):
+        self.violations = violations
+        lines = "; ".join(v.message for v in violations[:5])
         super().__init__(f"invalid cone sheaf: {lines}")
 
 
@@ -265,8 +259,9 @@ def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
     return [{d: v for d, v in enumerate(M.mul_vec(gen)) if v} for gen in stalk.generators]
 
 
-def validate_sheaf(S: ConeSheaf) -> SheafReport:
-    """Check every stalk is a positive cone and every restriction is a cone map.
+def validate_sheaf(S: ConeSheaf) -> tuple[SheafViolation, ...]:
+    """Every violation of the sheaf contract, empty when the sheaf is valid:
+    every stalk must be a positive cone and every restriction a cone map.
 
     An image lies in a free target exactly when its nonzeros are positive;
     other targets are asked by `cone_membership`.
@@ -294,7 +289,7 @@ def validate_sheaf(S: ConeSheaf) -> SheafReport:
                 violations.append(
                     SheafViolation(vid, eid, label, f"image of {vid}.{label} under {vid}->{eid} leaves the edge cone")
                 )
-    return SheafReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def _row_stalks(S: ConeSheaf):
@@ -319,9 +314,9 @@ def _normalise(S: ConeSheaf) -> ConeSheaf:
 def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
     """Labelled coboundary only; kernel_dim and decision left unset."""
     S = _normalise(S)
-    report = validate_sheaf(S)
-    if not report.ok:
-        raise SheafValidationError(report)
+    violations = validate_sheaf(S)
+    if violations:
+        raise SheafValidationError(violations)
     return GlobalSections(S)
 
 

@@ -157,19 +157,19 @@ def reference_samples(times: tuple[Fraction, ...]) -> list[Fraction]:
     return samples + [times[-1], times[-1] + 1]
 
 
-def reference_validate(scene, times: tuple[Fraction, ...]) -> tuple[bool, tuple[str, ...]]:
-    """(ok, problems) as validate_scene reports them, over every sample."""
+def reference_validate(scene, times: tuple[Fraction, ...]) -> str | None:
+    """The first fault as validate_scene names it, over every sample, or None."""
     for t in reference_samples(times):
         alive = [b for b in scene.boxes if b.alive(t)]
         if not coverage_connected(scene, alive):
-            return False, (f"coverage is disconnected at t={t}",)
+            return f"coverage is disconnected at t={t}"
         for label, (xlo, ylo), _, _ in reference_fibre(scene, t)[2]:
             if not (
                 scene.window_x[0] <= xlo < scene.window_x[1]
                 and scene.window_y[0] <= ylo < scene.window_y[1]
             ):
-                return False, (f"gap component {label} escapes the window at t={t}",)
-    return True, ()
+                return f"gap component {label} escapes the window at t={t}"
+    return None
 
 
 def point_uncovered(scene, t, p) -> bool:

@@ -30,6 +30,7 @@ from evasion.cli import (
     sections_to_jsonable,
     write_json,
 )
+from evasion.cones import FeasibilityResult
 from evasion.geometry import Box, EvasionPath, PathSegment, Scene, verify_evasion_path
 from evasion.linalg import Matrix, format_rational, parse_rational
 from evasion.randgen import comb_scene, pulsing_box_scene
@@ -92,6 +93,24 @@ class TestCheck:
         assert code == 1
         assert any("disconnected" in v for v in report["violations"])
 
+    @pytest.mark.parametrize("command", ["check", "path", "sheaf"])
+    def test_a_disconnected_scene_is_one_whole_report(self, capsys, tmp_path, command):
+        # the island starts inside a blackout and outlives it: the edge (1, 2)
+        # is the first sample at fault, named by its midpoint
+        island = tmp_path / "island.json"
+        island.write_text(
+            json.dumps(
+                {
+                    "window": {"x": [0, 10], "y": [0, 10]},
+                    "boxes": [{"t": [0, 1], "x": [0, 10], "y": [0, 10]}, {"t": ["1/2", 2], "x": [4, 5], "y": [4, 5]}],
+                }
+            )
+        )
+        assert run_cli(capsys, command, str(island)) == (
+            1,
+            {"error": "scene validation failed", "violations": ["coverage is disconnected at t=3/2"]},
+        )
+
     def test_oracle_flag_cross_checks(self, capsys):
         code, report = run_cli(capsys, "check", "--oracle", fixture_path("crossing_open.json"))
         assert code == 0
@@ -99,6 +118,20 @@ class TestCheck:
         code, report = run_cli(capsys, "check", "--oracle", fixture_path("crossing_blocked.json"))
         assert code == 2
         assert report["oracle"]["section_exists"] is False
+
+    @pytest.mark.parametrize("name, feasible", [("crossing_open.json", True), ("crossing_blocked.json", False)])
+    def test_an_oracle_that_disagrees_is_an_error(self, capsys, monkeypatch, name, feasible):
+        # a simplex that decides the other way round
+        flipped = FeasibilityResult(certificate=()) if feasible else FeasibilityResult(witness=())
+        monkeypatch.setattr(cli, "lp_positive_kernel", lambda matrix: flipped)
+        assert run_cli(capsys, "check", "--oracle", fixture_path(name)) == (
+            1,
+            {
+                "error": "the simplex cross-check disagrees with the decision",
+                "decision_feasible": feasible,
+                "simplex_feasible": not feasible,
+            },
+        )
 
     def test_matrix_flag_embeds_coboundary(self, capsys):
         code, report = run_cli(capsys, "check", "--matrix", fixture_path("crossing_open.json"))
@@ -846,6 +879,11 @@ def _with_stalks(sheaf, **stalks):
     return sheaf
 
 
+def _restricted_twice(sheaf: dict) -> dict:
+    sheaf["restrictions"].append(sheaf["restrictions"][0])
+    return sheaf
+
+
 @pytest.mark.parametrize(
     "sheaf, named",
     [
@@ -885,6 +923,21 @@ def _with_stalks(sheaf, **stalks):
             ["generators of the stalk over v1", "float"],
             id="generator-float",
         ),
+        pytest.param(
+            {**_one_vertex_sheaf(["a"], ["1"]), "stalks": []},
+            ["malformed sheaf JSON: stalks must be an object, got []"],
+            id="stalks-not-an-object",
+        ),
+        pytest.param(
+            _restricted_twice(_one_vertex_sheaf(["a"], ["1"])),
+            ["duplicate restriction v1->e1"],
+            id="duplicate-restriction",
+        ),
+        pytest.param(
+            _with_v1_stalk({"labels": ["a"], "generators": [["1", "0"]], "ambient_dim": 1}),
+            ["the stalk over v1: generator dimension mismatch"],
+            id="generator-dimension",
+        ),
         # stalks for a second vertex and a third edge would be silently ignored
         pytest.param(
             _with_stalks(_one_vertex_sheaf(["a"], ["1"]), v2={"labels": ["a"]}, e3={"labels": ["u"]}),
@@ -899,6 +952,39 @@ def test_ambiguous_sheaf_json_is_rejected(capsys, tmp_path, sheaf, named):
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert all(part in report["error"] for part in named), report["error"]
+
+
+def _violation(vertex, edge, generator, message) -> dict:
+    return {"vertex": vertex, "edge": edge, "generator": generator, "message": message}
+
+
+# the line spanned by v1's generators is no positive cone, and it maps v1.b to -1 in both edges
+LINE_OVER_V1 = _with_v1_stalk({"labels": ["a", "b"], "generators": [["1"], ["-1"]]})
+LINE_OVER_E1 = _with_stalks(_one_vertex_sheaf(["a"], ["1"]), e1={"labels": ["u", "w"], "generators": [["1"], ["-1"]]})
+
+
+@pytest.mark.parametrize("command", ["lp", "matrix"])
+@pytest.mark.parametrize(
+    "sheaf, violations",
+    [
+        pytest.param(
+            LINE_OVER_V1,
+            [
+                _violation("v1", None, None, "stalk over v1 is not a positive cone"),
+                _violation("v1", "e1", "b", "image of v1.b under v1->e1 leaves the edge cone"),
+                _violation("v1", "e2", "b", "image of v1.b under v1->e2 leaves the edge cone"),
+            ],
+            id="vertex-stalk-and-images",
+        ),
+        pytest.param(
+            LINE_OVER_E1, [_violation(None, "e1", None, "stalk over e1 is not a positive cone")], id="edge-stalk"
+        ),
+    ],
+)
+def test_a_sheaf_validation_failure_is_one_whole_report(capsys, tmp_path, command, sheaf, violations):
+    bad = tmp_path / "faulty.json"
+    bad.write_text(json.dumps(sheaf))
+    assert run_cli(capsys, command, str(bad)) == (1, {"error": "sheaf validation failed", "violations": violations})
 
 
 @pytest.mark.parametrize(

@@ -74,26 +74,24 @@ def blocked_scene() -> Scene:
 
 class TestValidateScene:
     def test_window_only_is_ok(self):
-        assert validate_scene(Scene.make((0, 5), (0, 5))).ok
+        assert validate_scene(Scene.make((0, 5), (0, 5))) is None
 
     def test_floating_island_is_disconnected(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), (4, 5), (4, 5))])
-        report = validate_scene(scene)
-        assert not report.ok
-        assert "disconnected" in report.problems[0]
+        assert "disconnected" in validate_scene(scene)
 
     def test_crossing_scenes_are_valid(self):
-        assert validate_scene(OPEN_SCENE).ok
-        assert validate_scene(BLOCKED_SCENE).ok
+        assert validate_scene(OPEN_SCENE) is None
+        assert validate_scene(BLOCKED_SCENE) is None
 
     def test_boxes_touching_on_a_line_or_a_corner_connect(self):
         # a chain off the left frame; each link touches the earlier ones only
         # on its boundary: from the right, at corners, above and below
         links = [((0, 3), (4, 5)), ((3, 5), (4, 5)), ((5, 6), (5, 7)), ((4, 5), (7, 8)), ((4, 5), (8, 9)), ((3, 4), (2, 4))]
         boxes = [Box.make((0, 1), x, y) for x, y in links]
-        assert validate_scene(Scene.make((0, 10), (0, 10), boxes)).ok
+        assert validate_scene(Scene.make((0, 10), (0, 10), boxes)) is None
         loose = Box.make((0, 1), (Fraction(16, 3), Fraction(19, 3)), (5, 7))
-        assert not validate_scene(Scene.make((0, 10), (0, 10), boxes[:2] + [loose] + boxes[3:])).ok
+        assert validate_scene(Scene.make((0, 10), (0, 10), boxes[:2] + [loose] + boxes[3:])) is not None
 
     def test_empty_window_is_an_input_error(self):
         with pytest.raises(ValueError):
@@ -104,23 +102,23 @@ class TestValidateScene:
         ring = [((3, 7), (3, 4)), ((6, 7), (3, 7)), ((3, 7), (6, 7)), ((3, 4), (3, 7))]
         scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), x, y) for x, y in ring])
         assert len(gap_components(scene, 0).seeds) == 2
-        assert not validate_scene(scene).ok
+        assert validate_scene(scene) is not None
 
     @pytest.mark.parametrize("x, y", [((5, 5), (5, 5)), ((5, 5), (3, 7))], ids=["point", "zero-width segment"])
     def test_a_floating_degenerate_box_is_disconnected(self, x, y):
         scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), x, y)])
         assert len(gap_components(scene, 0).seeds) == 1
-        assert validate_scene(scene).problems == ("coverage is disconnected at t=0",)
+        assert validate_scene(scene) == "coverage is disconnected at t=0"
 
     def test_a_fully_covered_window_has_no_gap_and_is_connected(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), (0, 10), (0, 10))])
         assert gap_components(scene, 0).seeds == ()
-        assert validate_scene(scene).ok
+        assert validate_scene(scene) is None
 
     def test_a_box_touching_the_window_at_an_outside_corner_is_connected(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((0, 1), (10, 12), (-2, 0))])
         assert len(gap_components(scene, 0).seeds) == 1
-        assert validate_scene(scene).ok
+        assert validate_scene(scene) is None
 
 
 class TestCriticalTimes:
@@ -216,7 +214,7 @@ class TestBuildSheaf:
 
     def test_built_sheaves_validate(self):
         for scene in (OPEN_SCENE, BLOCKED_SCENE):
-            assert validate_sheaf(build_sheaf(scene)).ok
+            assert validate_sheaf(build_sheaf(scene)) == ()
 
 
 # chains forged on the open crossing, whose sweep chain is
@@ -337,7 +335,7 @@ def _extracted(extract, scene, fibres, sections):
 def _decided(scene):
     """(scene, fibres, sections) of a valid scene, or None."""
     fibres = scene_fibres(scene)
-    return (scene, fibres, global_sections(sheaf_from_fibres(fibres))) if validate_fibres(fibres).ok else None
+    return (scene, fibres, global_sections(sheaf_from_fibres(fibres))) if validate_fibres(fibres) is None else None
 
 
 def test_extract_path_matches_the_per_cell_reference(base_seed):
@@ -388,6 +386,23 @@ class TestVerifyEvasionPath:
         path = _path((None, 1, (2, 2)), (1, None, (5, 5)))
         with pytest.raises(PathVerificationError, match="covered"):
             verify_evasion_path(scene, path)
+
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            ([(0, None, (5, 5))], "path must cover the whole timeline"),
+            ([(None, 0, (5, 5))], "path must cover the whole timeline"),
+            ([], "path must cover the whole timeline"),
+            ([(None, 1, (5, 5)), (2, None, (5, 5))], "consecutive segments must share their boundary time"),
+            ([(None, 5, (5, 5)), (5, 3, (5, 5)), (3, None, (5, 5))], "segment with reversed time interval"),
+            ([(None, None, (0, 5))], "is not strictly inside the window"),
+            ([(None, 1, (5, 5)), (1, None, (5, 10))], "is not strictly inside the window"),
+        ],
+        ids=["bounded-start", "bounded-end", "no-segments", "gap", "reversed", "on-x-frame", "on-y-frame"],
+    )
+    def test_a_path_of_the_wrong_shape_is_refused(self, segments, message):
+        with pytest.raises(PathVerificationError, match=message):
+            verify_evasion_path(Scene.make((0, 10), (0, 10)), _path(*segments))
 
     def test_near_misses_are_accepted(self):
         # the jump passes above a wall stub, beside a box, and across a wall
@@ -546,9 +561,9 @@ def assert_fibres_match_the_reference(scene: Scene) -> bool:
         for M, te in ((sheaf.left_maps[i], edge_times[i]), (sheaf.right_maps[i], edge_times[i + 1])):
             targets = [reference_locate(*reference[te], point) for _, _, point, _ in reference[t][2]]
             assert columns(M.nonzeros, M.cols) == [{r: 1} for r in targets]
-    report = validate_fibres(fibres)
-    assert (report.ok, report.problems) == reference_validate(scene, times)
-    return report.ok
+    problem = validate_fibres(fibres)
+    assert problem == reference_validate(scene, times)
+    return problem is None
 
 
 def test_fibres_and_validation_match_the_fraction_reference(base_seed):
@@ -562,6 +577,20 @@ def test_fibres_and_validation_match_the_fraction_reference(base_seed):
         )
         invalid += not assert_fibres_match_the_reference(scene)
     assert 20 < invalid < 300  # both outcomes are well represented
+
+
+def test_the_unbounded_edges_see_the_open_window(base_seed):
+    # `validate_fibres` reads neither unbounded edge: no box is alive there,
+    # so the gap is the whole open window, whose coverage is connected
+    rng = Random(base_seed)
+    scenes = [*map(fixture_scene, fixtures_with("window")), *(random_candidate(rng, 8) for _ in range(300))]
+    invalid = 0
+    for scene in scenes:
+        fibres = scene_fibres(scene)
+        for fibre in (fibres[2][0], fibres[2][-1]):
+            assert fibre.connected and len(fibre.seeds) == 1
+        invalid += validate_fibres(fibres) is not None
+    assert 20 < invalid < 280  # invalid draws are included
 
 
 def small_integer_scene(rng: Random) -> Scene:
@@ -658,9 +687,9 @@ def test_ranking_is_exact_under_box_order_and_tied_integer_parts(base_seed):
             xs, ys, comps = reference_fibre(scene, t)
             assert (fibre.xs, fibre.ys) == (xs, ys)
             assert [(c.label, c.anchor, c.interior_point, c.faces) for c in fibre.components] == comps
-        report = validate_fibres(fibres)
-        assert (report.ok, report.problems) == reference_validate(scene, times)
-        invalid += not report.ok
+        problem = validate_fibres(fibres)
+        assert problem == reference_validate(scene, times)
+        invalid += problem is not None
         for other in reordered(scene, rng):
             assert scene_fibres(other) == fibres
     assert 5 < invalid < 55  # both outcomes are well represented
@@ -797,7 +826,7 @@ POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7)
 )
 @settings(max_examples=100, deadline=None)
 def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
-    assume(validate_scene(scene).ok)
+    assume(validate_scene(scene) is None)
 
     def outcome(s: Scene) -> tuple[bool, int]:
         sections = global_sections(build_sheaf(s))

@@ -114,8 +114,8 @@ class TestStratification:
 
 class TestValidateSheaf:
     def test_free_inclusion_sheaf_is_ok(self):
-        assert validate_sheaf(crossing_sheaf(True)).ok
-        assert validate_sheaf(crossing_sheaf(False)).ok
+        assert validate_sheaf(crossing_sheaf(True)) == ()
+        assert validate_sheaf(crossing_sheaf(False)) == ()
 
     def test_restriction_leaving_the_target_cone_is_reported(self):
         strat = Stratification.make([0])
@@ -128,9 +128,7 @@ class TestValidateSheaf:
             (bad,),
             (good,),
         )
-        report = validate_sheaf(sheaf)
-        assert not report.ok
-        (violation,) = report.violations
+        (violation,) = validate_sheaf(sheaf)
         assert violation.vertex == "v1" and violation.edge == "e1" and violation.generator == "a"
 
     def test_non_positive_stalk_is_reported(self):
@@ -138,8 +136,23 @@ class TestValidateSheaf:
         line = PolyhedralCone.make([(1,), (-1,)])
         ident = Matrix.identity(1)
         sheaf = ConeSheaf(strat, (line,), (free(["u"]), free(["u"])), (ident,), (ident,))
-        report = validate_sheaf(sheaf)
-        assert any("positive" in v.message for v in report.violations)
+        assert any("positive" in v.message for v in validate_sheaf(sheaf))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((0, 2, 1, 1), "expected 1 vertex stalks, got 0"),
+            ((1, 3, 1, 1), "expected 2 edge stalks, got 3"),
+            ((1, 2, 0, 1), "need one left and one right restriction per vertex"),
+            ((1, 2, 1, 2), "need one left and one right restriction per vertex"),
+        ],
+        ids=["vertex-stalks", "edge-stalks", "left-maps", "right-maps"],
+    )
+    def test_cell_counts_are_checked_at_construction(self, counts, message):
+        # one vertex: one vertex stalk, two edge stalks, one map to each side
+        items = (free(["a"]), free(["u"]), Matrix.identity(1), Matrix.identity(1))
+        with pytest.raises(ValueError, match=message):
+            ConeSheaf(Stratification.make([0]), *((item,) * n for item, n in zip(items, counts)))
 
     def test_shape_mismatch_rejected_at_construction(self):
         strat = Stratification.make([0])
