@@ -5,8 +5,10 @@ Both `src/evasion` trees are imported into one process: the evasion modules
 are dropped from `sys.modules` and imported again from the other tree's
 `src`, as `perfbench/program.load_program` does, and each tree's `cli`
 keeps its own module objects. The scenes are built once by this tree's
-`evasion.randgen` and written as JSON files: pulsing, blocked and comb at
-one size each, and seeded `random_scene(rng, 10)` draws.
+`evasion.randgen` and written as JSON files: pulsing, blocked, comb and
+slalom at one size each, and seeded `random_scene(rng, 10)` draws. Slalom's
+path hops at every event, so its checks are mostly path extraction and
+verification.
 
 Every file is first checked once in each tree, untimed, and the two reports
 are compared with `timing_ms` removed, exit codes included; any difference
@@ -24,7 +26,8 @@ over the other; below 1 means this tree is faster) and the number of pairs
 this tree won.
 
 Usage: python scripts/pair_check.py OTHER_CHECKOUT [--pairs N] [--turn SECONDS]
-       [--seed S] [--pulsing N] [--blocked N] [--comb M] [--random COUNT]
+       [--seed S] [--pulsing N] [--blocked N] [--comb M] [--slalom N]
+       [--random COUNT]
 """
 
 import argparse
@@ -66,6 +69,7 @@ def write_scenes(cli, randgen, args, workdir: Path) -> dict[str, list[str]]:
         "pulsing": [randgen.pulsing_box_scene(args.pulsing)],
         "blocked": [randgen.blocked_scene(args.blocked)],
         "comb": [randgen.comb_scene(args.comb)],
+        "slalom": [randgen.slalom_scene(args.slalom)],
         "random": [randgen.random_scene(rng, 10) for _ in range(args.random)],
     }
     files = {}
@@ -114,6 +118,7 @@ def main() -> int:
     parser.add_argument("--pulsing", type=int, default=400, help="critical times of the pulsing scene")
     parser.add_argument("--blocked", type=int, default=400, help="critical times of the blocked scene")
     parser.add_argument("--comb", type=int, default=24, help="walls of the comb scene")
+    parser.add_argument("--slalom", type=int, default=100, help="box pairs of the slalom scene")
     parser.add_argument("--random", type=int, default=200, help="number of random scenes")
     args = parser.parse_args()
     if args.pairs < 2:

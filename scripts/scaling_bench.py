@@ -11,8 +11,10 @@ built by `evasion.randgen`.
   verdict NO_EVASION, so the check ends in the sweep's potential and its
   certificate instead of a path.
 - slalom n: 2n boxes that each cover one half of the window in turn, so the
-  path hops at every event and its 2n segments are verified against every
-  box: the "path" column grows quadratically.
+  path hops at every event. The boxes lie on two spatial rectangles, and
+  its 2n segments and jumps are verified once per rectangle, each by a
+  bisection over that rectangle's boxes sorted by birth: the "path" column
+  grows as n log n.
 
 Each scene is written as JSON text, and "parse" times reading it back with
 `evasion.cli.scene_from_jsonable`. The scene then runs through
@@ -34,19 +36,28 @@ Each case runs REPEATS times and every column is the median over those runs.
 `run_check` runs with the collector on, as `main` would not run it, so the
 count measures the pipeline's allocation churn.
 
+With `--out FILE` the script also writes a JSON file: one row per (family,
+size, stage) with the median, first and third quartile of the REPEATS runs
+in ms, and one least-squares slope of log(median) against log(size) per
+(family, stage) run at two sizes or more, the stage's growth exponent.
+
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
-       [--blocked sizes ...] [--slalom sizes ...]
+       [--blocked sizes ...] [--slalom sizes ...] [--out FILE]
 """
 
 import argparse
 import gc
 import io
 import json
+import os
+import platform
+import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from math import log
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 from evasion.cli import (
     main as evasion_main,
@@ -96,12 +107,42 @@ def check_once(scene_file: Path) -> float:
         return (time.perf_counter() - t0) * 1000
 
 
+def slope(points: list[tuple[int, float]]) -> float:
+    """The least-squares slope of log(median) against log(size)."""
+    xs = [log(size) for size, _ in points]
+    ys = [log(ms) for _, ms in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def write_out(path: str, rows: list[dict]) -> None:
+    """The rows, and the slope of each (family, stage) with two sizes or more, as JSON."""
+    growth: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    for row in rows:
+        growth.setdefault((row["family"], row["stage"]), []).append((row["size"], row["median_ms"]))
+    slopes = [
+        {"family": family, "stage": stage, "sizes": [size for size, _ in points], "slope": round(slope(points), 3)}
+        for (family, stage), points in growth.items()
+        if len({size for size, _ in points}) > 1 and all(ms > 0 for _, ms in points)
+    ]
+    data = {
+        "command": ["scripts/scaling_bench.py", *sys.argv[1:]],
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "repeats": REPEATS,
+        "rows": rows,
+        "slopes": slopes,
+    }
+    Path(path).write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000], help="pulsing critical times")
     parser.add_argument("--comb", nargs="*", type=int, default=[10, 40], metavar="M", help="comb walls")
     parser.add_argument("--blocked", nargs="*", type=int, default=[10, 100, 1000], metavar="N", help="blocked times")
     parser.add_argument("--slalom", nargs="*", type=int, default=[10, 100], metavar="N", help="slalom box pairs")
+    parser.add_argument("--out", metavar="FILE", help="also write the rows and growth slopes to FILE as JSON")
     args = parser.parse_args()
     header = "".join(f" {stage:>11}" for stage in STAGES)
     print(f"{'family':>8} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
@@ -111,6 +152,7 @@ def main() -> None:
         *(("blocked", n, blocked_scene) for n in args.blocked),
         *(("slalom", n, slalom_scene) for n in args.slalom),
     ]
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         scene_file = Path(tmp) / "scene.json"
         for family, size, make in cases:
@@ -120,13 +162,22 @@ def main() -> None:
             runs = [run_once(text) for _ in range(REPEATS)]
             for timing, _, _ in runs:
                 timing["check"] = check_once(scene_file)
+            count = len(critical_times(scene))
             columns = ""
             for stage in STAGES:
                 times = [timing[stage] for timing, _, _ in runs if stage in timing]
-                columns += f" {median(times):>9.1f}ms" if len(times) == REPEATS else f" {'-':>11}"
+                if len(times) < REPEATS:
+                    columns += f" {'-':>11}"
+                    continue
+                q1, mid, q3 = quantiles(times, n=4, method="inclusive")
+                columns += f" {mid:>9.1f}ms"
+                row = {"family": family, "size": size, "critical_times": count, "stage": stage}
+                rows.append(row | {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)})
             collected = median(n for _, n, _ in runs)
             verdict = runs[0][2]
-            print(f"{family:>8} {size:>6} {len(critical_times(scene)):>6}{columns} {collected:>4g}  {verdict}")
+            print(f"{family:>8} {size:>6} {count:>6}{columns} {collected:>4g}  {verdict}")
+    if args.out:
+        write_out(args.out, rows)
 
 
 if __name__ == "__main__":

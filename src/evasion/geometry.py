@@ -30,18 +30,22 @@ covered window has no gap, characteristic 0, and connected coverage.
 
 The arrangement and the time sweep run on integer ranks. Each scene gets one
 rank table that ranks its three axes once: the x and y coordinates of the
-window and of every box, and the times of the window-relevant boxes. Values
-are deduplicated by their (numerator, denominator) pair and sorted by the
-exact key (integer part, value), so no `Fraction` is hashed and two are
-compared only when they share an integer part. Window relevance and clamping
-compare ranks, and the table keeps the sorted distinct x and y coordinates of
-the window and of the relevant boxes clamped to it, the critical times, and
-each relevant box's rank rectangle and time span. Ranking is strictly
-increasing on those finite sets and every comparison the sweep, the
-arrangement, the validation and the restrictions make is between their
-members, so ranks take every branch the rationals would; `Fraction` values
-appear only in the outputs (grid coordinates, vertex times, the anchors and
-interior points read off a fibre, the sample time of a validation message).
+window and of one box per spatial rectangle, and the times of the
+window-relevant boxes. Boxes share a rectangle when they share their four
+coordinate objects, as boxes the scene reader reads from the same literals
+do, so a sensor that switches on and off many times is ranked, tested for
+relevance and clamped once. Values are deduplicated by their (numerator,
+denominator) pair and sorted by the exact key (integer part, value), so no
+`Fraction` is hashed and two are compared only when they share an integer
+part. Window relevance and clamping compare ranks, and the table keeps the
+sorted distinct x and y coordinates of the window and of the relevant boxes
+clamped to it, the critical times, and each relevant box's rank rectangle
+and time span. Ranking is strictly increasing on those finite sets and every
+comparison the sweep, the arrangement, the validation and the restrictions
+make is between their members, so ranks take every branch the rationals
+would; `Fraction` values appear only in the outputs (grid coordinates,
+vertex times, the anchors and interior points read off a fibre, the sample
+time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -64,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, starmap
+from itertools import accumulate, compress, count, starmap
 from operator import floordiv, itemgetter
 
 from evasion.cones import PolyhedralCone
@@ -255,7 +259,8 @@ def _ranks(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
 class _RankTable:
     """The integer coordinates of one scene.
 
-    Each axis is ranked once over the window and every box (`_ranks`), and
+    The x and y axes are ranked once over the window and one box per spatial
+    rectangle (`_ranks`), the times over the window-relevant boxes, and
     window relevance and clamping compare those ranks. The table keeps the
     window-relevant boxes only: `rects[b]` is box b clamped to the window
     as ranks (x0, x1, y0, y1) into `xs` and `ys`, and `spans[b]` its time
@@ -269,27 +274,43 @@ class _RankTable:
     spans: tuple[tuple[int, int], ...]
 
 
+def _rectangle_keys(boxes) -> list[tuple[int, int, int, int]]:
+    """The spatial rectangle of each box, keyed by the identities of its four
+    coordinate objects. Equal keys mean one rectangle, as identical objects
+    are equal; the scene reader returns one `Fraction` per distinct literal,
+    so boxes read from the same literals share a key, and boxes built apart
+    form groups of one."""
+    return [(id(b.x[0]), id(b.x[1]), id(b.y[0]), id(b.y[1])) for b in boxes]
+
+
 def _rank_table(scene: Scene) -> _RankTable:
+    """The scene's rank table. The x and y axes are ranked over the window
+    and one box per spatial rectangle (`_rectangle_keys`), and relevance and
+    clamping are worked out once per rectangle; a box costs only its key, its
+    time span and a lookup of its rectangle's clamped ranks."""
     boxes = scene.boxes
-    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in boxes for c in b.x)])
-    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in boxes for c in b.y)])
-    times, clamped = [], []
-    for box, x0, x1, y0, y1 in zip(boxes, bx[0::2], bx[1::2], by[0::2], by[1::2]):
+    keys = _rectangle_keys(boxes)
+    shapes = dict(zip(keys, boxes))  # one box per rectangle
+    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes.values() for c in b.x)])
+    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes.values() for c in b.y)])
+    clamped = {}
+    for key, x0, x1, y0, y1 in zip(shapes, bx[0::2], bx[1::2], by[0::2], by[1::2]):
         # does the closed box meet the open window interior?
         if x0 < wx1 and x1 > wx0 and y0 < wy1 and y1 > wy0:
-            times += box.t
-            clamped.append((max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1)))
-    # keep the ranks the window and the clamped relevant boxes use
-    xcut = sorted({wx0, wx1, *(c for r in clamped for c in r[:2])})
-    ycut = sorted({wy0, wy1, *(c for r in clamped for c in r[2:])})
+            clamped[key] = (max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1))
+    # keep the ranks the window and the clamped relevant rectangles use
+    xcut = sorted({wx0, wx1, *(c for r in clamped.values() for c in r[:2])})
+    ycut = sorted({wy0, wy1, *(c for r in clamped.values() for c in r[2:])})
     xpos = dict(zip(xcut, count()))
     ypos = dict(zip(ycut, count()))
-    ts, tr = _ranks(times)
+    rects = {key: (xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for key, (x0, x1, y0, y1) in clamped.items()}
+    relevant = list(map(rects.__contains__, keys))
+    ts, tr = _ranks([c for b in compress(boxes, relevant) for c in b.t])
     return _RankTable(
         tuple(map(xv.__getitem__, xcut)),
         tuple(map(yv.__getitem__, ycut)),
         tuple(ts),
-        tuple((xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for x0, x1, y0, y1 in clamped),
+        tuple(map(rects.__getitem__, compress(keys, relevant))),
         tuple(zip(tr[0::2], tr[1::2])),
     )
 
@@ -594,7 +615,7 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     the interior point, each `_edge_face`, each `_route` and each hop list
     are worked out once per distinct key, and Python walks only the edges
     whose transition moves the path (`itertools.compress`). Path
-    verification still checks every segment and jump against every box.
+    verification tests each segment and jump once per spatial rectangle.
     """
     chain = sections.chain
     if chain is None:
@@ -682,6 +703,34 @@ def _segment_meets_box(p: Point, q: Point, box: Box) -> bool:
     return True
 
 
+def _lifetimes(keys: list, boxes: tuple[Box, ...]):
+    """`meets(key, lo, hi)`: is some box of rectangle `key` alive somewhere
+    on the closed time span [lo, hi], None being an unbounded side?
+
+    The boxes are listed per rectangle in one pass, on the first call. A
+    rectangle's spans are sorted by birth on its first call, with the latest
+    death of every prefix: the boxes born by hi are a prefix, found by one
+    bisection, and one of them meets the span iff that prefix's latest death
+    is at least lo. So a rectangle of B_g boxes costs O(B_g log B_g) once
+    and O(log B_g) per call."""
+    spans: dict = {}
+    index: dict = {}
+
+    def meets(key, lo: Fraction | None, hi: Fraction | None) -> bool:
+        found = index.get(key)
+        if found is None:
+            if not spans:
+                for k, box in zip(keys, boxes):
+                    spans.setdefault(k, []).append(box.t)
+            births, deaths = zip(*sorted(spans[key]))
+            found = index[key] = births, tuple(accumulate(deaths, max))
+        births, deaths = found
+        n = len(births) if hi is None else bisect_right(births, hi)
+        return n > 0 and (lo is None or deaths[n - 1] >= lo)
+
+    return meets
+
+
 def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     """Exact re-check of a path against the raw scene.
 
@@ -689,9 +738,21 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     box whose closed time interval meets the segment's closed time span,
     unbounded sides included. Every instantaneous move must keep its whole
     straight segment out of every box alive at its time (its ends are held
-    points, so the convex window holds it). This costs O(#boxes) per segment
-    and per jump. Raises PathVerificationError on any contact (which would
-    be a bug)."""
+    points, so the convex window holds it). Raises PathVerificationError on
+    any contact (which would be a bug), naming for a held point the first
+    such box in scene order.
+
+    The boxes are grouped by spatial rectangle (`_rectangle_keys`), and each
+    held point and each jump is tested once per rectangle on one box of it:
+    a held point by containment, then by whether a box of the rectangle is
+    alive on its span (`_lifetimes`); a jump by whether a box of it is alive
+    at its time, then by clipping the hop against the rectangle. With B
+    boxes, S segments, J jumps and G rectangles that is O(B + (S + J) G)
+    rectangle tests, a test of rectangle g costing O(log B_g) for its B_g
+    boxes, plus O(B_g log B_g) once for each rectangle that a test stabs.
+    A scene whose boxes each have their own rectangle (G = B) still costs
+    O((S + J) B). The checks use the boxes' exact `Fraction` coordinates
+    and no ranks, fibres or sheaf."""
     segs = path.segments
     if not segs or segs[0].start is not None or segs[-1].end is not None:
         raise PathVerificationError("path must cover the whole timeline")
@@ -699,23 +760,26 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
         if a.end is None or b.start != a.end:
             raise PathVerificationError("consecutive segments must share their boundary time")
     (wxlo, wxhi), (wylo, wyhi) = scene.window_x, scene.window_y
+    boxes = scene.boxes
+    keys = _rectangle_keys(boxes)
+    shapes = dict(zip(keys, boxes))  # one box per rectangle
+    meets = _lifetimes(keys, boxes)
     for seg in segs:
-        if seg.start is not None and seg.end is not None and seg.start > seg.end:
+        start, end, p = seg.start, seg.end, seg.point
+        if start is not None and end is not None and start > end:
             raise PathVerificationError("segment with reversed time interval")
-        x, y = seg.point
-        if not (wxlo < x < wxhi and wylo < y < wyhi):
-            raise PathVerificationError(f"path point {seg.point} is not strictly inside the window")
-        for box in scene.boxes:
-            if (
-                box.contains(seg.point)
-                and (seg.end is None or box.t[0] <= seg.end)
-                and (seg.start is None or seg.start <= box.t[1])
-            ):
-                raise PathVerificationError(
-                    f"path point {seg.point} is covered by a box alive on [{box.t[0]}, {box.t[1]}]"
+        if not (wxlo < p[0] < wxhi and wylo < p[1] < wyhi):
+            raise PathVerificationError(f"path point {p} is not strictly inside the window")
+        for key, shape in shapes.items():
+            if shape.contains(p) and meets(key, start, end):
+                box = next(
+                    b
+                    for b in boxes
+                    if b.contains(p) and (end is None or b.t[0] <= end) and (start is None or start <= b.t[1])
                 )
+                raise PathVerificationError(f"path point {p} is covered by a box alive on [{box.t[0]}, {box.t[1]}]")
     for a, b in zip(segs, segs[1:]):
         t = a.end
-        for box in scene.boxes:
-            if box.alive(t) and _segment_meets_box(a.point, b.point, box):
+        for key, shape in shapes.items():
+            if meets(key, t, t) and _segment_meets_box(a.point, b.point, shape):
                 raise PathVerificationError(f"jump from {a.point} to {b.point} at t={t} is covered")

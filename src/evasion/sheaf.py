@@ -25,8 +25,9 @@ certificate exactly:
     left-to-right reachability sweep decides it in O(#generators), building
     no matrix, and emits both Stiemke objects (`section_sweep`). Its section
     chain, one generator per cell, is kept on the result: the witness is
-    built from it, and `section_chain` labels it. kernel_dim is a cycle rank.
-    `sweep_sections` takes this path or raises UnsupportedSheafError.
+    built from it, and `section_chain` labels it. kernel_dim is a cycle rank,
+    counted by `global_sections` only. `sweep_sections` takes this path or
+    raises UnsupportedSheafError.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -206,10 +207,11 @@ class GlobalSections:
     `row_names` and `column_names` as the "cell.label" strings a report
     prints, each formatted once from `Stratification.cells` and the stalk
     labels. kernel_dim (columns minus rank) and decision are None when only
-    the coboundary was asked for. chain is the sweep's section chain, one
-    generator index per cell in time order (`section_chain` labels it), on a
-    feasible sweep decision; the witness is built from it. It is None for
-    every other decision.
+    the coboundary was asked for, and kernel_dim is None on `sweep_sections`'
+    decision. chain is the sweep's section chain, one generator index per
+    cell in time order (`section_chain` labels it), on a feasible sweep
+    decision; the witness is built from it. It is None for every other
+    decision.
     """
 
     sheaf: ConeSheaf | FunctionSheaf = field(repr=False)
@@ -344,6 +346,22 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
         return sections
     # a FunctionSheaf is valid as it stands
+    return _swept(S, F, cycle_rank(F))
+
+
+def sweep_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
+    """`global_sections` of a sheaf the sweep decides, its chain kept on a feasible
+    decision and its kernel_dim left None; UnsupportedSheafError, naming a cell of
+    the normalised sheaf, for any other."""
+    S = _normalise(S)
+    F = S if isinstance(S, FunctionSheaf) else generator_maps(S)
+    return _swept(F, F, None)
+
+
+def _swept(S: ConeSheaf | FunctionSheaf, F: FunctionSheaf, kernel_dim: int | None) -> GlobalSections:
+    """The sweep's decision on F, the generator maps of the normalised sheaf S,
+    re-checked: a witness built from its chain, or its integer potential as the
+    certificate."""
     chain, y = section_sweep(F)
     if chain is not None:
         # every vertex generator must restrict to the edge generators beside it; weight 1/k each
@@ -367,14 +385,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         if any(a[li] <= b[ri] for a, b, (left, right) in zip(y, y[1:], F.maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(certificate=tuple(v for block in y[1:-1] for v in block))
-    return GlobalSections(S, cycle_rank(F), decision, chain)
-
-
-def sweep_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
-    """`global_sections` of a sheaf the sweep decides, its chain kept on a feasible
-    decision; UnsupportedSheafError, naming a cell of the normalised sheaf, for any other."""
-    S = _normalise(S)
-    return global_sections(S if isinstance(S, FunctionSheaf) else generator_maps(S))
+    return GlobalSections(S, kernel_dim, decision, chain)
 
 
 def generator_maps(S: ConeSheaf) -> FunctionSheaf:
@@ -422,7 +433,9 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
     elsewhere the length of the longest chain from the generator to the
     right unbounded edge or a dead end. Each arc then drops by at least 1.
     Each stalk size is read once, and an arc from an unreachable generator
-    is passed over before its right image is read.
+    is passed over before its right image is read. The longest chains are
+    counted backwards only down to the first edge with an unreached
+    generator; every edge before it is reached whole.
     """
     k, maps = S.strat.k, S.maps
     sizes = [len(stalk.labels) for stalk in S.edge_stalks]
@@ -443,9 +456,13 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
             target = maps[i][0][g]
             backwards += (g, target)
         return tuple(reversed(backwards)), None
+    # edges before the first one with an unreached generator are reached
+    # whole, so their blocks are all -j, and the longest chains there, read
+    # only by the edges before them, need not be counted
+    first = next((j for j in range(1, k) if len(reach[j]) < sizes[j]), k)
     longest = [0] * sizes[k]
     blocks = [longest]
-    for j in range(k - 1, 0, -1):
+    for j in range(k - 1, first - 1, -1):
         left, right = maps[j]
         here = [0] * sizes[j]
         for li, ri in zip(left, right):
@@ -456,6 +473,7 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
             block[d] = -j
         blocks.append(block)
         longest = here
+    blocks += ([-j] * sizes[j] for j in range(first - 1, 0, -1))
     blocks.append([0] * sizes[0])
     return None, blocks[::-1]
 

@@ -6,12 +6,16 @@ witness, into weighted chains. Each walks the vertices itself and keeps its
 own generator index per cell; only the labels come from the public
 `section_chain`. Only tests and `scripts/oracle_fuzz.py` use them; the
 production decision is the sweep of `evasion.sheaf`.
+
+`reference_section_sweep` is that sweep with the NO_EVASION potential's
+backward pass run over every precompact edge, the version `section_sweep`
+replaced; the tests require equal output from both.
 """
 
 from fractions import Fraction
 
 from evasion.linalg import ZERO
-from evasion.sheaf import CellLabel, ConeSheaf, assemble_coboundary, generator_maps, refine, section_chain
+from evasion.sheaf import CellLabel, ConeSheaf, FunctionSheaf, assemble_coboundary, generator_maps, refine, section_chain
 
 
 def enumerate_sections(S: ConeSheaf, cap: int) -> list[tuple[CellLabel, ...]]:
@@ -101,3 +105,42 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[tuple[CellLabel, ...], Fractio
     if any(work):
         raise ValueError("witness mass left over after decomposition; not a decomposable witness")
     return out
+
+
+def reference_section_sweep(S: FunctionSheaf):
+    """`section_sweep` with the longest chains counted back over every
+    precompact edge, reached or not."""
+    k, maps = S.strat.k, S.maps
+    sizes = [len(stalk.labels) for stalk in S.edge_stalks]
+    reached: dict = dict.fromkeys(range(sizes[0]))
+    reach = [reached]
+    for left, right in maps:
+        nxt: dict = {}
+        for g, li in enumerate(left):
+            if li in reached and right[g] not in nxt:
+                nxt[right[g]] = g
+        reach.append(nxt)
+        reached = nxt
+    if reached:
+        target = min(reached)
+        backwards = [target]
+        for i in range(k - 1, -1, -1):
+            g = reach[i + 1][target]
+            target = maps[i][0][g]
+            backwards += (g, target)
+        return tuple(reversed(backwards)), None
+    longest = [0] * sizes[k]
+    blocks = [longest]
+    for j in range(k - 1, 0, -1):
+        left, right = maps[j]
+        here = [0] * sizes[j]
+        for li, ri in zip(left, right):
+            if longest[ri] >= here[li]:
+                here[li] = longest[ri] + 1
+        block = here.copy()
+        for d in reach[j]:
+            block[d] = -j
+        blocks.append(block)
+        longest = here
+    blocks.append([0] * sizes[0])
+    return None, blocks[::-1]

@@ -19,6 +19,12 @@ Python, looking each face and route up per cell; `extract_path` works them
 out once per distinct fibre transition, and the tests require the same path
 or the same error from both. It shares `_edge_face`, `_route` and path
 verification with the production path.
+
+`reference_verify_evasion_path` is the path verifier that compares every
+held point and every jump with every box; `verify_evasion_path` tests them
+once per spatial rectangle, and the tests require the same verdict and the
+same message from both. It shares only the exact clipping test
+`_segment_meets_box` with the production path.
 """
 
 from bisect import bisect_left, bisect_right
@@ -29,12 +35,14 @@ from evasion.geometry import (
     Fibres,
     GeometryError,
     PathSegment,
+    PathVerificationError,
     Point,
     Scene,
     _arrange,
     _edge_face,
     _rank_table,
     _route,
+    _segment_meets_box,
     verify_evasion_path,
 )
 from evasion.sheaf import GlobalSections, section_chain
@@ -303,3 +311,36 @@ def reference_extract_path(scene: Scene, fibres: Fibres, sections: GlobalSection
     path = EvasionPath(segments=tuple(segments), chain=section_chain(sections.sheaf, chain))
     verify_evasion_path(scene, path)
     return path
+
+
+def reference_verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
+    """`verify_evasion_path` as a comparison of every segment and every jump
+    with every box, the version it replaced: O(#boxes) per segment and per
+    jump."""
+    segs = path.segments
+    if not segs or segs[0].start is not None or segs[-1].end is not None:
+        raise PathVerificationError("path must cover the whole timeline")
+    for a, b in zip(segs, segs[1:]):
+        if a.end is None or b.start != a.end:
+            raise PathVerificationError("consecutive segments must share their boundary time")
+    (wxlo, wxhi), (wylo, wyhi) = scene.window_x, scene.window_y
+    for seg in segs:
+        if seg.start is not None and seg.end is not None and seg.start > seg.end:
+            raise PathVerificationError("segment with reversed time interval")
+        x, y = seg.point
+        if not (wxlo < x < wxhi and wylo < y < wyhi):
+            raise PathVerificationError(f"path point {seg.point} is not strictly inside the window")
+        for box in scene.boxes:
+            if (
+                box.contains(seg.point)
+                and (seg.end is None or box.t[0] <= seg.end)
+                and (seg.start is None or seg.start <= box.t[1])
+            ):
+                raise PathVerificationError(
+                    f"path point {seg.point} is covered by a box alive on [{box.t[0]}, {box.t[1]}]"
+                )
+    for a, b in zip(segs, segs[1:]):
+        t = a.end
+        for box in scene.boxes:
+            if box.alive(t) and _segment_meets_box(a.point, b.point, box):
+                raise PathVerificationError(f"jump from {a.point} to {b.point} at t={t} is covered")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import evasion.geometry
 import evasion.sheaf
+from evasion import randgen
 from evasion.cli import main, path_to_jsonable, run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.cones import lp_positive_kernel
 from evasion.geometry import (
@@ -20,6 +21,8 @@ from evasion.geometry import (
     PathVerificationError,
     Scene,
     SceneValidationError,
+    _rank_table,
+    _rectangle_keys,
     build_sheaf,
     critical_times,
     extract_path,
@@ -43,6 +46,7 @@ from reference_geometry import (
     reference_fibre,
     reference_locate,
     reference_validate,
+    reference_verify_evasion_path,
 )
 from golden import (
     BLOCKED_COBOUNDARY,
@@ -365,27 +369,76 @@ def _path(*segments) -> EvasionPath:
     )
 
 
+def _verdict(verify, scene: Scene, path: EvasionPath) -> str | None:
+    """The message of the verifier's refusal, or None if it accepts."""
+    try:
+        verify(scene, path)
+    except PathVerificationError as exc:
+        return str(exc)
+    return None
+
+
+def verify_both(scene: Scene, path: EvasionPath) -> None:
+    """`verify_evasion_path`, once the reference has given the same verdict
+    and the same message."""
+    assert _verdict(verify_evasion_path, scene, path) == _verdict(reference_verify_evasion_path, scene, path)
+    verify_evasion_path(scene, path)
+
+
+def one_rectangle(*spans, x=(4, 6), y=(4, 6)) -> list[Box]:
+    """Boxes over the given time spans that share their four coordinate
+    objects, so that they form one spatial rectangle."""
+    x, y = (Fraction(x[0]), Fraction(x[1])), (Fraction(y[0]), Fraction(y[1]))
+    return [Box((Fraction(t0), Fraction(t1)), x, y) for t0, t1 in spans]
+
+
 class TestVerifyEvasionPath:
     """Each rejected path passes a check that probes three times per held
-    segment and three points per jump."""
+    segment and three points per jump. Every case is run through the
+    reference verifier too, which must give the same verdict and message."""
 
     def test_box_alive_inside_a_held_segment(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((2, 3), (4, 6), (4, 6))])
         path = _path((None, 0, (1, 1)), (0, 10, (5, 5)), (10, None, (1, 1)))
         with pytest.raises(PathVerificationError, match="covered"):
-            verify_evasion_path(scene, path)
+            verify_both(scene, path)
 
     def test_jump_through_a_zero_width_wall(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((4, 6), (3, 3), (0, 10))])
         path = _path((None, 5, (1, 5)), (5, None, (9, 5)))
         with pytest.raises(PathVerificationError, match="jump"):
-            verify_evasion_path(scene, path)
+            verify_both(scene, path)
 
     def test_blackout_over_the_unbounded_tail(self):
         scene = Scene.make((0, 10), (0, 10), [Box.make((50, 60), (0, 10), (0, 10))])
         path = _path((None, 1, (2, 2)), (1, None, (5, 5)))
         with pytest.raises(PathVerificationError, match="covered"):
-            verify_evasion_path(scene, path)
+            verify_both(scene, path)
+
+    def test_only_the_middle_box_by_birth_meets_the_span(self):
+        # born 0, 3/2 and 2 on one rectangle; the last one born by t=4 dies
+        # at 5/2, before the span, so only the prefix maximum of the deaths,
+        # the middle box's 5, shows the contact
+        boxes = one_rectangle((2, Fraction(5, 2)), (0, 1), (Fraction(3, 2), 5))
+        scene = Scene.make((0, 10), (0, 10), boxes)
+        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        path = _path((None, 3, (1, 1)), (3, 4, (5, 5)), (4, None, (1, 1)))
+        with pytest.raises(PathVerificationError, match=r"covered by a box alive on \[3/2, 5\]"):
+            verify_both(scene, path)
+
+    def test_a_rectangle_whose_boxes_all_die_before_the_span(self):
+        scene = Scene.make((0, 10), (0, 10), one_rectangle((1, 2), (0, 1), (Fraction(1, 2), Fraction(3, 2))))
+        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        verify_both(scene, _path((None, Fraction(5, 2), (1, 1)), (Fraction(5, 2), None, (5, 5))))
+
+    def test_an_instantaneous_box_alive_exactly_at_a_hop_time(self):
+        boxes = one_rectangle((0, 1), (3, 3), (5, 6), x=(4, 6), y=(0, 10))
+        scene = Scene.make((0, 10), (0, 10), boxes)
+        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        with pytest.raises(PathVerificationError, match="jump from .* at t=3 is covered"):
+            verify_both(scene, _path((None, 3, (1, 5)), (3, None, (9, 5))))
+        # a hop just after the instant passes
+        verify_both(scene, _path((None, Fraction(7, 2), (1, 5)), (Fraction(7, 2), None, (9, 5))))
 
     @pytest.mark.parametrize(
         "segments, message",
@@ -402,7 +455,7 @@ class TestVerifyEvasionPath:
     )
     def test_a_path_of_the_wrong_shape_is_refused(self, segments, message):
         with pytest.raises(PathVerificationError, match=message):
-            verify_evasion_path(Scene.make((0, 10), (0, 10)), _path(*segments))
+            verify_both(Scene.make((0, 10), (0, 10)), _path(*segments))
 
     def test_near_misses_are_accepted(self):
         # the jump passes above a wall stub, beside a box, and across a wall
@@ -418,7 +471,93 @@ class TestVerifyEvasionPath:
             ],
         )
         path = _path((None, 5, (1, 5)), (5, None, (9, 5)))
-        verify_evasion_path(scene, path)
+        verify_both(scene, path)
+
+
+def separate(scene: Scene) -> Scene:
+    """The scene with fresh coordinate objects in every box, so that every
+    box is a spatial rectangle of its own."""
+    return replace(scene, boxes=tuple(Box.make(b.t, b.x, b.y) for b in scene.boxes))
+
+
+def mutated(path: EvasionPath, scene: Scene, rng: Random) -> list[EvasionPath]:
+    """Paths near `path`: per box, a held point moved to the box's centre and
+    a hop time moved onto the box's birth or death; and one segment dropped,
+    its neighbour taking its span over."""
+    segs = list(path.segments)
+    out = []
+    for box in scene.boxes:
+        i = rng.randrange(len(segs))
+        centre = ((box.x[0] + box.x[1]) / 2, (box.y[0] + box.y[1]) / 2)
+        out.append([*segs[:i], replace(segs[i], point=centre), *segs[i + 1 :]])
+        if len(segs) > 1:
+            j, t = rng.randrange(len(segs) - 1), rng.choice(box.t)
+            out.append([*segs[:j], replace(segs[j], end=t), replace(segs[j + 1], start=t), *segs[j + 2 :]])
+    if len(segs) > 1:
+        i = rng.randrange(len(segs))
+        rest = segs[:i] + segs[i + 1 :]
+        if i:
+            rest[i - 1] = replace(rest[i - 1], end=segs[i].end)
+        else:
+            rest[0] = replace(rest[0], start=None)
+        out.append(rest)
+    return [EvasionPath(tuple(segments), path.chain) for segments in out]
+
+
+def echoed(scene: Scene, rng: Random) -> Scene:
+    """The scene plus, for each box, two boxes on its rectangle (the same
+    coordinate objects) born at shifted times and living longer or shorter,
+    so that rectangles hold several boxes in no order of birth or death."""
+    shifts = (-3, -1, Fraction(-1, 2), Fraction(1, 3), 2, 5)
+    echoes = [
+        Box((b.t[0] + d, max(b.t[0], b.t[1] + rng.choice((-2, 0, 3))) + d), b.x, b.y)
+        for b in scene.boxes
+        for d in rng.sample(shifts, 2)
+    ]
+    boxes = [*scene.boxes, *echoes]
+    rng.shuffle(boxes)
+    return replace(scene, boxes=tuple(boxes))
+
+
+def test_verify_evasion_path_matches_the_direct_reference(base_seed):
+    # extracted paths and their mutations, each on the scene as built (every
+    # box a rectangle of its own), as the reader gives it back (boxes read
+    # from the same literals share a rectangle) and with every rectangle
+    # holding echoes of its box at other times
+    rng, drawn = Random(base_seed), 0
+    cases = [(fixture_scene(name), run_check(fixture_scene(name))[2]) for name in fixtures_with("window")]
+    cases = [case for case in cases if case[1] is not None]
+    while drawn < 300:
+        scene = random_scene(rng, 10)
+        path = run_check(scene)[2]
+        if path is not None:
+            cases.append((scene, path))
+            drawn += 1
+    outcomes, grouped = Counter(), 0
+    for scene, path in cases:
+        read = scene_from_jsonable(scene_to_jsonable(scene))
+        grouped += len(set(_rectangle_keys(read.boxes))) < len(read.boxes)
+        for candidate in [path, *mutated(path, scene, rng)]:
+            for variant in (separate(scene), read, echoed(scene, rng)):
+                got = _verdict(verify_evasion_path, variant, candidate)
+                assert got == _verdict(reference_verify_evasion_path, variant, candidate)
+                outcomes["accepted" if got is None else got.split()[0] + " " + got.split()[1]] += 1
+    assert grouped
+    assert outcomes["accepted"] > 1000 and outcomes["path point"] > 1000 and outcomes["jump from"] > 50
+    assert outcomes["segment with"] and not outcomes["consecutive segments"]
+
+
+def test_the_rank_table_does_not_depend_on_shared_coordinates(base_seed):
+    scenes = [fixture_scene(name) for name in fixtures_with("window")]
+    scenes += [pulsing_box_scene(40), randgen.blocked_scene(40), comb_scene(6), slalom_scene(5)]
+    rng = Random(base_seed)
+    scenes += [random_candidate(rng, 10) for _ in range(300)]
+    grouped = 0
+    for scene in scenes:
+        read = scene_from_jsonable(scene_to_jsonable(scene))
+        grouped += len(set(_rectangle_keys(read.boxes))) < len(read.boxes)
+        assert _rank_table(separate(scene)) == _rank_table(read) == _rank_table(scene)
+    assert grouped > 10
 
 
 class TestSceneInvariances:

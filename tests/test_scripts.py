@@ -1,5 +1,7 @@
 """Smoke runs of the scripts under scripts/, at sizes that take well under a second."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -25,14 +27,19 @@ ROOT = Path(__file__).parent.parent
         (
             [
                 "pair_check.py", str(ROOT), "--pairs", "2", "--turn", "0",
-                "--pulsing", "10", "--blocked", "10", "--comb", "3", "--random", "5",
+                "--pulsing", "10", "--blocked", "10", "--comb", "3", "--slalom", "3", "--random", "5",
             ],
-            ["pulsing", "blocked", "comb", "random", "ratio", "wins", "reports identical outside timing_ms"],
+            ["pulsing", "blocked", "comb", "slalom", "random", "ratio", "wins", "reports identical outside timing_ms"],
         ),
     ],
     ids=["oracle_fuzz", "scaling_bench", "criteria_gap", "pair_check"],
 )
 def test_script_runs(argv, expected):
+    result = run_script(argv)
+    assert all(part in result.stdout for part in expected), result.stdout
+
+
+def run_script(argv: list[str]) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
@@ -43,4 +50,25 @@ def test_script_runs(argv, expected):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert all(part in result.stdout for part in expected), result.stdout
+    return result
+
+
+def test_scaling_bench_writes_rows_and_slopes(tmp_path):
+    out = tmp_path / "bench.json"
+    run_script(["scaling_bench.py", "10", "20", "--comb", "3", "--blocked", "10", "--slalom", "4", "8", "--out", str(out)])
+    data = json.loads(out.read_text())
+    rows = {(r["family"], r["size"], r["stage"]): r for r in data["rows"]}
+    assert data["repeats"] == 5
+    # every stage of every case, but no path stage for the NO_EVASION blocked scene
+    cases = [("pulsing", 10), ("pulsing", 20), ("comb", 3), ("blocked", 10), ("slalom", 4), ("slalom", 8)]
+    stages = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
+    assert set(rows) == {(f, n, s) for f, n in cases for s in stages} - {("blocked", 10, "path")}
+    assert all(r["q1_ms"] <= r["median_ms"] <= r["q3_ms"] for r in rows.values())
+    assert rows[("slalom", 8, "path")]["critical_times"] == 32
+    # one slope per (family, stage) run at two sizes, from the two medians
+    slopes = {(s["family"], s["stage"]): s for s in data["slopes"]}
+    assert {family for family, _ in slopes} == {"pulsing", "slalom"}
+    path = slopes[("slalom", "path")]
+    assert path["sizes"] == [4, 8]
+    a, b = rows[("slalom", 4, "path")]["median_ms"], rows[("slalom", 8, "path")]["median_ms"]
+    assert path["slope"] == pytest.approx(math.log(b / a) / math.log(2), abs=1e-3)

@@ -30,10 +30,13 @@ from evasion.sheaf import (
     global_sections,
     refine,
     section_chain,
+    section_sweep,
+    sweep_sections,
     validate_sheaf,
 )
 
 from conftest import fixtures_with, load_fixture
+from reference_chains import reference_section_sweep
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_KERNEL_GENERATOR,
@@ -375,6 +378,40 @@ def test_a_scene_sheaf_certificate_is_the_integer_potential(scene, certificate):
     assert all(type(v) is int for v in sections.decision.certificate)
     assert is_valid_certificate(sections.coboundary, sections.decision.certificate)
     assert sections_to_jsonable(sections, include_matrix=False)["certificate"] == certificate
+
+
+class TestSectionSweepMatchesTheFullBackwardPass:
+    """The NO_EVASION potential is counted back only down to the first edge
+    with an unreached generator; the full pass must give the same output."""
+
+    def test_random_function_like_sheaves(self, base_seed):
+        infeasible = 0
+        for seed in range(base_seed, base_seed + 5000):
+            F = random_function_like_sheaf(Random(seed))
+            swept = section_sweep(F)
+            assert swept == reference_section_sweep(F), seed
+            infeasible += swept[0] is None
+        assert 1000 < infeasible < 4000
+
+    @pytest.mark.parametrize(
+        "scene",
+        [blocked_scene(40), scene_from_jsonable(load_fixture("crossing_blocked.json"))],
+        ids=["blocked_40", "crossing_blocked"],
+    )
+    def test_scene_sheaves(self, scene):
+        F = build_sheaf(scene)
+        swept = section_sweep(F)
+        assert swept[0] is None
+        assert swept == reference_section_sweep(F)
+
+
+def test_sweep_sections_leaves_kernel_dim_unset(base_seed):
+    # `evasion oracle` and `dp_section_exists` read the decision and the chain only
+    for seed in range(base_seed, base_seed + 300):
+        F = random_function_like_sheaf(Random(seed))
+        swept, full = sweep_sections(F), global_sections(F)
+        assert swept.kernel_dim is None and full.kernel_dim is not None
+        assert (swept.decision, swept.chain) == (full.decision, full.chain)
 
 
 class TestSweepRechecks:
