@@ -10,9 +10,13 @@ slalom at one size each, and seeded `random_scene(rng, 10)` draws. Slalom's
 path hops at every event, so its checks are mostly path extraction and
 verification.
 
-Every file is first checked once in each tree, untimed, and the two reports
-are compared with `timing_ms` removed, exit codes included; any difference
-is printed and makes the exit status 1. Then each pair gives each tree one
+First, untimed, every command runs once in each tree and the two outputs
+are compared byte for byte, exit codes included: on each scene file `check
+--path --plot` (its report with `timing_ms` removed, its path file and its
+SVG), `path --out` (its report and its file) and `sheaf`; on the sheaf that
+tree printed and on each sheaf file in `tests/fixtures`, `lp`, `lp
+--matrix`, `matrix` and `oracle`. Any difference is printed and makes the
+exit status 1. Then each pair gives each tree one
 turn per family, the tree that runs first alternating from pair to pair. A
 turn runs in-process `cli.main(["check", file])` over the family's files,
 as many rounds as make about `--turn` seconds in this tree's untimed pass,
@@ -34,6 +38,7 @@ import argparse
 import importlib
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -43,6 +48,8 @@ from random import Random
 from statistics import median, quantiles
 
 THIS = Path(__file__).resolve().parent.parent
+FIXTURES = THIS / "tests" / "fixtures"
+TIMING = re.compile(r'"timing_ms": \{[^}]*\}')
 
 
 def load_cli(checkout: Path):
@@ -82,25 +89,48 @@ def write_scenes(cli, randgen, args, workdir: Path) -> dict[str, list[str]]:
     return files
 
 
-def run(cli, path: str) -> tuple[int, str]:
+def run(cli, argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = cli.main(["check", path])
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
-def report_of(cli, path: str) -> tuple[int, dict]:
-    code, text = run(cli, path)
-    report = json.loads(text)
-    report.pop("timing_ms", None)
-    return code, report
+def taken(path: Path) -> str | None:
+    """The file's text, or None if there is none; the file is removed."""
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+def sheaf_outputs(cli, sheaf: str) -> dict[str, tuple[int, str]]:
+    """The exit code and output of each sheaf command on the sheaf file."""
+    commands = (["lp"], ["lp", "--matrix"], ["matrix"], ["oracle"])
+    return {" ".join(command): run(cli, [*command, sheaf]) for command in commands}
+
+
+def scene_outputs(cli, scene: str, workdir: Path) -> dict[str, tuple]:
+    """The exit code and output of each command on the scene file and on the
+    sheaf it prints, with the files `check` and `path` write and without
+    `check`'s `timing_ms`."""
+    path_file, svg_file, sheaf_file = (workdir / name for name in ("path.json", "plot.svg", "sheaf.json"))
+    code, text = run(cli, ["check", "--path", str(path_file), "--plot", str(svg_file), scene])
+    out: dict[str, tuple] = {"check": (code, TIMING.sub("", text), taken(path_file), taken(svg_file))}
+    out["path"] = (*run(cli, ["path", "--out", str(path_file), scene]), taken(path_file))
+    out["sheaf"] = code, text = run(cli, ["sheaf", scene])
+    if code == 0:
+        sheaf_file.write_text(text)
+        out |= sheaf_outputs(cli, str(sheaf_file))
+    return out
 
 
 def timed(cli, paths: list[str], rounds: int = 1) -> float:
     t0 = time.perf_counter()
     for _ in range(rounds):
         for path in paths:
-            run(cli, path)
+            run(cli, ["check", path])
     return time.perf_counter() - t0
 
 
@@ -129,16 +159,22 @@ def main() -> int:
     randgen = importlib.import_module("evasion.randgen")
     trees = {"this": this, "other": other}
     with tempfile.TemporaryDirectory() as tmp:
-        files = write_scenes(this, randgen, args, Path(tmp))
-        differ = [
-            (family, path)
-            for family, paths in files.items()
-            for path in paths
-            if report_of(this, path) != report_of(other, path)
+        workdir = Path(tmp)
+        files = write_scenes(this, randgen, args, workdir)
+        inputs = [(family, path) for family, paths in files.items() for path in paths]
+        inputs += [
+            ("fixture", str(p)) for p in sorted(FIXTURES.glob("*.json")) if "vertices" in json.loads(p.read_text())
         ]
+        differ = []
+        for family, path in inputs:
+            if family == "fixture":
+                ours, theirs = sheaf_outputs(this, path), sheaf_outputs(other, path)
+            else:
+                ours, theirs = scene_outputs(this, path, workdir), scene_outputs(other, path, workdir)
+            differ += [(family, path, command) for command in ours if ours[command] != theirs.get(command)]
         rounds = {family: max(1, round(args.turn / timed(this, paths))) for family, paths in files.items()}
-        for family, path in differ:
-            print(f"reports differ outside timing_ms: {family} {Path(path).name}")
+        for family, path, command in differ:
+            print(f"outputs differ outside timing_ms: {family} {Path(path).name} `{command}`")
         print(f"this: {THIS}\nother: {args.other.resolve()}")
         print(f"{'family':8} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  wins")
         for family, paths in files.items():
@@ -153,7 +189,8 @@ def main() -> int:
                 f"{family:8} {checks:6}  {spread(times['this'], checks):>30}  "
                 f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {wins}/{args.pairs}"
             )
-    print("reports identical outside timing_ms" if not differ else f"{len(differ)} reports differ")
+    summary = "reports identical outside timing_ms" if not differ else f"{len(differ)} outputs differ"
+    print(f"{len(inputs)} inputs: {summary}")
     return 1 if differ else 0
 
 

@@ -31,6 +31,9 @@ this column sees what `main` does around the pipeline, such as pausing the
 cyclic garbage collector.
 
 Each case runs REPEATS times and every column is the median over those runs.
+The repeats are interleaved: repeat r of every case runs before repeat r+1
+of any case, so that a spell of load on the host spreads over the cases
+instead of moving a whole row.
 "gc" is the number of cyclic-GC collections, all generations, during one
 `run_check`, read from `gc.get_stats()` before and after it. That
 `run_check` runs with the collector on, as `main` would not run it, so the
@@ -154,15 +157,21 @@ def main() -> None:
     ]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        scene_file = Path(tmp) / "scene.json"
-        for family, size, make in cases:
+        inputs = []  # (scene text, scene file, critical times) of each case
+        for n, (_, size, make) in enumerate(cases):
             scene = make(size)
             text = json.dumps(scene_to_jsonable(scene))
+            scene_file = Path(tmp) / f"scene{n}.json"
             scene_file.write_text(text)
-            runs = [run_once(text) for _ in range(REPEATS)]
-            for timing, _, _ in runs:
+            inputs.append((text, scene_file, len(critical_times(scene))))
+        # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
+        repeats: list[list] = [[] for _ in cases]
+        for _ in range(REPEATS):
+            for runs, (text, scene_file, _) in zip(repeats, inputs):
+                timing, gcs, verdict = run_once(text)
                 timing["check"] = check_once(scene_file)
-            count = len(critical_times(scene))
+                runs.append((timing, gcs, verdict))
+        for (family, size, _), runs, (_, _, count) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
                 times = [timing[stage] for timing, _, _ in runs if stage in timing]

@@ -20,6 +20,7 @@ import argparse
 import gc
 import hashlib
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -550,15 +551,39 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# a JSON string or number; a number's groups are its integer digits, fraction and exponent
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
+
+
 def _load_json(path_str: str):
-    """The parsed file and its SHA-256; a repeated key or nesting too deep to
-    parse is malformed JSON, not a silent last-one-wins or a crash."""
+    """The parsed file and its SHA-256; a repeated key, nesting too deep to
+    parse or an integer too long for `int` is malformed JSON, not a silent
+    last-one-wins or a crash."""
     raw = Path(path_str).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
+    text = raw.decode("utf-8")
     try:
-        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys), digest
+        return json.loads(text, object_pairs_hook=_unique_keys), digest
     except RecursionError:
         raise ValueError("malformed JSON: nested too deeply to parse") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # `_unique_keys` names its key; the other ValueError, `int`'s digit limit, names no place
+        if not str(exc).startswith("malformed JSON"):
+            _locate_long_integer(text)
+        raise
+
+
+def _locate_long_integer(text: str) -> None:
+    """Raise a JSONDecodeError at the first integer of `text` past `int`'s digit
+    limit. The text before it parsed, so its strings are whole tokens."""
+    limit = sys.get_int_max_str_digits()
+    for m in _JSON_TOKEN.finditer(text):
+        digits, fraction, exponent = m.groups()
+        if digits and not (fraction or exponent) and len(digits) > limit:
+            message = f"an integer of {len(digits)} digits exceeds the {limit}-digit limit"
+            raise json.JSONDecodeError(message, text, m.start())
 
 
 def _decided(sections: GlobalSections, digest: str, include_matrix: bool) -> dict:

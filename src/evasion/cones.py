@@ -15,11 +15,10 @@ which is what makes the downstream verdicts trustworthy.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from evasion.linalg import Matrix, ONE, Vec, ZERO, columns, kernel_ray, vec
+from evasion.linalg import Matrix, Vec, ZERO, columns, kernel_ray, vec
 
 
 @dataclass(frozen=True)
@@ -37,57 +36,29 @@ class FeasibilityResult:
         return self.witness is not None
 
 
-class _UnitVectors(Sequence):
-    """The n unit vectors of a free cone's generators, each built when it is
-    read, so that a free stalk costs memory in proportion to its labels.
-    Equal to the tuple of those vectors."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> Vec:
-        n = self.n
-        if not -n <= i < n:
-            raise IndexError("generator index out of range")
-        i %= n
-        return (ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i)
-
-    def __eq__(self, other) -> bool:
-        return self.n == other.n if isinstance(other, _UnitVectors) else tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"<{self.n} unit vectors>"
-
-
 @dataclass(frozen=True)
 class PolyhedralCone:
     """Cone generated by finitely many nonzero rational vectors.
 
     Generators need not be extreme rays; redundancy is allowed. A cone with
-    no generators is the trivial cone {0}. A free cone (`free`) is known to
-    be free from its construction, and its unit generators are built only
-    for a reader that asks for them; the sweep reads its labels alone.
+    no generators is the trivial cone {0}. A free cone (`free`) is its
+    labels: its generators are None, standing for one unit vector per label,
+    so that it costs memory in proportion to its labels.
     """
 
     ambient_dim: int
-    generators: tuple[Vec, ...]
+    generators: tuple[Vec, ...] | None
     labels: tuple[str, ...]
 
     def __post_init__(self):
         if self.ambient_dim < 0:
             raise ValueError("negative ambient dimension")
+        if self.generators is None:
+            if len(self.labels) != self.ambient_dim:
+                raise ValueError("a free cone needs one label per ambient coordinate")
+            return
         if len(self.labels) != len(self.generators):
             raise ValueError("labels must parallel generators")
-        if isinstance(self.generators, _UnitVectors) and self.generators.n == self.ambient_dim:
-            return  # `free`'s unit vectors, valid by construction
         for g in self.generators:
             if len(g) != self.ambient_dim:
                 raise ValueError("generator dimension mismatch")
@@ -111,11 +82,11 @@ class PolyhedralCone:
     def free(cls, labels) -> "PolyhedralCone":
         """Nonnegative orthant on one basis vector per label."""
         labels = tuple(labels)
-        return cls(len(labels), _UnitVectors(len(labels)), labels)
+        return cls(len(labels), None, labels)
 
     @cached_property
     def is_free(self) -> bool:
-        if isinstance(self.generators, _UnitVectors):
+        if self.generators is None:
             return True
         if self.ambient_dim != len(self.generators):
             return False
@@ -130,7 +101,7 @@ class PolyhedralCone:
         return self.labels if self.is_free else tuple(f"x{d}" for d in range(self.ambient_dim))
 
     def generator_matrix(self) -> Matrix:
-        """Columns are the generators (ambient_dim x num_generators)."""
+        """Columns are the generators (ambient_dim x num_generators) of a cone given by vectors."""
         gens = self.generators
         rows = tuple({g: v[d] for g, v in enumerate(gens) if v[d]} for d in range(self.ambient_dim))
         return Matrix(self.ambient_dim, len(gens), rows)
@@ -197,7 +168,7 @@ def is_positive_cone(K: PolyhedralCone) -> bool:
     generators are all componentwise nonnegative, sit inside an orthant and
     are positive without any search.
     """
-    if not K.generators or K.is_free:
+    if K.is_free or not K.generators:
         return True
     if all(all(c >= 0 for c in g) for g in K.generators):
         return True

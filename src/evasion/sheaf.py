@@ -25,9 +25,8 @@ certificate exactly:
     left-to-right reachability sweep decides it in O(#generators), building
     no matrix, and emits both Stiemke objects (`section_sweep`). Its section
     chain, one generator per cell, is kept on the result: the witness is
-    built from it, and `section_chain` labels it. kernel_dim is a cycle rank,
-    counted by `global_sections` only. `sweep_sections` takes this path or
-    raises UnsupportedSheafError.
+    built from it, and `section_chain` labels it. kernel_dim is a cycle rank.
+    `sweep_sections` takes this path or raises UnsupportedSheafError.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
     which also serves as the independent cross-check of the sweep.
 """
@@ -207,11 +206,10 @@ class GlobalSections:
     `row_names` and `column_names` as the "cell.label" strings a report
     prints, each formatted once from `Stratification.cells` and the stalk
     labels. kernel_dim (columns minus rank) and decision are None when only
-    the coboundary was asked for, and kernel_dim is None on `sweep_sections`'
-    decision. chain is the sweep's section chain, one generator index per
-    cell in time order (`section_chain` labels it), on a feasible sweep
-    decision; the witness is built from it. It is None for every other
-    decision.
+    the coboundary was asked for (`assemble_coboundary`). chain is the
+    sweep's section chain, one generator index per cell in time order
+    (`section_chain` labels it), on a feasible sweep decision; the witness
+    is built from it. It is None for every other decision.
     """
 
     sheaf: ConeSheaf | FunctionSheaf = field(repr=False)
@@ -346,22 +344,6 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
         return sections
     # a FunctionSheaf is valid as it stands
-    return _swept(S, F, cycle_rank(F))
-
-
-def sweep_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
-    """`global_sections` of a sheaf the sweep decides, its chain kept on a feasible
-    decision and its kernel_dim left None; UnsupportedSheafError, naming a cell of
-    the normalised sheaf, for any other."""
-    S = _normalise(S)
-    F = S if isinstance(S, FunctionSheaf) else generator_maps(S)
-    return _swept(F, F, None)
-
-
-def _swept(S: ConeSheaf | FunctionSheaf, F: FunctionSheaf, kernel_dim: int | None) -> GlobalSections:
-    """The sweep's decision on F, the generator maps of the normalised sheaf S,
-    re-checked: a witness built from its chain, or its integer potential as the
-    certificate."""
     chain, y = section_sweep(F)
     if chain is not None:
         # every vertex generator must restrict to the edge generators beside it; weight 1/k each
@@ -385,7 +367,14 @@ def _swept(S: ConeSheaf | FunctionSheaf, F: FunctionSheaf, kernel_dim: int | Non
         if any(a[li] <= b[ri] for a, b, (left, right) in zip(y, y[1:], F.maps) for li, ri in zip(left, right)):
             raise AssertionError("potential does not drop along every arc")
         decision = FeasibilityResult(certificate=tuple(v for block in y[1:-1] for v in block))
-    return GlobalSections(S, kernel_dim, decision, chain)
+    return GlobalSections(S, cycle_rank(F), decision, chain)
+
+
+def sweep_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
+    """`global_sections` of a sheaf the sweep decides, its chain kept on a feasible
+    decision; UnsupportedSheafError, naming a cell of the normalised sheaf, for any other."""
+    S = _normalise(S)
+    return global_sections(S if isinstance(S, FunctionSheaf) else generator_maps(S))
 
 
 def generator_maps(S: ConeSheaf) -> FunctionSheaf:

@@ -74,11 +74,11 @@ def flow_decompose(S: ConeSheaf, x) -> list[tuple[tuple[CellLabel, ...], Fractio
     pos = 0
     for stalk in S.vertex_stalks:
         offsets.append(pos)
-        pos += len(stalk.generators)
+        pos += len(stalk.labels)
     work = list(x)
     out: list[tuple[tuple[CellLabel, ...], Fraction]] = []
     while True:
-        start = next((g for g in range(len(S.vertex_stalks[0].generators)) if work[offsets[0] + g] > 0), None)
+        start = next((g for g in range(len(S.vertex_stalks[0].labels)) if work[offsets[0] + g] > 0), None)
         if start is None:
             break
         choices = [start]

@@ -434,6 +434,19 @@ def test_plot_of_a_box_free_scene_draws_no_critical_time(capsys, tmp_path):
     assert svg.count('fill="#9fd49f"') == 3
 
 
+def test_plot_skips_a_box_outside_the_drawn_time_range(capsys, tmp_path):
+    # the second box lies outside the window, so it makes no critical time and falls past t=3
+    scene = {
+        "window": {"x": [0, 5], "y": [0, 5]},
+        "boxes": [{"t": [1, 2], "x": [0, 1], "y": [0, 1]}, {"t": [100, 101], "x": [6, 7], "y": [0, 1]}],
+    }
+    scene_file, svg_file = tmp_path / "far.json", tmp_path / "far.svg"
+    scene_file.write_text(json.dumps(scene))
+    code, _ = run_cli(capsys, "check", "--plot", str(svg_file), str(scene_file))
+    assert code == 0
+    assert svg_file.read_text().count('fill="#5a5a5a"') == 1
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "evasion.cli", "check", fixture_path("crossing_open.json")],
@@ -573,6 +586,25 @@ def test_json_nested_too_deeply_to_parse_is_malformed(capsys, tmp_path, command)
     code, report = run_cli(capsys, command, str(bad))
     assert code == 1
     assert report["error"].startswith("malformed JSON")
+
+
+@pytest.mark.parametrize(
+    "command, text, column",
+    [
+        # the location is the number's first character, its sign included; a long
+        # fraction or string before it is no integer
+        ("check", '{"window": {"x": [0, 1.N, "N"],\n "y": [0, -N]}, "boxes": []}', 11),
+        ("lp", '{"vertices": ["0"],\n "stalks": {"e1": {"labels": [N]}}, "restrictions": []}', 31),
+    ],
+    ids=["check", "lp"],
+)
+def test_an_integer_past_the_digit_limit_is_located_malformed_json(capsys, tmp_path, command, text, column):
+    bad = tmp_path / "long_integer.json"
+    bad.write_text(text.replace("N", "9" * 5000))
+    code, report = run_cli(capsys, command, str(bad))
+    assert code == 1
+    assert report["error"] == "malformed JSON: an integer of 5000 digits exceeds the 4300-digit limit"
+    assert report["location"] == {"line": 2, "column": column}
 
 
 def test_sheaf_labels_must_be_a_list(capsys, tmp_path):
@@ -1118,6 +1150,11 @@ WINDOW = {"x": [0, 4], "y": [0, 4]}
             {"window": WINDOW, "boxes": [{"t": [0, 1], "x": [1, 2], "y": ["1e-99999", 2]}]},
             ["box 0 y", "'1e-99999'", "4300 digits"],
             id="box-y-exponent-too-large",
+        ),
+        pytest.param(
+            {"window": WINDOW, "boxes": [{"t": [0, "1e1.5"], "x": [1, 2], "y": [1, 2]}]},
+            ["box 0 t", "'1e1.5'"],
+            id="box-t-fractional-exponent",
         ),
     ],
 )

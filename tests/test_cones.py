@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -228,7 +229,56 @@ def test_a_free_cone_makes_no_fraction_truth_test(monkeypatch):
     truth = Fraction.__bool__
     monkeypatch.setattr(Fraction, "__bool__", lambda q: calls.append(q) or truth(q))
     K = PolyhedralCone.free([f"c{i}" for i in range(321)])
-    assert (len(calls), len(K.generators), K.is_free) == (0, 321, True)
+    assert (len(calls), len(K.labels), K.is_free) == (0, 321, True)
+
+
+def test_a_free_cone_hashes_and_compares_without_its_unit_vectors():
+    # a free cone is its labels: 2,000 dense unit vectors of 2,000 entries would take about 32 MB
+    labels = [f"c{i}" for i in range(2000)]
+    tracemalloc.start()
+    try:
+        K, L = PolyhedralCone.free(labels), PolyhedralCone.free(labels)
+        same = (hash(K) == hash(L), K == L, K.is_free, K.generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert same == (True, True, True, None)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PolyhedralCone(-1, (), ()), "negative ambient dimension"),
+        (lambda: PolyhedralCone.make([]), "ambient_dim required for a generator-free cone"),
+        (lambda: PolyhedralCone(1, ((ONE,),), ("a", "b")), "labels must parallel generators"),
+        (lambda: PolyhedralCone(2, None, ("a",)), "a free cone needs one label per ambient coordinate"),
+        (lambda: PolyhedralCone.make([(1, 0), (1,)]), "generator dimension mismatch"),
+    ],
+    ids=["negative-dimension", "no-generators-no-dimension", "labels", "free-labels", "generator-dimension"],
+)
+def test_an_invalid_cone_is_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Matrix(-1, 0, ()), "negative matrix dimension"),
+        (lambda: Matrix(2, 1, ({0: ONE},)), "a 2x1 matrix needs 2 rows, got 1"),
+        (lambda: Matrix(1, 1, ({1: ONE},)), "row 0 stores 1 at column 1; only nonzeros in columns 0..0"),
+        (lambda: Matrix(1, 1, ({0: ZERO},)), "row 0 stores 0 at column 0; only nonzeros in columns 0..0"),
+        (lambda: Matrix.from_rows([[1], [1, 2]]), "ragged rows"),
+        (lambda: Matrix.identity(2).mul_vec((ONE,)), "dimension mismatch: 2x2 @ 1"),
+    ],
+    ids=["negative-dimension", "row-count", "column-out-of-range", "stored-zero", "ragged", "mul-vec"],
+)
+def test_an_invalid_matrix_is_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -346,3 +396,11 @@ def test_solve_square_sparse_solves_random_nonsingular_systems(n, data):
     rhs = [Fraction(v) for v in data.draw(st.lists(small_entries, min_size=n, max_size=n))]
     solution = solve_square_sparse(M.to_sparse_rows(), rhs)
     assert list(M.mul_vec(solution)) == rhs
+
+
+@pytest.mark.parametrize("rhs", [(ONE, ONE), (ONE, 2 * ONE)], ids=["consistent", "inconsistent"])
+def test_solve_square_sparse_refuses_a_singular_system(rhs):
+    from evasion.linalg import solve_square_sparse
+
+    with pytest.raises(AssertionError, match="singular system"):
+        solve_square_sparse([{0: ONE, 1: ONE}, {0: ONE, 1: ONE}], list(rhs))

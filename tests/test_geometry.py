@@ -101,6 +101,10 @@ class TestValidateScene:
         with pytest.raises(ValueError):
             validate_scene(Scene.make((3, 3), (0, 5)))
 
+    def test_a_reversed_box_interval_is_an_input_error(self):
+        with pytest.raises(ValueError, match=r"interval \[2, 1\] is empty"):
+            Box.make((2, 1), (0, 1), (0, 1))
+
     def test_a_ring_clear_of_the_frame_splits_the_gap_and_is_disconnected(self):
         # four boxes, each touching the next, around the hole (4, 6) x (4, 6)
         ring = [((3, 7), (3, 4)), ((6, 7), (3, 7)), ((3, 7), (6, 7)), ((3, 4), (3, 7))]
@@ -183,8 +187,8 @@ class TestGapComponents:
 class TestBuildSheaf:
     def test_crossing_stalk_ranks(self):
         sheaf = build_sheaf(OPEN_SCENE)
-        assert [len(c.generators) for c in sheaf.edge_stalks] == [1, 2, 3, 2, 1]
-        assert [len(c.generators) for c in sheaf.vertex_stalks] == [1, 3, 3, 1]
+        assert [len(c.labels) for c in sheaf.edge_stalks] == [1, 2, 3, 2, 1]
+        assert [len(c.labels) for c in sheaf.vertex_stalks] == [1, 3, 3, 1]
 
     def test_open_crossing_reproduces_the_golden_matrix(self):
         sections = global_sections(build_sheaf(OPEN_SCENE))
@@ -199,8 +203,8 @@ class TestBuildSheaf:
     def test_empty_scene_is_feasible_rank_one(self):
         scene = Scene.make((0, 9), (0, 9))
         sheaf = build_sheaf(scene)
-        assert [len(c.generators) for c in sheaf.vertex_stalks] == [1]
-        assert [len(c.generators) for c in sheaf.edge_stalks] == [1, 1]
+        assert [len(c.labels) for c in sheaf.vertex_stalks] == [1]
+        assert [len(c.labels) for c in sheaf.edge_stalks] == [1, 1]
         assert all(M == M.identity(1) for M in (*sheaf.left_maps, *sheaf.right_maps))
         assert global_sections(sheaf).decision.feasible
 
@@ -228,6 +232,7 @@ FORGED_CHAINS = [
     (0, 0, 1, 0, 1, 1, 1, 0, 0, 0),  # two generators at v2
     (0, 0, 1, 1, 1, 0, 0, 0),  # nothing at v2
     (0, 0, 1, 1, 1, 1, 0, 0, 1),  # e5 names a component its one-component fibre lacks
+    (0, 0, 1, 1, 1, 1, 0, 1, 0),  # v4 names a component its one-component fibre lacks
 ]
 
 
@@ -974,3 +979,8 @@ def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
     expected = outcome(scene)
     for name, image in metamorphic_images(scene, a, b, axes).items():
         assert outcome(image) == expected, name
+
+
+def test_a_pulsing_scene_needs_an_even_number_of_critical_times():
+    with pytest.raises(ValueError, match="must be even"):
+        pulsing_box_scene(3)

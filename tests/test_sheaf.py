@@ -353,6 +353,19 @@ def written_and_read(sheaf):
     return sheaf_from_jsonable(json.loads(out.getvalue()))
 
 
+def test_a_nonfree_sheaf_round_trips_with_its_generators():
+    sheaf = sheaf_from_jsonable(load_fixture("nonfree_feasible.json"))
+    assert not all(stalk.is_free for stalk in sheaf.vertex_stalks)
+    again = written_and_read(sheaf)
+    assert again == sheaf
+    reports = []
+    for read in (sheaf, again):
+        out = io.StringIO()
+        write_json(sections_to_jsonable(global_sections(read), include_matrix=True), out)
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+
+
 def test_both_converters_round_trip_random_function_like_sheaves(base_seed):
     # random sheaves are born as image tuples: the matrices they build must
     # convert back to those tuples, and their file must decide alike
@@ -405,13 +418,12 @@ class TestSectionSweepMatchesTheFullBackwardPass:
         assert swept == reference_section_sweep(F)
 
 
-def test_sweep_sections_leaves_kernel_dim_unset(base_seed):
-    # `evasion oracle` and `dp_section_exists` read the decision and the chain only
+def test_sweep_sections_is_global_sections_of_a_sweepable_sheaf(base_seed):
     for seed in range(base_seed, base_seed + 300):
         F = random_function_like_sheaf(Random(seed))
         swept, full = sweep_sections(F), global_sections(F)
-        assert swept.kernel_dim is None and full.kernel_dim is not None
-        assert (swept.decision, swept.chain) == (full.decision, full.chain)
+        assert swept.kernel_dim is not None
+        assert (swept.decision, swept.chain, swept.kernel_dim) == (full.decision, full.chain, full.kernel_dim)
 
 
 class TestSweepRechecks:
