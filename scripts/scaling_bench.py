@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the full decision pipeline on four scene families,
+"""Wall-clock scaling of the full decision pipeline on five scene families,
 built by `evasion.randgen`.
 
 - pulsing n: rank-one stalks at every cell and n critical times, so the
@@ -15,8 +15,15 @@ built by `evasion.randgen`.
   its 2n segments and jumps are verified once per rectangle, each by a
   bisection over that rectangle's boxes sorted by birth: the "path" column
   grows as n log n.
+- staircase n: n boxes [i, 2n] x [i-1, i+1] x [i-1, i+1] in the window
+  (0, n+4)^2, each born one time unit after the one before and all dying
+  at t = 2n, so the gap is one component at every time while the covered
+  region grows a step at each birth; verdict EVASION with a path of at
+  most two segments. Its fibres are built over ever larger compressed grids.
 
-Each scene is written as JSON text, and "parse" times reading it back with
+Each scene is written to a JSON file, and "parse" times reading it back as
+`evasion check` does: `evasion.cli._load_json` (the file read, its SHA-256
+and the JSON parse with the duplicate-key check), then
 `evasion.cli.scene_from_jsonable`. The scene then runs through
 `evasion.cli.run_check`, the pipeline of `evasion check`, and the other
 columns are its `timing_ms` stages in milliseconds: fibres, validate,
@@ -45,7 +52,8 @@ in ms, and one least-squares slope of log(median) against log(size) per
 (family, stage) run at two sizes or more, the stage's growth exponent.
 
 Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
-       [--blocked sizes ...] [--slalom sizes ...] [--out FILE]
+       [--blocked sizes ...] [--slalom sizes ...] [--staircase sizes ...]
+       [--out FILE]
 """
 
 import argparse
@@ -63,6 +71,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 from evasion.cli import (
+    _load_json,
     main as evasion_main,
     path_to_jsonable,
     run_check,
@@ -72,7 +81,7 @@ from evasion.cli import (
     write_json,
 )
 from evasion.geometry import critical_times
-from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, slalom_scene
+from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, slalom_scene, staircase_scene
 
 STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
 REPEATS = 5
@@ -82,10 +91,10 @@ def collections() -> int:
     return sum(generation["collections"] for generation in gc.get_stats())
 
 
-def run_once(text: str) -> tuple[dict[str, float], int, str]:
+def run_once(scene_file: Path) -> tuple[dict[str, float], int, str]:
     """Stage times in ms, GC collections during the check, and the verdict."""
     t0 = time.perf_counter()
-    scene = scene_from_jsonable(json.loads(text))
+    scene = scene_from_jsonable(_load_json(str(scene_file))[0])
     parse_ms = (time.perf_counter() - t0) * 1000
     before = collections()
     _, sections, path, timing = run_check(scene)
@@ -145,33 +154,34 @@ def main() -> None:
     parser.add_argument("--comb", nargs="*", type=int, default=[10, 40], metavar="M", help="comb walls")
     parser.add_argument("--blocked", nargs="*", type=int, default=[10, 100, 1000], metavar="N", help="blocked times")
     parser.add_argument("--slalom", nargs="*", type=int, default=[10, 100], metavar="N", help="slalom box pairs")
+    parser.add_argument("--staircase", nargs="*", type=int, default=[10, 25], metavar="N", help="staircase boxes")
     parser.add_argument("--out", metavar="FILE", help="also write the rows and growth slopes to FILE as JSON")
     args = parser.parse_args()
     header = "".join(f" {stage:>11}" for stage in STAGES)
-    print(f"{'family':>8} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
+    print(f"{'family':>9} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     cases = [
         *(("pulsing", n, pulsing_box_scene) for n in args.sizes),
         *(("comb", m, comb_scene) for m in args.comb),
         *(("blocked", n, blocked_scene) for n in args.blocked),
         *(("slalom", n, slalom_scene) for n in args.slalom),
+        *(("staircase", n, staircase_scene) for n in args.staircase),
     ]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = []  # (scene text, scene file, critical times) of each case
+        inputs = []  # (scene file, critical times) of each case
         for n, (_, size, make) in enumerate(cases):
             scene = make(size)
-            text = json.dumps(scene_to_jsonable(scene))
             scene_file = Path(tmp) / f"scene{n}.json"
-            scene_file.write_text(text)
-            inputs.append((text, scene_file, len(critical_times(scene))))
+            scene_file.write_text(json.dumps(scene_to_jsonable(scene)))
+            inputs.append((scene_file, len(critical_times(scene))))
         # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
         repeats: list[list] = [[] for _ in cases]
         for _ in range(REPEATS):
-            for runs, (text, scene_file, _) in zip(repeats, inputs):
-                timing, gcs, verdict = run_once(text)
+            for runs, (scene_file, _) in zip(repeats, inputs):
+                timing, gcs, verdict = run_once(scene_file)
                 timing["check"] = check_once(scene_file)
                 runs.append((timing, gcs, verdict))
-        for (family, size, _), runs, (_, _, count) in zip(cases, repeats, inputs):
+        for (family, size, _), runs, (_, count) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
                 times = [timing[stage] for timing, _, _ in runs if stage in timing]
@@ -184,7 +194,7 @@ def main() -> None:
                 rows.append(row | {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)})
             collected = median(n for _, n, _ in runs)
             verdict = runs[0][2]
-            print(f"{family:>8} {size:>6} {count:>6}{columns} {collected:>4g}  {verdict}")
+            print(f"{family:>9} {size:>6} {count:>6}{columns} {collected:>4g}  {verdict}")
     if args.out:
         write_out(args.out, rows)
 

@@ -43,7 +43,7 @@ from evasion.geometry import (
     build_sheaf,
     extract_path,
 )
-from evasion.linalg import Matrix, format_rational, parse_rational
+from evasion.linalg import Matrix, format_rational, parse_rational, plain_integer
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
@@ -101,10 +101,16 @@ def _part(box: int | None) -> str:
 
 class _Literals(dict):
     """Literal string -> its value and the value's integer ratio, each string
-    parsed on first lookup."""
+    parsed on first lookup: a `plain_integer` by one `int` call, to the
+    value and ratio `_ratio` would give, and any other string by `_ratio`."""
 
     def __missing__(self, literal: str) -> tuple[Fraction, int, int]:
-        self[literal] = entry = _ratio(literal)
+        if plain_integer(literal):
+            n = int(literal)
+            entry = (Fraction(n), n, 1)
+        else:
+            entry = _ratio(literal)
+        self[literal] = entry
         return entry
 
 
@@ -139,8 +145,9 @@ def scene_from_jsonable(data) -> Scene:
     and y intervals, each end parsed before the interval's order is
     checked; the window comes last. So the first bad literal is the one
     named. A field name such as `box 17 t` is formatted only for a message.
-    Within one call each distinct literal string is parsed once, by
-    `parse_rational`, and its integer ratio is kept for the order test.
+    Within one call each distinct literal string is parsed once, a plain
+    integer by `int` and any other by `parse_rational`, and its integer
+    ratio is kept for the order test.
     Ints, floats and bools are parsed every time, since `1`, `1.0` and
     `True` hash alike and would otherwise share an outcome and a message.
     """
@@ -383,9 +390,11 @@ def write_json(value, out) -> None:
     `float` its `float.__repr__`, as `json.dumps` writes them; only NaN, the
     infinities and subclasses of int or float go to `json.dumps` itself.
     Each value costs one Python-level dispatch, and each list of strings
-    or object of string values one more. Object keys must be strings. What
-    is built is handed to `out` before each row of a `DenseEntries`, so a
-    dense matrix is held one row at a time.
+    or object of string values one more. Object keys must be strings: an
+    object sorts its keys, not its items, which is the same order, and an
+    object of string values is quoted by one list comprehension over them.
+    What is built is handed to `out` before each row of a `DenseEntries`,
+    so a dense matrix is held one row at a time.
     """
     parts: list[str] = []
     _encode(value, "\n", parts, out)
@@ -421,17 +430,17 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
             return
         inner = nl + "  "
         sep = "," + inner
-        items = sorted(v.items())
-        if isinstance(items[0][1], str):
+        keys = sorted(v)  # string keys are distinct, so this is the order of the sorted items
+        if isinstance(v[keys[0]], str):
             try:
-                parts.append(f"{{{inner}{sep.join(_quote(k) + ': ' + _quote(x) for k, x in items)}{nl}}}")
+                parts.append(f"{{{inner}{sep.join([_quote(k) + ': ' + _quote(v[k]) for k in keys])}{nl}}}")
                 return
             except TypeError:  # not an object of string values after all
                 pass
         parts.append("{")
-        for n, (key, item) in enumerate(items):
+        for n, key in enumerate(keys):
             parts.append(f"{sep if n else inner}{_quote(key)}: ")
-            _encode(item, inner, parts, out)
+            _encode(v[key], inner, parts, out)
         parts.append(nl + "}")
     elif isinstance(v, DenseEntries):
         inner = nl + "  "

@@ -13,6 +13,7 @@ proportion to their nonzeros.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -27,6 +28,9 @@ SparseRow = dict[int, Fraction]
 MAX_LITERAL_DIGITS = 4300
 # the most characters of a literal an error message quotes
 MAX_ECHO = 100
+# a plain decimal integer: an optional "-" and at most MAX_LITERAL_DIGITS ASCII
+# digits, which `int` reads to the value `Fraction` would give; a match or None
+plain_integer = re.compile(f"-?[0-9]{{1,{MAX_LITERAL_DIGITS}}}").fullmatch
 
 
 def vec(items) -> Vec:
@@ -63,15 +67,14 @@ def parse_rational(value) -> Fraction:
     write it out past MAX_LITERAL_DIGITS digits is rejected too, before
     `Fraction` spends unbounded time expanding it.
 
-    A plain decimal integer (an optional "-" and at most MAX_LITERAL_DIGITS
-    ASCII digits) is read by `int` directly, skipping `Fraction`'s pattern
-    match; it is the form scenes are written in, and every other string
-    takes the `Fraction` route, so values and error messages are the same
-    either way. Messages quote a literal through `_echo`, so an overlong
-    one is named by its prefix and its length."""
+    A `plain_integer` is read by `int` directly, skipping `Fraction`'s
+    pattern match; it is the form scenes are written in, and every other
+    string takes the `Fraction` route, so values and error messages are the
+    same either way. The scene reader tests the same pattern to store an
+    integer's ratio without this function. Messages quote a literal through
+    `_echo`, so an overlong one is named by its prefix and its length."""
     if isinstance(value, str):
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isascii() and digits.isdecimal() and len(digits) <= MAX_LITERAL_DIGITS:
+        if plain_integer(value):
             return Fraction(int(value))
         if _exponent_too_large(value):
             raise ValueError(

@@ -139,3 +139,17 @@ def slalom_scene(n: int) -> Scene:
         boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2), (0, 4)))
         boxes.append(Box.make((4 * i + 3, 4 * i + 4), (2, 4), (0, 4)))
     return Scene.make((0, 4), (0, 4), boxes)
+
+
+def staircase_scene(n: int) -> Scene:
+    """EVASION scaling family whose covered region grows by a step at each
+    birth: window (0, n+4)^2 and, for i = 1..n, box [i, 2n] x [i-1, i+1] x
+    [i-1, i+1] (t x x x y).
+
+    Consecutive boxes overlap and box 1 touches the frame, so the coverage
+    stays connected and the gap is one component at every time; the path
+    has at most two segments. The i-th birth adds a rectangle to everything
+    still alive, so the gap fibres are built over ever larger compressed
+    grids."""
+    boxes = [Box.make((i, 2 * n), (i - 1, i + 1), (i - 1, i + 1)) for i in range(1, n + 1)]
+    return Scene.make((0, n + 4), (0, n + 4), boxes)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import add, attrgetter, getitem
+from operator import add, attrgetter, getitem, itemgetter
 
 from evasion.cones import (
     FeasibilityResult,
@@ -74,8 +74,12 @@ class Stratification:
     @cached_property
     def cells(self) -> tuple[str, ...]:
         """Every cell id in time order: e1, v1, e2, ..., vk, e(k+1), each
-        formatted once."""
-        return tuple(f"{'v' if n % 2 else 'e'}{n // 2 + 1}" for n in range(2 * self.k + 1))
+        formatted once; the edge and the vertex ids are interleaved by two
+        slice assignments."""
+        cells: list = [None] * (2 * self.k + 1)
+        cells[0::2] = [f"e{n}" for n in range(1, self.k + 2)]
+        cells[1::2] = [f"v{n}" for n in range(1, self.k + 1)]
+        return tuple(cells)
 
     def vertex_id(self, i: int) -> str:
         return self.cells[2 * i + 1]
@@ -350,7 +354,8 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         edges, vertices = chain[0::2], chain[1::2]
         if len(chain) != 2 * len(F.maps) + 1:
             raise AssertionError("witness chain does not have one generator per cell")
-        if any(F.maps[i][0][g] != edges[i] or F.maps[i][1][g] != edges[i + 1] for i, g in enumerate(vertices)):
+        lefts, rights = map(itemgetter(0), F.maps), map(itemgetter(1), F.maps)
+        if tuple(map(getitem, lefts, vertices)) != edges[:-1] or tuple(map(getitem, rights, vertices)) != edges[1:]:
             raise AssertionError("witness chain does not restrict to its edge generators")
         # weight 1/k at each vertex's chain generator, found by its column offset
         offsets = list(accumulate((len(stalk.labels) for stalk in S.vertex_stalks), initial=0))
@@ -469,25 +474,27 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
 
 def cycle_rank(S: FunctionSheaf) -> int:
     """kernel_dim, from the image tuples alone: arcs minus the edges of a spanning forest of the
-    arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows)."""
+    arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows).
+    That is the number of arcs whose ends a union-find already joins; both of an arc's finds
+    are written out inline, since a call per find is most of the cost on a long timeline."""
     k = S.strat.k
     # generator g of edge j is node offsets[j] + g, and those of both unbounded edges hang under node 0
     offsets = list(accumulate((len(stalk.labels) for stalk in S.edge_stalks), initial=1))
     parent = list(range(offsets[-1]))
     for j in {0, k}:
         parent[offsets[j] : offsets[j + 1]] = [0] * (offsets[j + 1] - offsets[j])
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    kernel = sum(len(left) for left, _ in S.maps)
+    kernel = 0
     for (left, right), here, there in zip(S.maps, offsets, offsets[1:]):
         for li, ri in zip(left, right):
-            a, b = find(here + li), find(there + ri)
-            parent[b] = a  # under the earlier root, so that trees stay shallow as the layers go by
-            kernel -= a != b
+            a, b = here + li, there + ri
+            while parent[a] != a:  # find, halving the path
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                kernel += 1
+            else:
+                parent[b] = a  # under the earlier root, so that trees stay shallow as the layers go by
     return kernel
 
 

@@ -672,12 +672,64 @@ def test_reading_a_scene_compares_no_fractions(monkeypatch):
 
 
 def test_each_distinct_literal_string_is_parsed_once(monkeypatch):
-    # 200 boxes and the window hold 1204 literals, 401 of them distinct
+    # 200 boxes and the window hold 1204 literals, 401 of them distinct; every
+    # distinct literal string enters the memo's __missing__, integers included
     data = json.loads(json.dumps(scene_to_jsonable(pulsing_box_scene(400))))
     calls = []
-    monkeypatch.setattr(cli, "parse_rational", lambda value: calls.append(value) or parse_rational(value))
+    missing = cli._Literals.__missing__
+
+    def counted(memo, literal):
+        calls.append(literal)
+        return missing(memo, literal)
+
+    monkeypatch.setattr(cli._Literals, "__missing__", counted)
     assert scene_from_jsonable(data) == pulsing_box_scene(400)
     assert len(calls) == len(set(calls)) == 401
+
+
+LONG_INTEGER = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "literal, outcome",
+    [
+        ("0", Fraction(0)),
+        ("-0", Fraction(0)),
+        ("007", Fraction(7)),
+        ("+3", Fraction(3)),
+        (" 2 ", Fraction(2)),
+        ("1_000", Fraction(1000)),
+        ("\u0663", Fraction(3)),  # ARABIC-INDIC DIGIT THREE, read by Fraction, not as a plain integer
+        (LONG_INTEGER, Fraction(int(LONG_INTEGER))),
+        (LONG_INTEGER + "9", f"unsupported rational literal: {'9' * 100!r}... (4301 characters)"),
+        ("1/2", Fraction(1, 2)),
+        ("4.5", Fraction(9, 2)),
+        ("1e1", Fraction(10)),
+        ("1e1.5", "unsupported rational literal: '1e1.5'"),
+        ("1/0", "unsupported rational literal: '1/0'"),
+        ("", "unsupported rational literal: ''"),
+    ],
+    ids=[
+        "zero", "minus-zero", "leading-zeros", "plus", "spaces", "underscore", "arabic-indic", "4300-digits",
+        "4301-digits", "fraction", "decimal", "exponent", "fractional-exponent", "zero-denominator", "empty",
+    ],
+)
+def test_a_scene_literal_reads_as_parse_rational_reads_it(literal, outcome):
+    # the t interval holds the literal twice; the x interval orders it after -1/2 by its integer ratio
+    box = {"t": [literal, literal], "x": ["-1/2", literal], "y": ["0", "1"]}
+    data = {"window": {"x": ["0", "9"], "y": ["0", "9"]}, "boxes": [box]}
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(literal)
+        assert str(exc.value) == outcome
+        with pytest.raises(ValueError) as exc:
+            scene_from_jsonable(data)
+        assert str(exc.value) == f"box 0 t: {outcome}"
+    else:
+        assert parse_rational(literal) == outcome
+        read = scene_from_jsonable(data).boxes[0]
+        assert (read.t, read.x) == ((outcome, outcome), (Fraction(-1, 2), outcome))
+        assert all(type(end) is Fraction for end in (*read.t, *read.x))
 
 
 WINDOW = {"x": ["0", "4"], "y": ["0", "4"]}
@@ -746,7 +798,14 @@ JSON_VALUES = st.recursive(
 )
 
 
+# a flat object of string values shaped like a pulsing path's chain: e1..e401 and v1..v400
+CHAIN_LIKE = {f"{'v' if n % 2 else 'e'}{n // 2 + 1}": f"c{n % 3}" for n in range(801)}
+
+
 @given(JSON_VALUES)
+@example(CHAIN_LIKE)
+@example({"a": "x", "b": 1, "c": "y"})  # a string value first by key, then not: the per-key fallback
+@example({"a": "1", "A": "2", "a\u0000": "3", "\u00e9": "4", "\u00e9\"": ["5"]})  # code-point order, escaped keys
 @example(["a", 1])
 @example({"a": "x", "b": [1], "": {}})
 @example({"\u00e9\"\n": ["\x00", "\u2603", "\U0001f600"], "z": ()})

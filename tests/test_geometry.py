@@ -34,7 +34,7 @@ from evasion.geometry import (
 )
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
-from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene, slalom_scene
+from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene, slalom_scene, staircase_scene
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
@@ -756,9 +756,22 @@ def test_euler_count_matches_the_reference_on_small_integer_scenes(base_seed):
     assert 50 < invalid < 450  # both outcomes are well represented
 
 
-@pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(12)], ids=["pulsing", "comb"])
+@pytest.mark.parametrize(
+    "scene", [pulsing_box_scene(40), comb_scene(12), staircase_scene(6)], ids=["pulsing", "comb", "staircase"]
+)
 def test_family_fibres_match_the_fraction_reference(scene):
     assert assert_fibres_match_the_reference(scene)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_the_staircase_gap_is_one_component_at_every_time(n):
+    scene = staircase_scene(n)
+    fibres = scene_fibres(scene)
+    _, vertex_fibres, edge_fibres = fibres
+    assert len(vertex_fibres) == n + 1  # a birth at each of 1..n and the common death at 2n
+    assert all(len(fibre.seeds) == 1 for fibre in (*vertex_fibres, *edge_fibres))
+    _, sections, path, _ = run_check(scene)
+    assert sections.decision.feasible and len(path.segments) == min(n, 2)
 
 
 # scenes on the window (0, 4)^2 whose box events the sample keys must follow

@@ -55,16 +55,22 @@ def run_script(argv: list[str]) -> subprocess.CompletedProcess:
 
 def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     out = tmp_path / "bench.json"
-    run_script(["scaling_bench.py", "10", "20", "--comb", "3", "--blocked", "10", "--slalom", "4", "8", "--out", str(out)])
+    argv = ["10", "20", "--comb", "3", "--blocked", "10", "--slalom", "4", "8", "--staircase", "3", "--out", str(out)]
+    result = run_script(["scaling_bench.py", *argv])
     data = json.loads(out.read_text())
     rows = {(r["family"], r["size"], r["stage"]): r for r in data["rows"]}
     assert data["repeats"] == 5
     # every stage of every case, but no path stage for the NO_EVASION blocked scene
     cases = [("pulsing", 10), ("pulsing", 20), ("comb", 3), ("blocked", 10), ("slalom", 4), ("slalom", 8)]
+    cases.append(("staircase", 3))
     stages = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
     assert set(rows) == {(f, n, s) for f, n in cases for s in stages} - {("blocked", 10, "path")}
     assert all(r["q1_ms"] <= r["median_ms"] <= r["q3_ms"] for r in rows.values())
     assert rows[("slalom", 8, "path")]["critical_times"] == 32
+    # staircase 3: births at t = 1, 2, 3 and one death at t = 6
+    assert rows[("staircase", 3, "fibres")]["critical_times"] == 4
+    (staircase,) = [line.split() for line in result.stdout.splitlines() if line.split()[:1] == ["staircase"]]
+    assert staircase[:3] == ["staircase", "3", "4"] and staircase[-1] == "EVASION"
     # one slope per (family, stage) run at two sizes, from the two medians
     slopes = {(s["family"], s["stage"]): s for s in data["slopes"]}
     assert {family for family, _ in slopes} == {"pulsing", "slalom"}

@@ -460,6 +460,15 @@ class TestSweepRechecks:
         with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
             decide(crossing_sheaf(True))
 
+    def test_edge_generator_that_is_not_the_vertex_right_image(self, decide, monkeypatch):
+        def shift(maps, chain, y):
+            # the last edge names a generator the last vertex's right restriction does not reach
+            return (*chain[:-1], chain[-1] + 1), y
+
+        self.patch_sweep(monkeypatch, shift)
+        with pytest.raises(AssertionError, match="does not restrict to its edge generators"):
+            decide(crossing_sheaf(True))
+
     def test_chain_without_one_generator_per_cell(self, decide, monkeypatch):
         self.patch_sweep(monkeypatch, lambda maps, chain, y: (chain[1:], y))  # e1 dropped
         with pytest.raises(AssertionError, match="one generator per cell"):
