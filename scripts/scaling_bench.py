@@ -11,9 +11,9 @@ built by `evasion.randgen`.
   verdict NO_EVASION, so the check ends in the sweep's potential and its
   certificate instead of a path.
 - slalom n: 2n boxes that each cover one half of the window in turn, so the
-  path hops at every event. The boxes lie on two spatial rectangles, and
-  its 2n segments and jumps are verified once per rectangle, each by a
-  bisection over that rectangle's boxes sorted by birth: the "path" column
+  path hops at every event. Verification bisects each box's life into the
+  path's 2n - 1 hop times and tests each segment and jump against the
+  rectangles of the boxes alive on it, about one each: the "path" column
   grows as n log n.
 - staircase n: n boxes [i, 2n] x [i-1, i+1] x [i-1, i+1] in the window
   (0, n+4)^2, each born one time unit after the one before and all dying

@@ -68,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, starmap
+from itertools import compress, count, starmap, takewhile
 from operator import floordiv, itemgetter
 
 from evasion.cones import PolyhedralCone
@@ -615,7 +615,9 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     the interior point, each `_edge_face`, each `_route` and each hop list
     are worked out once per distinct key, and Python walks only the edges
     whose transition moves the path (`itertools.compress`). Path
-    verification tests each segment and jump once per spatial rectangle.
+    verification tests each segment and jump against the rectangles of the
+    boxes alive on it alone, found by bisecting each box's life into the
+    path's hop times.
     """
     chain = sections.chain
     if chain is None:
@@ -703,34 +705,6 @@ def _segment_meets_box(p: Point, q: Point, box: Box) -> bool:
     return True
 
 
-def _lifetimes(keys: list, boxes: tuple[Box, ...]):
-    """`meets(key, lo, hi)`: is some box of rectangle `key` alive somewhere
-    on the closed time span [lo, hi], None being an unbounded side?
-
-    The boxes are listed per rectangle in one pass, on the first call. A
-    rectangle's spans are sorted by birth on its first call, with the latest
-    death of every prefix: the boxes born by hi are a prefix, found by one
-    bisection, and one of them meets the span iff that prefix's latest death
-    is at least lo. So a rectangle of B_g boxes costs O(B_g log B_g) once
-    and O(log B_g) per call."""
-    spans: dict = {}
-    index: dict = {}
-
-    def meets(key, lo: Fraction | None, hi: Fraction | None) -> bool:
-        found = index.get(key)
-        if found is None:
-            if not spans:
-                for k, box in zip(keys, boxes):
-                    spans.setdefault(k, []).append(box.t)
-            births, deaths = zip(*sorted(spans[key]))
-            found = index[key] = births, tuple(accumulate(deaths, max))
-        births, deaths = found
-        n = len(births) if hi is None else bisect_right(births, hi)
-        return n > 0 and (lo is None or deaths[n - 1] >= lo)
-
-    return meets
-
-
 def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     """Exact re-check of a path against the raw scene.
 
@@ -742,17 +716,18 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     any contact (which would be a bug), naming for a held point the first
     such box in scene order.
 
-    The boxes are grouped by spatial rectangle (`_rectangle_keys`), and each
-    held point and each jump is tested once per rectangle on one box of it:
-    a held point by containment, then by whether a box of the rectangle is
-    alive on its span (`_lifetimes`); a jump by whether a box of it is alive
-    at its time, then by clipping the hop against the rectangle. With B
-    boxes, S segments, J jumps and G rectangles that is O(B + (S + J) G)
-    rectangle tests, a test of rectangle g costing O(log B_g) for its B_g
-    boxes, plus O(B_g log B_g) once for each rectangle that a test stabs.
-    A scene whose boxes each have their own rectangle (G = B) still costs
-    O((S + J) B). The checks use the boxes' exact `Fraction` coordinates
-    and no ranks, fibres or sheaf."""
+    With hops the segments' shared times, sorted up to the first reversed
+    segment (refused before it is probed), a box alive on [t0, t1] meets
+    segments lo..hi and jumps lo..hi-1, lo = bisect_left(hops, t0) and hi =
+    bisect_right(hops, t1). One pass over the boxes takes the distinct
+    (lo, hi, rectangle) stabs (`_rectangle_keys`) in order of lo and lists
+    each rectangle once on each segment and jump it meets, from past the
+    last segment listed for it; each held point and jump is then tested
+    against the rectangles listed on it alone. With B boxes and S segments
+    that is O(B log S) comparisons, of two `Fraction`s only when their
+    integer parts agree, a sort of at most B integer triples and one test
+    per listed pair, however the scene was built. The checks use the boxes'
+    exact coordinates and no ranks, fibres or sheaf."""
     segs = path.segments
     if not segs or segs[0].start is not None or segs[-1].end is not None:
         raise PathVerificationError("path must cover the whole timeline")
@@ -761,25 +736,47 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
             raise PathVerificationError("consecutive segments must share their boundary time")
     (wxlo, wxhi), (wylo, wyhi) = scene.window_x, scene.window_y
     boxes = scene.boxes
+    hops = [seg.end for seg in takewhile(lambda seg: seg.start is None or seg.start <= seg.end, segs[:-1])]
+
+    def keyed(t):  # bisected as (integer part, value)
+        return t.numerator // t.denominator, t
+
     keys = _rectangle_keys(boxes)
     shapes = dict(zip(keys, boxes))  # one box per rectangle
-    meets = _lifetimes(keys, boxes)
-    for seg in segs:
+    held: list[list[Box]] = [list(shapes.values())]  # with no hop, the one segment meets every box
+    jumps: list[list[Box]] = []
+    if hops:
+        ends = list(map(keyed, hops))
+        stabs = {
+            (bisect_left(ends, keyed(t0)), bisect_right(ends, keyed(t1)), key)
+            for key, (t0, t1) in zip(keys, [b.t for b in boxes])
+        }
+        held = [[] for _ in range(len(hops) + 1)]
+        jumps = [[] for _ in hops]
+        reach: dict = {}  # the last segment listed per rectangle
+        for lo, hi, key in sorted(stabs):
+            last = reach.get(key, -1)
+            for i in range(max(lo, last + 1), hi + 1):
+                held[i].append(shapes[key])
+            for j in range(max(lo, last), hi):
+                jumps[j].append(shapes[key])
+            reach[key] = max(last, hi)
+    # a reversed segment ends `held`, so the loop reaches it and refuses it
+    for seg, shapes_on in zip(segs, held):
         start, end, p = seg.start, seg.end, seg.point
         if start is not None and end is not None and start > end:
             raise PathVerificationError("segment with reversed time interval")
         if not (wxlo < p[0] < wxhi and wylo < p[1] < wyhi):
             raise PathVerificationError(f"path point {p} is not strictly inside the window")
-        for key, shape in shapes.items():
-            if shape.contains(p) and meets(key, start, end):
+        for shape in shapes_on:
+            if shape.contains(p):
                 box = next(
                     b
                     for b in boxes
                     if b.contains(p) and (end is None or b.t[0] <= end) and (start is None or start <= b.t[1])
                 )
                 raise PathVerificationError(f"path point {p} is covered by a box alive on [{box.t[0]}, {box.t[1]}]")
-    for a, b in zip(segs, segs[1:]):
-        t = a.end
-        for key, shape in shapes.items():
-            if meets(key, t, t) and _segment_meets_box(a.point, b.point, shape):
-                raise PathVerificationError(f"jump from {a.point} to {b.point} at t={t} is covered")
+    for a, b, shapes_on in zip(segs, segs[1:], jumps):
+        for shape in shapes_on:
+            if _segment_meets_box(a.point, b.point, shape):
+                raise PathVerificationError(f"jump from {a.point} to {b.point} at t={a.end} is covered")

@@ -22,9 +22,9 @@ verification with the production path.
 
 `reference_verify_evasion_path` is the path verifier that compares every
 held point and every jump with every box; `verify_evasion_path` tests them
-once per spatial rectangle, and the tests require the same verdict and the
-same message from both. It shares only the exact clipping test
-`_segment_meets_box` with the production path.
+against the rectangles of the boxes alive on them alone, and the tests
+require the same verdict and the same message from both. It shares only
+the exact clipping test `_segment_meets_box` with the production path.
 """
 
 from bisect import bisect_left, bisect_right

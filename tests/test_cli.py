@@ -31,9 +31,9 @@ from evasion.cli import (
     write_json,
 )
 from evasion.cones import FeasibilityResult
-from evasion.geometry import Box, EvasionPath, PathSegment, Scene, verify_evasion_path
+from evasion.geometry import EvasionPath, PathSegment, Scene, verify_evasion_path
 from evasion.linalg import Matrix, format_rational, parse_rational
-from evasion.randgen import comb_scene, pulsing_box_scene
+from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene
 
 from conftest import fixture_path, fixtures_with, load_fixture
 
@@ -390,16 +390,9 @@ def test_a_check_builds_and_validates_the_fibres_once(capsys, monkeypatch, comma
     assert calls == {"scene_fibres": 1, "validate_fibres": 1}
 
 
-def blacked_out_pulsing_scene(n: int) -> Scene:
-    """The pulsing scene plus a full-window blackout at t = n + 1/2, after its last pulse."""
-    base = pulsing_box_scene(n)
-    instant = Fraction(2 * n + 1, 2)
-    return Scene(base.window_x, base.window_y, (*base.boxes, Box.make((instant, instant), base.window_x, base.window_y)))
-
-
 @pytest.mark.parametrize(
     "scene, expected",
-    [(comb_scene(24), 602), (blacked_out_pulsing_scene(400), 2)],
+    [(comb_scene(24), 602), (blocked_scene(400), 2)],
     ids=["comb", "blocked"],
 )
 def test_a_check_builds_no_component_objects(monkeypatch, scene, expected):

@@ -68,14 +68,6 @@ OPEN_SCENE = fixture_scene("crossing_open.json")
 BLOCKED_SCENE = fixture_scene("crossing_blocked.json")
 
 
-def blocked_scene() -> Scene:
-    """The benchmark's blocked scene: pulsing n=400, then a full-window
-    blackout at the single instant t = 400 1/2."""
-    base = pulsing_box_scene(400)
-    blackout = Box.make((Fraction(801, 2), Fraction(801, 2)), base.window_x, base.window_y)
-    return replace(base, boxes=(*base.boxes, blackout))
-
-
 class TestValidateScene:
     def test_window_only_is_ok(self):
         assert validate_scene(Scene.make((0, 5), (0, 5))) is None
@@ -421,9 +413,9 @@ class TestVerifyEvasionPath:
             verify_both(scene, path)
 
     def test_only_the_middle_box_by_birth_meets_the_span(self):
-        # born 0, 3/2 and 2 on one rectangle; the last one born by t=4 dies
-        # at 5/2, before the span, so only the prefix maximum of the deaths,
-        # the middle box's 5, shows the contact
+        # born 0, 3/2 and 2 on one rectangle; the first dies at 1 and the last
+        # at 5/2, before the span [3, 4], so only the middle box, alive until
+        # 5, shows the contact
         boxes = one_rectangle((2, Fraction(5, 2)), (0, 1), (Fraction(3, 2), 5))
         scene = Scene.make((0, 10), (0, 10), boxes)
         assert len(set(_rectangle_keys(scene.boxes))) == 1
@@ -462,6 +454,43 @@ class TestVerifyEvasionPath:
         with pytest.raises(PathVerificationError, match=message):
             verify_both(Scene.make((0, 10), (0, 10)), _path(*segments))
 
+    def test_a_jump_between_two_lives_of_one_rectangle(self):
+        # the rectangle's first box is listed on the first segment only; the
+        # second one, alive at the hop, must still list the rectangle on the jump
+        boxes = one_rectangle((Fraction(1, 2), 1), (Fraction(3, 2), 3), x=(4, 6), y=(0, 10))
+        scene = Scene.make((0, 10), (0, 10), boxes)
+        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        with pytest.raises(PathVerificationError, match="jump from .* at t=2 is covered"):
+            verify_both(scene, _path((None, 2, (1, 5)), (2, None, (9, 5))))
+
+    def test_a_covered_segment_before_a_reversed_one_is_named(self):
+        # the box is alive at t=4 only, inside the first segment's span
+        scene = Scene.make((0, 10), (0, 10), [Box.make((4, 4), (4, 6), (4, 6))])
+        path = _path((None, 5, (5, 5)), (5, 3, (1, 1)), (3, None, (1, 1)))
+        with pytest.raises(PathVerificationError, match=r"path point .* is covered by a box alive on \[4, 4\]"):
+            verify_both(scene, path)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            (((3, 3), (4, 6), (0, 2)), r"path point .* is covered by a box alive on \[3, 3\]"),
+            (((1, 3), (2, 3), (2, 4)), "jump from .* at t=3 is covered"),
+            (((3, 5), (2, 3), (2, 4)), "jump from .* at t=3 is covered"),
+            (((3, 3), (7, 8), (7, 9)), None),
+            (((1, Fraction(5, 2)), (4, 6), (0, 2)), None),
+        ],
+        ids=["held-at-the-instant", "first-jump-ending", "first-jump-starting", "clear", "dead-before"],
+    )
+    def test_a_zero_length_segment(self, box, message):
+        # hops at t=3 twice: from (1, 5) to (5, 1) and on to (9, 5)
+        scene = Scene.make((0, 10), (0, 10), [Box.make(*box)])
+        path = _path((None, 3, (1, 5)), (3, 3, (5, 1)), (3, None, (9, 5)))
+        if message is None:
+            verify_both(scene, path)
+        else:
+            with pytest.raises(PathVerificationError, match=message):
+                verify_both(scene, path)
+
     def test_near_misses_are_accepted(self):
         # the jump passes above a wall stub, beside a box, and across a wall
         # that is alive only later; the held points are clear of everything
@@ -483,6 +512,30 @@ def separate(scene: Scene) -> Scene:
     """The scene with fresh coordinate objects in every box, so that every
     box is a spatial rectangle of its own."""
     return replace(scene, boxes=tuple(Box.make(b.t, b.x, b.y) for b in scene.boxes))
+
+
+def widened(scene: Scene) -> Scene:
+    """The scene with box i's x1 grown by 1/(1000+i), so that every box is
+    a spatial rectangle of its own by value, not only by object identity."""
+    boxes = (Box(b.t, (b.x[0], b.x[1] + Fraction(1, 1000 + i)), b.y) for i, b in enumerate(scene.boxes))
+    return replace(scene, boxes=tuple(boxes))
+
+
+def jittered_pulsing_scene(n: int) -> Scene:
+    """`pulsing_box_scene(n)` with box i's stub width 5 + 1/(i+2)."""
+    boxes = [Box.make((2 * i + 1, 2 * i + 2), (0, 5 + Fraction(1, i + 2)), (3, 5)) for i in range(n // 2)]
+    return Scene.make((0, 8), (0, 8), boxes)
+
+
+def jittered_slalom_scene(n: int) -> Scene:
+    """`slalom_scene(n)` with the i-th pair of boxes reaching e = 1/(2n+i+2)
+    past the window's middle."""
+    boxes = []
+    for i in range(n):
+        e = Fraction(1, 2 * n + i + 2)
+        boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2 + e), (0, 4)))
+        boxes.append(Box.make((4 * i + 3, 4 * i + 4), (2 - e, 4), (0, 4)))
+    return Scene.make((0, 4), (0, 4), boxes)
 
 
 def mutated(path: EvasionPath, scene: Scene, rng: Random) -> list[EvasionPath]:
@@ -527,11 +580,13 @@ def echoed(scene: Scene, rng: Random) -> Scene:
 def test_verify_evasion_path_matches_the_direct_reference(base_seed):
     # extracted paths and their mutations, each on the scene as built (every
     # box a rectangle of its own), as the reader gives it back (boxes read
-    # from the same literals share a rectangle) and with every rectangle
-    # holding echoes of its box at other times
+    # from the same literals share a rectangle), with every rectangle
+    # holding echoes of its box at other times and with every box widened
+    # to a rectangle of its own value
     rng, drawn = Random(base_seed), 0
     cases = [(fixture_scene(name), run_check(fixture_scene(name))[2]) for name in fixtures_with("window")]
     cases = [case for case in cases if case[1] is not None]
+    cases += [(scene, run_check(scene)[2]) for scene in (jittered_pulsing_scene(40), jittered_slalom_scene(10))]
     while drawn < 300:
         scene = random_scene(rng, 10)
         path = run_check(scene)[2]
@@ -543,13 +598,37 @@ def test_verify_evasion_path_matches_the_direct_reference(base_seed):
         read = scene_from_jsonable(scene_to_jsonable(scene))
         grouped += len(set(_rectangle_keys(read.boxes))) < len(read.boxes)
         for candidate in [path, *mutated(path, scene, rng)]:
-            for variant in (separate(scene), read, echoed(scene, rng)):
+            for variant in (separate(scene), read, echoed(scene, rng), widened(scene)):
                 got = _verdict(verify_evasion_path, variant, candidate)
                 assert got == _verdict(reference_verify_evasion_path, variant, candidate)
                 outcomes["accepted" if got is None else got.split()[0] + " " + got.split()[1]] += 1
     assert grouped
     assert outcomes["accepted"] > 1000 and outcomes["path point"] > 1000 and outcomes["jump from"] > 50
     assert outcomes["segment with"] and not outcomes["consecutive segments"]
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [(jittered_pulsing_scene, (200, 400)), (jittered_slalom_scene, (50, 100))],
+    ids=["jittered-pulsing", "jittered-slalom"],
+)
+def test_verify_tests_each_box_on_the_segments_it_meets(monkeypatch, family, sizes):
+    # a growth gate on work, not time: at most two rectangle tests per box
+    # and per segment, where testing every rectangle on every segment costs
+    # boxes x segments
+    for n in sizes:
+        scene = family(n)
+        path = run_check(scene)[2]
+        tests = Counter()
+        contains, meets = Box.contains, evasion.geometry._segment_meets_box
+        monkeypatch.setattr(Box, "contains", lambda box, p: tests.update(["contains"]) or contains(box, p))
+        monkeypatch.setattr(
+            evasion.geometry, "_segment_meets_box", lambda p, q, box: tests.update(["meets"]) or meets(p, q, box)
+        )
+        verify_evasion_path(scene, path)
+        monkeypatch.undo()
+        assert len(path.segments) >= len(scene.boxes) // 2
+        assert 0 < tests.total() <= 2 * (len(scene.boxes) + len(path.segments))
 
 
 def test_the_rank_table_does_not_depend_on_shared_coordinates(base_seed):
@@ -625,7 +704,7 @@ class TestFibreSharing:
         "scene",
         [
             pytest.param(lambda: pulsing_box_scene(400), id="pulsing"),
-            pytest.param(blocked_scene, id="blocked"),
+            pytest.param(lambda: randgen.blocked_scene(400), id="blocked"),
             pytest.param(lambda: comb_scene(24), id="comb"),
             *(pytest.param(lambda name=name: fixture_scene(name), id=name) for name in fixtures_with("window")),
         ],
@@ -646,7 +725,7 @@ class TestFibreSharing:
 
     def test_deciding_a_scene_sheaf_compares_no_fractions(self, monkeypatch):
         # the rank table's times are sorted and distinct, so the sheaf checks no order
-        fibres = scene_fibres(blocked_scene())
+        fibres = scene_fibres(randgen.blocked_scene(400))
         calls, richcmp = [], Fraction._richcmp
         monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: calls.append(op) or richcmp(a, b, op))
         sections = global_sections(sheaf_from_fibres(fibres))
