@@ -724,10 +724,9 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     each rectangle once on each segment and jump it meets, from past the
     last segment listed for it; each held point and jump is then tested
     against the rectangles listed on it alone. With B boxes and S segments
-    that is O(B log S) comparisons, of two `Fraction`s only when their
-    integer parts agree, a sort of at most B integer triples and one test
-    per listed pair, however the scene was built. The checks use the boxes'
-    exact coordinates and no ranks, fibres or sheaf."""
+    that is O(B log S) comparisons, a sort of at most B integer triples and
+    one test per listed pair, however the scene was built. The checks use
+    the boxes' exact coordinates and no ranks, fibres or sheaf."""
     segs = path.segments
     if not segs or segs[0].start is not None or segs[-1].end is not None:
         raise PathVerificationError("path must cover the whole timeline")
@@ -738,29 +737,19 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     boxes = scene.boxes
     hops = [seg.end for seg in takewhile(lambda seg: seg.start is None or seg.start <= seg.end, segs[:-1])]
 
-    def keyed(t):  # bisected as (integer part, value)
-        return t.numerator // t.denominator, t
-
     keys = _rectangle_keys(boxes)
     shapes = dict(zip(keys, boxes))  # one box per rectangle
-    held: list[list[Box]] = [list(shapes.values())]  # with no hop, the one segment meets every box
-    jumps: list[list[Box]] = []
-    if hops:
-        ends = list(map(keyed, hops))
-        stabs = {
-            (bisect_left(ends, keyed(t0)), bisect_right(ends, keyed(t1)), key)
-            for key, (t0, t1) in zip(keys, [b.t for b in boxes])
-        }
-        held = [[] for _ in range(len(hops) + 1)]
-        jumps = [[] for _ in hops]
-        reach: dict = {}  # the last segment listed per rectangle
-        for lo, hi, key in sorted(stabs):
-            last = reach.get(key, -1)
-            for i in range(max(lo, last + 1), hi + 1):
-                held[i].append(shapes[key])
-            for j in range(max(lo, last), hi):
-                jumps[j].append(shapes[key])
-            reach[key] = max(last, hi)
+    stabs = {(bisect_left(hops, b.t[0]), bisect_right(hops, b.t[1]), key) for key, b in zip(keys, boxes)}
+    held: list[list[Box]] = [[] for _ in range(len(hops) + 1)]
+    jumps: list[list[Box]] = [[] for _ in hops]
+    reach: dict = {}  # the last segment listed per rectangle
+    for lo, hi, key in sorted(stabs):
+        last = reach.get(key, -1)
+        for i in range(max(lo, last + 1), hi + 1):
+            held[i].append(shapes[key])
+        for j in range(max(lo, last), hi):
+            jumps[j].append(shapes[key])
+        reach[key] = max(last, hi)
     # a reversed segment ends `held`, so the loop reaches it and refuses it
     for seg, shapes_on in zip(segs, held):
         start, end, p = seg.start, seg.end, seg.point
