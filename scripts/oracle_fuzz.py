@@ -84,8 +84,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=int(os.environ.get("EVASION_SEED", "20240817")))
-    parser.add_argument("--max-vertices", type=int, default=6)
-    parser.add_argument("--max-gens", type=int, default=4)
     args = parser.parse_args()
 
     rng = Random(args.seed)
@@ -93,7 +91,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sheaf.json"
         for trial in range(args.count):
-            sheaf = random_function_like_sheaf(rng, args.max_vertices, args.max_gens)
+            sheaf = random_function_like_sheaf(rng)
             sections = global_sections(sheaf)
             if not round_trip(sheaf, sections, path):
                 return report("matrix round trip differs", trial, args.seed, sheaf)

@@ -5,9 +5,10 @@ Both `src/evasion` trees are imported into one process: the evasion modules
 are dropped from `sys.modules` and imported again from the other tree's
 `src`, as `perfbench/program.load_program` does, and each tree's `cli`
 keeps its own module objects. The scenes are built once by this tree's
-`evasion.randgen` and written as JSON files: pulsing, blocked, comb and
-slalom at one size each, and seeded `random_scene(rng, 10)` draws. Slalom's
-path hops at every event, so its checks are mostly path extraction and
+`evasion.randgen` and written as JSON files: each `--family NAME=N[,N...]`
+at its sizes (by default pulsing=400, blocked=400, comb=24 and slalom=100,
+one scene each), and seeded `random_scene(rng, 10)` draws. Slalom's path
+hops at every event, so its checks are mostly path extraction and
 verification.
 
 First, untimed, every command runs once in each tree and the two outputs
@@ -30,8 +31,7 @@ over the other; below 1 means this tree is faster) and the number of pairs
 this tree won.
 
 Usage: python scripts/pair_check.py OTHER_CHECKOUT [--pairs N] [--turn SECONDS]
-       [--seed S] [--pulsing N] [--blocked N] [--comb M] [--slalom N]
-       [--random COUNT]
+       [--seed S] [--family NAME=N[,N...] ...] [--random COUNT]
 """
 
 import argparse
@@ -50,6 +50,7 @@ from statistics import median, quantiles
 THIS = Path(__file__).resolve().parent.parent
 FIXTURES = THIS / "tests" / "fixtures"
 TIMING = re.compile(r'"timing_ms": \{[^}]*\}')
+DEFAULT_FAMILIES = ["pulsing=400", "blocked=400", "comb=24", "slalom=100"]
 
 
 def load_cli(checkout: Path):
@@ -69,20 +70,17 @@ def load_cli(checkout: Path):
     return cli
 
 
-def write_scenes(cli, randgen, args, workdir: Path) -> dict[str, list[str]]:
-    """The scene files of each family."""
+def write_scenes(cli, randgen, families, args, workdir: Path) -> dict[str, list[str]]:
+    """The scene files of each (family, sizes) and of the random draws."""
+    scenes: dict[str, list] = {}
+    for name, sizes in families:
+        scenes.setdefault(name, []).extend(map(randgen.FAMILIES[name][0], sizes))
     rng = Random(args.seed)
-    families = {
-        "pulsing": [randgen.pulsing_box_scene(args.pulsing)],
-        "blocked": [randgen.blocked_scene(args.blocked)],
-        "comb": [randgen.comb_scene(args.comb)],
-        "slalom": [randgen.slalom_scene(args.slalom)],
-        "random": [randgen.random_scene(rng, 10) for _ in range(args.random)],
-    }
+    scenes["random"] = [randgen.random_scene(rng, 10) for _ in range(args.random)]
     files = {}
-    for family, scenes in families.items():
+    for family, built in scenes.items():
         files[family] = []
-        for n, scene in enumerate(scenes):
+        for n, scene in enumerate(built):
             path = workdir / f"{family}{n}.json"
             path.write_text(json.dumps(cli.scene_to_jsonable(scene)))
             files[family].append(str(path))
@@ -145,10 +143,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10, help="timed pairs per family, at least 2")
     parser.add_argument("--turn", type=float, default=0.25, help="seconds of one tree's turn at a family")
     parser.add_argument("--seed", type=int, default=1, help="seed of the random scenes")
-    parser.add_argument("--pulsing", type=int, default=400, help="critical times of the pulsing scene")
-    parser.add_argument("--blocked", type=int, default=400, help="critical times of the blocked scene")
-    parser.add_argument("--comb", type=int, default=24, help="walls of the comb scene")
-    parser.add_argument("--slalom", type=int, default=100, help="box pairs of the slalom scene")
+    parser.add_argument("--family", action="append", metavar="NAME=N[,N...]", help="a family and its sizes, repeatable")
     parser.add_argument("--random", type=int, default=200, help="number of random scenes")
     args = parser.parse_args()
     if args.pairs < 2:
@@ -157,10 +152,14 @@ def main() -> int:
     other = load_cli(args.other)
     this = load_cli(THIS)
     randgen = importlib.import_module("evasion.randgen")
+    try:
+        families = [randgen.parse_family(text) for text in args.family or DEFAULT_FAMILIES]
+    except ValueError as exc:
+        parser.error(f"argument --family: {exc}")
     trees = {"this": this, "other": other}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        files = write_scenes(this, randgen, args, workdir)
+        files = write_scenes(this, randgen, families, args, workdir)
         inputs = [(family, path) for family, paths in files.items() for path in paths]
         inputs += [
             ("fixture", str(p)) for p in sorted(FIXTURES.glob("*.json")) if "vertices" in json.loads(p.read_text())
@@ -176,7 +175,7 @@ def main() -> int:
         for family, path, command in differ:
             print(f"outputs differ outside timing_ms: {family} {Path(path).name} `{command}`")
         print(f"this: {THIS}\nother: {args.other.resolve()}")
-        print(f"{'family':8} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  wins")
+        print(f"{'family':16} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  wins")
         for family, paths in files.items():
             checks = len(paths) * rounds[family]
             times: dict[str, list[float]] = {"this": [], "other": []}
@@ -186,7 +185,7 @@ def main() -> int:
             ratios = [a / b for a, b in zip(times["this"], times["other"])]
             wins = sum(r < 1 for r in ratios)
             print(
-                f"{family:8} {checks:6}  {spread(times['this'], checks):>30}  "
+                f"{family:16} {checks:6}  {spread(times['this'], checks):>30}  "
                 f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {wins}/{args.pairs}"
             )
     summary = "reports identical outside timing_ms" if not differ else f"{len(differ)} outputs differ"

@@ -1,25 +1,10 @@
 #!/usr/bin/env python3
-"""Wall-clock scaling of the full decision pipeline on five scene families,
-built by `evasion.randgen`.
-
-- pulsing n: rank-one stalks at every cell and n critical times, so the
-  numbers isolate the pipeline's bookkeeping (arrangement sweeps, sheaf
-  construction, decision, path extraction) as the timeline grows.
-- comb m: m walls opening one after another, about m+1 gap components per
-  cell and 2m+1 critical times, so stalks and arrangements grow too.
-- blocked n: pulsing n plus a full-window blackout after the last pulse,
-  verdict NO_EVASION, so the check ends in the sweep's potential and its
-  certificate instead of a path.
-- slalom n: 2n boxes that each cover one half of the window in turn, so the
-  path hops at every event. Verification bisects each box's life into the
-  path's 2n - 1 hop times and tests each segment and jump against the
-  rectangles of the boxes alive on it, about one each: the "path" column
-  grows as n log n.
-- staircase n: n boxes [i, 2n] x [i-1, i+1] x [i-1, i+1] in the window
-  (0, n+4)^2, each born one time unit after the one before and all dying
-  at t = 2n, so the gap is one component at every time while the covered
-  region grows a step at each birth; verdict EVASION with a path of at
-  most two segments. Its fibres are built over ever larger compressed grids.
+"""Wall-clock scaling of the full decision pipeline on the scene families of
+`evasion.randgen.FAMILIES`: pulsing, comb, blocked, slalom, staircase and
+the jittered twins of pulsing and slalom. Each builder's docstring says
+what its family grows and why it is here. `--family NAME=N[,N...]`, which
+may be repeated, runs a family at the given sizes; without it every
+registered family runs at its default sizes.
 
 Each scene is written to a JSON file, and "parse" times reading it back as
 `evasion check` does: `evasion.cli._load_json` (the file read, its SHA-256
@@ -33,27 +18,25 @@ stages take them from it, so "validate" is scene validation alone and
 sections and path payload (`sections_to_jsonable` and `path_to_jsonable`),
 and "write" serialises it with `evasion.cli.write_json` into memory.
 "check" is the whole command: in-process `evasion.cli.main(["check",
-file])` on the scene written to a file, its report sent to a buffer. Only
-this column sees what `main` does around the pipeline, such as pausing the
-cyclic garbage collector.
+file])` on the scene written to a file, its report sent to a buffer. The
+cyclic garbage collector is paused around the timed `run_check`, as `main`
+pauses it, so that no collection lands in whichever stage is running.
 
 Each case runs REPEATS times and every column is the median over those runs.
 The repeats are interleaved: repeat r of every case runs before repeat r+1
 of any case, so that a spell of load on the host spreads over the cases
 instead of moving a whole row.
 "gc" is the number of cyclic-GC collections, all generations, during one
-`run_check`, read from `gc.get_stats()` before and after it. That
-`run_check` runs with the collector on, as `main` would not run it, so the
-count measures the pipeline's allocation churn.
+untimed warm-up `run_check` of the case with the collector on, read from
+`gc.get_stats()` before and after it, so the count measures the pipeline's
+allocation churn.
 
 With `--out FILE` the script also writes a JSON file: one row per (family,
 size, stage) with the median, first and third quartile of the REPEATS runs
 in ms, and one least-squares slope of log(median) against log(size) per
 (family, stage) run at two sizes or more, the stage's growth exponent.
 
-Usage: python scripts/scaling_bench.py [pulsing sizes ...] [--comb sizes ...]
-       [--blocked sizes ...] [--slalom sizes ...] [--staircase sizes ...]
-       [--out FILE]
+Usage: python scripts/scaling_bench.py [--family NAME=N[,N...] ...] [--out FILE]
 """
 
 import argparse
@@ -68,7 +51,7 @@ import time
 from contextlib import redirect_stdout
 from math import log
 from pathlib import Path
-from statistics import median, quantiles
+from statistics import quantiles
 
 from evasion.cli import (
     _load_json,
@@ -81,7 +64,7 @@ from evasion.cli import (
     write_json,
 )
 from evasion.geometry import critical_times
-from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, slalom_scene, staircase_scene
+from evasion.randgen import FAMILIES, parse_family
 
 STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
 REPEATS = 5
@@ -91,14 +74,22 @@ def collections() -> int:
     return sum(generation["collections"] for generation in gc.get_stats())
 
 
-def run_once(scene_file: Path) -> tuple[dict[str, float], int, str]:
-    """Stage times in ms, GC collections during the check, and the verdict."""
+def read_scene(scene_file: Path):
+    return scene_from_jsonable(_load_json(str(scene_file))[0])
+
+
+def run_once(scene_file: Path) -> tuple[dict[str, float], str]:
+    """Stage times in ms, with the collector paused around the check, and the verdict."""
     t0 = time.perf_counter()
-    scene = scene_from_jsonable(_load_json(str(scene_file))[0])
+    scene = read_scene(scene_file)
     parse_ms = (time.perf_counter() - t0) * 1000
-    before = collections()
-    _, sections, path, timing = run_check(scene)
-    gcs = collections() - before
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, sections, path, timing = run_check(scene)
+    finally:
+        if enabled:
+            gc.enable()
     timing["parse"] = parse_ms
     t0 = time.perf_counter()
     payload = {"sections": sections_to_jsonable(sections, include_matrix=False)}
@@ -108,7 +99,7 @@ def run_once(scene_file: Path) -> tuple[dict[str, float], int, str]:
     write_json(payload, io.StringIO())
     t2 = time.perf_counter()
     timing["report"], timing["write"] = (t1 - t0) * 1000, (t2 - t1) * 1000
-    return timing, gcs, "EVASION" if sections.decision.feasible else "NO_EVASION"
+    return timing, "EVASION" if sections.decision.feasible else "NO_EVASION"
 
 
 def check_once(scene_file: Path) -> float:
@@ -150,41 +141,38 @@ def write_out(path: str, rows: list[dict]) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("sizes", nargs="*", type=int, default=[10, 100, 1000], help="pulsing critical times")
-    parser.add_argument("--comb", nargs="*", type=int, default=[10, 40], metavar="M", help="comb walls")
-    parser.add_argument("--blocked", nargs="*", type=int, default=[10, 100, 1000], metavar="N", help="blocked times")
-    parser.add_argument("--slalom", nargs="*", type=int, default=[10, 100], metavar="N", help="slalom box pairs")
-    parser.add_argument("--staircase", nargs="*", type=int, default=[10, 25], metavar="N", help="staircase boxes")
+    parser.add_argument("--family", action="append", metavar="NAME=N[,N...]", help="a family and its sizes, repeatable")
     parser.add_argument("--out", metavar="FILE", help="also write the rows and growth slopes to FILE as JSON")
     args = parser.parse_args()
+    try:
+        families = [parse_family(text) for text in args.family or ()]
+    except ValueError as exc:
+        parser.error(f"argument --family: {exc}")
+    families = families or [(name, sizes) for name, (_, _, sizes) in FAMILIES.items()]
+    cases = [(name, size) for name, sizes in families for size in sizes]
     header = "".join(f" {stage:>11}" for stage in STAGES)
-    print(f"{'family':>9} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
-    cases = [
-        *(("pulsing", n, pulsing_box_scene) for n in args.sizes),
-        *(("comb", m, comb_scene) for m in args.comb),
-        *(("blocked", n, blocked_scene) for n in args.blocked),
-        *(("slalom", n, slalom_scene) for n in args.slalom),
-        *(("staircase", n, staircase_scene) for n in args.staircase),
-    ]
+    print(f"{'family':>16} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = []  # (scene file, critical times) of each case
-        for n, (_, size, make) in enumerate(cases):
-            scene = make(size)
+        inputs = []  # (scene file, critical times, warm-up collections) of each case
+        for n, (family, size) in enumerate(cases):
+            scene = FAMILIES[family][0](size)
             scene_file = Path(tmp) / f"scene{n}.json"
             scene_file.write_text(json.dumps(scene_to_jsonable(scene)))
-            inputs.append((scene_file, len(critical_times(scene))))
+            before = collections()
+            run_check(read_scene(scene_file))  # the untimed warm-up, with the collector on
+            inputs.append((scene_file, len(critical_times(scene)), collections() - before))
         # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
         repeats: list[list] = [[] for _ in cases]
         for _ in range(REPEATS):
-            for runs, (scene_file, _) in zip(repeats, inputs):
-                timing, gcs, verdict = run_once(scene_file)
+            for runs, (scene_file, _, _) in zip(repeats, inputs):
+                timing, verdict = run_once(scene_file)
                 timing["check"] = check_once(scene_file)
-                runs.append((timing, gcs, verdict))
-        for (family, size, _), runs, (_, count) in zip(cases, repeats, inputs):
+                runs.append((timing, verdict))
+        for (family, size), runs, (_, count, collected) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
-                times = [timing[stage] for timing, _, _ in runs if stage in timing]
+                times = [timing[stage] for timing, _ in runs if stage in timing]
                 if len(times) < REPEATS:
                     columns += f" {'-':>11}"
                     continue
@@ -192,9 +180,8 @@ def main() -> None:
                 columns += f" {mid:>9.1f}ms"
                 row = {"family": family, "size": size, "critical_times": count, "stage": stage}
                 rows.append(row | {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)})
-            collected = median(n for _, n, _ in runs)
-            verdict = runs[0][2]
-            print(f"{family:>9} {size:>6} {count:>6}{columns} {collected:>4g}  {verdict}")
+            verdict = runs[0][1]
+            print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4}  {verdict}")
     if args.out:
         write_out(args.out, rows)
 

@@ -8,6 +8,7 @@ variable).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from random import Random
 
@@ -105,7 +106,8 @@ def comb_scene(m: int) -> Scene:
 
     Wall w is alive on [0, 2w] and [2w+1, 2m+1], so it opens exactly once,
     the walls open one after another, and most cells have about m+1 gap
-    components."""
+    components: the stalks and the arrangements grow with m, not only the
+    timeline."""
     top = m + 1
     boxes = []
     for w in range(1, m + 1):
@@ -133,7 +135,10 @@ def slalom_scene(n: int) -> Scene:
 
     Each box covers one half of the window at full height while it lives,
     so the gap is the other half, and the path moves to that half before
-    each box is born: its 2n boxes give it 2n segments."""
+    each box is born: its 2n boxes give it 2n segments. Verification
+    bisects each box's life into the path's 2n - 1 hop times and tests each
+    segment and jump against the rectangles of the boxes alive on it, about
+    one each, so the path stage grows as n log n."""
     boxes = []
     for i in range(n):
         boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2), (0, 4)))
@@ -153,3 +158,49 @@ def staircase_scene(n: int) -> Scene:
     grids."""
     boxes = [Box.make((i, 2 * n), (i - 1, i + 1), (i - 1, i + 1)) for i in range(1, n + 1)]
     return Scene.make((0, n + 4), (0, n + 4), boxes)
+
+
+def jittered_pulsing_scene(n: int) -> Scene:
+    """`pulsing_box_scene(n)` with box i's stub width 5 + 1/(i+2), so that
+    every box is a rectangle of its own by value while the topology and the
+    verdict stay pulsing's."""
+    boxes = [Box.make((2 * i + 1, 2 * i + 2), (0, 5 + Fraction(1, i + 2)), (3, 5)) for i in range(n // 2)]
+    return Scene.make((0, 8), (0, 8), boxes)
+
+
+def jittered_slalom_scene(n: int) -> Scene:
+    """`slalom_scene(n)` with the i-th pair of boxes reaching e = 1/(2n+i+2)
+    past the window's middle, so that every box is a rectangle of its own by
+    value while the topology and the verdict stay slalom's."""
+    boxes = []
+    for i in range(n):
+        e = Fraction(1, 2 * n + i + 2)
+        boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2 + e), (0, 4)))
+        boxes.append(Box.make((4 * i + 3, 4 * i + 4), (2 - e, 4), (0, 4)))
+    return Scene.make((0, 4), (0, 4), boxes)
+
+
+# the scaling families by name: builder, verdict and default sizes, ascending;
+# tier-1 checks each verdict at the first two sizes
+FAMILIES: dict[str, tuple[Callable[[int], Scene], str, tuple[int, ...]]] = {
+    "pulsing": (pulsing_box_scene, "EVASION", (10, 100, 1000)),
+    "comb": (comb_scene, "EVASION", (10, 40)),
+    "blocked": (blocked_scene, "NO_EVASION", (10, 100, 1000)),
+    "slalom": (slalom_scene, "EVASION", (10, 100)),
+    "staircase": (staircase_scene, "EVASION", (10, 25)),
+    "jittered-pulsing": (jittered_pulsing_scene, "EVASION", (10, 100, 1000)),
+    "jittered-slalom": (jittered_slalom_scene, "EVASION", (10, 100)),
+}
+
+
+def parse_family(text: str) -> tuple[str, tuple[int, ...]]:
+    """`NAME=N[,N...]` as (family name, sizes); ValueError names what is wrong."""
+    name, equals, sizes = text.partition("=")
+    if not equals:
+        raise ValueError(f"{text!r} is not NAME=N[,N...]")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; the families are {', '.join(FAMILIES)}")
+    parts = sizes.split(",")
+    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+        raise ValueError(f"{text!r}: the sizes must be positive integers separated by commas")
+    return name, tuple(map(int, parts))

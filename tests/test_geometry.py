@@ -34,7 +34,16 @@ from evasion.geometry import (
 )
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
-from evasion.randgen import comb_scene, pulsing_box_scene, random_candidate, random_scene, slalom_scene, staircase_scene
+from evasion.randgen import (
+    comb_scene,
+    jittered_pulsing_scene,
+    jittered_slalom_scene,
+    pulsing_box_scene,
+    random_candidate,
+    random_scene,
+    slalom_scene,
+    staircase_scene,
+)
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
@@ -521,23 +530,6 @@ def widened(scene: Scene) -> Scene:
     return replace(scene, boxes=tuple(boxes))
 
 
-def jittered_pulsing_scene(n: int) -> Scene:
-    """`pulsing_box_scene(n)` with box i's stub width 5 + 1/(i+2)."""
-    boxes = [Box.make((2 * i + 1, 2 * i + 2), (0, 5 + Fraction(1, i + 2)), (3, 5)) for i in range(n // 2)]
-    return Scene.make((0, 8), (0, 8), boxes)
-
-
-def jittered_slalom_scene(n: int) -> Scene:
-    """`slalom_scene(n)` with the i-th pair of boxes reaching e = 1/(2n+i+2)
-    past the window's middle."""
-    boxes = []
-    for i in range(n):
-        e = Fraction(1, 2 * n + i + 2)
-        boxes.append(Box.make((4 * i + 1, 4 * i + 2), (0, 2 + e), (0, 4)))
-        boxes.append(Box.make((4 * i + 3, 4 * i + 4), (2 - e, 4), (0, 4)))
-    return Scene.make((0, 4), (0, 4), boxes)
-
-
 def mutated(path: EvasionPath, scene: Scene, rng: Random) -> list[EvasionPath]:
     """Paths near `path`: per box, a held point moved to the box's centre and
     a hop time moved onto the box's birth or death; and one segment dropped,
@@ -836,10 +828,39 @@ def test_euler_count_matches_the_reference_on_small_integer_scenes(base_seed):
 
 
 @pytest.mark.parametrize(
-    "scene", [pulsing_box_scene(40), comb_scene(12), staircase_scene(6)], ids=["pulsing", "comb", "staircase"]
+    "scene",
+    [pulsing_box_scene(40), comb_scene(12), staircase_scene(6), jittered_pulsing_scene(10), jittered_slalom_scene(4)],
+    ids=["pulsing", "comb", "staircase", "jittered-pulsing", "jittered-slalom"],
 )
 def test_family_fibres_match_the_fraction_reference(scene):
+    # the jittered twins' rectangles differ by value: each box is a rank-table
+    # group of its own and adds its own grid lines, however the scene is built
     assert assert_fibres_match_the_reference(scene)
+
+
+@pytest.mark.parametrize("name", list(randgen.FAMILIES))
+def test_every_family_gets_its_registered_verdict(name):
+    # on EVASION, extract_path verifies the path it returns
+    build, verdict, sizes = randgen.FAMILIES[name]
+    for n in sizes[:2]:
+        _, sections, path, _ = run_check(build(n))
+        assert ("EVASION" if sections.decision.feasible else "NO_EVASION") == verdict
+        assert (path is not None) == sections.decision.feasible
+
+
+def test_parse_family_reads_a_name_and_its_sizes_and_names_what_is_wrong():
+    assert randgen.parse_family("jittered-slalom=4,8") == ("jittered-slalom", (4, 8))
+    refused = {
+        "spiral=4": "unknown family 'spiral'; the families are pulsing, comb, blocked, slalom, staircase, jittered-",
+        "slalom": "'slalom' is not NAME=N",
+        "slalom=": "the sizes must be positive integers",
+        "slalom=4,,8": "the sizes must be positive integers",
+        "slalom=4,x": "the sizes must be positive integers",
+        "slalom=0": "the sizes must be positive integers",
+    }
+    for text, message in refused.items():
+        with pytest.raises(ValueError, match=message):
+            randgen.parse_family(text)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])

@@ -17,7 +17,10 @@ ROOT = Path(__file__).parent.parent
     [
         (["oracle_fuzz.py", "--count", "200"], ["200 sheaves checked", "no disagreements"]),
         (
-            ["scaling_bench.py", "10", "--comb", "4", "--blocked", "10", "--slalom", "4"],
+            [
+                "scaling_bench.py",
+                "--family", "pulsing=10", "--family", "comb=4", "--family", "blocked=10", "--family", "slalom=4",
+            ],
             [
                 "parse", "report", "write", "check", "gc",
                 "pulsing", "comb", "blocked", "slalom", "  EVASION", "NO_EVASION",
@@ -27,7 +30,8 @@ ROOT = Path(__file__).parent.parent
         (
             [
                 "pair_check.py", str(ROOT), "--pairs", "2", "--turn", "0",
-                "--pulsing", "10", "--blocked", "10", "--comb", "3", "--slalom", "3", "--random", "5",
+                "--family", "pulsing=10", "--family", "blocked=10", "--family", "comb=3", "--family", "slalom=3",
+                "--random", "5",
             ],
             ["pulsing", "blocked", "comb", "slalom", "random", "ratio", "wins", "reports identical outside timing_ms"],
         ),
@@ -55,7 +59,8 @@ def run_script(argv: list[str]) -> subprocess.CompletedProcess:
 
 def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     out = tmp_path / "bench.json"
-    argv = ["10", "20", "--comb", "3", "--blocked", "10", "--slalom", "4", "8", "--staircase", "3", "--out", str(out)]
+    argv = ["--family", "pulsing=10,20", "--family", "comb=3", "--family", "blocked=10", "--family", "slalom=4,8"]
+    argv += ["--family", "staircase=3", "--out", str(out)]
     result = run_script(["scaling_bench.py", *argv])
     data = json.loads(out.read_text())
     rows = {(r["family"], r["size"], r["stage"]): r for r in data["rows"]}
@@ -78,3 +83,10 @@ def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     assert path["sizes"] == [4, 8]
     a, b = rows[("slalom", 4, "path")]["median_ms"], rows[("slalom", 8, "path")]["median_ms"]
     assert path["slope"] == pytest.approx(math.log(b / a) / math.log(2), abs=1e-3)
+
+
+def test_scaling_bench_runs_only_the_families_it_is_given(tmp_path):
+    out = tmp_path / "bench.json"
+    run_script(["scaling_bench.py", "--family", "slalom=4", "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert {(row["family"], row["size"]) for row in rows} == {("slalom", 4)}
