@@ -7,9 +7,9 @@ are dropped from `sys.modules` and imported again from the other tree's
 keeps its own module objects. The scenes are built once by this tree's
 `evasion.randgen` and written as JSON files: each `--family NAME=N[,N...]`
 at its sizes (by default pulsing=400, blocked=400, comb=24 and slalom=100,
-one scene each), and seeded `random_scene(rng, 10)` draws. Slalom's path
-hops at every event, so its checks are mostly path extraction and
-verification.
+one scene each), and `--random` seeded `random_scene(rng, 10)` draws, a
+family of its own unless there are none. Slalom's path hops at every
+event, so its checks are mostly path extraction and verification.
 
 First, untimed, every command runs once in each tree and the two outputs
 are compared byte for byte, exit codes included: on each scene file `check
@@ -71,12 +71,13 @@ def load_cli(checkout: Path):
 
 
 def write_scenes(cli, randgen, families, args, workdir: Path) -> dict[str, list[str]]:
-    """The scene files of each (family, sizes) and of the random draws."""
+    """The scene files of each (family, sizes) and of the random draws, if any."""
     scenes: dict[str, list] = {}
     for name, sizes in families:
         scenes.setdefault(name, []).extend(map(randgen.FAMILIES[name][0], sizes))
-    rng = Random(args.seed)
-    scenes["random"] = [randgen.random_scene(rng, 10) for _ in range(args.random)]
+    if args.random:
+        rng = Random(args.seed)
+        scenes["random"] = [randgen.random_scene(rng, 10) for _ in range(args.random)]
     files = {}
     for family, built in scenes.items():
         files[family] = []
@@ -148,6 +149,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.random < 0:
+        parser.error("--random must be at least 0")
 
     other = load_cli(args.other)
     this = load_cli(THIS)

@@ -33,17 +33,9 @@ from pathlib import Path
 
 import evasion.geometry as geometry
 from evasion.cones import PolyhedralCone, lp_positive_kernel
-from evasion.geometry import (
-    Box,
-    EvasionPath,
-    Fibres,
-    PathSegment,
-    Scene,
-    SceneValidationError,
-    build_sheaf,
-    extract_path,
-)
+from evasion.geometry import Fibres, SceneValidationError, build_sheaf, extract_path
 from evasion.linalg import Matrix, format_rational, parse_rational, plain_integer
+from evasion.scene import Box, EvasionPath, PathSegment, Scene
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,

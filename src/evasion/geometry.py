@@ -68,15 +68,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, starmap, takewhile
+from itertools import compress, count, starmap
 from operator import floordiv, itemgetter
 
+# perfbench/workloads.py reads Box, Scene, verify_evasion_path and PathVerificationError from this module
+from evasion.certify import PathVerificationError, verify_evasion_path
 from evasion.cones import PolyhedralCone
-from evasion.linalg import ONE, ZERO, format_rational
-from evasion.sheaf import CellLabel, FunctionSheaf, GlobalSections, Stratification, section_chain
+from evasion.linalg import format_rational
+from evasion.scene import Box, EvasionPath, Interval, PathSegment, Point, Scene, _rectangle_keys
+from evasion.sheaf import FunctionSheaf, GlobalSections, Stratification, section_chain
 
-Point = tuple[Fraction, Fraction]
-Interval = tuple[Fraction, Fraction]
 Face = tuple[int, int]
 Rect = tuple[int, int, int, int]
 Key = tuple[Rect, ...]
@@ -90,67 +91,6 @@ class SceneValidationError(ValueError):
 
 class GeometryError(RuntimeError):
     """Internal invariant broke (a bug, not an input condition)."""
-
-
-class PathVerificationError(GeometryError):
-    pass
-
-
-def _interval(pair) -> Interval:
-    lo, hi = Fraction(pair[0]), Fraction(pair[1])
-    if lo > hi:
-        raise ValueError(f"interval [{lo}, {hi}] is empty")
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class Box:
-    """Closed axis-aligned box in space-time; spatial degeneracy is allowed
-    (a zero-width box is a wall segment and still separates gaps)."""
-
-    t: Interval
-    x: Interval
-    y: Interval
-
-    @classmethod
-    def make(cls, t, x, y) -> "Box":
-        return cls(_interval(t), _interval(x), _interval(y))
-
-    def alive(self, at: Fraction) -> bool:
-        return self.t[0] <= at <= self.t[1]
-
-    def contains(self, p: Point) -> bool:
-        return self.x[0] <= p[0] <= self.x[1] and self.y[0] <= p[1] <= self.y[1]
-
-
-@dataclass(frozen=True)
-class Scene:
-    """Spatial window plus coverage boxes.
-
-    Convention: coverage at time t is (plane minus int(window)) union the
-    boxes alive at t, so every gap automatically sits strictly inside the
-    window (the window complement is the fence).
-    """
-
-    window_x: Interval
-    window_y: Interval
-    boxes: tuple[Box, ...]
-
-    @classmethod
-    def make(cls, window_x, window_y, boxes=()) -> "Scene":
-        return cls(_interval(window_x), _interval(window_y), tuple(boxes))
-
-    def shifted(self, dt, dx, dy) -> "Scene":
-        dt, dx, dy = Fraction(dt), Fraction(dx), Fraction(dy)
-
-        def mv(iv: Interval, d: Fraction) -> Interval:
-            return (iv[0] + d, iv[1] + d)
-
-        return Scene(
-            mv(self.window_x, dx),
-            mv(self.window_y, dy),
-            tuple(Box(mv(b.t, dt), mv(b.x, dx), mv(b.y, dy)) for b in self.boxes),
-        )
 
 
 @dataclass(frozen=True)
@@ -272,15 +212,6 @@ class _RankTable:
     ts: tuple[Fraction, ...]
     rects: tuple[Rect, ...]
     spans: tuple[tuple[int, int], ...]
-
-
-def _rectangle_keys(boxes) -> list[tuple[int, int, int, int]]:
-    """The spatial rectangle of each box, keyed by the identities of its four
-    coordinate objects. Equal keys mean one rectangle, as identical objects
-    are equal; the scene reader returns one `Fraction` per distinct literal,
-    so boxes read from the same literals share a key, and boxes built apart
-    form groups of one."""
-    return [(id(b.x[0]), id(b.x[1]), id(b.y[0]), id(b.y[1])) for b in boxes]
 
 
 def _rank_table(scene: Scene) -> _RankTable:
@@ -541,28 +472,6 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     )
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """Hold `point` from start to end (None = unbounded side)."""
-
-    start: Fraction | None
-    end: Fraction | None
-    point: Point
-
-
-@dataclass(frozen=True)
-class EvasionPath:
-    """Piecewise-constant-in-space evasion witness.
-
-    Consecutive segments share their boundary time; the instantaneous move
-    between their points happens inside the open gap at that time and is
-    checked segment by segment and jump by jump.
-    """
-
-    segments: tuple[PathSegment, ...]
-    chain: tuple[CellLabel, ...]  # (cell id, gap component label) in time order
-
-
 def _route(fibre: GapFibre, c: int, f0: int, f1: int) -> list[Point]:
     """Waypoints (face centres) of a face path from face f0 to face f1 inside
     gap component c. Consecutive waypoints live on incident faces, so each
@@ -614,10 +523,7 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     `dict` keeps each distinct key once, in time order. The range check,
     the interior point, each `_edge_face`, each `_route` and each hop list
     are worked out once per distinct key, and Python walks only the edges
-    whose transition moves the path (`itertools.compress`). Path
-    verification tests each segment and jump against the rectangles of the
-    boxes alive on it alone, found by bisecting each box's life into the
-    path's hop times.
+    whose transition moves the path (`itertools.compress`).
     """
     chain = sections.chain
     if chain is None:
@@ -681,91 +587,3 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     path = EvasionPath(segments=tuple(segments), chain=section_chain(sections.sheaf, chain))
     verify_evasion_path(scene, path)
     return path
-
-
-def _segment_meets_box(p: Point, q: Point, box: Box) -> bool:
-    """Does the closed segment from p to q meet the closed box?
-
-    Exact Liang-Barsky clipping: the parameters s in [0, 1] of p + s(q - p)
-    inside the box's slab on each axis form an interval; the segment meets
-    the box iff the intersection of those intervals is nonempty.
-    """
-    lo, hi = ZERO, ONE
-    for a, d, (blo, bhi) in ((p[0], q[0] - p[0], box.x), (p[1], q[1] - p[1], box.y)):
-        if d == 0:
-            if not blo <= a <= bhi:
-                return False
-            continue
-        s0, s1 = (blo - a) / d, (bhi - a) / d
-        if s0 > s1:
-            s0, s1 = s1, s0
-        lo, hi = max(lo, s0), min(hi, s1)
-        if lo > hi:
-            return False
-    return True
-
-
-def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
-    """Exact re-check of a path against the raw scene.
-
-    Every held point must lie strictly inside the window and outside every
-    box whose closed time interval meets the segment's closed time span,
-    unbounded sides included. Every instantaneous move must keep its whole
-    straight segment out of every box alive at its time (its ends are held
-    points, so the convex window holds it). Raises PathVerificationError on
-    any contact (which would be a bug), naming for a held point the first
-    such box in scene order.
-
-    With hops the segments' shared times, sorted up to the first reversed
-    segment (refused before it is probed), a box alive on [t0, t1] meets
-    segments lo..hi and jumps lo..hi-1, lo = bisect_left(hops, t0) and hi =
-    bisect_right(hops, t1). One pass over the boxes takes the distinct
-    (lo, hi, rectangle) stabs (`_rectangle_keys`) in order of lo and lists
-    each rectangle once on each segment and jump it meets, from past the
-    last segment listed for it; each held point and jump is then tested
-    against the rectangles listed on it alone. With B boxes and S segments
-    that is O(B log S) comparisons, a sort of at most B integer triples and
-    one test per listed pair, however the scene was built. The checks use
-    the boxes' exact coordinates and no ranks, fibres or sheaf."""
-    segs = path.segments
-    if not segs or segs[0].start is not None or segs[-1].end is not None:
-        raise PathVerificationError("path must cover the whole timeline")
-    for a, b in zip(segs, segs[1:]):
-        if a.end is None or b.start != a.end:
-            raise PathVerificationError("consecutive segments must share their boundary time")
-    (wxlo, wxhi), (wylo, wyhi) = scene.window_x, scene.window_y
-    boxes = scene.boxes
-    hops = [seg.end for seg in takewhile(lambda seg: seg.start is None or seg.start <= seg.end, segs[:-1])]
-
-    keys = _rectangle_keys(boxes)
-    shapes = dict(zip(keys, boxes))  # one box per rectangle
-    stabs = {(bisect_left(hops, b.t[0]), bisect_right(hops, b.t[1]), key) for key, b in zip(keys, boxes)}
-    held: list[list[Box]] = [[] for _ in range(len(hops) + 1)]
-    jumps: list[list[Box]] = [[] for _ in hops]
-    reach: dict = {}  # the last segment listed per rectangle
-    for lo, hi, key in sorted(stabs):
-        last = reach.get(key, -1)
-        for i in range(max(lo, last + 1), hi + 1):
-            held[i].append(shapes[key])
-        for j in range(max(lo, last), hi):
-            jumps[j].append(shapes[key])
-        reach[key] = max(last, hi)
-    # a reversed segment ends `held`, so the loop reaches it and refuses it
-    for seg, shapes_on in zip(segs, held):
-        start, end, p = seg.start, seg.end, seg.point
-        if start is not None and end is not None and start > end:
-            raise PathVerificationError("segment with reversed time interval")
-        if not (wxlo < p[0] < wxhi and wylo < p[1] < wyhi):
-            raise PathVerificationError(f"path point {p} is not strictly inside the window")
-        for shape in shapes_on:
-            if shape.contains(p):
-                box = next(
-                    b
-                    for b in boxes
-                    if b.contains(p) and (end is None or b.t[0] <= end) and (start is None or start <= b.t[1])
-                )
-                raise PathVerificationError(f"path point {p} is covered by a box alive on [{box.t[0]}, {box.t[1]}]")
-    for a, b, shapes_on in zip(segs, segs[1:], jumps):
-        for shape in shapes_on:
-            if _segment_meets_box(a.point, b.point, shape):
-                raise PathVerificationError(f"jump from {a.point} to {b.point} at t={a.end} is covered")

@@ -13,7 +13,8 @@ from fractions import Fraction
 from random import Random
 
 from evasion.cones import PolyhedralCone
-from evasion.geometry import Box, Scene, scene_fibres, validate_fibres
+from evasion.geometry import scene_fibres, validate_fibres
+from evasion.scene import Box, Scene
 from evasion.sheaf import FunctionSheaf, Stratification
 
 
@@ -164,6 +165,8 @@ def jittered_pulsing_scene(n: int) -> Scene:
     """`pulsing_box_scene(n)` with box i's stub width 5 + 1/(i+2), so that
     every box is a rectangle of its own by value while the topology and the
     verdict stay pulsing's."""
+    if n % 2:
+        raise ValueError("n must be even")
     boxes = [Box.make((2 * i + 1, 2 * i + 2), (0, 5 + Fraction(1, i + 2)), (3, 5)) for i in range(n // 2)]
     return Scene.make((0, 8), (0, 8), boxes)
 
@@ -203,4 +206,10 @@ def parse_family(text: str) -> tuple[str, tuple[int, ...]]:
     parts = sizes.split(",")
     if not all(part.isdecimal() and int(part) > 0 for part in parts):
         raise ValueError(f"{text!r}: the sizes must be positive integers separated by commas")
-    return name, tuple(map(int, parts))
+    sizes = tuple(map(int, parts))
+    for n in sizes:
+        try:
+            FAMILIES[name][0](n)
+        except ValueError as exc:
+            raise ValueError(f"{name}={n}: {exc}") from exc
+    return name, sizes

@@ -30,21 +30,9 @@ the exact clipping test `_segment_meets_box` with the production path.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from evasion.geometry import (
-    EvasionPath,
-    Fibres,
-    GeometryError,
-    PathSegment,
-    PathVerificationError,
-    Point,
-    Scene,
-    _arrange,
-    _edge_face,
-    _rank_table,
-    _route,
-    _segment_meets_box,
-    verify_evasion_path,
-)
+from evasion.certify import PathVerificationError, _segment_meets_box, verify_evasion_path
+from evasion.geometry import Fibres, GeometryError, _arrange, _edge_face, _rank_table, _route
+from evasion.scene import EvasionPath, PathSegment, Point, Scene
 from evasion.sheaf import GlobalSections, section_chain
 
 

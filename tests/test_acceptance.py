@@ -15,9 +15,10 @@ from random import Random
 
 import pytest
 
+from evasion.certify import verify_evasion_path
 from evasion.cli import main, scene_from_jsonable, sheaf_from_jsonable
 from evasion.cones import is_valid_certificate, lp_positive_kernel
-from evasion.geometry import build_sheaf, extract_path, scene_fibres, verify_evasion_path
+from evasion.geometry import build_sheaf, extract_path, scene_fibres
 from evasion.linalg import kernel_basis
 from evasion.randgen import pulsing_box_scene, random_function_like_sheaf, random_scene
 from evasion.sheaf import global_sections, refine

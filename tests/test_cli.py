@@ -30,10 +30,11 @@ from evasion.cli import (
     sections_to_jsonable,
     write_json,
 )
+from evasion.certify import verify_evasion_path
 from evasion.cones import FeasibilityResult
-from evasion.geometry import EvasionPath, PathSegment, Scene, verify_evasion_path
 from evasion.linalg import Matrix, format_rational, parse_rational
 from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene
+from evasion.scene import EvasionPath, PathSegment, Scene
 
 from conftest import fixture_path, fixtures_with, load_fixture
 
@@ -451,8 +452,9 @@ def test_module_entry_point_runs(tmp_path):
 
 
 def test_path_json_round_trip():
+    from evasion.certify import verify_evasion_path
     from evasion.cli import path_from_jsonable, path_to_jsonable, scene_from_jsonable
-    from evasion.geometry import build_sheaf, extract_path, scene_fibres, verify_evasion_path
+    from evasion.geometry import build_sheaf, extract_path, scene_fibres
     from evasion.sheaf import global_sections
 
     from conftest import load_fixture

@@ -8,21 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import evasion.certify
 import evasion.geometry
 import evasion.sheaf
 from evasion import randgen
+from evasion.certify import PathVerificationError, verify_evasion_path
 from evasion.cli import main, path_to_jsonable, run_check, scene_from_jsonable, scene_to_jsonable
 from evasion.cones import lp_positive_kernel
 from evasion.geometry import (
-    Box,
-    EvasionPath,
     GeometryError,
-    PathSegment,
-    PathVerificationError,
-    Scene,
     SceneValidationError,
     _rank_table,
-    _rectangle_keys,
     build_sheaf,
     critical_times,
     extract_path,
@@ -30,7 +26,6 @@ from evasion.geometry import (
     sheaf_from_fibres,
     validate_fibres,
     validate_scene,
-    verify_evasion_path,
 )
 from evasion.linalg import Matrix, columns
 from evasion.oracle import dp_section_exists
@@ -44,6 +39,7 @@ from evasion.randgen import (
     slalom_scene,
     staircase_scene,
 )
+from evasion.scene import Box, EvasionPath, PathSegment, Scene, _rectangle_keys
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
@@ -611,16 +607,53 @@ def test_verify_tests_each_box_on_the_segments_it_meets(monkeypatch, family, siz
     for n in sizes:
         scene = family(n)
         path = run_check(scene)[2]
-        tests = Counter()
-        contains, meets = Box.contains, evasion.geometry._segment_meets_box
-        monkeypatch.setattr(Box, "contains", lambda box, p: tests.update(["contains"]) or contains(box, p))
-        monkeypatch.setattr(
-            evasion.geometry, "_segment_meets_box", lambda p, q, box: tests.update(["meets"]) or meets(p, q, box)
-        )
-        verify_evasion_path(scene, path)
-        monkeypatch.undo()
         assert len(path.segments) >= len(scene.boxes) // 2
-        assert 0 < tests.total() <= 2 * (len(scene.boxes) + len(path.segments))
+        assert 0 < rectangle_tests(monkeypatch, scene, path) <= 2 * (len(scene.boxes) + len(path.segments))
+
+
+def rectangle_tests(monkeypatch, scene: Scene, path: EvasionPath) -> int:
+    """The number of point-in-rectangle and jump-meets-rectangle tests
+    `verify_evasion_path` makes to accept the path."""
+    tests = Counter()
+    contains, meets = Box.contains, evasion.certify._segment_meets_box
+    monkeypatch.setattr(Box, "contains", lambda box, p: tests.update(["contains"]) or contains(box, p))
+    monkeypatch.setattr(
+        evasion.certify, "_segment_meets_box", lambda p, q, box: tests.update(["meets"]) or meets(p, q, box)
+    )
+    verify_evasion_path(scene, path)
+    monkeypatch.undo()
+    return tests.total()
+
+
+def read_back(scene: Scene) -> tuple[Scene, int]:
+    """The scene as the reader gives it back, so that boxes read from the
+    same literals share a rectangle, and its number of rectangles by value."""
+    return scene_from_jsonable(scene_to_jsonable(scene)), len({(b.x, b.y) for b in scene.boxes})
+
+
+# pulsing's 200 boxes are one rectangle, comb's 48 are 24 and slalom's 200 are 2
+GROUPED = pytest.mark.parametrize(
+    "scene", [pulsing_box_scene(400), comb_scene(24), slalom_scene(100)], ids=["pulsing", "comb", "slalom"]
+)
+
+
+@GROUPED
+def test_verify_tests_each_rectangle_on_the_segments_it_meets(monkeypatch, scene):
+    # work gates on the rectangle grouping: testing each box rather than
+    # each rectangle on pulsing's one segment costs 200 tests, not 1
+    scene, rectangles = read_back(scene)
+    path = run_check(scene)[2]
+    assert 0 < rectangle_tests(monkeypatch, scene, path) <= 2 * (rectangles + len(path.segments))
+
+
+@GROUPED
+def test_the_rank_table_ranks_x_and_y_over_one_box_per_rectangle(monkeypatch, scene):
+    scene, rectangles = read_back(scene)
+    ranked, ranks = [], evasion.geometry._ranks
+    monkeypatch.setattr(evasion.geometry, "_ranks", lambda values: ranked.append(len(values)) or ranks(values))
+    _rank_table(scene)
+    x, y, _ = ranked  # the t axis ranks the times of every relevant box
+    assert max(x, y) <= 2 + 2 * rectangles
 
 
 def test_the_rank_table_does_not_depend_on_shared_coordinates(base_seed):
@@ -857,6 +890,9 @@ def test_parse_family_reads_a_name_and_its_sizes_and_names_what_is_wrong():
         "slalom=4,,8": "the sizes must be positive integers",
         "slalom=4,x": "the sizes must be positive integers",
         "slalom=0": "the sizes must be positive integers",
+        "pulsing=3": "pulsing=3: n_critical_times must be even",
+        "blocked=4,3": "blocked=3: n_critical_times must be even",
+        "jittered-pulsing=3": "jittered-pulsing=3: n must be even",
     }
     for text, message in refused.items():
         with pytest.raises(ValueError, match=message):

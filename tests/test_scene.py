@@ -1,0 +1,54 @@
+"""The trusted base: the scene types and the path checker that reads them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from evasion.scene import Box, Scene
+
+PACKAGE = Path(__file__).parent.parent / "src" / "evasion"
+
+
+def evasion_imports(module: str) -> set[str]:
+    """The evasion modules that the module's source imports, read with `ast`."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("evasion" + (f".{node.module}" if node.module else "")) if node.level else node.module
+            names |= {f"{base}.{alias.name}" for alias in node.names} if base == "evasion" else {base}
+    return {name.split(".")[1] for name in names if name.startswith("evasion.")}
+
+
+def test_the_path_checker_reaches_only_the_scene_types():
+    # importing any evasion module runs the package's __init__ too
+    reached, todo = set(), ["__init__", "certify"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += evasion_imports(module)
+    assert reached == {"__init__", "certify", "scene"}
+    assert evasion_imports("scene") == set() == evasion_imports("__init__")
+    assert evasion_imports("geometry") >= {"certify", "scene"}
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: Box.make((0.1, 1), (0, 1), (0, 2)), "0.1"),
+        (lambda: Box.make((0, 1), (0, 1), (True, 2)), "True"),
+        (lambda: Scene.make((0, 1), (0, 2.0)), "2.0"),
+        (lambda: Scene.make((0, 1), (0, 1)).shifted(0, False, 0), "False"),
+        (lambda: Scene.make((0, 1), (0, 1)).shifted(0, 0, 0.5), "0.5"),
+    ],
+    ids=["box-float", "box-bool", "scene-float", "shift-bool", "shift-float"],
+)
+def test_floats_and_bools_are_refused_by_name(build, value):
+    # the scene reader refuses both; read silently, 0.1 would become its
+    # binary expansion and True the integer 1
+    with pytest.raises(ValueError, match=f"not an exact rational: {value}$"):
+        build()
+

@@ -43,7 +43,7 @@ def test_script_runs(argv, expected):
     assert all(part in result.stdout for part in expected), result.stdout
 
 
-def run_script(argv: list[str]) -> subprocess.CompletedProcess:
+def run_script(argv: list[str], code: int = 0) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
@@ -53,7 +53,7 @@ def run_script(argv: list[str]) -> subprocess.CompletedProcess:
         env=env,
         timeout=60,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return result
 
 
@@ -90,3 +90,20 @@ def test_scaling_bench_runs_only_the_families_it_is_given(tmp_path):
     run_script(["scaling_bench.py", "--family", "slalom=4", "--out", str(out)])
     rows = json.loads(out.read_text())["rows"]
     assert {(row["family"], row["size"]) for row in rows} == {("slalom", 4)}
+
+
+def test_pair_check_leaves_an_empty_family_out():
+    argv = ["pair_check.py", str(ROOT), "--pairs", "2", "--turn", "0", "--family", "slalom=3", "--random", "0"]
+    result = run_script(argv)
+    assert "reports identical outside timing_ms" in result.stdout
+    assert [line.split()[0] for line in result.stdout.splitlines()[3:-1]] == ["slalom"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scaling_bench.py", "--family", "pulsing=3"], ["pair_check.py", str(ROOT), "--family", "blocked=3"]],
+    ids=["scaling_bench", "pair_check"],
+)
+def test_a_size_the_family_refuses_is_a_usage_error(argv):
+    result = run_script(argv, code=2)
+    assert result.stderr.splitlines()[-1].endswith("argument --family: " + argv[-1] + ": n_critical_times must be even")
