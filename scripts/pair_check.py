@@ -27,8 +27,10 @@ them.
 
 For each family the script prints each tree's median time per check with
 its quartiles over the pairs, the median of the paired ratios (this tree
-over the other; below 1 means this tree is faster) and the number of pairs
-this tree won.
+over the other; below 1 means this tree is faster), the number of pairs
+this tree won, and whether the difference is resolved: one tree won at
+least 9 pairs in 10 (a tie counts for neither) and the two medians differ
+by more than the other tree's quartile spread.
 
 Usage: python scripts/pair_check.py OTHER_CHECKOUT [--pairs N] [--turn SECONDS]
        [--seed S] [--family NAME=N[,N...] ...] [--random COUNT]
@@ -138,6 +140,14 @@ def spread(times: list[float], per: int) -> str:
     return f"{1000 * median(times) / per:9.3f} [{1000 * q1 / per:.3f}, {1000 * q3 / per:.3f}]"
 
 
+def resolved(this: list[float], other: list[float]) -> bool:
+    """One tree won at least 9 pairs in 10 and the medians differ by more
+    than the other tree's quartile spread."""
+    wins = max(sum(a < b for a, b in zip(this, other)), sum(a > b for a, b in zip(this, other)))
+    q1, _, q3 = quantiles(other, n=4, method="inclusive")
+    return 10 * wins >= 9 * len(this) and abs(median(this) - median(other)) > q3 - q1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare this one with")
@@ -178,7 +188,7 @@ def main() -> int:
         for family, path, command in differ:
             print(f"outputs differ outside timing_ms: {family} {Path(path).name} `{command}`")
         print(f"this: {THIS}\nother: {args.other.resolve()}")
-        print(f"{'family':16} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  wins")
+        print(f"{'family':16} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  {'wins':>5}  difference")
         for family, paths in files.items():
             checks = len(paths) * rounds[family]
             times: dict[str, list[float]] = {"this": [], "other": []}
@@ -187,9 +197,10 @@ def main() -> int:
                     times[name].append(timed(trees[name], paths, rounds[family]))
             ratios = [a / b for a, b in zip(times["this"], times["other"])]
             wins = sum(r < 1 for r in ratios)
+            verdict = "resolved" if resolved(times["this"], times["other"]) else "unresolved"
             print(
                 f"{family:16} {checks:6}  {spread(times['this'], checks):>30}  "
-                f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {wins}/{args.pairs}"
+                f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {f'{wins}/{args.pairs}':>5}  {verdict}"
             )
     summary = "reports identical outside timing_ms" if not differ else f"{len(differ)} outputs differ"
     print(f"{len(inputs)} inputs: {summary}")

@@ -8,7 +8,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import takewhile
 
-from evasion.scene import Box, EvasionPath, Point, Scene, _rectangle_keys
+from evasion.scene import Box, EvasionPath, Point, Scene
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -54,13 +54,13 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     segment (refused before it is probed), a box alive on [t0, t1] meets
     segments lo..hi and jumps lo..hi-1, lo = bisect_left(hops, t0) and hi =
     bisect_right(hops, t1). One pass over the boxes takes the distinct
-    (lo, hi, rectangle) stabs (`_rectangle_keys`) in order of lo and lists
-    each rectangle once on each segment and jump it meets, from past the
-    last segment listed for it; each held point and jump is then tested
+    (lo, hi, rectangle index) stabs (`Scene.rectangles`) in order of lo and
+    lists each rectangle once on each segment and jump it meets, from past
+    the last segment listed for it; each held point and jump is then tested
     against the rectangles listed on it alone. With B boxes and S segments
     that is O(B log S) comparisons, a sort of at most B integer triples and
-    one test per listed pair, however the scene was built. The checks use
-    the boxes' exact coordinates and no ranks, fibres or sheaf."""
+    one test per listed pair. The checks use the boxes' exact coordinates
+    and no ranks, fibres or sheaf."""
     segs = path.segments
     if not segs or segs[0].start is not None or segs[-1].end is not None:
         raise PathVerificationError("path must cover the whole timeline")
@@ -71,19 +71,18 @@ def verify_evasion_path(scene: Scene, path: EvasionPath) -> None:
     boxes = scene.boxes
     hops = [seg.end for seg in takewhile(lambda seg: seg.start is None or seg.start <= seg.end, segs[:-1])]
 
-    keys = _rectangle_keys(boxes)
-    shapes = dict(zip(keys, boxes))  # one box per rectangle
-    stabs = {(bisect_left(hops, b.t[0]), bisect_right(hops, b.t[1]), key) for key, b in zip(keys, boxes)}
+    shapes, index = scene.rectangles
+    stabs = {(bisect_left(hops, b.t[0]), bisect_right(hops, b.t[1]), r) for r, b in zip(index, boxes)}
     held: list[list[Box]] = [[] for _ in range(len(hops) + 1)]
     jumps: list[list[Box]] = [[] for _ in hops]
-    reach: dict = {}  # the last segment listed per rectangle
-    for lo, hi, key in sorted(stabs):
-        last = reach.get(key, -1)
+    reach = [-1] * len(shapes)  # the last segment listed per rectangle
+    for lo, hi, r in sorted(stabs):
+        last = reach[r]
         for i in range(max(lo, last + 1), hi + 1):
-            held[i].append(shapes[key])
+            held[i].append(shapes[r])
         for j in range(max(lo, last), hi):
-            jumps[j].append(shapes[key])
-        reach[key] = max(last, hi)
+            jumps[j].append(shapes[r])
+        reach[r] = max(last, hi)
     # a reversed segment ends `held`, so the loop reaches it and refuses it
     for seg, shapes_on in zip(segs, held):
         start, end, p = seg.start, seg.end, seg.point

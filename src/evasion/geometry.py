@@ -28,24 +28,23 @@ odd ones, and face (i, j) has dimension congruent to i + j, the parity of
 its flat index, as each grid column holds an odd number of faces. A fully
 covered window has no gap, characteristic 0, and connected coverage.
 
-The arrangement and the time sweep run on integer ranks. Each scene gets one
-rank table that ranks its three axes once: the x and y coordinates of the
-window and of one box per spatial rectangle, and the times of the
-window-relevant boxes. Boxes share a rectangle when they share their four
-coordinate objects, as boxes the scene reader reads from the same literals
-do, so a sensor that switches on and off many times is ranked, tested for
-relevance and clamped once. Values are deduplicated by their (numerator,
-denominator) pair and sorted by the exact key (integer part, value), so no
-`Fraction` is hashed and two are compared only when they share an integer
-part. Window relevance and clamping compare ranks, and the table keeps the
-sorted distinct x and y coordinates of the window and of the relevant boxes
-clamped to it, the critical times, and each relevant box's rank rectangle
-and time span. Ranking is strictly increasing on those finite sets and every
-comparison the sweep, the arrangement, the validation and the restrictions
-make is between their members, so ranks take every branch the rationals
-would; `Fraction` values appear only in the outputs (grid coordinates,
-vertex times, the anchors and interior points read off a fibre, the sample
-time of a validation message).
+The arrangement and the time sweep run on integer ranks. Each scene gets
+one rank table that ranks its three axes once: the x and y coordinates of
+the window and of one box per spatial rectangle (`Scene.rectangles`, by
+value), and the times of the window-relevant boxes, so a sensor that
+switches on and off many times is ranked, tested for relevance and clamped
+once. Values are deduplicated by their (numerator, denominator) pair and
+sorted by the exact key (integer part, value), so no `Fraction` is hashed
+and two are compared only when they share an integer part. Window relevance
+and clamping compare ranks, and the table keeps the sorted distinct x and y
+coordinates of the window and of the relevant boxes clamped to it, the
+critical times, and each relevant box's rank rectangle and time span.
+Ranking is strictly increasing on those finite sets and every comparison
+the sweep, the arrangement, the validation and the restrictions make is
+between their members, so ranks take every branch the rationals would;
+`Fraction` values appear only in the outputs (grid coordinates, vertex
+times, the anchors and interior points read off a fibre, the sample time of
+a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -75,7 +74,7 @@ from operator import floordiv, itemgetter
 from evasion.certify import PathVerificationError, verify_evasion_path
 from evasion.cones import PolyhedralCone
 from evasion.linalg import format_rational
-from evasion.scene import Box, EvasionPath, Interval, PathSegment, Point, Scene, _rectangle_keys
+from evasion.scene import Box, EvasionPath, Interval, PathSegment, Point, Scene
 from evasion.sheaf import FunctionSheaf, GlobalSections, Stratification, section_chain
 
 Face = tuple[int, int]
@@ -216,32 +215,31 @@ class _RankTable:
 
 def _rank_table(scene: Scene) -> _RankTable:
     """The scene's rank table. The x and y axes are ranked over the window
-    and one box per spatial rectangle (`_rectangle_keys`), and relevance and
-    clamping are worked out once per rectangle; a box costs only its key, its
-    time span and a lookup of its rectangle's clamped ranks."""
+    and one box per spatial rectangle (`Scene.rectangles`), and relevance and
+    clamping are worked out once per rectangle; a box costs only its time
+    span and a lookup of its rectangle's clamped ranks by index."""
     boxes = scene.boxes
-    keys = _rectangle_keys(boxes)
-    shapes = dict(zip(keys, boxes))  # one box per rectangle
-    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes.values() for c in b.x)])
-    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes.values() for c in b.y)])
+    shapes, index = scene.rectangles
+    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes for c in b.x)])
+    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes for c in b.y)])
     clamped = {}
-    for key, x0, x1, y0, y1 in zip(shapes, bx[0::2], bx[1::2], by[0::2], by[1::2]):
+    for k, x0, x1, y0, y1 in zip(count(), bx[0::2], bx[1::2], by[0::2], by[1::2]):
         # does the closed box meet the open window interior?
         if x0 < wx1 and x1 > wx0 and y0 < wy1 and y1 > wy0:
-            clamped[key] = (max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1))
+            clamped[k] = (max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1))
     # keep the ranks the window and the clamped relevant rectangles use
     xcut = sorted({wx0, wx1, *(c for r in clamped.values() for c in r[:2])})
     ycut = sorted({wy0, wy1, *(c for r in clamped.values() for c in r[2:])})
     xpos = dict(zip(xcut, count()))
     ypos = dict(zip(ycut, count()))
-    rects = {key: (xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for key, (x0, x1, y0, y1) in clamped.items()}
-    relevant = list(map(rects.__contains__, keys))
+    rects = {k: (xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for k, (x0, x1, y0, y1) in clamped.items()}
+    relevant = list(map(rects.__contains__, index))
     ts, tr = _ranks([c for b in compress(boxes, relevant) for c in b.t])
     return _RankTable(
         tuple(map(xv.__getitem__, xcut)),
         tuple(map(yv.__getitem__, ycut)),
         tuple(ts),
-        tuple(map(rects.__getitem__, compress(keys, relevant))),
+        tuple(map(rects.__getitem__, compress(index, relevant))),
         tuple(zip(tr[0::2], tr[1::2])),
     )
 

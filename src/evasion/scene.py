@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Point = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -18,7 +19,9 @@ def _rational(value) -> Fraction:
 
 
 def _interval(pair) -> Interval:
-    lo, hi = _rational(pair[0]), _rational(pair[1])
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:  # as the scene reader refuses it
+        raise ValueError(f"an interval must be a two-element list, got {pair!r}")
+    lo, hi = map(_rational, pair)
     if lo > hi:
         raise ValueError(f"interval [{lo}, {hi}] is empty")
     return lo, hi
@@ -61,6 +64,20 @@ class Scene:
     def make(cls, window_x, window_y, boxes=()) -> "Scene":
         return cls(_interval(window_x), _interval(window_y), tuple(boxes))
 
+    @cached_property
+    def rectangles(self) -> tuple[tuple[Box, ...], tuple[int, ...]]:
+        """One box per distinct spatial rectangle, in order of first
+        appearance, and the index of each box's rectangle. Boxes share a
+        rectangle when their x and y intervals are equal as values, told
+        apart by (numerator, denominator) pairs so that no `Fraction` is hashed."""
+        number: dict[tuple[int, ...], int] = {}
+        index = []
+        for b in self.boxes:
+            (x0, x1), (y0, y1) = b.x, b.y
+            key = (*x0.as_integer_ratio(), *x1.as_integer_ratio(), *y0.as_integer_ratio(), *y1.as_integer_ratio())
+            index.append(number.setdefault(key, len(number)))
+        return tuple(dict(zip(index, self.boxes)).values()), tuple(index)
+
     def shifted(self, dt, dx, dy) -> "Scene":
         dt, dx, dy = _rational(dt), _rational(dx), _rational(dy)
 
@@ -72,15 +89,6 @@ class Scene:
             mv(self.window_y, dy),
             tuple(Box(mv(b.t, dt), mv(b.x, dx), mv(b.y, dy)) for b in self.boxes),
         )
-
-
-def _rectangle_keys(boxes) -> list[tuple[int, int, int, int]]:
-    """The spatial rectangle of each box, keyed by the identities of its four
-    coordinate objects. Equal keys mean one rectangle, as identical objects
-    are equal; the scene reader returns one `Fraction` per distinct literal,
-    so boxes read from the same literals share a key, and boxes built apart
-    form groups of one."""
-    return [(id(b.x[0]), id(b.x[1]), id(b.y[0]), id(b.y[1])) for b in boxes]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from evasion.randgen import (
     slalom_scene,
     staircase_scene,
 )
-from evasion.scene import Box, EvasionPath, PathSegment, Scene, _rectangle_keys
+from evasion.scene import Box, EvasionPath, PathSegment, Scene
 from evasion.sheaf import assemble_coboundary, global_sections, validate_sheaf
 
 from conftest import fixtures_with, load_fixture
@@ -388,10 +388,9 @@ def verify_both(scene: Scene, path: EvasionPath) -> None:
 
 
 def one_rectangle(*spans, x=(4, 6), y=(4, 6)) -> list[Box]:
-    """Boxes over the given time spans that share their four coordinate
-    objects, so that they form one spatial rectangle."""
-    x, y = (Fraction(x[0]), Fraction(x[1])), (Fraction(y[0]), Fraction(y[1]))
-    return [Box((Fraction(t0), Fraction(t1)), x, y) for t0, t1 in spans]
+    """Boxes over the given time spans on one spatial rectangle, each built
+    from its own coordinate objects."""
+    return [Box.make(span, x, y) for span in spans]
 
 
 class TestVerifyEvasionPath:
@@ -423,20 +422,20 @@ class TestVerifyEvasionPath:
         # 5, shows the contact
         boxes = one_rectangle((2, Fraction(5, 2)), (0, 1), (Fraction(3, 2), 5))
         scene = Scene.make((0, 10), (0, 10), boxes)
-        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        assert len(scene.rectangles[0]) == 1
         path = _path((None, 3, (1, 1)), (3, 4, (5, 5)), (4, None, (1, 1)))
         with pytest.raises(PathVerificationError, match=r"covered by a box alive on \[3/2, 5\]"):
             verify_both(scene, path)
 
     def test_a_rectangle_whose_boxes_all_die_before_the_span(self):
         scene = Scene.make((0, 10), (0, 10), one_rectangle((1, 2), (0, 1), (Fraction(1, 2), Fraction(3, 2))))
-        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        assert len(scene.rectangles[0]) == 1
         verify_both(scene, _path((None, Fraction(5, 2), (1, 1)), (Fraction(5, 2), None, (5, 5))))
 
     def test_an_instantaneous_box_alive_exactly_at_a_hop_time(self):
         boxes = one_rectangle((0, 1), (3, 3), (5, 6), x=(4, 6), y=(0, 10))
         scene = Scene.make((0, 10), (0, 10), boxes)
-        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        assert len(scene.rectangles[0]) == 1
         with pytest.raises(PathVerificationError, match="jump from .* at t=3 is covered"):
             verify_both(scene, _path((None, 3, (1, 5)), (3, None, (9, 5))))
         # a hop just after the instant passes
@@ -464,7 +463,7 @@ class TestVerifyEvasionPath:
         # second one, alive at the hop, must still list the rectangle on the jump
         boxes = one_rectangle((Fraction(1, 2), 1), (Fraction(3, 2), 3), x=(4, 6), y=(0, 10))
         scene = Scene.make((0, 10), (0, 10), boxes)
-        assert len(set(_rectangle_keys(scene.boxes))) == 1
+        assert len(scene.rectangles[0]) == 1
         with pytest.raises(PathVerificationError, match="jump from .* at t=2 is covered"):
             verify_both(scene, _path((None, 2, (1, 5)), (2, None, (9, 5))))
 
@@ -514,14 +513,14 @@ class TestVerifyEvasionPath:
 
 
 def separate(scene: Scene) -> Scene:
-    """The scene with fresh coordinate objects in every box, so that every
-    box is a spatial rectangle of its own."""
+    """The scene with fresh coordinate objects in every box, so that no two
+    boxes share one, as in a scene built box by box."""
     return replace(scene, boxes=tuple(Box.make(b.t, b.x, b.y) for b in scene.boxes))
 
 
 def widened(scene: Scene) -> Scene:
     """The scene with box i's x1 grown by 1/(1000+i), so that every box is
-    a spatial rectangle of its own by value, not only by object identity."""
+    a spatial rectangle of its own."""
     boxes = (Box(b.t, (b.x[0], b.x[1] + Fraction(1, 1000 + i)), b.y) for i, b in enumerate(scene.boxes))
     return replace(scene, boxes=tuple(boxes))
 
@@ -551,9 +550,9 @@ def mutated(path: EvasionPath, scene: Scene, rng: Random) -> list[EvasionPath]:
 
 
 def echoed(scene: Scene, rng: Random) -> Scene:
-    """The scene plus, for each box, two boxes on its rectangle (the same
-    coordinate objects) born at shifted times and living longer or shorter,
-    so that rectangles hold several boxes in no order of birth or death."""
+    """The scene plus, for each box, two boxes on its rectangle born at
+    shifted times and living longer or shorter, so that rectangles hold
+    several boxes in no order of birth or death."""
     shifts = (-3, -1, Fraction(-1, 2), Fraction(1, 3), 2, 5)
     echoes = [
         Box((b.t[0] + d, max(b.t[0], b.t[1] + rng.choice((-2, 0, 3))) + d), b.x, b.y)
@@ -566,11 +565,11 @@ def echoed(scene: Scene, rng: Random) -> Scene:
 
 
 def test_verify_evasion_path_matches_the_direct_reference(base_seed):
-    # extracted paths and their mutations, each on the scene as built (every
-    # box a rectangle of its own), as the reader gives it back (boxes read
-    # from the same literals share a rectangle), with every rectangle
-    # holding echoes of its box at other times and with every box widened
-    # to a rectangle of its own value
+    # extracted paths and their mutations, each on the scene with no
+    # coordinate object shared, as the reader gives it back (boxes read from
+    # the same literals share them), with every rectangle holding echoes of
+    # its box at other times and with every box widened to a rectangle of
+    # its own
     rng, drawn = Random(base_seed), 0
     cases = [(fixture_scene(name), run_check(fixture_scene(name))[2]) for name in fixtures_with("window")]
     cases = [case for case in cases if case[1] is not None]
@@ -583,8 +582,8 @@ def test_verify_evasion_path_matches_the_direct_reference(base_seed):
             drawn += 1
     outcomes, grouped = Counter(), 0
     for scene, path in cases:
-        read = scene_from_jsonable(scene_to_jsonable(scene))
-        grouped += len(set(_rectangle_keys(read.boxes))) < len(read.boxes)
+        read = read_back(scene)
+        grouped += len(read.rectangles[0]) < len(read.boxes)
         for candidate in [path, *mutated(path, scene, rng)]:
             for variant in (separate(scene), read, echoed(scene, rng), widened(scene)):
                 got = _verdict(verify_evasion_path, variant, candidate)
@@ -625,35 +624,40 @@ def rectangle_tests(monkeypatch, scene: Scene, path: EvasionPath) -> int:
     return tests.total()
 
 
-def read_back(scene: Scene) -> tuple[Scene, int]:
+def read_back(scene: Scene) -> Scene:
     """The scene as the reader gives it back, so that boxes read from the
-    same literals share a rectangle, and its number of rectangles by value."""
-    return scene_from_jsonable(scene_to_jsonable(scene)), len({(b.x, b.y) for b in scene.boxes})
+    same literals share their coordinate objects."""
+    return scene_from_jsonable(scene_to_jsonable(scene))
 
 
-# pulsing's 200 boxes are one rectangle, comb's 48 are 24 and slalom's 200 are 2
+# pulsing's 200 boxes are one rectangle, comb's 48 are 24 and slalom's 200
+# are 2; the gates run on each scene as built in Python and as read back
 GROUPED = pytest.mark.parametrize(
-    "scene", [pulsing_box_scene(400), comb_scene(24), slalom_scene(100)], ids=["pulsing", "comb", "slalom"]
+    "scene, rectangles",
+    [(pulsing_box_scene(400), 1), (comb_scene(24), 24), (slalom_scene(100), 2)],
+    ids=["pulsing", "comb", "slalom"],
 )
 
 
 @GROUPED
-def test_verify_tests_each_rectangle_on_the_segments_it_meets(monkeypatch, scene):
+def test_verify_tests_each_rectangle_on_the_segments_it_meets(monkeypatch, scene, rectangles):
     # work gates on the rectangle grouping: testing each box rather than
     # each rectangle on pulsing's one segment costs 200 tests, not 1
-    scene, rectangles = read_back(scene)
-    path = run_check(scene)[2]
-    assert 0 < rectangle_tests(monkeypatch, scene, path) <= 2 * (rectangles + len(path.segments))
+    for variant in (scene, read_back(scene)):
+        assert len(variant.rectangles[0]) == rectangles
+        path = run_check(variant)[2]
+        assert 0 < rectangle_tests(monkeypatch, variant, path) <= 2 * (rectangles + len(path.segments))
 
 
 @GROUPED
-def test_the_rank_table_ranks_x_and_y_over_one_box_per_rectangle(monkeypatch, scene):
-    scene, rectangles = read_back(scene)
+def test_the_rank_table_ranks_x_and_y_over_one_box_per_rectangle(monkeypatch, scene, rectangles):
     ranked, ranks = [], evasion.geometry._ranks
     monkeypatch.setattr(evasion.geometry, "_ranks", lambda values: ranked.append(len(values)) or ranks(values))
-    _rank_table(scene)
-    x, y, _ = ranked  # the t axis ranks the times of every relevant box
-    assert max(x, y) <= 2 + 2 * rectangles
+    for variant in (scene, read_back(scene)):
+        ranked.clear()
+        _rank_table(variant)
+        x, y, _ = ranked  # the t axis ranks the times of every relevant box
+        assert max(x, y) <= 2 + 2 * rectangles
 
 
 def test_the_rank_table_does_not_depend_on_shared_coordinates(base_seed):
@@ -663,8 +667,9 @@ def test_the_rank_table_does_not_depend_on_shared_coordinates(base_seed):
     scenes += [random_candidate(rng, 10) for _ in range(300)]
     grouped = 0
     for scene in scenes:
-        read = scene_from_jsonable(scene_to_jsonable(scene))
-        grouped += len(set(_rectangle_keys(read.boxes))) < len(read.boxes)
+        read = read_back(scene)
+        grouped += len(read.rectangles[0]) < len(read.boxes)
+        assert separate(scene).rectangles == read.rectangles == scene.rectangles
         assert _rank_table(separate(scene)) == _rank_table(read) == _rank_table(scene)
     assert grouped > 10
 

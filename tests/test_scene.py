@@ -1,6 +1,8 @@
 """The trusted base: the scene types and the path checker that reads them."""
 
 import ast
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,33 @@ def test_floats_and_bools_are_refused_by_name(build, value):
     with pytest.raises(ValueError, match=f"not an exact rational: {value}$"):
         build()
 
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: Box.make((0, 1, 7), (0, 1), (0, 1)), "(0, 1, 7)"),
+        (lambda: Box.make("01", (0, 1), (0, 1)), "'01'"),
+        (lambda: Box.make((0, 1), (0,), (0, 1)), "(0,)"),
+        (lambda: Box.make((0, 1), (0, 1), 5), "5"),
+        (lambda: Scene.make((0, 4, 9), (0, 4)), "(0, 4, 9)"),
+    ],
+    ids=["box-three-ends", "box-string", "box-one-end", "box-number", "scene-three-ends"],
+)
+def test_an_interval_that_is_not_a_pair_is_refused_by_name(build, value):
+    # read silently, the first two entries would be taken and the rest
+    # dropped, or the refusal would be an IndexError or a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"an interval must be a two-element list, got {value}") + "$"):
+        build()
+
+
+def test_boxes_share_a_rectangle_by_value():
+    # built apart, from ints, Fractions and strings, and at different times
+    boxes = [
+        Box.make((0, 1), (0, 1), (0, 2)),
+        Box.make((0, 1), (0, 1), (1, 2)),
+        Box.make((5, 6), (Fraction(0), "2/2"), ("0", Fraction(4, 2))),
+        Box.make((2, 3), (0, 1), (1, 2)),
+    ]
+    shapes, index = Scene.make((0, 3), (0, 3), boxes).rectangles
+    assert index == (0, 1, 0, 1)
+    assert [(b.x, b.y) for b in shapes] == [((0, 1), (0, 2)), ((0, 1), (1, 2))]
