@@ -14,8 +14,9 @@ converters: the 0/1 matrices it builds on request must convert back to its
 tuples (`generator_maps`), and the sheaf file `evasion sheaf` would write
 must read back to the same decision, kernel_dim and chain; a draw that
 breaks this is reported as "matrix round trip differs". End to end,
-`evasion oracle` run on that file must exit with the sweep's code and, on a
-feasible draw, print the sweep's chain ("evasion oracle differs").
+`evasion lp` run on that file must exit with the sweep's code and, on a
+feasible draw, print as its witness support the vertex generators of the
+sweep's chain, each at weight 1/k ("evasion lp differs").
 Any disagreement prints the offending sheaf as JSON and exits nonzero.
 The flow decomposition is the test reference in `tests/reference_chains.py`,
 which the script finds next to itself in the checkout.
@@ -37,6 +38,7 @@ from random import Random
 import evasion.cli as cli
 from evasion.cli import sheaf_from_jsonable, sheaf_to_jsonable, write_json
 from evasion.cones import is_valid_certificate, lp_positive_kernel
+from evasion.formats import format_rational
 from evasion.linalg import rank
 from evasion.randgen import random_function_like_sheaf
 from evasion.sheaf import ConeSheaf, assemble_coboundary, generator_maps, global_sections, section_chain
@@ -60,18 +62,22 @@ def round_trip(sheaf, sections, path: Path) -> bool:
     return maps == sheaf.maps and alike
 
 
-def oracle_agrees(path: Path, sections) -> bool:
-    """Does `evasion oracle` on the sheaf file exit with the sweep's code and,
-    on a feasible draw, print the sweep's chain?"""
+def lp_agrees(path: Path, sections) -> bool:
+    """Does `evasion lp` on the sheaf file exit with the sweep's code and, on a
+    feasible draw, print the vertex generators of the sweep's chain, each at
+    weight 1/k, as its witness support?"""
     printed = io.StringIO()
     with redirect_stdout(printed):
-        code = cli.main(["oracle", str(path)])
+        code = cli.main(["lp", str(path)])
     feasible = sections.decision.feasible
-    expected: dict = {"section_exists": feasible}
-    if feasible:
-        expected["chain"] = dict(section_chain(sections.sheaf, sections.chain))
-    exit_code = cli.EXIT_EVASION if feasible else cli.EXIT_NO_EVASION
-    return code == exit_code and json.loads(printed.getvalue()) == expected
+    if code != (cli.EXIT_EVASION if feasible else cli.EXIT_NO_EVASION):
+        return False
+    if not feasible:
+        return True
+    weight = format_rational(Fraction(1, sections.sheaf.strat.k))
+    chain = section_chain(sections.sheaf, sections.chain)
+    support = {f"{cell}.{label}": weight for cell, label in chain[1::2]}
+    return json.loads(printed.getvalue())["sections"]["witness"]["support"] == support
 
 
 def report(what: str, trial: int, seed: int, sheaf) -> int:
@@ -95,8 +101,8 @@ def main() -> int:
             sections = global_sections(sheaf)
             if not round_trip(sheaf, sections, path):
                 return report("matrix round trip differs", trial, args.seed, sheaf)
-            if not oracle_agrees(path, sections):
-                return report("evasion oracle differs", trial, args.seed, sheaf)
+            if not lp_agrees(path, sections):
+                return report("evasion lp differs", trial, args.seed, sheaf)
             assembled = assemble_coboundary(sheaf)
             same = (sections.row_labels, sections.column_labels, sections.coboundary) == (
                 assembled.row_labels,

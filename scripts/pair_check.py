@@ -14,10 +14,9 @@ event, so its checks are mostly path extraction and verification.
 First, untimed, every command runs once in each tree and the two outputs
 are compared byte for byte, exit codes included: on each scene file `check
 --path --plot` (its report with `timing_ms` removed, its path file and its
-SVG), `path --out` (its report and its file) and `sheaf`; on the sheaf that
-tree printed and on each sheaf file in `tests/fixtures`, `lp`, `lp
---matrix`, `matrix` and `oracle`. Any difference is printed and makes the
-exit status 1. Then each pair gives each tree one
+SVG) and `sheaf`; on the sheaf that tree printed and on each sheaf file in
+`tests/fixtures`, `lp`, `lp --matrix` and `matrix`. Any difference is
+printed and makes the exit status 1. Then each pair gives each tree one
 turn per family, the tree that runs first alternating from pair to pair. A
 turn runs in-process `cli.main(["check", file])` over the family's files,
 as many rounds as make about `--turn` seconds in this tree's untimed pass,
@@ -108,18 +107,16 @@ def taken(path: Path) -> str | None:
 
 def sheaf_outputs(cli, sheaf: str) -> dict[str, tuple[int, str]]:
     """The exit code and output of each sheaf command on the sheaf file."""
-    commands = (["lp"], ["lp", "--matrix"], ["matrix"], ["oracle"])
+    commands = (["lp"], ["lp", "--matrix"], ["matrix"])
     return {" ".join(command): run(cli, [*command, sheaf]) for command in commands}
 
 
 def scene_outputs(cli, scene: str, workdir: Path) -> dict[str, tuple]:
     """The exit code and output of each command on the scene file and on the
-    sheaf it prints, with the files `check` and `path` write and without
-    `check`'s `timing_ms`."""
+    sheaf it prints, with the files `check` writes and without its `timing_ms`."""
     path_file, svg_file, sheaf_file = (workdir / name for name in ("path.json", "plot.svg", "sheaf.json"))
     code, text = run(cli, ["check", "--path", str(path_file), "--plot", str(svg_file), scene])
     out: dict[str, tuple] = {"check": (code, TIMING.sub("", text), taken(path_file), taken(svg_file))}
-    out["path"] = (*run(cli, ["path", "--out", str(path_file), scene]), taken(path_file))
     out["sheaf"] = code, text = run(cli, ["sheaf", scene])
     if code == 0:
         sheaf_file.write_text(text)

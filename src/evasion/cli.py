@@ -1,12 +1,12 @@
-"""Command-line front end and JSON interchange formats.
+"""Command-line front end: the commands, the JSON writer, the SVG renderer
+and the sheaf and matrix readers. Scene and path files and rational
+literals are read by `evasion.formats`.
 
 Subcommands:
   check   scene.json  -> full pipeline (validate, sheaf, decision, path), verdict report
   sheaf   scene.json  -> the constructed cone sheaf as JSON
   lp      sheaf.json  -> validate + coboundary + LP on an abstract sheaf
   matrix  sheaf.json  -> labelled coboundary matrix only
-  oracle  sheaf.json  -> global_sections' re-checked section chain (free function-like sheaves)
-  path    scene.json  -> extracted evasion path as JSON
 
 Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
 serialised as "p" or "p/q" strings (on input, ints and any string `Fraction`
@@ -33,9 +33,14 @@ from pathlib import Path
 
 import evasion.geometry as geometry
 from evasion.cones import PolyhedralCone, lp_positive_kernel
+from evasion.formats import _count, _fields, _list, _rational, format_rational, parse_rational
+
+# perfbench reads both readers from this module, and its tracer hooks the
+# `scene_from_jsonable` that cmd_check calls here
+from evasion.formats import path_from_jsonable, scene_from_jsonable
 from evasion.geometry import Fibres, SceneValidationError, build_sheaf, extract_path
-from evasion.linalg import Matrix, format_rational, parse_rational, plain_integer
-from evasion.scene import Box, EvasionPath, PathSegment, Scene
+from evasion.linalg import Matrix
+from evasion.scene import EvasionPath, Scene
 from evasion.sheaf import (
     ConeSheaf,
     GlobalSections,
@@ -43,8 +48,6 @@ from evasion.sheaf import (
     Stratification,
     assemble_coboundary,
     global_sections,
-    section_chain,
-    sweep_sections,
 )
 
 EXIT_EVASION = 0
@@ -53,109 +56,7 @@ EXIT_NO_EVASION = 2
 
 
 # ---------------------------------------------------------------------------
-# formats
-
-def _list(value, what: str) -> list:
-    # a string or an object would otherwise be read one character or key at a time
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _count(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _rational(value, what: str) -> Fraction:
-    """`parse_rational`, its error prefixed with the field at fault."""
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
-def _fields(data, names, what: str, schema: str) -> list:
-    """The named fields of a JSON object, each required, in `names` order."""
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed {schema} JSON: {what} must be an object, got {data!r}")
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise ValueError(f"malformed {schema} JSON: {what} has no {missing[0]!r}")
-    return [data[name] for name in names]
-
-
-def _part(box: int | None) -> str:
-    """A box, or the window, as a scene reader's message names it."""
-    return "window" if box is None else f"box {box}"
-
-
-class _Literals(dict):
-    """Literal string -> its value and the value's integer ratio, each string
-    parsed on first lookup: a `plain_integer` by one `int` call, to the
-    value and ratio `_ratio` would give, and any other string by `_ratio`."""
-
-    def __missing__(self, literal: str) -> tuple[Fraction, int, int]:
-        if plain_integer(literal):
-            n = int(literal)
-            entry = (Fraction(n), n, 1)
-        else:
-            entry = _ratio(literal)
-        self[literal] = entry
-        return entry
-
-
-def _ratio(literal) -> tuple[Fraction, int, int]:
-    """`parse_rational`'s value, with its numerator and positive denominator."""
-    value = parse_rational(literal)
-    return (value, *value.as_integer_ratio())
-
-
-_BOX_FIELDS = frozenset("txy")
-
-
-def _interval(iv, axis: str, box: int | None, parsed: _Literals) -> tuple[Fraction, Fraction]:
-    """One [lo, hi] interval of a box or the window: both ends parsed, then ordered."""
-    if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-        raise ValueError(f"{_part(box)} {axis} interval must be a two-element list, got {iv!r}")
-    lo, hi = iv
-    try:
-        lo, a, b = parsed[lo] if type(lo) is str else _ratio(lo)
-        hi, c, d = parsed[hi] if type(hi) is str else _ratio(hi)
-    except ValueError as exc:
-        raise ValueError(f"{_part(box)} {axis}: {exc}") from exc
-    if a * d > c * b:  # ordered on integers: denominators are positive
-        raise ValueError(f"{_part(box)} {axis} interval [{format_rational(lo)}, {format_rational(hi)}] is reversed")
-    return lo, hi
-
-
-def scene_from_jsonable(data) -> Scene:
-    """The scene a JSON object describes, or a ValueError naming the field at fault.
-
-    Each box is checked whole before the next: its fields, then its t, x
-    and y intervals, each end parsed before the interval's order is
-    checked; the window comes last. So the first bad literal is the one
-    named. A field name such as `box 17 t` is formatted only for a message.
-    Within one call each distinct literal string is parsed once, a plain
-    integer by `int` and any other by `parse_rational`, and its integer
-    ratio is kept for the order test.
-    Ints, floats and bools are parsed every time, since `1`, `1.0` and
-    `True` hash alike and would otherwise share an outcome and a message.
-    """
-    if not isinstance(data, dict) or "window" not in data:
-        raise ValueError("scene JSON must be an object with a 'window' field")
-    parsed = _Literals()
-    boxes = []
-    for i, b in enumerate(_list(data.get("boxes", []), "boxes")):
-        if type(b) is not dict or not b.keys() >= _BOX_FIELDS:
-            _fields(b, "txy", _part(i), "scene")  # raises, unless b is a dict subclass with every field
-        boxes.append(
-            Box(_interval(b["t"], "t", i, parsed), _interval(b["x"], "x", i, parsed), _interval(b["y"], "y", i, parsed))
-        )
-    x, y = _fields(data["window"], "xy", "window", "scene")
-    return Scene(_interval(x, "x", None, parsed), _interval(y, "y", None, parsed), tuple(boxes))
-
+# the writers' payloads
 
 def _interval_json(iv) -> list:
     return [format_rational(iv[0]), format_rational(iv[1])]
@@ -336,31 +237,6 @@ def path_to_jsonable(path: EvasionPath) -> dict:
             }
         )
     return {"segments": segments, "chain": dict(path.chain)}
-
-
-def path_from_jsonable(data) -> EvasionPath:
-    """A path file as `path_to_jsonable` writes it. A malformed file is a
-    ValueError naming the segment and the field at fault; a bad literal
-    keeps `parse_rational`'s message."""
-    (segments,) = _fields(data, ("segments",), "the path", "path")
-    segs = []
-    for n, seg in enumerate(_list(segments, "malformed path JSON: segments")):
-        t, point = _fields(seg, ("t", "point"), f"segment {n}", "path")
-        for name, pair in (("t", t), ("point", point)):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"malformed path JSON: segment {n} {name} must be a two-element list, got {pair!r}")
-        lo, hi = t
-        segs.append(
-            PathSegment(
-                None if lo is None else parse_rational(lo),
-                None if hi is None else parse_rational(hi),
-                (parse_rational(point[0]), parse_rational(point[1])),
-            )
-        )
-    chain = data.get("chain", {})
-    if not isinstance(chain, dict):
-        raise ValueError(f"malformed path JSON: chain must be an object, got {chain!r}")
-    return EvasionPath(tuple(segs), tuple(chain.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -682,31 +558,6 @@ def cmd_matrix(args) -> int:
     return EXIT_EVASION
 
 
-def cmd_oracle(args) -> int:
-    sheaf, _ = _load_sheaf(args.sheaf)
-    sections = sweep_sections(sheaf)
-    out: dict = {"section_exists": sections.decision.feasible}
-    if sections.chain is not None:
-        out["chain"] = dict(section_chain(sections.sheaf, sections.chain))
-    _emit(out)
-    return EXIT_EVASION if sections.decision.feasible else EXIT_NO_EVASION
-
-
-def cmd_path(args) -> int:
-    data, digest = _load_json(args.scene)
-    _, _, path, _ = run_check(scene_from_jsonable(data))
-    if path is None:
-        _emit({"verdict": "NO_EVASION", "input_digest": digest})
-        return EXIT_NO_EVASION
-    payload = path_to_jsonable(path)
-    if args.out:
-        _write_file(args.out, payload)
-        _emit({"verdict": "EVASION", "input_digest": digest, "path_file": args.out})
-    else:
-        _emit({"verdict": "EVASION", "input_digest": digest, "path": payload})
-    return EXIT_EVASION
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error instead of exiting 2 (the NO_EVASION code), so
     that `main` reports it like any other input error."""
@@ -750,14 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sheaf")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("oracle", help="section chain of a free function-like sheaf file")
-    p.add_argument("sheaf")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("path", help="extract the evasion path from a scene file")
-    p.add_argument("scene")
-    p.add_argument("-o", "--out", help="write the path JSON to a file instead of stdout")
-    p.set_defaults(func=cmd_path)
     return parser
 
 

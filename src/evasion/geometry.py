@@ -73,7 +73,7 @@ from operator import floordiv, itemgetter
 # perfbench/workloads.py reads Box, Scene, verify_evasion_path and PathVerificationError from this module
 from evasion.certify import PathVerificationError, verify_evasion_path
 from evasion.cones import PolyhedralCone
-from evasion.linalg import format_rational
+from evasion.formats import format_rational
 from evasion.scene import Box, EvasionPath, Interval, PathSegment, Point, Scene
 from evasion.sheaf import FunctionSheaf, GlobalSections, Stratification, section_chain
 

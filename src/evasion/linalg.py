@@ -13,10 +13,11 @@ proportion to their nonzeros.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
+
+# perfbench/workloads.py reads parse_rational from this module
+from evasion.formats import parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -24,84 +25,10 @@ ONE = Fraction(1)
 Vec = tuple[Fraction, ...]
 SparseRow = dict[int, Fraction]
 
-# CPython's default limit on the digits of an int read from a string
-MAX_LITERAL_DIGITS = 4300
-# the most characters of a literal an error message quotes
-MAX_ECHO = 100
-# a plain decimal integer: an optional "-" and at most MAX_LITERAL_DIGITS ASCII
-# digits, which `int` reads to the value `Fraction` would give; a match or None
-plain_integer = re.compile(f"-?[0-9]{{1,{MAX_LITERAL_DIGITS}}}").fullmatch
-
 
 def vec(items) -> Vec:
     """Coerce an iterable of int/str/Fraction into an exact vector."""
     return tuple(Fraction(x) for x in items)
-
-
-def _exponent_too_large(text: str) -> bool:
-    """Would the exponent of a literal like "1e999999999" write it out past
-    MAX_LITERAL_DIGITS digits, either sign? `Fraction` builds that power of
-    ten before anything else can reject the value."""
-    mantissa, e, exponent = text.lower().partition("e")
-    if not e:
-        return False
-    try:
-        shift = abs(int(exponent))
-    except ValueError:  # not an integer exponent, which Fraction rejects
-        return False
-    return sum(c.isdigit() for c in mantissa) + shift > MAX_LITERAL_DIGITS
-
-
-def _echo(text: str) -> str:
-    """The literal as an error message quotes it: whole up to MAX_ECHO
-    characters, else its first MAX_ECHO characters and its length."""
-    if len(text) <= MAX_ECHO:
-        return repr(text)
-    return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
-
-
-def parse_rational(value) -> Fraction:
-    """Parse a plain int or any string `Fraction` reads exactly: "p", "p/q",
-    and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
-    silently contaminate the exact pipeline. A literal whose exponent would
-    write it out past MAX_LITERAL_DIGITS digits is rejected too, before
-    `Fraction` spends unbounded time expanding it.
-
-    A `plain_integer` is read by `int` directly, skipping `Fraction`'s
-    pattern match; it is the form scenes are written in, and every other
-    string takes the `Fraction` route, so values and error messages are the
-    same either way. The scene reader tests the same pattern to store an
-    integer's ratio without this function. Messages quote a literal through
-    `_echo`, so an overlong one is named by its prefix and its length."""
-    if isinstance(value, str):
-        if plain_integer(value):
-            return Fraction(int(value))
-        if _exponent_too_large(value):
-            raise ValueError(
-                f"unsupported rational literal: {_echo(value)} (over {MAX_LITERAL_DIGITS} digits written out)"
-            )
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"unsupported rational literal: {_echo(value)}") from exc
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ValueError(f"unsupported rational value: {value!r} (floats are not accepted)")
-
-
-def format_rational(q: Fraction) -> str:
-    """q as "p" or "p/q", whatever the length of p and q: arithmetic on
-    accepted input (a path's hop times, a sample midpoint) can outgrow the
-    reader's literal bound and must still be written out."""
-    n, d = q.numerator, q.denominator
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:
-        # past CPython's limit on int-to-str conversion (4300 digits by
-        # default); the conversion to Decimal is exact and not bound by it
-        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 @dataclass(frozen=True)

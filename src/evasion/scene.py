@@ -15,7 +15,10 @@ Interval = tuple[Fraction, Fraction]
 def _rational(value) -> Fraction:
     if isinstance(value, (float, bool)):  # the scene reader refuses both too, rather than read them inexactly
         raise ValueError(f"not an exact rational: {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:  # "1/0", which the scene reader refuses as a ValueError too
+        raise ValueError(f"not an exact rational: {value!r}") from None
 
 
 def _interval(pair) -> Interval:

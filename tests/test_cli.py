@@ -1,3 +1,4 @@
+import argparse
 import copy
 import gc
 import io
@@ -18,23 +19,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evasion.cli as cli
+import evasion.formats as formats
 import evasion.geometry as geometry
+from evasion.certify import verify_evasion_path
 from evasion.cli import (
     main,
     matrix_to_jsonable,
-    path_from_jsonable,
     path_to_jsonable,
     run_check,
-    scene_from_jsonable,
     scene_to_jsonable,
     sections_to_jsonable,
+    sheaf_from_jsonable,
     write_json,
 )
-from evasion.certify import verify_evasion_path
 from evasion.cones import FeasibilityResult
-from evasion.linalg import Matrix, format_rational, parse_rational
+from evasion.formats import format_rational, parse_rational, path_from_jsonable, scene_from_jsonable
+from evasion.linalg import Matrix
 from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene
 from evasion.scene import EvasionPath, PathSegment, Scene
+from evasion.sheaf import UnsupportedSheafError, section_chain, sweep_sections
 
 from conftest import fixture_path, fixtures_with, load_fixture
 
@@ -43,6 +46,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def scene_command(command: str, tmp_path: Path) -> list[str]:
+    """The arguments of a command on a scene file, the file left off: "path"
+    is `check --path`, writing the path file `path.json` under tmp_path."""
+    return ["check", "--path", str(tmp_path / "path.json")] if command == "path" else [command]
 
 
 class TestCheck:
@@ -107,10 +116,11 @@ class TestCheck:
                 }
             )
         )
-        assert run_cli(capsys, command, str(island)) == (
+        assert run_cli(capsys, *scene_command(command, tmp_path), str(island)) == (
             1,
             {"error": "scene validation failed", "violations": ["coverage is disconnected at t=3/2"]},
         )
+        assert not (tmp_path / "path.json").exists()
 
     def test_oracle_flag_cross_checks(self, capsys):
         code, report = run_cli(capsys, "check", "--oracle", fixture_path("crossing_open.json"))
@@ -174,6 +184,13 @@ class TestCheck:
     [
         (["check"], "evasion check: the following arguments are required: scene"),
         (["check", "--bogus", "scene.json"], "evasion: unrecognized arguments: --bogus"),
+        *(
+            (
+                [command, "scene.json"],
+                f"evasion: argument command: invalid choice: '{command}' (choose from 'check', 'sheaf', 'lp', 'matrix')",
+            )
+            for command in ("path", "oracle")  # `check --path` and `lp` do their work
+        ),
     ],
 )
 def test_usage_errors_exit_one_with_one_json_report(capsys, argv, message):
@@ -267,16 +284,14 @@ class TestMatrixOraclePath:
         assert report["matrix"]["rows"] == 7 and report["matrix"]["cols"] == 8
         assert len(report["rows"]) == 7 and len(report["columns"]) == 8
 
-    def test_oracle_command_exit_codes(self, capsys):
-        code, report = run_cli(capsys, "oracle", fixture_path("double_lens.json"))
-        assert code == 0 and report["section_exists"]
-        code, report = run_cli(capsys, "oracle", fixture_path("reversal.json"))
-        assert code == 2 and not report["section_exists"]
-
-    def test_oracle_command_rejects_nonfree(self, capsys):
-        code, report = run_cli(capsys, "oracle", fixture_path("nonfree_feasible.json"))
-        assert code == 1
-        assert "free" in report["error"]
+    def test_lp_prints_the_sweep_chain_as_the_witness_support(self, capsys):
+        # the chain's vertex generators, each at weight 1/k
+        sections = sweep_sections(sheaf_from_jsonable(load_fixture("double_lens.json")))
+        chain = section_chain(sections.sheaf, sections.chain)
+        weight = format_rational(Fraction(1, sections.sheaf.strat.k))
+        code, report = run_cli(capsys, "lp", fixture_path("double_lens.json"))
+        assert code == 0
+        assert report["sections"]["witness"]["support"] == {f"{cell}.{label}": weight for cell, label in chain[1::2]}
 
     def test_zero_restriction_columns_go_to_the_simplex(self, capsys, tmp_path):
         # v1->e2 and v2->e2 are zero, so e2 imposes nothing: a section exists
@@ -297,48 +312,20 @@ class TestMatrixOraclePath:
         f.write_text(json.dumps(sheaf))
         code, report = run_cli(capsys, "lp", str(f))
         assert code == 0 and report["verdict"] == "EVASION"
-        code, report = run_cli(capsys, "oracle", str(f))
-        assert code == 1
-        assert "v1->e2" in report["error"] and "column 0" in report["error"]
-
-    def test_path_command_writes_file(self, capsys, tmp_path):
-        out = tmp_path / "path.json"
-        code, report = run_cli(
-            capsys, "path", fixture_path("crossing_open.json"), "-o", str(out)
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["chain"]["v2"] == "g1"
-
-    def test_path_command_on_blocked_scene(self, capsys):
-        code, report = run_cli(capsys, "path", fixture_path("crossing_blocked.json"))
-        assert code == 2
-        assert report["verdict"] == "NO_EVASION"
+        with pytest.raises(UnsupportedSheafError, match="v1->e2 column 0"):
+            sweep_sections(sheaf_from_jsonable(sheaf))
 
     @pytest.mark.parametrize("name", fixtures_with("window"))
     def test_path_and_check_write_the_same_path(self, capsys, tmp_path, name):
-        by_path, by_check = tmp_path / "path.json", tmp_path / "check.json"
-        path_code, _ = run_cli(capsys, "path", fixture_path(name), "-o", str(by_path))
-        check_code, _ = run_cli(capsys, "check", fixture_path(name), "--path", str(by_check))
-        assert path_code == check_code
-        if path_code == 0:
-            assert by_path.read_bytes() == by_check.read_bytes()
+        # the path file holds the bytes of the report's path, written alone
+        path_file = tmp_path / "path.json"
+        code, report = run_cli(capsys, "check", fixture_path(name), "--path", str(path_file))
+        if code == 0:
+            written = io.StringIO()
+            write_json(report["path"], written)
+            assert path_file.read_text() == written.getvalue()
         else:
-            assert not by_path.exists() and not by_check.exists()
-
-    def test_path_and_check_reject_a_disconnected_scene_alike(self, capsys, tmp_path):
-        island = tmp_path / "island.json"
-        island.write_text(
-            json.dumps(
-                {
-                    "window": {"x": [0, 10], "y": [0, 10]},
-                    "boxes": [{"t": [0, 1], "x": [4, 5], "y": [4, 5]}],
-                }
-            )
-        )
-        by_path = run_cli(capsys, "path", str(island))
-        assert by_path == run_cli(capsys, "check", str(island))
-        assert by_path[0] == 1 and by_path[1]["error"] == "scene validation failed"
+            assert code == 2 and "path" not in report and not path_file.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +353,13 @@ def test_check_and_path_never_hash_the_scene(capsys, tmp_path, monkeypatch, make
     monkeypatch.setattr(Scene, "__hash__", unhashable)
     _, sections, path, _ = run_check(scene)
     assert (path is not None) is sections.decision.feasible
-    code, report = run_cli(capsys, "path", str(scene_file))
+    code, report = run_cli(capsys, "check", "--path", str(tmp_path / "path.json"), str(scene_file))
     assert code == (0 if path is not None else 2), report
 
 
 @pytest.mark.parametrize("command", ["check", "path"])
 @pytest.mark.parametrize("name", ["crossing_open.json", "crossing_blocked.json"])
-def test_a_check_builds_and_validates_the_fibres_once(capsys, monkeypatch, command, name):
+def test_a_check_builds_and_validates_the_fibres_once(capsys, tmp_path, monkeypatch, command, name):
     calls = Counter()
 
     def counting(fn_name):
@@ -386,7 +373,7 @@ def test_a_check_builds_and_validates_the_fibres_once(capsys, monkeypatch, comma
 
     for fn_name in ("scene_fibres", "validate_fibres"):
         monkeypatch.setattr(geometry, fn_name, counting(fn_name))
-    code, _ = run_cli(capsys, command, fixture_path(name))
+    code, _ = run_cli(capsys, *scene_command(command, tmp_path), fixture_path(name))
     assert code in (0, 2)
     assert calls == {"scene_fibres": 1, "validate_fibres": 1}
 
@@ -414,7 +401,7 @@ def test_a_check_builds_no_component_objects(monkeypatch, scene, expected):
 def test_empty_interior_window_is_one_input_error(capsys, tmp_path, command):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"window": {"x": [3, 3], "y": [0, 5]}, "boxes": []}))
-    assert run_cli(capsys, command, str(flat)) == (1, {"error": "window has empty interior"})
+    assert run_cli(capsys, *scene_command(command, tmp_path), str(flat)) == (1, {"error": "window has empty interior"})
 
 
 def test_plot_of_a_box_free_scene_draws_no_critical_time(capsys, tmp_path):
@@ -441,6 +428,15 @@ def test_plot_skips_a_box_outside_the_drawn_time_range(capsys, tmp_path):
     assert svg_file.read_text().count('fill="#5a5a5a"') == 1
 
 
+def test_the_readme_lists_every_subcommand():
+    # the README's command block names exactly the subcommands the parser has
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("evasion ")}
+    (subcommands,) = (a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(subcommands)
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "evasion.cli", "check", fixture_path("crossing_open.json")],
@@ -453,7 +449,8 @@ def test_module_entry_point_runs(tmp_path):
 
 def test_path_json_round_trip():
     from evasion.certify import verify_evasion_path
-    from evasion.cli import path_from_jsonable, path_to_jsonable, scene_from_jsonable
+    from evasion.cli import path_to_jsonable
+    from evasion.formats import path_from_jsonable, scene_from_jsonable
     from evasion.geometry import build_sheaf, extract_path, scene_fibres
     from evasion.sheaf import global_sections
 
@@ -471,10 +468,13 @@ def test_rational_parsing_round_trip():
 
     import pytest
 
-    from evasion.linalg import format_rational, parse_rational
+    from evasion.formats import format_rational, parse_rational
 
     for text in ("3", "-7", "5/3", "-22/7"):
         assert format_rational(parse_rational(text)) == text
+    # past the digits `str` writes an int in, both forms are still written out
+    assert format_rational(Fraction(10**4300)) == "1" + "0" * 4300
+    assert format_rational(Fraction(1, 10**4300)) == "1/1" + "0" * 4300
     assert parse_rational(4) == Fraction(4)
     # any string Fraction reads exactly is accepted, not only "p" and "p/q"
     for text, value in (("4.5", Fraction(9, 2)), ("1e1", 10), ("1_000", 1000), (" 2 ", 2)):
@@ -507,6 +507,7 @@ def _read_by_parser(text: str):
 INTEGER_LIKE_LITERALS = [
     "0", "-0", "007", "-007", "+5", " 2 ", "1_000", "-", "", "--5", "-+5", "5-",
     "\u0663", "-\u0663", "\u00b2", "9" * 4300, "-" + "9" * 4300, "9" * 4301, "-" + "9" * 4301,
+    "9" * 99 + "-", "9" * 100 + "-",  # quoted whole at 100 characters, by prefix and length past it
 ]
 
 
@@ -671,13 +672,13 @@ def test_each_distinct_literal_string_is_parsed_once(monkeypatch):
     # distinct literal string enters the memo's __missing__, integers included
     data = json.loads(json.dumps(scene_to_jsonable(pulsing_box_scene(400))))
     calls = []
-    missing = cli._Literals.__missing__
+    missing = formats._Literals.__missing__
 
     def counted(memo, literal):
         calls.append(literal)
         return missing(memo, literal)
 
-    monkeypatch.setattr(cli._Literals, "__missing__", counted)
+    monkeypatch.setattr(formats._Literals, "__missing__", counted)
     assert scene_from_jsonable(data) == pulsing_box_scene(400)
     assert len(calls) == len(set(calls)) == 401
 
@@ -1024,6 +1025,14 @@ def _restricted_twice(sheaf: dict) -> dict:
             ["the stalk over v1: generator dimension mismatch"],
             id="generator-dimension",
         ),
+        *(
+            pytest.param(
+                _with_v1_stalk({"labels": ["a"], "generators": [["1"]], "ambient_dim": dim}),
+                [f"ambient_dim of the stalk over v1 must be a non-negative integer, got {dim!r}"],
+                id=f"ambient-dim-{dim}",
+            )
+            for dim in (-1, True)
+        ),
         # stalks for a second vertex and a third edge would be silently ignored
         pytest.param(
             _with_stalks(_one_vertex_sheaf(["a"], ["1"]), v2={"labels": ["a"]}, e3={"labels": ["u"]}),
@@ -1223,7 +1232,7 @@ def test_ambiguous_scene_json_is_rejected(capsys, tmp_path, scene, named):
 def test_exponents_that_write_a_literal_out_past_the_digit_limit_are_refused():
     from fractions import Fraction
 
-    from evasion.linalg import MAX_LITERAL_DIGITS, parse_rational
+    from evasion.formats import MAX_LITERAL_DIGITS, parse_rational
 
     assert parse_rational(f"1e{MAX_LITERAL_DIGITS - 1}") == 10 ** (MAX_LITERAL_DIGITS - 1)
     assert parse_rational(f"1e-{MAX_LITERAL_DIGITS - 1}") == Fraction(1, 10 ** (MAX_LITERAL_DIGITS - 1))
@@ -1322,10 +1331,14 @@ _SEGMENT = {"t": [None, None], "point": ["1", "1"]}
         ({"segments": [1]}, "segment 0 must be an object, got 1"),
         ({"segments": [_SEGMENT, {"t": [None], "point": ["1", "1"]}]}, "segment 1 t must be a two-element list"),
         ({"segments": [_SEGMENT, {"t": [None, None]}]}, "segment 1 has no 'point'"),
+        ({"segments": [{}]}, "segment 0 has no 't'"),  # the first field missing is named
         ({"segments": [{"t": [None, None], "point": ["1"]}]}, "segment 0 point must be a two-element list"),
         ({"segments": [_SEGMENT], "chain": [["e1", "g0"]]}, "chain must be an object"),
     ],
-    ids=["empty", "top-level-list", "segments-string", "segment-not-object", "short-t", "no-point", "short-point", "chain-list"],
+    ids=[
+        "empty", "top-level-list", "segments-string", "segment-not-object", "short-t", "no-point", "no-t-nor-point",
+        "short-point", "chain-list",
+    ],
 )
 def test_a_malformed_path_file_is_a_located_value_error(data, message):
     with pytest.raises(ValueError) as exc:

@@ -495,6 +495,53 @@ class TestVerifyEvasionPath:
             with pytest.raises(PathVerificationError, match=message):
                 verify_both(scene, path)
 
+    @pytest.mark.parametrize(
+        "point",
+        [(4, 5), (6, 5), (5, 4), (5, 6), (4, 4)],
+        ids=["left-edge", "right-edge", "bottom-edge", "top-edge", "corner"],
+    )
+    def test_a_held_point_on_a_box_edge_is_covered(self, point):
+        # boxes are closed: a point on the boundary touches coverage
+        scene = Scene.make((0, 10), (0, 10), [Box.make((2, 3), (4, 6), (4, 6))])
+        with pytest.raises(PathVerificationError, match=r"path point .* is covered by a box alive on \[2, 3\]"):
+            verify_both(scene, _path((None, None, point)))
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [((4, 1), (4, 9)), ((6, 9), (6, 1)), ((1, 4), (9, 4)), ((9, 6), (1, 6))],
+        ids=["vertical-left-edge", "vertical-right-edge", "horizontal-bottom-edge", "horizontal-top-edge"],
+    )
+    def test_a_jump_along_a_box_edge_is_covered(self, start, end):
+        scene = Scene.make((0, 10), (0, 10), [Box.make((4, 6), (4, 6), (4, 6))])
+        with pytest.raises(PathVerificationError, match="jump from .* at t=5 is covered"):
+            verify_both(scene, _path((None, 5, start), (5, None, end)))
+
+    def test_a_jump_touching_a_box_at_one_corner_is_covered(self):
+        # the jump runs along x + y = 8, which meets the box at (4, 4) alone
+        scene = Scene.make((0, 10), (0, 10), [Box.make((4, 6), (4, 6), (4, 6))])
+        with pytest.raises(PathVerificationError, match="jump from .* at t=5 is covered"):
+            verify_both(scene, _path((None, 5, (2, 6)), (5, None, (6, 2))))
+
+    def test_a_zero_length_segment_before_a_covered_one(self):
+        # the box lives after the instant, on the last segment alone
+        scene = Scene.make((0, 10), (0, 10), [Box.make((5, 6), (8, 10), (4, 6))])
+        path = _path((None, 3, (1, 5)), (3, 3, (5, 1)), (3, None, (9, 5)))
+        with pytest.raises(PathVerificationError, match=r"path point .* is covered by a box alive on \[5, 6\]"):
+            verify_both(scene, path)
+
+    def test_a_zero_length_segment_before_a_point_outside_the_window(self):
+        path = _path((None, 3, (1, 5)), (3, 3, (5, 1)), (3, None, (9, 10)))
+        with pytest.raises(PathVerificationError, match="is not strictly inside the window"):
+            verify_both(Scene.make((0, 10), (0, 10)), path)
+
+    def test_a_rectangle_with_two_overlapping_lives_is_tested_once_on_each_segment_and_jump(self, monkeypatch):
+        # both lives start before the first hop and the second outlives the
+        # first by one segment and one jump, where it alone lists the rectangle
+        scene = Scene.make((0, 10), (0, 10), one_rectangle((0, 3), (1, 5), x=(11, 12), y=(0, 10)))
+        path = _path((None, 1, (5, 5)), (1, 2, (5, 5)), (2, 3, (5, 5)), (3, 4, (5, 5)), (4, None, (5, 5)))
+        verify_both(scene, path)
+        assert rectangle_tests(monkeypatch, scene, path) == len(path.segments) + len(path.segments) - 1
+
     def test_near_misses_are_accepted(self):
         # the jump passes above a wall stub, beside a box, and across a wall
         # that is alive only later; the held points are clear of everything
@@ -630,12 +677,26 @@ def read_back(scene: Scene) -> Scene:
     return scene_from_jsonable(scene_to_jsonable(scene))
 
 
+def beside_the_window(scene: Scene, *lives) -> Scene:
+    """The scene plus one box per life on one rectangle right of its window,
+    which no gap, path or fibre sees."""
+    (_, x1), y = scene.window_x, scene.window_y
+    return replace(scene, boxes=scene.boxes + tuple(Box.make(t, (x1 + 1, x1 + 2), y) for t in lives))
+
+
 # pulsing's 200 boxes are one rectangle, comb's 48 are 24 and slalom's 200
-# are 2; the gates run on each scene as built in Python and as read back
+# are 2; slalom's overlapping twin adds a rectangle whose two lives share
+# most of their segments, each listed once; the gates run on each scene as
+# built in Python and as read back
 GROUPED = pytest.mark.parametrize(
     "scene, rectangles",
-    [(pulsing_box_scene(400), 1), (comb_scene(24), 24), (slalom_scene(100), 2)],
-    ids=["pulsing", "comb", "slalom"],
+    [
+        (pulsing_box_scene(400), 1),
+        (comb_scene(24), 24),
+        (slalom_scene(100), 2),
+        (beside_the_window(slalom_scene(100), (0, 150), (10, 160)), 3),
+    ],
+    ids=["pulsing", "comb", "slalom", "slalom-overlapping-lives"],
 )
 
 

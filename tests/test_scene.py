@@ -1,4 +1,5 @@
-"""The trusted base: the scene types and the path checker that reads them."""
+"""The trusted base: the scene types, the readers of scene and path files,
+and the path checker that reads them."""
 
 import ast
 import re
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import evasion.cli as cli
+import evasion.formats as formats
+import evasion.linalg as linalg
 from evasion.scene import Box, Scene
 
 PACKAGE = Path(__file__).parent.parent / "src" / "evasion"
@@ -25,16 +29,26 @@ def evasion_imports(module: str) -> set[str]:
 
 
 def test_the_path_checker_reaches_only_the_scene_types():
-    # importing any evasion module runs the package's __init__ too
-    reached, todo = set(), ["__init__", "certify"]
+    # the trusted base is the checker, the readers of its files and the
+    # scene types; importing any evasion module runs the package's __init__ too
+    reached, todo = set(), ["__init__", "certify", "formats"]
     while todo:
         module = todo.pop()
         if module not in reached:
             reached.add(module)
             todo += evasion_imports(module)
-    assert reached == {"__init__", "certify", "scene"}
+    assert reached == {"__init__", "certify", "formats", "scene"}
     assert evasion_imports("scene") == set() == evasion_imports("__init__")
+    assert evasion_imports("formats") == {"scene"}
     assert evasion_imports("geometry") >= {"certify", "scene"}
+    # the names the other modules bind are the readers themselves, not copies
+    assert cli.scene_from_jsonable is formats.scene_from_jsonable
+    assert cli.path_from_jsonable is formats.path_from_jsonable
+    assert linalg.parse_rational is formats.parse_rational
+    readers = {"parse_rational", "format_rational", "scene_from_jsonable", "path_from_jsonable"}
+    for source in PACKAGE.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(source.read_text())) if isinstance(node, ast.FunctionDef)}
+        assert defined & readers == (readers if source.stem == "formats" else set()), source.stem
 
 
 @pytest.mark.parametrize(
@@ -45,12 +59,15 @@ def test_the_path_checker_reaches_only_the_scene_types():
         (lambda: Scene.make((0, 1), (0, 2.0)), "2.0"),
         (lambda: Scene.make((0, 1), (0, 1)).shifted(0, False, 0), "False"),
         (lambda: Scene.make((0, 1), (0, 1)).shifted(0, 0, 0.5), "0.5"),
+        (lambda: Box.make(("1/0", 1), (0, 1), (0, 2)), "'1/0'"),
+        (lambda: Scene.make((0, 1), (0, "1/0")), "'1/0'"),
+        (lambda: Scene.make((0, 1), (0, 1)).shifted("1/0", 0, 0), "'1/0'"),
     ],
-    ids=["box-float", "box-bool", "scene-float", "shift-bool", "shift-float"],
+    ids=["box-float", "box-bool", "scene-float", "shift-bool", "shift-float", "box-1/0", "scene-1/0", "shift-1/0"],
 )
 def test_floats_and_bools_are_refused_by_name(build, value):
-    # the scene reader refuses both; read silently, 0.1 would become its
-    # binary expansion and True the integer 1
+    # the scene reader refuses all three; read silently, 0.1 would become its
+    # binary expansion and True the integer 1, and "1/0" is no rational at all
     with pytest.raises(ValueError, match=f"not an exact rational: {value}$"):
         build()
 

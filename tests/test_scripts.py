@@ -43,7 +43,7 @@ def test_script_runs(argv, expected):
     assert all(part in result.stdout for part in expected), result.stdout
 
 
-def run_script(argv: list[str], code: int = 0) -> subprocess.CompletedProcess:
+def run_script(argv: list[str], code: int = 0, timeout: float = 60) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
@@ -51,7 +51,7 @@ def run_script(argv: list[str], code: int = 0) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
     assert result.returncode == code, result.stderr
     return result
@@ -107,3 +107,36 @@ def test_pair_check_leaves_an_empty_family_out():
 def test_a_size_the_family_refuses_is_a_usage_error(argv):
     result = run_script(argv, code=2)
     assert result.stderr.splitlines()[-1].endswith("argument --family: " + argv[-1] + ": n_critical_times must be even")
+
+
+# one-token mutants of the trusted base that accept a covered path or list a
+# rectangle again; each is killed by the test in tests/test_geometry.py named
+# for its case
+PATH_CHECKER_MUTANTS = [
+    "scene.py:50:15 <=-><",  # Box.contains: a held point on the left edge
+    "scene.py:50:28 <=-><",  # ... the right edge
+    "scene.py:50:50 <=-><",  # ... the bottom edge
+    "scene.py:50:63 <=-><",  # ... the top edge
+    "certify.py:30:19 <=-><",  # _segment_meets_box: a jump along the left or bottom edge
+    "certify.py:30:26 <=-><",  # ... the right or top edge
+    "certify.py:37:11 >->>=",  # ... a jump touching a box at one corner
+    "certify.py:72:74 <=-><",  # the hops end at a zero-length segment
+    "certify.py:85:19 max->min",  # a rectangle with two overlapping lives is listed twice
+]
+MODULES = [str(ROOT / "src" / "evasion" / name) for name in ("scene.py", "certify.py")]
+
+
+def test_the_path_checker_mutants_are_killed():
+    only = [arg for name in PATH_CHECKER_MUTANTS for arg in ("--only", name)]
+    selection = ["tests/test_geometry.py", "-k", "TestVerifyEvasionPath or rectangle_on_the_segments"]
+    result = run_script(["mutants.py", *MODULES, *only, "--", *selection], timeout=600)
+    n = len(PATH_CHECKER_MUTANTS)
+    assert f"{n} mutants, {n} killed, 0 survived" in result.stdout, result.stdout
+
+
+def test_mutants_names_a_survivor_that_is_not_listed():
+    # tests/test_scene.py probes no point against a box
+    argv = ["mutants.py", *MODULES, "--only", PATH_CHECKER_MUTANTS[0], "--", "tests/test_scene.py"]
+    result = run_script(argv, code=1, timeout=600)
+    assert f"SURVIVED {PATH_CHECKER_MUTANTS[0]}" in result.stdout
+    assert f"  {PATH_CHECKER_MUTANTS[0]}: NOT LISTED" in result.stdout

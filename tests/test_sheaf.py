@@ -506,15 +506,16 @@ class TestSweepRechecksInDpSectionExists(TestSweepRechecks):
 
 
 class TestSweepRechecksInTheOracleCommand(TestSweepRechecks):
+    # `evasion lp`, which decides a sheaf file the sweep accepts by the sweep
     @pytest.fixture
     def decide(self, tmp_path):
-        def oracle(sheaf):
+        def lp(sheaf):
             path = tmp_path / "sheaf.json"
             with path.open("w") as out:
                 write_json(sheaf_to_jsonable(sheaf), out)
-            return main(["oracle", str(path)])
+            return main(["lp", str(path)])
 
-        return oracle
+        return lp
 
 
 class TestValidateOnce:
