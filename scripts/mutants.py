@@ -14,8 +14,9 @@ name and LINE:COL the position of the token, or for a comparison that of its
 left operand. The whole checkout is copied once under a temporary directory;
 each mutant is written over its module there (as `ast.unparse` gives it back)
 and `python -m pytest -x -q PYTEST_ARGS` runs in that copy, with the copy's
-`src` first on the path. A failing run, or one past `--timeout` seconds,
-kills the mutant; a passing run means it survived.
+`src` first on the path. A failing run, or one past TIMEOUT seconds (a
+mutant can turn a loop endless), kills the mutant; a passing run means it
+survived.
 
 `tests/equivalent_mutants.txt` lists the survivors that change no behaviour,
 one a line: the mutant's name, then ` | ` and a one-line reason. The script
@@ -23,7 +24,7 @@ prints every survivor and exits 1 if any of them is not listed there, else 0.
 `--only NAME` (repeatable) runs the named mutants alone, and exits 1 if one
 of them names no mutant.
 
-Usage: python scripts/mutants.py MODULE... [--only NAME ...] [--timeout S] -- PYTEST_ARGS
+Usage: python scripts/mutants.py MODULE... [--only NAME ...] -- PYTEST_ARGS
 """
 
 import argparse
@@ -38,6 +39,9 @@ from pathlib import Path
 
 THIS = Path(__file__).resolve().parent.parent
 EQUIVALENT = THIS / "tests" / "equivalent_mutants.txt"
+# seconds one pytest run may take; below the 600 s a caller's own limit
+# allows a whole run, so a hanging mutant is reported by name
+TIMEOUT = 120
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
@@ -96,13 +100,13 @@ def equivalent() -> dict[str, str]:
     return listed
 
 
-def run(copy: Path, pytest_args: list[str], timeout: float) -> bool:
+def run(copy: Path, pytest_args: list[str]) -> bool:
     """Does the pytest selection pass in the copy?"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")])))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *pytest_args]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
@@ -114,14 +118,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("modules", nargs="+", type=Path)
     parser.add_argument("--only", action="append", metavar="NAME", help="run this mutant alone (repeatable)")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds before a run counts as killed")
     args = parser.parse_args(argv[:split])
     pytest_args = argv[split + 1 :]
 
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(THIS, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", "_work"))
-        if not run(copy, pytest_args, args.timeout):
+        if not run(copy, pytest_args):
             print("the selection fails on the unmutated code", file=sys.stderr)
             return 1
         names, found, survivors, listed = set(), 0, [], equivalent()
@@ -134,7 +137,7 @@ def main() -> int:
                     continue
                 found += 1
                 target.write_text(source)
-                survived = run(copy, pytest_args, args.timeout)
+                survived = run(copy, pytest_args)
                 print(f"{'SURVIVED' if survived else 'killed  '} {name}", flush=True)
                 if survived:
                     survivors.append(name)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import evasion.geometry as geometry
 from evasion.cones import PolyhedralCone, lp_positive_kernel
-from evasion.formats import _count, _fields, _list, _rational, format_rational, parse_rational
+from evasion.formats import _fields, _list, format_rational, parse_rational
 
 # perfbench reads both readers from this module, and its tracer hooks the
 # `scene_from_jsonable` that cmd_check calls here
@@ -56,7 +56,7 @@ EXIT_NO_EVASION = 2
 
 
 # ---------------------------------------------------------------------------
-# the writers' payloads
+# formats: the payloads written, and the sheaf and matrix readers
 
 def _interval_json(iv) -> list:
     return [format_rational(iv[0]), format_rational(iv[1])]
@@ -91,6 +91,20 @@ class DenseEntries:
 def matrix_to_jsonable(M: Matrix) -> dict:
     """Dense row-major `entries`, the one place a matrix is written out in full."""
     return {"rows": M.rows, "cols": M.cols, "entries": DenseEntries(M)}
+
+
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """`parse_rational`, its error prefixed with the field at fault."""
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def matrix_from_jsonable(data) -> Matrix:

@@ -97,20 +97,6 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _count(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _rational(value, what: str) -> Fraction:
-    """`parse_rational`, its error prefixed with the field at fault."""
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
 def _fields(data, names, what: str, schema: str) -> list:
     """The named fields of a JSON object, each required, in `names` order."""
     if not isinstance(data, dict):

@@ -13,12 +13,12 @@ Interval = tuple[Fraction, Fraction]
 
 
 def _rational(value) -> Fraction:
-    if isinstance(value, (float, bool)):  # the scene reader refuses both too, rather than read them inexactly
-        raise ValueError(f"not an exact rational: {value!r}")
-    try:
+    """An int or a Fraction as a Fraction. Anything else is refused: a float
+    or a bool would be read inexactly, and a string is a literal, which only
+    `evasion.formats.parse_rational` reads."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    except ZeroDivisionError:  # "1/0", which the scene reader refuses as a ValueError too
-        raise ValueError(f"not an exact rational: {value!r}") from None
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def _interval(pair) -> Interval:
@@ -26,7 +26,7 @@ def _interval(pair) -> Interval:
         raise ValueError(f"an interval must be a two-element list, got {pair!r}")
     lo, hi = map(_rational, pair)
     if lo > hi:
-        raise ValueError(f"interval [{lo}, {hi}] is empty")
+        raise ValueError(f"interval [{lo}, {hi}] is reversed")
     return lo, hi
 
 

@@ -99,7 +99,7 @@ class TestValidateScene:
             validate_scene(Scene.make((3, 3), (0, 5)))
 
     def test_a_reversed_box_interval_is_an_input_error(self):
-        with pytest.raises(ValueError, match=r"interval \[2, 1\] is empty"):
+        with pytest.raises(ValueError, match=r"interval \[2, 1\] is reversed"):
             Box.make((2, 1), (0, 1), (0, 1))
 
     def test_a_ring_clear_of_the_frame_splits_the_gap_and_is_disconnected(self):

@@ -62,12 +62,24 @@ def test_the_path_checker_reaches_only_the_scene_types():
         (lambda: Box.make(("1/0", 1), (0, 1), (0, 2)), "'1/0'"),
         (lambda: Scene.make((0, 1), (0, "1/0")), "'1/0'"),
         (lambda: Scene.make((0, 1), (0, 1)).shifted("1/0", 0, 0), "'1/0'"),
+        (lambda: Box.make(("1e5000", "1e5001"), (0, 1), (0, 2)), "'1e5000'"),
     ],
-    ids=["box-float", "box-bool", "scene-float", "shift-bool", "shift-float", "box-1/0", "scene-1/0", "shift-1/0"],
+    ids=[
+        "box-float",
+        "box-bool",
+        "scene-float",
+        "shift-bool",
+        "shift-float",
+        "box-1/0",
+        "scene-1/0",
+        "shift-1/0",
+        "box-literal",
+    ],
 )
 def test_floats_and_bools_are_refused_by_name(build, value):
-    # the scene reader refuses all three; read silently, 0.1 would become its
-    # binary expansion and True the integer 1, and "1/0" is no rational at all
+    # read silently, 0.1 would become its binary expansion and True the
+    # integer 1; a string is a literal, read by the scene reader alone, which
+    # refuses "1/0" and writes "1e5000" out no further than its digit bound
     with pytest.raises(ValueError, match=f"not an exact rational: {value}$"):
         build()
 
@@ -91,11 +103,11 @@ def test_an_interval_that_is_not_a_pair_is_refused_by_name(build, value):
 
 
 def test_boxes_share_a_rectangle_by_value():
-    # built apart, from ints, Fractions and strings, and at different times
+    # built apart, from ints and Fractions, and at different times
     boxes = [
         Box.make((0, 1), (0, 1), (0, 2)),
         Box.make((0, 1), (0, 1), (1, 2)),
-        Box.make((5, 6), (Fraction(0), "2/2"), ("0", Fraction(4, 2))),
+        Box.make((5, 6), (Fraction(0), Fraction(2, 2)), (0, Fraction(4, 2))),
         Box.make((2, 3), (0, 1), (1, 2)),
     ]
     shapes, index = Scene.make((0, 3), (0, 3), boxes).rectangles

@@ -429,7 +429,8 @@ def test_sweep_sections_is_global_sections_of_a_sweepable_sheaf(base_seed):
 class TestSweepRechecks:
     """A wrong object from `section_sweep` must not leave `global_sections`,
     nor any entry that reads its decision: the subclasses below run every
-    case through `dp_section_exists` and through `evasion oracle`."""
+    case through `dp_section_exists` and through `evasion lp`, which reads a
+    sheaf file back and decides it by `global_sections`."""
 
     @pytest.fixture
     def decide(self):
@@ -506,7 +507,8 @@ class TestSweepRechecksInDpSectionExists(TestSweepRechecks):
 
 
 class TestSweepRechecksInTheOracleCommand(TestSweepRechecks):
-    # `evasion lp`, which decides a sheaf file the sweep accepts by the sweep
+    # `evasion lp` on a sheaf file the sweep accepts; the class keeps the name
+    # of the command it first ran, `evasion oracle`, so its test ids stay stable
     @pytest.fixture
     def decide(self, tmp_path):
         def lp(sheaf):
