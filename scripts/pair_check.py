@@ -22,14 +22,20 @@ turn runs in-process `cli.main(["check", file])` over the family's files,
 as many rounds as make about `--turn` seconds in this tree's untimed pass,
 and is timed as a whole. Running both trees in one process, turn by turn,
 keeps the load of a shared machine from reading as a difference between
-them.
+them. What is left of it, the machine's speed changing from one turn to the
+next, is taken out by the benchmark's own speed probe
+(`perfbench/speed.py`): its timer runs a fixed piece of exact arithmetic
+every few milliseconds, and each turn's time, less the probe's own time
+inside it, is rescaled by the probe times around it to a machine of fixed
+speed.
 
-For each family the script prints each tree's median time per check with
-its quartiles over the pairs, the median of the paired ratios (this tree
-over the other; below 1 means this tree is faster), the number of pairs
-this tree won, and whether the difference is resolved: one tree won at
-least 9 pairs in 10 (a tie counts for neither) and the two medians differ
-by more than the other tree's quartile spread.
+For each family the script prints each tree's median rescaled time per
+check with its quartiles over the pairs, the median of the paired ratios
+(this tree over the other; below 1 means this tree is faster), the number
+of pairs this tree won, and whether the difference is resolved: one tree
+won at least 9 pairs in 10 (a tie counts for neither) and the two medians
+differ by more than the other tree's quartile spread. All of these are
+read from the rescaled times; the raw medians follow them.
 
 Usage: python scripts/pair_check.py OTHER_CHECKOUT [--pairs N] [--turn SECONDS]
        [--seed S] [--family NAME=N[,N...] ...] [--random COUNT]
@@ -49,6 +55,9 @@ from random import Random
 from statistics import median, quantiles
 
 THIS = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(THIS / "perfbench"))
+from speed import SpeedProbe  # noqa: E402
+
 FIXTURES = THIS / "tests" / "fixtures"
 TIMING = re.compile(r'"timing_ms": \{[^}]*\}')
 DEFAULT_FAMILIES = ["pulsing=400", "blocked=400", "comb=24", "slalom=100"]
@@ -124,12 +133,15 @@ def scene_outputs(cli, scene: str, workdir: Path) -> dict[str, tuple]:
     return out
 
 
-def timed(cli, paths: list[str], rounds: int = 1) -> float:
-    t0 = time.perf_counter()
+def timed(cli, paths: list[str], probe: SpeedProbe, rounds: int = 1) -> tuple[float, float]:
+    """The turn's time less the probe's time inside it, raw and rescaled."""
+    busy, t0 = probe.busy, time.perf_counter()
     for _ in range(rounds):
         for path in paths:
             run(cli, ["check", path])
-    return time.perf_counter() - t0
+    t1 = time.perf_counter()
+    own = t1 - t0 - (probe.busy - busy)
+    return own, own * probe.scale(t0, t1)
 
 
 def spread(times: list[float], per: int) -> str:
@@ -167,7 +179,7 @@ def main() -> int:
     except ValueError as exc:
         parser.error(f"argument --family: {exc}")
     trees = {"this": this, "other": other}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, SpeedProbe() as probe:
         workdir = Path(tmp)
         files = write_scenes(this, randgen, families, args, workdir)
         inputs = [(family, path) for family, paths in files.items() for path in paths]
@@ -181,23 +193,31 @@ def main() -> int:
             else:
                 ours, theirs = scene_outputs(this, path, workdir), scene_outputs(other, path, workdir)
             differ += [(family, path, command) for command in ours if ours[command] != theirs.get(command)]
-        rounds = {family: max(1, round(args.turn / timed(this, paths))) for family, paths in files.items()}
+        rounds = {family: max(1, round(args.turn / timed(this, paths, probe)[0])) for family, paths in files.items()}
         for family, path, command in differ:
             print(f"outputs differ outside timing_ms: {family} {Path(path).name} `{command}`")
         print(f"this: {THIS}\nother: {args.other.resolve()}")
-        print(f"{'family':16} {'checks':>6}  {'this ms per check [q1, q3]':>30}  {'other ms per check [q1, q3]':>30}  ratio  {'wins':>5}  difference")
+        print(
+            f"{'family':16} {'checks':>6}  {'this rescaled ms [q1, q3]':>30}  {'other rescaled ms [q1, q3]':>30}  "
+            f"ratio  {'wins':>5}  difference  raw ms: this  other"
+        )
         for family, paths in files.items():
             checks = len(paths) * rounds[family]
+            raw: dict[str, list[float]] = {"this": [], "other": []}
             times: dict[str, list[float]] = {"this": [], "other": []}
             for n in range(args.pairs):
                 for name in ("this", "other") if n % 2 == 0 else ("other", "this"):
-                    times[name].append(timed(trees[name], paths, rounds[family]))
+                    own, rescaled = timed(trees[name], paths, probe, rounds[family])
+                    raw[name].append(own)
+                    times[name].append(rescaled)
             ratios = [a / b for a, b in zip(times["this"], times["other"])]
             wins = sum(r < 1 for r in ratios)
             verdict = "resolved" if resolved(times["this"], times["other"]) else "unresolved"
             print(
                 f"{family:16} {checks:6}  {spread(times['this'], checks):>30}  "
-                f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  {f'{wins}/{args.pairs}':>5}  {verdict}"
+                f"{spread(times['other'], checks):>30}  {median(ratios):.3f}  "
+                f"{f'{wins}/{args.pairs}':>5}  {verdict:10}  "
+                f"{1000 * median(raw['this']) / checks:12.3f}  {1000 * median(raw['other']) / checks:.3f}"
             )
     summary = "reports identical outside timing_ms" if not differ else f"{len(differ)} outputs differ"
     print(f"{len(inputs)} inputs: {summary}")

@@ -10,11 +10,13 @@ All computations run on the exact rectangle arrangement induced by the
 window and the alive boxes: faces (open cells, open edges, vertices of the
 grid) are each entirely covered or entirely gap, and two gap faces are
 connected exactly when they are incident, so connected components come out
-of a flood fill with no numeric slack. The fill writes each gap face's
-component number into one flat owner array per fibre; a check reads only
-component counts and the owners of single faces, and the component objects
-(label, anchor, interior point, faces) are built from that array only when
-a reader asks for them.
+of a flood fill with no numeric slack. The grid's cover flags are painted
+one rectangle at a time along its shorter side, a slice per grid column or
+an extended slice per grid row. The fill writes each gap face's component
+number into one flat owner array per fibre; a check reads only component
+counts and the owners of single faces, and the component objects (label,
+anchor, interior point, faces) are built from that array only when a reader
+asks for them.
 
 The scene contract, connected coverage, is read off the same cover flags by
 Alexander duality: on the sphere (the plane plus a point at infinity, which
@@ -51,12 +53,15 @@ set is constant, so the gap is a product; at a critical time the coverage
 dominates both neighbouring intervals, so each gap component at the vertex
 persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
-sections decide evasion. A fibre depends on the alive coverage geometry
-alone, so samples are keyed by the distinct rank rectangles alive there,
-and a scene builds one fibre per distinct key, shared by its samples. The
-time sweep keeps the alive rectangles sorted as boxes are born and die, and
-copies them into a new key, looked up once, only at an event that changes
-them: O(events · log alive) Python steps plus one C-level key copy per event.
+sections decide evasion. A map locates each vertex component in the edge
+fibre by two bisections of the ranks of its least face's corner, and the
+corners are worked out once per vertex fibre. A fibre depends on the alive
+coverage geometry alone, so samples are keyed by the distinct rank
+rectangles alive there, and a scene builds one fibre per distinct key,
+shared by its samples. The time sweep keeps the alive rectangles sorted as
+boxes are born and die, and copies them into a new key, looked up once,
+only at an event that changes them: O(events · log alive) Python steps plus
+one C-level key copy per event.
 """
 
 from __future__ import annotations
@@ -248,11 +253,18 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     """Gap components of the window with the key's rectangles covered,
     numbered in the order of their least face corner. The coverage is
     connected iff the gap's Euler characteristic, its faces at even flat
-    indices minus those at odd ones, is the number of components."""
-    xr = tuple(sorted({0, len(table.xs) - 1, *(c for r in key for c in r[:2])}))
-    yr = tuple(sorted({0, len(table.ys) - 1, *(c for r in key for c in r[2:])}))
-    xpos = {r: k for k, r in enumerate(xr)}
-    ypos = {r: k for k, r in enumerate(yr)}
+    indices minus those at odd ones, is the number of components.
+
+    The grid lines and their doubled positions come from C-level passes
+    over the key, and each rectangle is painted along its shorter side: one
+    slice per grid column it spans when it is taller than wide, else one
+    extended slice (step ny) per grid row."""
+    # the key's x0, x1, y0 and y1 ranks, each led by rank 0, the window's low side
+    x0s, x1s, y0s, y1s = zip((0, 0, 0, 0), *key)
+    xr = tuple(sorted({*x0s, *x1s, len(table.xs) - 1}))
+    yr = tuple(sorted({*y0s, *y1s, len(table.ys) - 1}))
+    xpos = dict(zip(xr, count(0, 2)))
+    ypos = dict(zip(yr, count(0, 2)))
     nx, ny = 2 * len(xr) - 1, 2 * len(yr) - 1
     # cover flags of face (i, j) at i * ny + j; the outermost grid lines are
     # the window frame, which is covered and stops the fill at the border
@@ -260,10 +272,15 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     covered[:ny] = covered[-ny:] = b"\x01" * ny
     covered[::ny] = covered[ny - 1 :: ny] = b"\x01" * nx
     for x0, x1, y0, y1 in key:
-        j0, j1 = 2 * ypos[y0], 2 * ypos[y1] + 1
-        run = b"\x01" * (j1 - j0)
-        for i in range(2 * xpos[x0], 2 * xpos[x1] + 1):
-            covered[i * ny + j0 : i * ny + j1] = run
+        i0, i1, j0, j1 = xpos[x0], xpos[x1] + 1, ypos[y0], ypos[y1] + 1
+        if i1 - i0 < j1 - j0:
+            run = b"\x01" * (j1 - j0)
+            for g in range(i0 * ny + j0, i1 * ny, ny):
+                covered[g : g + j1 - j0] = run
+        else:
+            run = b"\x01" * (i1 - i0)
+            for g in range(i0 * ny + j0, i0 * ny + j1):
+                covered[g : g + (i1 - i0) * ny : ny] = run
 
     # A box covering a face covers its closure, so a gap face on a grid line
     # has gap faces on both sides of the line, one of them earlier in
@@ -274,24 +291,36 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     # the faces it reaches as covered, so the next seed is the next 0 flag.
     euler = covered[0::2].count(0) - covered[1::2].count(0)
     owner = array("i", [-1]) * (nx * ny)
-    seeds = []
+    seeds: list[int] = []
+    stack: list[int] = []
     seed = covered.find(0)
     while seed >= 0:
-        c = len(seeds)
+        c, g = len(seeds), seed
         seeds.append(seed)
         covered[seed] = 1
-        stack = [seed]
-        while stack:
-            g = stack.pop()
+        while True:
             owner[g] = c
-            for h in (g - ny, g + ny, g - 1, g + 1):
-                if not covered[h]:
-                    covered[h] = 1
-                    stack.append(h)
+            # the four neighbours, tested one by one: building a tuple of
+            # them per face costs more than the four tests
+            if not covered[g - ny]:
+                covered[g - ny] = 1
+                stack.append(g - ny)
+            if not covered[g + ny]:
+                covered[g + ny] = 1
+                stack.append(g + ny)
+            if not covered[g - 1]:
+                covered[g - 1] = 1
+                stack.append(g - 1)
+            if not covered[g + 1]:
+                covered[g + 1] = 1
+                stack.append(g + 1)
+            if not stack:
+                break
+            g = stack.pop()
         seed = covered.find(0, seed)
     connected = euler == len(seeds)
-    xs = tuple(table.xs[r] for r in xr)
-    ys = tuple(table.ys[r] for r in yr)
+    xs = tuple(map(table.xs.__getitem__, xr))
+    ys = tuple(map(table.ys.__getitem__, yr))
     return GapFibre(xs, ys, owner, ny, connected, xr, yr, tuple(seeds))
 
 
@@ -439,29 +468,44 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     The image of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
     there, so the component persists to both sides): the edge fibre's owner
-    of the face `_edge_face` finds. A vertex and an edge with the same alive
-    key share one fibre, and the map is the identity. Each distinct (vertex
-    fibre, edge fibre) pair gets one image tuple, shared by every incidence
-    that has it.
+    of the face holding the component's least open 2-face, found as in
+    `_edge_face` by two bisections of the face's lower-left corner ranks.
+    Those corners are worked out once per distinct vertex fibre, and each
+    distinct (vertex fibre, edge fibre) pair gets one image tuple, shared by
+    every incidence that has it. A vertex and an edge with the same alive
+    key share one fibre, and the image reads the owners of its seeds: the
+    identity.
     """
     times, vertex_fibres, edge_fibres = fibres
     counts = {len(f.seeds) for f in (*vertex_fibres, *edge_fibres)}
     cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in counts}
-    # an image tuple depends only on its two fibres, which samples share
+    corners: dict[int, list[tuple[int, int]]] = {}  # the seed corner ranks of each vertex fibre
     built: dict[tuple[int, int], tuple[int, ...]] = {}
     images = []
     for i, vf in enumerate(vertex_fibres):
         for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
-            key = (id(vf), id(ef))
-            if key not in built:
-                image = tuple(ef.owner[_edge_face(vf, c, ef)] for c in range(len(vf.seeds)))
+            image = built.get((id(vf), id(ef)))
+            if image is None:
+                if ef is vf:
+                    image = tuple(map(vf.owner.__getitem__, vf.seeds))
+                else:
+                    if id(vf) not in corners:
+                        ny, xr, yr = vf.ny, vf.xr, vf.yr
+                        corners[id(vf)] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
+                    owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
+                    image = tuple(
+                        [
+                            owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1]
+                            for x, y in corners[id(vf)]
+                        ]
+                    )
                 if -1 in image:
                     raise GeometryError(
                         f"component {component_label(image.index(-1))} at t={times[i]} "
                         f"does not persist to the {side} edge"
                     )
-                built[key] = image
-            images.append(built[key])
+                built[id(vf), id(ef)] = image
+            images.append(image)
     return FunctionSheaf(
         strat=Stratification(times),
         vertex_stalks=tuple(cones[len(f.seeds)] for f in vertex_fibres),

@@ -53,6 +53,7 @@ from reference_geometry import (
     reference_validate,
     reference_verify_evasion_path,
 )
+from reference_nerve import nerve_betti
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_COLUMNS,
@@ -220,6 +221,32 @@ class TestBuildSheaf:
     def test_built_sheaves_validate(self):
         for scene in (OPEN_SCENE, BLOCKED_SCENE):
             assert validate_sheaf(build_sheaf(scene)) == ()
+
+    def test_a_component_that_does_not_persist_is_named_at_its_first_incidence(self):
+        # fibres of one rank table, forged into timelines: a wall at x = 2
+        # splits the window into g0 and g1, and a box on either half of it
+        # covers the face of the component there
+        scene = Scene.make(
+            (0, 4),
+            (0, 4),
+            [Box.make((0, 1), (2, 2), (0, 4)), Box.make((2, 3), (2, 4), (0, 4)), Box.make((4, 5), (0, 2), (0, 4))],
+        )
+        _, vertex_fibres, edge_fibres = scene_fibres(scene)
+        split, right_covered, left_covered = vertex_fibres[0], vertex_fibres[2], vertex_fibres[4]
+        open_window = edge_fibres[0]
+        assert [len(f.seeds) for f in (split, right_covered, left_covered, open_window)] == [2, 1, 1, 1]
+        times = (Fraction(1, 2), Fraction(3))
+        cases = [
+            ((right_covered, open_window, open_window), "component g1 at t=1/2 does not persist to the left edge"),
+            ((left_covered, open_window, open_window), "component g0 at t=1/2 does not persist to the left edge"),
+            # the right edge of the first vertex comes before the left edge of the second
+            ((open_window, right_covered, right_covered), "component g1 at t=1/2 does not persist to the right edge"),
+            ((open_window, open_window, left_covered), "component g0 at t=3 does not persist to the right edge"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(GeometryError) as raised:
+                sheaf_from_fibres((times, (split, split), edges))
+            assert str(raised.value) == message
 
 
 # chains forged on the open crossing, whose sweep chain is
@@ -926,15 +953,67 @@ def test_euler_count_matches_the_reference_on_small_integer_scenes(base_seed):
     assert 50 < invalid < 450  # both outcomes are well represented
 
 
+# both paint directions of `_arrange` in one key: a full-width wall, wider
+# than tall in grid faces and so painted one grid row at a time, a tall
+# zero-width wall crossing it, painted one column at a time, and a rectangle
+# with its corner where the two walls cross and two edges on the frame; the
+# tall wall dies first
+CROSSED_WALLS = Scene.make(
+    (0, 8),
+    (0, 8),
+    [Box.make((0, 2), (0, 8), (3, 4)), Box.make((0, 1), (5, 5), (1, 7)), Box.make((0, 2), (5, 8), (0, 3))],
+)
+
+
 @pytest.mark.parametrize(
     "scene",
-    [pulsing_box_scene(40), comb_scene(12), staircase_scene(6), jittered_pulsing_scene(10), jittered_slalom_scene(4)],
-    ids=["pulsing", "comb", "staircase", "jittered-pulsing", "jittered-slalom"],
+    [
+        pulsing_box_scene(40),
+        comb_scene(12),
+        staircase_scene(6),
+        jittered_pulsing_scene(10),
+        jittered_slalom_scene(4),
+        CROSSED_WALLS,
+    ],
+    ids=["pulsing", "comb", "staircase", "jittered-pulsing", "jittered-slalom", "crossed-walls"],
 )
 def test_family_fibres_match_the_fraction_reference(scene):
     # the jittered twins' rectangles differ by value: each box is a rank-table
     # group of its own and adds its own grid lines, however the scene is built
     assert assert_fibres_match_the_reference(scene)
+
+
+def assert_gap_counts_match_the_nerve(scene: Scene) -> bool:
+    """Every sample's fibre against the nerve of the coverage at its time
+    (`reference_nerve`): the coverage is connected iff the nerve's b0 is 1,
+    and then the fibre has 1 + b1 - b2 components. Returns whether every
+    fibre's coverage is connected."""
+    times, vertex_fibres, edge_fibres = scene_fibres(scene)
+    edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
+    for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
+        b0, b1, b2 = nerve_betti(scene, t)
+        assert (b0 == 1) == fibre.connected, t
+        if b0 == 1:
+            assert 1 + b1 - b2 == len(fibre.seeds), t
+    return all(f.connected for f in (*vertex_fibres, *edge_fibres))
+
+
+def test_gap_counts_match_the_nerve_on_the_fixtures():
+    for name in fixtures_with("window"):
+        assert_gap_counts_match_the_nerve(fixture_scene(name))
+
+
+@pytest.mark.parametrize("name", list(randgen.FAMILIES))
+def test_gap_counts_match_the_nerve_on_every_family(name):
+    build, _, sizes = randgen.FAMILIES[name]
+    for n in sizes[:2]:
+        assert assert_gap_counts_match_the_nerve(build(n))
+
+
+def test_gap_counts_match_the_nerve_on_random_candidates(base_seed):
+    rng = Random(base_seed)
+    invalid = sum(not assert_gap_counts_match_the_nerve(random_candidate(rng, 6)) for _ in range(300))
+    assert 20 < invalid < 280  # invalid draws are included
 
 
 @pytest.mark.parametrize("name", list(randgen.FAMILIES))

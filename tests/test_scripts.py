@@ -33,7 +33,10 @@ ROOT = Path(__file__).parent.parent
                 "--family", "pulsing=10", "--family", "blocked=10", "--family", "comb=3", "--family", "slalom=3",
                 "--random", "5",
             ],
-            ["pulsing", "blocked", "comb", "slalom", "random", "ratio", "wins", "difference", "reports identical outside timing_ms"],
+            [
+                "pulsing", "blocked", "comb", "slalom", "random", "rescaled ms", "ratio", "wins", "difference",
+                "raw ms", "reports identical outside timing_ms",
+            ],
         ),
     ],
     ids=["oracle_fuzz", "scaling_bench", "criteria_gap", "pair_check"],
