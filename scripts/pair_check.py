@@ -15,8 +15,8 @@ First, untimed, every command runs once in each tree and the two outputs
 are compared byte for byte, exit codes included: on each scene file `check
 --path --plot` (its report with `timing_ms` removed, its path file and its
 SVG) and `sheaf`; on the sheaf that tree printed and on each sheaf file in
-`tests/fixtures`, `lp`, `lp --matrix` and `matrix`. Any difference is
-printed and makes the exit status 1. Then each pair gives each tree one
+`tests/fixtures`, `lp` and `matrix`. Any difference is printed and makes
+the exit status 1. Then each pair gives each tree one
 turn per family, the tree that runs first alternating from pair to pair. A
 turn runs in-process `cli.main(["check", file])` over the family's files,
 as many rounds as make about `--turn` seconds in this tree's untimed pass,
@@ -116,7 +116,7 @@ def taken(path: Path) -> str | None:
 
 def sheaf_outputs(cli, sheaf: str) -> dict[str, tuple[int, str]]:
     """The exit code and output of each sheaf command on the sheaf file."""
-    commands = (["lp"], ["lp", "--matrix"], ["matrix"])
+    commands = (["lp"], ["matrix"])
     return {" ".join(command): run(cli, [*command, sheaf]) for command in commands}
 
 

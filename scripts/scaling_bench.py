@@ -25,16 +25,28 @@ pauses it, so that no collection lands in whichever stage is running.
 Each case runs REPEATS times and every column is the median over those runs.
 The repeats are interleaved: repeat r of every case runs before repeat r+1
 of any case, so that a spell of load on the host spreads over the cases
-instead of moving a whole row.
+instead of moving a whole row. What is left of the load, the machine's
+speed changing from one repeat to the next, is taken out by the
+benchmark's own speed probe (`perfbench/speed.py`), as
+`scripts/pair_check.py` takes it out: its timer runs a fixed piece of exact
+arithmetic every few milliseconds, and every stage time of a repeat is
+multiplied by the probe's scale around that repeat, so it reads as the
+time on a machine where the probe takes `speed.REFERENCE_PROBE_S`. Rows
+timed on different days or hosts are then comparable. The probe's own time
+inside a stage, about 1% of it, is left in.
+"times" is the number of critical times of the untimed warm-up check (a
+scene with no box event has one vertex, at t=0).
 "gc" is the number of cyclic-GC collections, all generations, during one
 untimed warm-up `run_check` of the case with the collector on, read from
 `gc.get_stats()` before and after it, so the count measures the pipeline's
 allocation churn.
 
 With `--out FILE` the script also writes a JSON file: one row per (family,
-size, stage) with the median, first and third quartile of the REPEATS runs
-in ms, and one least-squares slope of log(median) against log(size) per
-(family, stage) run at two sizes or more, the stage's growth exponent.
+size, stage) with the median, first and third quartile of the REPEATS
+rescaled runs in ms and the median of the raw ones, the probe time the rows
+are rescaled to, and one least-squares slope of log(median) against
+log(size) per (family, stage) run at two sizes or more, the stage's growth
+exponent.
 
 Usage: python scripts/scaling_bench.py [--family NAME=N[,N...] ...] [--out FILE]
 """
@@ -51,7 +63,7 @@ import time
 from contextlib import redirect_stdout
 from math import log
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 
 from evasion.cli import (
     _load_json,
@@ -63,8 +75,10 @@ from evasion.cli import (
     sections_to_jsonable,
     write_json,
 )
-from evasion.geometry import critical_times
 from evasion.randgen import FAMILIES, parse_family
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from speed import INTERVAL_S, REFERENCE_PROBE_S, SpeedProbe  # noqa: E402
 
 STAGES = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
 REPEATS = 5
@@ -92,7 +106,7 @@ def run_once(scene_file: Path) -> tuple[dict[str, float], str]:
             gc.enable()
     timing["parse"] = parse_ms
     t0 = time.perf_counter()
-    payload = {"sections": sections_to_jsonable(sections, include_matrix=False)}
+    payload = {"sections": sections_to_jsonable(sections)}
     if path is not None:
         payload["path"] = path_to_jsonable(path)
     t1 = time.perf_counter()
@@ -133,6 +147,7 @@ def write_out(path: str, rows: list[dict]) -> None:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "repeats": REPEATS,
+        "reference_probe_s": REFERENCE_PROBE_S,
         "rows": rows,
         "slopes": slopes,
     }
@@ -151,36 +166,40 @@ def main() -> None:
     families = families or [(name, sizes) for name, (_, _, sizes) in FAMILIES.items()]
     cases = [(name, size) for name, sizes in families for size in sizes]
     header = "".join(f" {stage:>11}" for stage in STAGES)
+    print(f"stage medians in ms, rescaled to a machine where the speed probe takes {REFERENCE_PROBE_S * 1000} ms")
     print(f"{'family':>16} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, SpeedProbe() as probe:
         inputs = []  # (scene file, critical times, warm-up collections) of each case
         for n, (family, size) in enumerate(cases):
             scene = FAMILIES[family][0](size)
             scene_file = Path(tmp) / f"scene{n}.json"
             scene_file.write_text(json.dumps(scene_to_jsonable(scene)))
             before = collections()
-            run_check(read_scene(scene_file))  # the untimed warm-up, with the collector on
-            inputs.append((scene_file, len(critical_times(scene)), collections() - before))
+            times = run_check(read_scene(scene_file))[0][0]  # the untimed warm-up, with the collector on
+            inputs.append((scene_file, len(times), collections() - before))
+        time.sleep(INTERVAL_S)  # so that the probe has run before the first timed repeat
         # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
         repeats: list[list] = [[] for _ in cases]
         for _ in range(REPEATS):
             for runs, (scene_file, _, _) in zip(repeats, inputs):
+                t0 = time.perf_counter()
                 timing, verdict = run_once(scene_file)
                 timing["check"] = check_once(scene_file)
-                runs.append((timing, verdict))
+                runs.append((timing, probe.scale(t0, time.perf_counter()), verdict))
         for (family, size), runs, (_, count, collected) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
-                times = [timing[stage] for timing, _ in runs if stage in timing]
-                if len(times) < REPEATS:
+                raw = [timing[stage] for timing, _, _ in runs if stage in timing]
+                if len(raw) < REPEATS:
                     columns += f" {'-':>11}"
                     continue
-                q1, mid, q3 = quantiles(times, n=4, method="inclusive")
+                q1, mid, q3 = quantiles([timing[stage] * scale for timing, scale, _ in runs], n=4, method="inclusive")
                 columns += f" {mid:>9.1f}ms"
                 row = {"family": family, "size": size, "critical_times": count, "stage": stage}
-                rows.append(row | {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)})
-            verdict = runs[0][1]
+                row |= {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+                rows.append(row | {"raw_median_ms": round(median(raw), 4)})
+            verdict = runs[0][2]
             print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4}  {verdict}")
     if args.out:
         write_out(args.out, rows)

@@ -6,7 +6,8 @@ Subcommands:
   check   scene.json  -> full pipeline (validate, sheaf, decision, path), verdict report
   sheaf   scene.json  -> the constructed cone sheaf as JSON
   lp      sheaf.json  -> validate + coboundary + LP on an abstract sheaf
-  matrix  sheaf.json  -> labelled coboundary matrix only
+  matrix  sheaf.json  -> the labelled coboundary matrix, the one command that prints it
+                         (a scene's: `evasion sheaf scene.json > s.json; evasion matrix s.json`)
 
 Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
 serialised as "p" or "p/q" strings (on input, ints and any string `Fraction`
@@ -221,7 +222,7 @@ def sheaf_from_jsonable(data) -> ConeSheaf:
     return ConeSheaf(strat, vertex_stalks, edge_stalks, tuple(matrices[0::2]), tuple(matrices[1::2]))
 
 
-def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
+def sections_to_jsonable(sec: GlobalSections) -> dict:
     out: dict = {"kernel_dim": sec.kernel_dim, "columns": sec.column_names, "rows": sec.row_names}
     if sec.decision is not None:
         if sec.decision.feasible:
@@ -233,8 +234,6 @@ def sections_to_jsonable(sec: GlobalSections, include_matrix: bool) -> dict:
             out["witness"] = {"support": dict(support)}
         else:
             out["certificate"] = [format_rational(v) for v in sec.decision.certificate]
-    if include_matrix:
-        out["matrix"] = matrix_to_jsonable(sec.coboundary)
     return out
 
 
@@ -477,12 +476,12 @@ def _locate_long_integer(text: str) -> None:
             raise json.JSONDecodeError(message, text, m.start())
 
 
-def _decided(sections: GlobalSections, digest: str, include_matrix: bool) -> dict:
+def _decided(sections: GlobalSections, digest: str) -> dict:
     """The verdict, input digest and sections that `check` and `lp` report."""
     return {
         "verdict": "EVASION" if sections.decision.feasible else "NO_EVASION",
         "input_digest": digest,
-        "sections": sections_to_jsonable(sections, include_matrix=include_matrix),
+        "sections": sections_to_jsonable(sections),
     }
 
 
@@ -524,7 +523,7 @@ def cmd_check(args) -> int:
     svg = render_scene_svg(scene, fibres, path) if args.plot else None
     del fibres
     feasible = sections.decision.feasible
-    out = _decided(sections, digest, args.matrix)
+    out = _decided(sections, digest)
     if args.oracle:
         t0 = time.perf_counter()
         cob = sections.coboundary
@@ -562,13 +561,14 @@ def _load_sheaf(path_str: str) -> tuple[ConeSheaf, str]:
 def cmd_lp(args) -> int:
     sheaf, digest = _load_sheaf(args.sheaf)
     sections = global_sections(sheaf)
-    _emit(_decided(sections, digest, args.matrix))
+    _emit(_decided(sections, digest))
     return EXIT_EVASION if sections.decision.feasible else EXIT_NO_EVASION
 
 
 def cmd_matrix(args) -> int:
     sheaf, _ = _load_sheaf(args.sheaf)
-    _emit(sections_to_jsonable(assemble_coboundary(sheaf), include_matrix=True))
+    sections = assemble_coboundary(sheaf)
+    _emit(sections_to_jsonable(sections) | {"matrix": matrix_to_jsonable(sections.coboundary)})
     return EXIT_EVASION
 
 
@@ -597,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the decision with the bounded simplex, meant for small scenes "
         "(45 s on a pulsing scene with 2000 critical times, against 0.06 s without it)",
     )
-    p.add_argument("--matrix", action="store_true", help="embed the labelled coboundary matrix")
     p.add_argument("--path", dest="path_out", metavar="OUT", help="write the evasion path JSON here")
     p.add_argument("--plot", metavar="OUT_SVG", help="write an SVG rendering of gaps and path")
     p.set_defaults(func=cmd_check)
@@ -608,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="global sections of an abstract sheaf file")
     p.add_argument("sheaf")
-    p.add_argument("--matrix", action="store_true")
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("matrix", help="labelled coboundary of a sheaf file")

@@ -39,14 +39,14 @@ once. Values are deduplicated by their (numerator, denominator) pair and
 sorted by the exact key (integer part, value), so no `Fraction` is hashed
 and two are compared only when they share an integer part. Window relevance
 and clamping compare ranks, and the table keeps the sorted distinct x and y
-coordinates of the window and of the relevant boxes clamped to it, the
-critical times, and each relevant box's rank rectangle and time span.
-Ranking is strictly increasing on those finite sets and every comparison
-the sweep, the arrangement, the validation and the restrictions make is
-between their members, so ranks take every branch the rationals would;
-`Fraction` values appear only in the outputs (grid coordinates, vertex
-times, the anchors and interior points read off a fibre, the sample time of
-a validation message).
+coordinates, the window's four ranks among them, the critical times, and
+each relevant box's rank rectangle, clamped to the window's ranks, and time
+span. Ranking is strictly increasing on those finite sets and every
+comparison the sweep, the arrangement, the validation and the restrictions
+make is between their members, so ranks take every branch the rationals
+would; `Fraction` values appear only in the outputs (grid coordinates,
+vertex times, the anchors and interior points read off a fibre, the sample
+time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -58,17 +58,18 @@ fibre by two bisections of the ranks of its least face's corner, and the
 corners are worked out once per vertex fibre. A fibre depends on the alive
 coverage geometry alone, so samples are keyed by the distinct rank
 rectangles alive there, and a scene builds one fibre per distinct key,
-shared by its samples. The time sweep keeps the alive rectangles sorted as
-boxes are born and die, and copies them into a new key, looked up once,
-only at an event that changes them: O(events · log alive) Python steps plus
-one C-level key copy per event.
+shared by its samples. The time sweep counts the alive boxes on each
+rectangle as they are born and die, and takes the alive rectangles into a
+new key, a frozenset looked up once, only at an event that changes them:
+O(events) Python steps plus one C-level key copy per event.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -84,7 +85,7 @@ from evasion.sheaf import FunctionSheaf, GlobalSections, Stratification, section
 
 Face = tuple[int, int]
 Rect = tuple[int, int, int, int]
-Key = tuple[Rect, ...]
+Key = frozenset[Rect]
 
 
 class SceneValidationError(ValueError):
@@ -184,7 +185,7 @@ def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
     return coords[k] if i % 2 == 0 else (coords[k] + coords[k + 1]) / 2
 
 
-def _ranks(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+def _ranks(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]:
     """The sorted distinct values, and the rank of each value among them.
 
     Values are told apart by their (numerator, denominator) pair, which is
@@ -196,7 +197,7 @@ def _ranks(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
     distinct = dict(zip(pairs, values))
     order = sorted(zip(starmap(floordiv, distinct), distinct.values(), distinct))
     rank = dict(zip(map(itemgetter(2), order), count()))
-    return list(map(itemgetter(1), order)), list(map(rank.__getitem__, pairs))
+    return tuple(map(itemgetter(1), order)), list(map(rank.__getitem__, pairs))
 
 
 @dataclass(frozen=True)
@@ -205,64 +206,63 @@ class _RankTable:
 
     The x and y axes are ranked once over the window and one box per spatial
     rectangle (`_ranks`), the times over the window-relevant boxes, and
-    window relevance and clamping compare those ranks. The table keeps the
-    window-relevant boxes only: `rects[b]` is box b clamped to the window
-    as ranks (x0, x1, y0, y1) into `xs` and `ys`, and `spans[b]` its time
-    interval as ranks into `ts`, the sorted critical times.
+    window relevance and clamping compare those ranks. `xs` and `ys` are the
+    sorted distinct coordinates and `window` the window's ranks (x0, x1, y0,
+    y1) into them. The table keeps the window-relevant boxes only:
+    `rects[b]` is box b clamped to the window as ranks (x0, x1, y0, y1) into
+    `xs` and `ys`, and `spans[b]` its time interval as ranks into `ts`, the
+    sorted critical times.
     """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     ts: tuple[Fraction, ...]
+    window: Rect
     rects: tuple[Rect, ...]
     spans: tuple[tuple[int, int], ...]
 
 
 def _rank_table(scene: Scene) -> _RankTable:
-    """The scene's rank table. The x and y axes are ranked over the window
-    and one box per spatial rectangle (`Scene.rectangles`), and relevance and
-    clamping are worked out once per rectangle; a box costs only its time
-    span and a lookup of its rectangle's clamped ranks by index."""
+    """The scene's rank table. The x and y axes are ranked once, over the
+    window and one box per spatial rectangle (`Scene.rectangles`), and
+    relevance and clamping are worked out once per rectangle in that rank
+    space; a box costs only its time span and a lookup of its rectangle's
+    clamped ranks by index."""
     boxes = scene.boxes
     shapes, index = scene.rectangles
-    xv, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes for c in b.x)])
-    yv, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes for c in b.y)])
-    clamped = {}
+    xs, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes for c in b.x)])
+    ys, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes for c in b.y)])
+    rects = {}
     for k, x0, x1, y0, y1 in zip(count(), bx[0::2], bx[1::2], by[0::2], by[1::2]):
         # does the closed box meet the open window interior?
         if x0 < wx1 and x1 > wx0 and y0 < wy1 and y1 > wy0:
-            clamped[k] = (max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1))
-    # keep the ranks the window and the clamped relevant rectangles use
-    xcut = sorted({wx0, wx1, *(c for r in clamped.values() for c in r[:2])})
-    ycut = sorted({wy0, wy1, *(c for r in clamped.values() for c in r[2:])})
-    xpos = dict(zip(xcut, count()))
-    ypos = dict(zip(ycut, count()))
-    rects = {k: (xpos[x0], xpos[x1], ypos[y0], ypos[y1]) for k, (x0, x1, y0, y1) in clamped.items()}
+            rects[k] = (max(x0, wx0), min(x1, wx1), max(y0, wy0), min(y1, wy1))
     relevant = list(map(rects.__contains__, index))
     ts, tr = _ranks([c for b in compress(boxes, relevant) for c in b.t])
     return _RankTable(
-        tuple(map(xv.__getitem__, xcut)),
-        tuple(map(yv.__getitem__, ycut)),
-        tuple(ts),
+        xs,
+        ys,
+        ts,
+        (wx0, wx1, wy0, wy1),
         tuple(map(rects.__getitem__, compress(index, relevant))),
         tuple(zip(tr[0::2], tr[1::2])),
     )
 
 
-def _arrange(table: _RankTable, key: Key) -> GapFibre:
-    """Gap components of the window with the key's rectangles covered,
-    numbered in the order of their least face corner. The coverage is
-    connected iff the gap's Euler characteristic, its faces at even flat
-    indices minus those at odd ones, is the number of components.
+def _arrange(table: _RankTable, key: Collection[Rect]) -> GapFibre:
+    """Gap components of the window with the key's rectangles covered, in
+    any order, numbered in the order of their least face corner. The
+    coverage is connected iff the gap's Euler characteristic, its faces at
+    even flat indices minus those at odd ones, is the number of components.
 
     The grid lines and their doubled positions come from C-level passes
     over the key, and each rectangle is painted along its shorter side: one
     slice per grid column it spans when it is taller than wide, else one
     extended slice (step ny) per grid row."""
-    # the key's x0, x1, y0 and y1 ranks, each led by rank 0, the window's low side
-    x0s, x1s, y0s, y1s = zip((0, 0, 0, 0), *key)
-    xr = tuple(sorted({*x0s, *x1s, len(table.xs) - 1}))
-    yr = tuple(sorted({*y0s, *y1s, len(table.ys) - 1}))
+    # the x0, x1, y0 and y1 ranks of the window and of the key's rectangles
+    x0s, x1s, y0s, y1s = zip(table.window, *key)
+    xr = tuple(sorted({*x0s, *x1s}))
+    yr = tuple(sorted({*y0s, *y1s}))
     xpos = dict(zip(xr, count(0, 2)))
     ypos = dict(zip(yr, count(0, 2)))
     nx, ny = 2 * len(xr) - 1, 2 * len(yr) - 1
@@ -324,54 +324,41 @@ def _arrange(table: _RankTable, key: Key) -> GapFibre:
     return GapFibre(xs, ys, owner, ny, connected, xr, yr, tuple(seeds))
 
 
-def critical_times(scene: Scene) -> tuple[Fraction, ...]:
-    """Sorted times where the alive set of window-relevant boxes can change.
-
-    Between consecutive returned times the alive set is constant, so the gap
-    is a product of a fixed fibre with the open interval.
-    """
-    return _rank_table(scene).ts
-
-
 def _sample_keys(table: _RankTable) -> list[tuple[int, Key]]:
     """The alive key of every sample, in one sweep over the time ranks: the
-    sorted distinct rank rectangles of the boxes alive there, as runs of
-    (number of samples, key) in sample order.
+    distinct rank rectangles of the boxes alive there, as runs of (number of
+    samples, key) in sample order.
 
     Sample 2j is the edge sample before vertex j and sample 2j + 1 is vertex
     j, so a box alive on [ts[a], ts[b]] is alive at samples 2a + 1 through
     2b + 1: it is born at an odd sample and gone from an even one, and no
-    sample has both. A multiplicity per rectangle and a sorted list of the
-    alive rectangles, updated by bisection, follow the events, and a new
-    run with a copy of that list as its key starts only where the set of
-    rectangles changes. That is O(events · log alive) Python steps plus one
-    C-level key copy per event. A scene without critical times has one
-    vertex and no box.
+    sample has both. One dict from each alive rectangle to its number of
+    alive boxes follows the events, and a new run with a frozenset of its
+    rectangles as its key starts only where the set of rectangles changes.
+    That is O(events) Python steps plus one C-level key copy per event. A
+    scene without critical times has one vertex and no box.
     """
     n = 2 * max(len(table.ts), 1) + 1
     changes: dict[int, list[Rect]] = {}
     for rect, (t0, t1) in zip(table.rects, table.spans):
         changes.setdefault(2 * t0 + 1, []).append(rect)
         changes.setdefault(2 * t1 + 2, []).append(rect)
-    alive: list[Rect] = []
-    boxes: dict[Rect, int] = {}  # the number of alive boxes on each rectangle
+    alive: dict[Rect, int] = {}  # the number of alive boxes on each alive rectangle
     runs = []
-    start, key = 0, ()
+    start, key = 0, frozenset()
     for s, rects in sorted(changes.items()):
         size = len(alive)
         if s % 2:  # boxes born
             for rect in rects:
-                boxes[rect] = boxes.get(rect, 0) + 1
-                if boxes[rect] == 1:
-                    insort(alive, rect)
+                alive[rect] = alive.get(rect, 0) + 1
         else:  # boxes gone
             for rect in rects:
-                boxes[rect] -= 1
-                if not boxes[rect]:
-                    del alive[bisect_left(alive, rect)]
+                alive[rect] -= 1
+                if not alive[rect]:
+                    del alive[rect]
         if len(alive) != size:
             runs.append((s - start, key))
-            start, key = s, tuple(alive)
+            start, key = s, frozenset(alive)
     runs.append((n - start, key))
     return runs
 
@@ -389,8 +376,8 @@ def scene_fibres(scene: Scene) -> Fibres:
     t=0 so the constant section is representable downstream. One fibre is
     built per distinct alive key, and every sample with that key gets the
     same object: each run of `_sample_keys` looks its key up once, so the
-    samples cost O(events · log alive) Python steps plus one C-level key
-    copy and hash per event. A window with empty interior is a ValueError.
+    samples cost O(events) Python steps plus one C-level key copy and hash
+    per event. A window with empty interior is a ValueError.
     """
     if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
         raise ValueError("window has empty interior")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import add, attrgetter, getitem, itemgetter
+from operator import add
 
 from evasion.cones import (
     FeasibilityResult,
@@ -189,14 +189,14 @@ def section_chain(S: ConeSheaf, chain: Chain) -> tuple[CellLabel, ...]:
     chain has another length.
 
     The stalks are interleaved in cell order by two slice assignments, and
-    each label is read by `map` over the stalks' label tuples and the chain,
-    so the labelling takes C-level passes and no Python step per cell."""
+    each label is read by one comprehension over the cells, the stalks and
+    the chain."""
     cells = S.strat.cells
     if len(chain) != len(cells):
         raise ValueError(f"a chain of {len(chain)} generators does not name one per cell of {len(cells)}")
     stalks: list = [None] * len(cells)
     stalks[0::2], stalks[1::2] = S.edge_stalks, S.vertex_stalks
-    return tuple(zip(cells, map(getitem, map(attrgetter("labels"), stalks), chain)))
+    return tuple([(cell, stalk.labels[c]) for cell, stalk, c in zip(cells, stalks, chain)])
 
 
 @dataclass(frozen=True)
@@ -354,8 +354,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         edges, vertices = chain[0::2], chain[1::2]
         if len(chain) != 2 * len(F.maps) + 1:
             raise AssertionError("witness chain does not have one generator per cell")
-        lefts, rights = map(itemgetter(0), F.maps), map(itemgetter(1), F.maps)
-        if tuple(map(getitem, lefts, vertices)) != edges[:-1] or tuple(map(getitem, rights, vertices)) != edges[1:]:
+        if any(left[v] != a or right[v] != b for (left, right), v, a, b in zip(F.maps, vertices, edges, edges[1:])):
             raise AssertionError("witness chain does not restrict to its edge generators")
         # weight 1/k at each vertex's chain generator, found by its column offset
         offsets = list(accumulate((len(stalk.labels) for stalk in S.vertex_stalks), initial=0))

@@ -5,7 +5,8 @@ arrangement: a `Fraction` grid per sample with a union-find over its gap
 faces, and a union-find over pairwise box contacts on raw coordinates for
 coverage connectivity, which the arrangement reads off the gap's Euler
 characteristic instead. They share no code with the production path beyond
-the scene types and `critical_times`, and the tests require equal results.
+the scene types and the critical times the tests sample them at, and the
+tests require equal results.
 
 Also here are the point probes the tests hold the arrangement against: the
 direct box-membership probe `point_uncovered`, exact point location in a

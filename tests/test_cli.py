@@ -35,7 +35,7 @@ from evasion.cli import (
 from evasion.cones import FeasibilityResult
 from evasion.formats import format_rational, parse_rational, path_from_jsonable, scene_from_jsonable
 from evasion.linalg import Matrix
-from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene
+from evasion.randgen import FAMILIES, blocked_scene, comb_scene, pulsing_box_scene
 from evasion.scene import EvasionPath, PathSegment, Scene
 from evasion.sheaf import UnsupportedSheafError, section_chain, sweep_sections
 
@@ -144,12 +144,6 @@ class TestCheck:
             },
         )
 
-    def test_matrix_flag_embeds_coboundary(self, capsys):
-        code, report = run_cli(capsys, "check", "--matrix", fixture_path("crossing_open.json"))
-        assert code == 0
-        matrix = report["sections"]["matrix"]
-        assert (matrix["rows"], matrix["cols"]) == (7, 8)
-
     def test_path_and_plot_outputs(self, capsys, tmp_path):
         path_file = tmp_path / "path.json"
         svg_file = tmp_path / "scene.svg"
@@ -191,6 +185,9 @@ class TestCheck:
             )
             for command in ("path", "oracle")  # `check --path` and `lp` do their work
         ),
+        # `evasion sheaf` then `evasion matrix` print the coboundary
+        (["check", "--matrix", "scene.json"], "evasion: unrecognized arguments: --matrix"),
+        (["lp", "--matrix", "sheaf.json"], "evasion: unrecognized arguments: --matrix"),
     ],
 )
 def test_usage_errors_exit_one_with_one_json_report(capsys, argv, message):
@@ -272,6 +269,30 @@ class TestLp:
         assert code == 1
         (violation,) = report["violations"]
         assert (violation["vertex"], violation["edge"]) == ("v1", "e1")
+
+
+SCENES = {
+    **{name: load_fixture(name) for name in fixtures_with("window")},
+    **{f"{name}={sizes[0]}": scene_to_jsonable(build(sizes[0])) for name, (build, _, sizes) in FAMILIES.items()},
+}
+
+
+@pytest.mark.parametrize("scene", SCENES.values(), ids=SCENES)
+def test_matrix_prints_the_check_coboundary(capsys, tmp_path, scene):
+    # `evasion matrix` is the one command that prints a coboundary; on the
+    # sheaf of a scene it prints the matrix, rows and columns of the check
+    scene_file, sheaf_file = tmp_path / "scene.json", tmp_path / "sheaf.json"
+    scene_file.write_text(json.dumps(scene))
+    code, sheaf = run_cli(capsys, "sheaf", str(scene_file))
+    assert code == 0
+    sheaf_file.write_text(json.dumps(sheaf))
+    code, printed = run_cli(capsys, "matrix", str(sheaf_file))
+    assert code == 0
+    _, sections, _, _ = run_check(scene_from_jsonable(scene))
+    expected = io.StringIO()
+    write_json({"matrix": matrix_to_jsonable(sections.coboundary)}, expected)
+    assert printed["matrix"] == json.loads(expected.getvalue())["matrix"]
+    assert printed["rows"] == list(sections.row_names) and printed["columns"] == list(sections.column_names)
 
 
 class TestMatrixOraclePath:
@@ -840,19 +861,21 @@ def test_dense_entries_are_written_as_the_dense_list(rows, cols, data):
 
 def test_a_dense_matrix_is_written_one_row_at_a_time(tmp_path):
     # comb m=12's coboundary has about 100,000 entries, nearly all "0"
-    scene_file, report = tmp_path / "comb.json", tmp_path / "report.json"
+    scene_file, sheaf_file, report = tmp_path / "comb.json", tmp_path / "sheaf.json", tmp_path / "report.json"
     scene_file.write_text(json.dumps(scene_to_jsonable(comb_scene(12))))
+    with sheaf_file.open("w") as out, redirect_stdout(out):
+        assert main(["sheaf", str(scene_file)]) == 0
     with redirect_stdout(io.StringIO()):
-        main(["check", str(scene_file)])  # first use: the parser and its caches
+        main(["matrix", str(sheaf_file)])  # first use: the parser and its caches
     with report.open("w") as out, redirect_stdout(out):
         tracemalloc.start()
         try:
-            code = main(["check", "--matrix", str(scene_file)])
+            code = main(["matrix", str(sheaf_file)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert json.loads(report.read_text())["sections"]["matrix"]["rows"] > 200
+    assert json.loads(report.read_text())["matrix"]["rows"] > 200
     assert peak < report.stat().st_size / 2
 
 
@@ -913,7 +936,10 @@ def test_a_check_runs_no_collection_and_leaves_no_growing_garbage(tmp_path, monk
 
 def test_the_writer_leaves_no_reference_cycle():
     _, sections, path, _ = run_check(pulsing_box_scene(40))
-    payload = {"sections": sections_to_jsonable(sections, include_matrix=True), "path": path_to_jsonable(path)}
+    payload = {
+        "sections": sections_to_jsonable(sections) | {"matrix": matrix_to_jsonable(sections.coboundary)},
+        "path": path_to_jsonable(path),
+    }
     gc.disable()
     try:
         gc.collect()
@@ -926,7 +952,7 @@ def test_the_writer_leaves_no_reference_cycle():
 def test_a_report_formats_no_label_pairs():
     # the report's names come straight from the cell ids and stalk labels
     _, sections, path, _ = run_check(pulsing_box_scene(40))
-    report = sections_to_jsonable(sections, include_matrix=False)
+    report = sections_to_jsonable(sections)
     path_to_jsonable(path)
     assert report["columns"] is sections.column_names and report["rows"] is sections.row_names
     assert "row_labels" not in vars(sections) and "column_labels" not in vars(sections)

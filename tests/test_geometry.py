@@ -20,7 +20,6 @@ from evasion.geometry import (
     SceneValidationError,
     _rank_table,
     build_sheaf,
-    critical_times,
     extract_path,
     scene_fibres,
     sheaf_from_fibres,
@@ -53,7 +52,7 @@ from reference_geometry import (
     reference_validate,
     reference_verify_evasion_path,
 )
-from reference_nerve import nerve_betti
+from reference_nerve import nerve_betti, restriction_rank
 from golden import (
     BLOCKED_COBOUNDARY,
     BLOCKED_COLUMNS,
@@ -129,18 +128,18 @@ class TestValidateScene:
 
 class TestCriticalTimes:
     def test_no_boxes(self):
-        assert critical_times(Scene.make((0, 5), (0, 5))) == ()
+        assert _rank_table(Scene.make((0, 5), (0, 5))).ts == ()
 
     def test_single_box(self):
         scene = Scene.make((0, 5), (0, 5), [Box.make((1, 2), (0, 5), (1, 2))])
-        assert critical_times(scene) == (Fraction(1), Fraction(2))
+        assert _rank_table(scene).ts == (Fraction(1), Fraction(2))
 
     def test_crossing_scene_has_exactly_four(self):
-        assert critical_times(OPEN_SCENE) == tuple(map(Fraction, (1, 2, 3, 4)))
+        assert _rank_table(OPEN_SCENE).ts == tuple(map(Fraction, (1, 2, 3, 4)))
 
     def test_irrelevant_box_contributes_nothing(self):
         scene = Scene.make((0, 5), (0, 5), [Box.make((1, 2), (7, 9), (1, 2))])
-        assert critical_times(scene) == ()
+        assert _rank_table(scene).ts == ()
 
 
 class TestGapComponents:
@@ -888,7 +887,7 @@ def assert_fibres_match_the_reference(scene: Scene) -> bool:
     the vertex component's reference interior point."""
     fibres = scene_fibres(scene)
     times, vertex_fibres, edge_fibres = fibres
-    assert times == (critical_times(scene) or (Fraction(0),))
+    assert times == (_rank_table(scene).ts or (Fraction(0),))
     edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
     reference = {}
     for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
@@ -1016,6 +1015,42 @@ def test_gap_counts_match_the_nerve_on_random_candidates(base_seed):
     assert 20 < invalid < 280  # invalid draws are included
 
 
+def restriction_ranks_from_the_nerve(scene: Scene) -> Counter:
+    """Each map of the scene's sheaf against the nerve of the coverage
+    (`reference_nerve.restriction_rank`): the restriction of the first
+    cohomology from a vertex to an edge beside it has rank one less than the
+    number of distinct edge components in the vertex's image tuple, or 0 if
+    the vertex gap is empty. Returns how often each rank was seen."""
+    fibres = scene_fibres(scene)
+    times = fibres[0]
+    edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
+    seen = Counter()
+    for i, (t, (left, right)) in enumerate(zip(times, sheaf_from_fibres(fibres).maps, strict=True)):
+        for image, te in ((left, edge_times[i]), (right, edge_times[i + 1])):
+            rank = restriction_rank(scene, t, te)
+            assert rank == max(len(set(image)) - 1, 0), (t, te)
+            seen[rank] += 1
+    return seen
+
+
+def test_restriction_ranks_match_the_nerve_on_the_fixtures():
+    for name in fixtures_with("window"):
+        restriction_ranks_from_the_nerve(fixture_scene(name))
+
+
+@pytest.mark.parametrize("name", list(randgen.FAMILIES))
+def test_restriction_ranks_match_the_nerve_on_every_family(name):
+    build, _, sizes = randgen.FAMILIES[name]
+    for n in sizes[:2]:
+        restriction_ranks_from_the_nerve(build(n))
+
+
+def test_restriction_ranks_match_the_nerve_on_random_scenes(base_seed):
+    rng = Random(base_seed)
+    seen = sum((restriction_ranks_from_the_nerve(random_scene(rng, 10)) for _ in range(300)), Counter())
+    assert seen[0] and seen[1] and seen[2]  # maps that merge components and ones that keep them apart
+
+
 @pytest.mark.parametrize("name", list(randgen.FAMILIES))
 def test_every_family_gets_its_registered_verdict(name):
     # on EVASION, extract_path verifies the path it returns
@@ -1119,7 +1154,7 @@ def test_ranking_is_exact_under_box_order_and_tied_integer_parts(base_seed):
         scene = tied_scene(rng)
         fibres = scene_fibres(scene)
         times, vertex_fibres, edge_fibres = fibres
-        assert times == (critical_times(scene) or (Fraction(0),))
+        assert times == (_rank_table(scene).ts or (Fraction(0),))
         edge_times = [times[0] - 1, *((a + b) / 2 for a, b in zip(times, times[1:])), times[-1] + 1]
         for t, fibre in (*zip(times, vertex_fibres, strict=True), *zip(edge_times, edge_fibres, strict=True)):
             xs, ys, comps = reference_fibre(scene, t)

@@ -22,7 +22,7 @@ ROOT = Path(__file__).parent.parent
                 "--family", "pulsing=10", "--family", "comb=4", "--family", "blocked=10", "--family", "slalom=4",
             ],
             [
-                "parse", "report", "write", "check", "gc",
+                "rescaled", "parse", "report", "write", "check", "gc",
                 "pulsing", "comb", "blocked", "slalom", "  EVASION", "NO_EVASION",
             ],
         ),
@@ -74,6 +74,10 @@ def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     stages = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
     assert set(rows) == {(f, n, s) for f, n in cases for s in stages} - {("blocked", 10, "path")}
     assert all(r["q1_ms"] <= r["median_ms"] <= r["q3_ms"] for r in rows.values())
+    # each repeat is rescaled by the speed probe around it, which is never exactly the reference speed
+    assert data["reference_probe_s"] == 2e-4
+    assert all(r["raw_median_ms"] > 0 for r in rows.values())
+    assert any(r["median_ms"] != r["raw_median_ms"] for r in rows.values())
     assert rows[("slalom", 8, "path")]["critical_times"] == 32
     # staircase 3: births at t = 1, 2, 3 and one death at t = 6
     assert rows[("staircase", 3, "fibres")]["critical_times"] == 4
