@@ -6,10 +6,13 @@ are dropped from `sys.modules` and imported again from the other tree's
 `src`, as `perfbench/program.load_program` does, and each tree's `cli`
 keeps its own module objects. The scenes are built once by this tree's
 `evasion.randgen` and written as JSON files: each `--family NAME=N[,N...]`
-at its sizes (by default pulsing=400, blocked=400, comb=24 and slalom=100,
-one scene each), and `--random` seeded `random_scene(rng, 10)` draws, a
-family of its own unless there are none. Slalom's path hops at every
-event, so its checks are mostly path extraction and verification.
+at its sizes (by default pulsing=400, blocked=400, comb=24, slalom=100,
+staircase=25 and jittered-pulsing=400, one scene each), and `--random`
+seeded `random_scene(rng, 10)` draws, a family of its own unless there are
+none. Slalom's path hops at every event, so its checks are mostly path
+extraction and verification. Staircase and jittered pulsing are where the
+fibre layer and scenes in general position cost most, and the benchmark's
+workloads, which share rectangles, do not look there.
 
 First, untimed, every command runs once in each tree and the two outputs
 are compared byte for byte, exit codes included: on each scene file `check
@@ -60,7 +63,7 @@ from speed import SpeedProbe  # noqa: E402
 
 FIXTURES = THIS / "tests" / "fixtures"
 TIMING = re.compile(r'"timing_ms": \{[^}]*\}')
-DEFAULT_FAMILIES = ["pulsing=400", "blocked=400", "comb=24", "slalom=100"]
+DEFAULT_FAMILIES = ["pulsing=400", "blocked=400", "comb=24", "slalom=100", "staircase=25", "jittered-pulsing=400"]
 
 
 def load_cli(checkout: Path):

@@ -55,13 +55,15 @@ persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
 sections decide evasion. A map locates each vertex component in the edge
 fibre by two bisections of the ranks of its least face's corner, and the
-corners are worked out once per vertex fibre. A fibre depends on the alive
-coverage geometry alone, so samples are keyed by the distinct rank
-rectangles alive there, and a scene builds one fibre per distinct key,
-shared by its samples. The time sweep counts the alive boxes on each
-rectangle as they are born and die, and takes the alive rectangles into a
-new key, a frozenset looked up once, only at an event that changes them:
-O(events) Python steps plus one C-level key copy per event.
+corners are worked out once per vertex fibre. Where a vertex and an edge
+share one fibre, the bisections land on the seed face itself, so the same
+lookup gives the identity. A fibre depends on the alive coverage geometry
+alone, so samples are keyed by the distinct rank rectangles alive there,
+and a scene builds one fibre per distinct key, shared by its samples. The
+time sweep counts the alive boxes on each rectangle as they are born and
+die, and takes the alive rectangles into a new key, a frozenset looked up
+once, only at an event that changes them: O(events) Python steps plus one
+C-level key copy per event.
 """
 
 from __future__ import annotations
@@ -426,12 +428,10 @@ def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> int:
     The boxes alive on an edge are alive at its end vertices too, so the
     edge's grid lines are among the vertex's, and each open interval of the
     vertex grid lies inside one open interval of the edge grid: a bisection
-    of its lower rank finds that interval.
+    of its lower rank finds that interval. When the two fibres are one, it
+    finds the seed face itself.
     """
-    seed = vf.seeds[c]
-    if ef is vf:
-        return seed
-    i, j = divmod(seed, vf.ny)
+    i, j = divmod(vf.seeds[c], vf.ny)
     return (2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1) * ef.ny + 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
 
 
@@ -460,8 +460,8 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     Those corners are worked out once per distinct vertex fibre, and each
     distinct (vertex fibre, edge fibre) pair gets one image tuple, shared by
     every incidence that has it. A vertex and an edge with the same alive
-    key share one fibre, and the image reads the owners of its seeds: the
-    identity.
+    key share one fibre; the bisections then land on each seed's own face,
+    and the image is the identity.
     """
     times, vertex_fibres, edge_fibres = fibres
     counts = {len(f.seeds) for f in (*vertex_fibres, *edge_fibres)}
@@ -473,19 +473,16 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
         for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
             image = built.get((id(vf), id(ef)))
             if image is None:
-                if ef is vf:
-                    image = tuple(map(vf.owner.__getitem__, vf.seeds))
-                else:
-                    if id(vf) not in corners:
-                        ny, xr, yr = vf.ny, vf.xr, vf.yr
-                        corners[id(vf)] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
-                    owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
-                    image = tuple(
-                        [
-                            owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1]
-                            for x, y in corners[id(vf)]
-                        ]
-                    )
+                if id(vf) not in corners:
+                    ny, xr, yr = vf.ny, vf.xr, vf.yr
+                    corners[id(vf)] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
+                owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
+                image = tuple(
+                    [
+                        owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1]
+                        for x, y in corners[id(vf)]
+                    ]
+                )
                 if -1 in image:
                     raise GeometryError(
                         f"component {component_label(image.index(-1))} at t={times[i]} "
@@ -549,10 +546,11 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     right vertex key), the unbounded edges missing one side. Samples share
     fibres, so a long chain has few distinct keys. Each cell costs only
     C-level passes: the key lists are built with `zip` and `map`, and
-    `dict` keeps each distinct key once, in time order. The range check,
-    the interior point, each `_edge_face`, each `_route` and each hop list
-    are worked out once per distinct key, and Python walks only the edges
-    whose transition moves the path (`itertools.compress`).
+    `dict` keeps each distinct key once, in time order. The range check
+    and the interior point are worked out once per distinct vertex key (the
+    point once per rank rectangle of its seed face), the end faces, the
+    route and the hop list once per distinct transition, and Python walks
+    only the edges whose transition moves the path (`itertools.compress`).
     """
     chain = sections.chain
     if chain is None:
@@ -580,25 +578,14 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
         at[vkey] = points[rect]
     # a transition's route runs inside its edge component from the left
     # vertex's face to the right one's; on an unbounded edge it only checks
-    # that the one vertex's component persists into it. A face and a route
-    # depend on fibres and components alone, so each is found once
-    faces: dict[tuple[int, int, int], int] = {}
-    found: dict[tuple[int, int, int, int], list[Point]] = {}
+    # that the one vertex's component persists into it
     hops: dict[tuple, list[Point]] = {}  # the moving interior transitions
     for tkey, ef in dict(zip(tkeys, edge_fibres)).items():
         left, _, c, right = tkey
-        ends = []
-        for vkey in (left, right):
-            if vkey is not None:
-                face = (*vkey, id(ef))
-                if face not in faces:
-                    faces[face] = _edge_face(vertices[vkey], vkey[1], ef)
-                ends.append(faces[face])
-        route = (id(ef), c, ends[0], ends[-1])
-        if route not in found:
-            found[route] = _route(ef, c, ends[0], ends[-1])
+        ends = [_edge_face(vertices[vkey], vkey[1], ef) for vkey in (left, right) if vkey is not None]
+        route = _route(ef, c, ends[0], ends[-1])
         if left is not None and right is not None:
-            positions = [at[left], *found[route], at[right]]
+            positions = [at[left], *route, at[right]]
             moves = [p for prev, p in zip(positions, positions[1:]) if p != prev]
             if moves:
                 hops[tkey] = moves

@@ -34,7 +34,7 @@ from evasion.cli import (
 )
 from evasion.cones import FeasibilityResult
 from evasion.formats import format_rational, parse_rational, path_from_jsonable, scene_from_jsonable
-from evasion.linalg import Matrix
+from evasion.linalg import Matrix, kernel_basis
 from evasion.randgen import FAMILIES, blocked_scene, comb_scene, pulsing_box_scene
 from evasion.scene import EvasionPath, PathSegment, Scene
 from evasion.sheaf import UnsupportedSheafError, section_chain, sweep_sections
@@ -74,6 +74,16 @@ class TestCheck:
         assert report["verdict"] == "NO_EVASION"
         assert "certificate" in report["sections"]
         assert "witness" not in report["sections"]
+
+    def test_teleport_has_a_sign_free_section_but_no_evasion(self, capsys):
+        # the six-box scene: the one sign-free section is -1 on v3.g2, so no positive section exists
+        code, report = run_cli(capsys, "check", fixture_path("teleport.json"))
+        assert code == 2
+        assert report["verdict"] == "NO_EVASION"
+        assert report["sections"]["kernel_dim"] == 1
+        assert report["sections"]["columns"] == ["v1.g0", "v2.g0", "v3.g0", "v3.g1", "v3.g2", "v4.g0", "v5.g0"]
+        _, sections, _, _ = run_check(scene_from_jsonable(load_fixture("teleport.json")))
+        assert kernel_basis(sections.coboundary) == [(1, 1, 1, 1, -1, 1, 1)]
 
     def test_truncated_json_reports_parse_location(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"

@@ -1,4 +1,5 @@
 import json
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -321,26 +322,31 @@ class TestExtractPath:
         assert shared > 0
 
     def test_each_fibre_transition_is_found_once(self, monkeypatch):
-        # pulsing n=400's 801 samples share two fibres; the parent found a face 800 times and a route 401 times
+        # pulsing n=400's 801 cells share two fibres and have 4 distinct transitions;
+        # the per-cell reference routes every edge, 401 times
         scene = pulsing_box_scene(400)
         fibres, sections, _, _ = run_check(scene)
-        faces, routes = [], []
-        edge_face, route = evasion.geometry._edge_face, evasion.geometry._route
+        _, vertex_fibres, edge_fibres = fibres
+        vkeys = list(zip(map(id, vertex_fibres), sections.chain[1::2]))
+        transitions = set(zip([None, *vkeys], map(id, edge_fibres), sections.chain[0::2], [*vkeys, None]))
+        routes = []
+        route = evasion.geometry._route
 
-        def face_once(vf, c, ef):
-            faces.append((id(vf), c, id(ef)))
-            return edge_face(vf, c, ef)
-
-        def route_once(fibre, c, f0, f1):
+        def recorded(fibre, c, f0, f1):
             routes.append((id(fibre), c, f0, f1))
             return route(fibre, c, f0, f1)
 
-        monkeypatch.setattr(evasion.geometry, "_edge_face", face_once)
-        monkeypatch.setattr(evasion.geometry, "_route", route_once)
+        monkeypatch.setattr(evasion.geometry, "_route", recorded)
         path = extract_path(scene, fibres, sections)
-        assert faces and len(faces) == len(set(faces))
-        assert routes and len(routes) == len(set(routes))
+        assert len(routes) == len(transitions) == 4
         assert path == run_check(scene)[2]
+
+    def test_a_route_between_faces_that_do_not_meet_is_refused(self):
+        # relabel component 1 of a two-component fibre as 0: both ends read 0, but no face path joins them
+        fibre = next(f for f in scene_fibres(fixture_scene("two_gap_corridor.json"))[1] if len(f.seeds) == 2)
+        owner = array("i", [0 if c == 1 else c for c in fibre.owner])
+        with pytest.raises(GeometryError, match="not mutually reachable"):
+            evasion.geometry._route(replace(fibre, owner=owner), 0, *fibre.seeds)
 
     def test_infeasible_decision_is_rejected(self):
         sections = global_sections(build_sheaf(BLOCKED_SCENE))
@@ -1308,6 +1314,21 @@ def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
     expected = outcome(scene)
     for name, image in metamorphic_images(scene, a, b, axes).items():
         assert outcome(image) == expected, name
+
+
+def test_random_scene_gives_up_after_64_invalid_draws(monkeypatch):
+    # a box floating inside the window leaves the coverage disconnected, so every draw is re-rolled
+    floating = Scene.make((0, 12), (0, 12), [Box.make((1, 2), (4, 6), (4, 6))])
+    draws = []
+
+    def candidate(rng, max_boxes):
+        draws.append(max_boxes)
+        return floating
+
+    monkeypatch.setattr(randgen, "random_candidate", candidate)
+    with pytest.raises(RuntimeError, match="could not draw a valid random scene"):
+        random_scene(Random(0))
+    assert len(draws) == 64
 
 
 def test_a_pulsing_scene_needs_an_even_number_of_critical_times():
