@@ -51,7 +51,8 @@ def round_trip(sheaf, sections, path: Path) -> bool:
     """Do the sheaf's matrices convert back to its image tuples, and does the
     file `evasion sheaf` would write, written to `path`, decide as the sheaf does?"""
     try:
-        S = ConeSheaf(sheaf.strat, sheaf.vertex_stalks, sheaf.edge_stalks, sheaf.left_maps, sheaf.right_maps)
+        matrices = [M for _, _, M in sheaf.incidences()]
+        S = ConeSheaf(sheaf.strat, sheaf.vertex_stalks, sheaf.edge_stalks, tuple(matrices[0::2]), tuple(matrices[1::2]))
         with path.open("w") as out:
             write_json(sheaf_to_jsonable(sheaf), out)
         read = global_sections(sheaf_from_jsonable(json.loads(path.read_text())))

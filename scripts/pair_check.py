@@ -59,7 +59,7 @@ from statistics import median, quantiles
 
 THIS = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(THIS / "perfbench"))
-from speed import SpeedProbe  # noqa: E402
+from speed import INTERVAL_S, SpeedProbe  # noqa: E402
 
 FIXTURES = THIS / "tests" / "fixtures"
 TIMING = re.compile(r'"timing_ms": \{[^}]*\}')
@@ -196,6 +196,7 @@ def main() -> int:
             else:
                 ours, theirs = scene_outputs(this, path, workdir), scene_outputs(other, path, workdir)
             differ += [(family, path, command) for command in ours if ours[command] != theirs.get(command)]
+        time.sleep(INTERVAL_S)  # so that the probe has run before the first timed turn
         rounds = {family: max(1, round(args.turn / timed(this, paths, probe)[0])) for family, paths in files.items()}
         for family, path, command in differ:
             print(f"outputs differ outside timing_ms: {family} {Path(path).name} `{command}`")

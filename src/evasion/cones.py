@@ -113,10 +113,9 @@ def lp_positive_kernel(A: Matrix) -> FeasibilityResult:
     The bounded simplex (`linalg.kernel_ray`) maximises sum(x) over the box
     0 <= x <= 1 inside the kernel; Bland pivoting makes the outcome exact
     and deterministic. The witness is re-checked as a normalised nonnegative
-    kernel point and the certificate by `is_valid_certificate`.
+    kernel point and the certificate by `is_valid_certificate`; a matrix with
+    no columns gets the simplex's all-zero dual, which certifies vacuously.
     """
-    if A.cols < 1:
-        raise ValueError("lp_positive_kernel needs at least one column")
     witness, certificate = kernel_ray(A.nonzeros, A.cols)
     if witness is not None:
         if any(c < 0 for c in witness) or sum(witness) != 1 or any(A.mul_vec(witness)):
@@ -168,7 +167,7 @@ def is_positive_cone(K: PolyhedralCone) -> bool:
     generators are all componentwise nonnegative, sit inside an orthant and
     are positive without any search.
     """
-    if K.is_free or not K.generators:
+    if K.is_free:
         return True
     if all(all(c >= 0 for c in g) for g in K.generators):
         return True

@@ -152,9 +152,10 @@ class GapFibre:
     def interior_point(self, c: int) -> Point:
         return self.face_centre(self.seeds[c])
 
-    def y_extents(self) -> list[Interval]:
+    @cached_property
+    def y_extents(self) -> tuple[Interval, ...]:
         """The least and the greatest y of each component, in one pass over
-        `owner`: face j spans ys[j // 2] to ys[(j + 1) // 2]."""
+        `owner` on first read: face j spans ys[j // 2] to ys[(j + 1) // 2]."""
         ny, owner = self.ny, self.owner
         lo, hi = [ny] * len(self.seeds), [-1] * len(self.seeds)
         for g, c in enumerate(owner):
@@ -164,7 +165,7 @@ class GapFibre:
                     lo[c] = j
                 if j > hi[c]:
                     hi[c] = j
-        return [(self.ys[a // 2], self.ys[(b + 1) // 2]) for a, b in zip(lo, hi)]
+        return tuple([(self.ys[a // 2], self.ys[(b + 1) // 2]) for a, b in zip(lo, hi)])
 
     @cached_property
     def components(self) -> tuple[GapComponent, ...]:

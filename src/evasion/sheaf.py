@@ -28,7 +28,8 @@ certificate exactly:
     built from it, and `section_chain` labels it. kernel_dim is a cycle rank.
     `sweep_sections` takes this path or raises UnsupportedSheafError.
   * Every other sheaf goes to the bounded simplex (`cones.lp_positive_kernel`),
-    which also serves as the independent cross-check of the sweep.
+    which also serves as the independent cross-check of the sweep and
+    answers a coboundary with no columns.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class Stratification:
 @dataclass(frozen=True)
 class ConeSheaf:
     """Stalks plus restriction matrices; vertex i maps left into edge i and
-    right into edge i+1. Restriction matrices act on ambient coordinates."""
+    right into edge i+1. Restriction matrices act on ambient coordinates;
+    readers take them as generator images (`generator_images`)."""
 
     strat: Stratification
     vertex_stalks: tuple[PolyhedralCone, ...]
@@ -128,40 +130,44 @@ class ConeSheaf:
             yield i, i, self.left_maps[i]
             yield i, i + 1, self.right_maps[i]
 
+    def generator_images(self):
+        """Yield (vertex index, edge index, images) in `incidences` order: the
+        image of each vertex generator, as {coordinate: value}. For a free
+        stalk the images are the columns of the matrix."""
+        for i, j, M in self.incidences():
+            stalk = self.vertex_stalks[i]
+            if stalk.is_free:
+                yield i, j, columns(M.nonzeros, M.cols)
+            else:
+                yield i, j, [{d: v for d, v in enumerate(M.mul_vec(gen)) if v} for gen in stalk.generators]
+
 
 @dataclass(frozen=True)
 class FunctionSheaf:
     """A free, function-like sheaf, valid as it stands: maps[i] holds the
-    left and the right image of each generator of vertex i. The 0/1 matrices
-    a `ConeSheaf` reader asks for are built on first read, one per distinct
-    image tuple and target size (there is one empty tuple)."""
+    left and the right image of each generator of vertex i, which readers
+    take as generator images; the sheaf writer and `refine` take matrices."""
 
     strat: Stratification
     vertex_stalks: tuple[PolyhedralCone, ...]
     edge_stalks: tuple[PolyhedralCone, ...]
     maps: GeneratorMaps
 
-    incidences = ConeSheaf.incidences
-
-    @cached_property
-    def left_maps(self) -> tuple[Matrix, ...]:
-        return self._matrices[0::2]
-
-    @cached_property
-    def right_maps(self) -> tuple[Matrix, ...]:
-        return self._matrices[1::2]
-
-    @cached_property
-    def _matrices(self) -> tuple[Matrix, ...]:  # in `incidences` order
-        built: dict[tuple[int, int], Matrix] = {}
-        out = []
+    def incidences(self):
+        """Like `ConeSheaf.incidences`, one 0/1 matrix per distinct image tuple and target size."""
+        built: dict[tuple[tuple[int, ...], int], Matrix] = {}
         for i, images in enumerate(self.maps):
             for j, image in enumerate(images, i):
-                key = (id(image), len(self.edge_stalks[j].labels))
+                key = (image, len(self.edge_stalks[j].labels))
                 if key not in built:  # the columns {row: 1}, transposed
                     built[key] = Matrix(key[1], len(image), tuple(columns(({r: ONE} for r in image), key[1])))
-                out.append(built[key])
-        return tuple(out)
+                yield i, j, built[key]
+
+    def generator_images(self):
+        """Like `ConeSheaf.generator_images`: {r: 1} for each entry r of an image tuple."""
+        for i, images in enumerate(self.maps):
+            for j, image in enumerate(images, i):
+                yield i, j, [{r: ONE} for r in image]
 
 
 @dataclass(frozen=True)
@@ -239,36 +245,26 @@ class GlobalSections:
 
     @cached_property
     def coboundary(self) -> Matrix:
-        """The signed substituted coboundary D*G of the sheaf."""
+        """The signed substituted coboundary D*G, read from the generator images."""
         S = self.sheaf
         col_offsets = [0, *accumulate(len(stalk.labels) for stalk in S.vertex_stalks)]
         # the first row of each edge; the unbounded edges have none, so their maps are zeroed out
         row_offsets = [0, 0, *accumulate(stalk.ambient_dim for stalk in S.edge_stalks[1:-1])]
         rows: list[SparseRow] = [{} for _ in range(row_offsets[-1])]
-        for i, j, M in S.incidences():
+        for i, j, images in S.generator_images():
             if 0 < j < S.strat.k:  # an edge's left endpoint (vertex j - 1) enters with -, its right with +
-                for col, image in enumerate(_generator_images(M, S.vertex_stalks[i]), col_offsets[i]):
+                for col, image in enumerate(images, col_offsets[i]):
                     for d, val in image.items():
                         rows[row_offsets[j] + d][col] = -val if i < j else val
         return Matrix(len(rows), col_offsets[-1], tuple(rows))
 
 
-def _generator_images(M: Matrix, stalk: PolyhedralCone) -> list[SparseRow]:
-    """Image under M of each generator of the stalk M acts on, as {coordinate: value}.
-
-    For a free stalk the images are the columns of M.
-    """
-    if stalk.is_free:
-        return columns(M.nonzeros, M.cols)
-    return [{d: v for d, v in enumerate(M.mul_vec(gen)) if v} for gen in stalk.generators]
-
-
-def validate_sheaf(S: ConeSheaf) -> tuple[SheafViolation, ...]:
+def validate_sheaf(S: ConeSheaf | FunctionSheaf) -> tuple[SheafViolation, ...]:
     """Every violation of the sheaf contract, empty when the sheaf is valid:
     every stalk must be a positive cone and every restriction a cone map.
 
-    An image lies in a free target exactly when its nonzeros are positive;
-    other targets are asked by `cone_membership`.
+    A generator image (`generator_images`) lies in a free target exactly when
+    its nonzeros are positive; other targets are asked by `cone_membership`.
     """
     violations: list[SheafViolation] = []
     for i, stalk in enumerate(S.vertex_stalks):
@@ -279,10 +275,10 @@ def validate_sheaf(S: ConeSheaf) -> tuple[SheafViolation, ...]:
         if not is_positive_cone(stalk):
             eid = S.strat.edge_id(j)
             violations.append(SheafViolation(None, eid, None, f"stalk over {eid} is not a positive cone"))
-    for i, j, M in S.incidences():
+    for i, j, images in S.generator_images():
         vid, eid = S.strat.vertex_id(i), S.strat.edge_id(j)
         target = S.edge_stalks[j]
-        for g, image in enumerate(_generator_images(M, S.vertex_stalks[i])):
+        for g, image in enumerate(images):
             if target.is_free:
                 inside = all(v > 0 for v in image.values())
             else:
@@ -308,7 +304,7 @@ def _column_stalks(S: ConeSheaf):
     return zip(S.strat.cells[1::2], S.vertex_stalks)
 
 
-def _normalise(S: ConeSheaf) -> ConeSheaf:
+def _normalise(S: ConeSheaf | FunctionSheaf) -> ConeSheaf | FunctionSheaf:
     # A vertex-free stratification carries no generator columns, which would
     # misreport a nonempty constant section as infeasible; one synthetic
     # vertex with identity restrictions is sheaf-equivalent and fixes this.
@@ -330,11 +326,11 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
     Feasible: the witness lists nonnegative generator coordinates, one block
     per vertex, summing to one, whose induced edge values agree everywhere.
     Infeasible: the certificate is a strict dual vector over the coboundary
-    rows (vacuous when no vertex carries any generator). Its entries are
-    exact rationals: the sweep's integer potential, kept as `int`s, or the
-    simplex's `Fraction`s. Function-like sheaves are decided, re-checked and
-    counted on their integer generator maps; all others are validated,
-    decided by the simplex and ranked.
+    rows (the simplex's all-zero vector, vacuous, when no vertex carries any
+    generator). Its entries are exact rationals: the sweep's integer
+    potential, kept as `int`s, or the simplex's `Fraction`s. Function-like
+    sheaves are decided, re-checked and counted on their integer generator
+    maps; all others are validated, decided by the simplex and ranked.
     """
     S = _normalise(S)
     try:
@@ -342,9 +338,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
     except UnsupportedSheafError:
         sections = assemble_coboundary(S)
         M = sections.coboundary
-        # no generator anywhere: only the zero section exists, vacuous certificate
-        decision = lp_positive_kernel(M) if M.cols else FeasibilityResult(certificate=(ZERO,) * M.rows)
-        sections = replace(sections, kernel_dim=M.cols - rank(M), decision=decision)
+        sections = replace(sections, kernel_dim=M.cols - rank(M), decision=lp_positive_kernel(M))
         vars(sections)["coboundary"] = M  # the cached matrix, so that it is not built again when read
         return sections
     # a FunctionSheaf is valid as it stands
@@ -396,8 +390,7 @@ def generator_maps(S: ConeSheaf) -> FunctionSheaf:
                     f"the sweep requires free (orthant) stalks; the stalk over {cell} is not free"
                 )
     images = []
-    for i, j, M in S.incidences():
-        cols = columns(M.nonzeros, M.cols)
+    for i, j, cols in S.generator_images():  # the stalks are free, so these are the matrix columns
         for c, col in enumerate(cols):
             if len(col) != 1 or 1 not in col.values():
                 raise UnsupportedSheafError(
@@ -497,7 +490,7 @@ def cycle_rank(S: FunctionSheaf) -> int:
     return kernel
 
 
-def refine(S: ConeSheaf, t) -> ConeSheaf:
+def refine(S: ConeSheaf | FunctionSheaf, t) -> ConeSheaf:
     """Insert a vertex at time t inside an open edge.
 
     The new vertex copies the stalk of the edge it subdivides and restricts
@@ -508,6 +501,7 @@ def refine(S: ConeSheaf, t) -> ConeSheaf:
     j = S.strat.find_edge(t)
     stalk = S.edge_stalks[j]
     ident = Matrix.identity(stalk.ambient_dim)
+    maps = [M for _, _, M in S.incidences()]
 
     def insert(items: tuple, item) -> tuple:
         return (*items[:j], item, *items[j:])
@@ -517,6 +511,6 @@ def refine(S: ConeSheaf, t) -> ConeSheaf:
         strat=Stratification(insert(S.strat.vertex_times, t)),
         vertex_stalks=insert(S.vertex_stalks, stalk),
         edge_stalks=insert(S.edge_stalks, stalk),
-        left_maps=insert(S.left_maps, ident),
-        right_maps=insert(S.right_maps, ident),
+        left_maps=insert(tuple(maps[0::2]), ident),
+        right_maps=insert(tuple(maps[1::2]), ident),
     )

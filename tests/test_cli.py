@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from array import array
 from collections import Counter
 from contextlib import redirect_stdout
 from decimal import Decimal
@@ -26,6 +27,7 @@ from evasion.cli import (
     main,
     matrix_to_jsonable,
     path_to_jsonable,
+    render_scene_svg,
     run_check,
     scene_to_jsonable,
     sections_to_jsonable,
@@ -140,6 +142,15 @@ class TestCheck:
         assert code == 2
         assert report["oracle"]["section_exists"] is False
 
+    @pytest.mark.parametrize("name, matrices", [("corridor_open.json", 1), ("crossing_blocked.json", 2)])
+    def test_the_oracle_builds_the_coboundary_and_no_restriction(self, capsys, monkeypatch, name, matrices):
+        # the coboundary, plus the simplex's dual solve on NO_EVASION
+        built, post_init = [], Matrix.__post_init__
+        monkeypatch.setattr(Matrix, "__post_init__", lambda M: built.append(M) or post_init(M))
+        code, report = run_cli(capsys, "check", "--oracle", fixture_path(name))
+        assert report["oracle"] == {"section_exists": code == 0}
+        assert len(built) == matrices
+
     @pytest.mark.parametrize("name, feasible", [("crossing_open.json", True), ("crossing_blocked.json", False)])
     def test_an_oracle_that_disagrees_is_an_error(self, capsys, monkeypatch, name, feasible):
         # a simplex that decides the other way round
@@ -153,6 +164,23 @@ class TestCheck:
                 "simplex_feasible": not feasible,
             },
         )
+
+    def test_a_plot_scans_each_distinct_fibre_once(self):
+        # 81 cells share 2 fibres on pulsing n=40; a fibre's y extents are one pass over its owner array
+        scans = []
+
+        class Counted(array):
+            def __iter__(self):
+                scans.append(id(self))
+                return super().__iter__()
+
+        scene = pulsing_box_scene(40)
+        fibres = geometry.scene_fibres(scene)
+        distinct = {id(f): f for f in (*fibres[1], *fibres[2])}.values()
+        for fibre in distinct:
+            object.__setattr__(fibre, "owner", Counted(fibre.owner.typecode, fibre.owner))
+        render_scene_svg(scene, fibres)
+        assert sorted(scans) == sorted(id(fibre.owner) for fibre in distinct)
 
     def test_path_and_plot_outputs(self, capsys, tmp_path):
         path_file = tmp_path / "path.json"

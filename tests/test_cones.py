@@ -48,9 +48,11 @@ class TestLpPositiveKernel:
         assert res.certificate is not None
         assert is_valid_certificate(BLOCKED_COBOUNDARY, res.certificate)
 
-    def test_no_columns_rejected(self):
-        with pytest.raises(ValueError):
-            lp_positive_kernel(Matrix.from_rows([[], []]))
+    def test_no_columns_get_the_vacuous_zero_certificate(self):
+        matrix = Matrix.from_rows([[], []])
+        res = lp_positive_kernel(matrix)
+        assert (res.witness, res.certificate) == (None, (0, 0))
+        assert is_valid_certificate(matrix, res.certificate)
 
     @pytest.mark.parametrize(
         "matrix, answer",

@@ -27,7 +27,7 @@ from evasion.geometry import (
     validate_fibres,
     validate_scene,
 )
-from evasion.linalg import Matrix, columns
+from evasion.linalg import Matrix
 from evasion.oracle import dp_section_exists
 from evasion.randgen import (
     comb_scene,
@@ -203,7 +203,7 @@ class TestBuildSheaf:
         sheaf = build_sheaf(scene)
         assert [len(c.labels) for c in sheaf.vertex_stalks] == [1]
         assert [len(c.labels) for c in sheaf.edge_stalks] == [1, 1]
-        assert all(M == M.identity(1) for M in (*sheaf.left_maps, *sheaf.right_maps))
+        assert sheaf.maps == (((0,), (0,)),)  # the identity into both edges
         assert global_sections(sheaf).decision.feasible
 
     def test_invalid_scene_propagates(self):
@@ -846,6 +846,15 @@ class TestFibreSharing:
         _, sections, _, _ = run_check(scene())
         assert sections.decision is not None and built == []
 
+    @pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(8)], ids=["pulsing", "comb"])
+    def test_the_coboundary_is_the_only_matrix_assembly_builds(self, scene, monkeypatch):
+        # validation and the coboundary read the image tuples as generator images,
+        # so no restriction matrix is built on the way
+        built, post_init = [], Matrix.__post_init__
+        monkeypatch.setattr(Matrix, "__post_init__", lambda M: built.append(M) or post_init(M))
+        cob = assemble_coboundary(build_sheaf(scene)).coboundary
+        assert built == [cob]
+
     def test_deciding_a_scene_sheaf_compares_no_fractions(self, monkeypatch):
         # the rank table's times are sorted and distinct, so the sheaf checks no order
         fibres = scene_fibres(randgen.blocked_scene(400))
@@ -861,7 +870,7 @@ class TestFibreSharing:
         assert [len(f.components) for f in (left, vertex, right)] == [1, 2, 1]
         assert vertex.components != left.components and vertex.components != right.components
         sheaf = build_sheaf(scene)
-        assert sheaf.left_maps == sheaf.right_maps == (Matrix.from_rows([[1, 1]]),)
+        assert sheaf.maps == (((0, 0), (0, 0)),)  # both vertex components into the one edge component
 
     @pytest.mark.parametrize("scene", [pulsing_box_scene(40), comb_scene(8)], ids=["pulsing", "comb"])
     def test_coboundary_is_invariant_under_a_rational_shift(self, scene):
@@ -904,9 +913,9 @@ def assert_fibres_match_the_reference(scene: Scene) -> bool:
         assert gap_components(scene, t) == fibre
     sheaf = sheaf_from_fibres(fibres)
     for i, t in enumerate(times):
-        for M, te in ((sheaf.left_maps[i], edge_times[i]), (sheaf.right_maps[i], edge_times[i + 1])):
+        for image, te in zip(sheaf.maps[i], (edge_times[i], edge_times[i + 1])):
             targets = [reference_locate(*reference[te], point) for _, _, point, _ in reference[t][2]]
-            assert columns(M.nonzeros, M.cols) == [{r: 1} for r in targets]
+            assert list(image) == targets
     problem = validate_fibres(fibres)
     assert problem == reference_validate(scene, times)
     return problem is None
@@ -1219,7 +1228,7 @@ def test_duality_lp_dp_and_path_agree_on_random_scenes(seed):
     sections = global_sections(sheaf)
     exists, _ = dp_section_exists(sheaf)
     cob = sections.coboundary
-    assert exists == sections.decision.feasible == (cob.cols > 0 and lp_positive_kernel(cob).feasible)
+    assert exists == sections.decision.feasible == lp_positive_kernel(cob).feasible
     if sections.decision.feasible:
         path = extract_path(scene, scene_fibres(scene), sections)  # verifies itself
         assert path.segments[0].start is None and path.segments[-1].end is None
@@ -1229,13 +1238,13 @@ def test_duality_lp_dp_and_path_agree_on_random_scenes(seed):
 @settings(max_examples=40, deadline=None)
 def test_vertex_components_persist_to_both_sides(seed):
     # build_sheaf would raise GeometryError if two-sided persistence failed;
-    # also check every restriction column is total (exactly one 1)
+    # also check every vertex component has one image in each edge, a component of that edge
     scene = random_scene(Random(seed))
     sheaf = build_sheaf(scene)
-    for M in (*sheaf.left_maps, *sheaf.right_maps):
-        for col in columns(M.nonzeros, M.cols):
-            assert len(col) == 1
-            assert all(v in (0, 1) for v in col.values())
+    for i, images in enumerate(sheaf.maps):
+        for j, image in enumerate(images, i):
+            assert len(image) == len(sheaf.vertex_stalks[i].labels)
+            assert all(0 <= r < len(sheaf.edge_stalks[j].labels) for r in image)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())

@@ -24,6 +24,7 @@ from evasion.randgen import blocked_scene, comb_scene, pulsing_box_scene, random
 from evasion.oracle import dp_section_exists
 from evasion.sheaf import (
     ConeSheaf,
+    FunctionSheaf,
     SheafValidationError,
     Stratification,
     assemble_coboundary,
@@ -373,7 +374,8 @@ def test_both_converters_round_trip_random_function_like_sheaves(base_seed):
     # convert back to those tuples, and their file must decide alike
     for seed in range(base_seed, base_seed + 2000):
         F = random_function_like_sheaf(Random(seed))
-        S = ConeSheaf(F.strat, F.vertex_stalks, F.edge_stalks, F.left_maps, F.right_maps)
+        matrices = [M for _, _, M in F.incidences()]
+        S = ConeSheaf(F.strat, F.vertex_stalks, F.edge_stalks, tuple(matrices[0::2]), tuple(matrices[1::2]))
         assert generator_maps(S).maps == F.maps
         read, sections = global_sections(written_and_read(F)), global_sections(F)
         assert (read.decision, read.kernel_dim, read.chain) == (sections.decision, sections.kernel_dim, sections.chain)
@@ -532,7 +534,7 @@ class TestValidateOnce:
 
         monkeypatch.setattr(evasion.sheaf, "validate_sheaf", refuse)
         monkeypatch.setattr(evasion.sheaf, "rank", refuse)
-        monkeypatch.setattr(evasion.sheaf, "_generator_images", refuse)  # every coboundary entry is read through it
+        monkeypatch.setattr(FunctionSheaf, "generator_images", refuse)  # every coboundary entry is read through it
         assert global_sections(sheaf).decision is not None
 
     @pytest.mark.parametrize(
@@ -563,7 +565,7 @@ class TestValidateOnce:
         assert sections.chain is None  # a simplex witness is not read as a chain
         assert calls == ["validate_sheaf", "rank"]
         # the matrix the simplex decided is the one read back, not a second build
-        monkeypatch.setattr(evasion.sheaf, "_generator_images", counted(evasion.sheaf._generator_images))
+        monkeypatch.setattr(ConeSheaf, "generator_images", counted(ConeSheaf.generator_images))
         assert sections.coboundary.cols == len(sections.column_labels)
         assert calls == ["validate_sheaf", "rank"]
 
