@@ -3,8 +3,11 @@
 `evasion.randgen.FAMILIES`: pulsing, comb, blocked, slalom, staircase and
 the jittered twins of pulsing and slalom. Each builder's docstring says
 what its family grows and why it is here. `--family NAME=N[,N...]`, which
-may be repeated, runs a family at the given sizes; without it every
-registered family runs at its default sizes.
+may be repeated, runs a family at the given sizes. `--random COUNT` adds a
+"random" row of size COUNT: COUNT `random_scene(rng, 10)` draws from
+`Random(1)`, the small scenes where the fixed cost of a check (argument
+parsing, file read, stage set-up, report) is a large share. Without either
+option every registered family runs at its default sizes.
 
 Each scene is written to a JSON file, and "parse" times reading it back as
 `evasion check` does: `evasion.cli._load_json` (the file read, its SHA-256
@@ -23,6 +26,10 @@ cyclic garbage collector is paused around the timed `run_check`, as `main`
 pauses it, so that no collection lands in whichever stage is running.
 
 Each case runs REPEATS times and every column is the median over those runs.
+A random row's repeat runs every draw once, and each of its columns is, per
+repeat, the median over the draws (over the EVASION draws for "path"); its
+"times" and "gc" are the lower medians over the draws, and its verdict counts
+the EVASION draws.
 The repeats are interleaved: repeat r of every case runs before repeat r+1
 of any case, so that a spell of load on the host spreads over the cases
 instead of moving a whole row. What is left of the load, the machine's
@@ -48,7 +55,7 @@ are rescaled to, and one least-squares slope of log(median) against
 log(size) per (family, stage) run at two sizes or more, the stage's growth
 exponent.
 
-Usage: python scripts/scaling_bench.py [--family NAME=N[,N...] ...] [--out FILE]
+Usage: python scripts/scaling_bench.py [--family NAME=N[,N...] ...] [--random COUNT] [--out FILE]
 """
 
 import argparse
@@ -63,7 +70,8 @@ import time
 from contextlib import redirect_stdout
 from math import log
 from pathlib import Path
-from statistics import median, quantiles
+from random import Random
+from statistics import median, median_low, quantiles
 
 from evasion.cli import (
     _load_json,
@@ -75,7 +83,7 @@ from evasion.cli import (
     sections_to_jsonable,
     write_json,
 )
-from evasion.randgen import FAMILIES, parse_family
+from evasion.randgen import FAMILIES, parse_family, random_scene
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from speed import INTERVAL_S, REFERENCE_PROBE_S, SpeedProbe  # noqa: E402
@@ -154,53 +162,78 @@ def write_out(path: str, rows: list[dict]) -> None:
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
+def verdict_of(verdicts: list[str]) -> str:
+    """A family scene's verdict, or how many of the random draws are EVASION."""
+    if len(verdicts) == 1:
+        return verdicts[0]
+    return f"{verdicts.count('EVASION')}/{len(verdicts)} EVASION"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--family", action="append", metavar="NAME=N[,N...]", help="a family and its sizes, repeatable")
+    parser.add_argument("--random", type=int, default=0, metavar="COUNT", help="add a row of COUNT random draws")
     parser.add_argument("--out", metavar="FILE", help="also write the rows and growth slopes to FILE as JSON")
     args = parser.parse_args()
     try:
         families = [parse_family(text) for text in args.family or ()]
     except ValueError as exc:
         parser.error(f"argument --family: {exc}")
-    families = families or [(name, sizes) for name, (_, _, sizes) in FAMILIES.items()]
-    cases = [(name, size) for name, sizes in families for size in sizes]
+    if args.random < 0:
+        parser.error("argument --random: COUNT must be at least 0")
+    if not families and not args.random:
+        families = [(name, sizes) for name, (_, _, sizes) in FAMILIES.items()]
+    # each case is (family, size, its scenes): one scene, or the random draws
+    cases = [(name, size, [FAMILIES[name][0](size)]) for name, sizes in families for size in sizes]
+    if args.random:
+        rng = Random(1)
+        cases.append(("random", args.random, [random_scene(rng, 10) for _ in range(args.random)]))
     header = "".join(f" {stage:>11}" for stage in STAGES)
     print(f"stage medians in ms, rescaled to a machine where the speed probe takes {REFERENCE_PROBE_S * 1000} ms")
     print(f"{'family':>16} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
     rows = []
     with tempfile.TemporaryDirectory() as tmp, SpeedProbe() as probe:
-        inputs = []  # (scene file, critical times, warm-up collections) of each case
-        for n, (family, size) in enumerate(cases):
-            scene = FAMILIES[family][0](size)
-            scene_file = Path(tmp) / f"scene{n}.json"
-            scene_file.write_text(json.dumps(scene_to_jsonable(scene)))
-            before = collections()
-            times = run_check(read_scene(scene_file))[0][0]  # the untimed warm-up, with the collector on
-            inputs.append((scene_file, len(times), collections() - before))
+        inputs = []  # (scene files, critical times, warm-up collections) of each case
+        for n, (_, _, scenes) in enumerate(cases):
+            files, counts, collected = [], [], []
+            for m, scene in enumerate(scenes):
+                files.append(Path(tmp) / f"scene{n}-{m}.json")
+                files[-1].write_text(json.dumps(scene_to_jsonable(scene)))
+                before = collections()
+                counts.append(len(run_check(read_scene(files[-1]))[0][0]))  # the untimed warm-up, with the collector on
+                collected.append(collections() - before)
+            inputs.append((files, median_low(counts), median_low(collected)))
         time.sleep(INTERVAL_S)  # so that the probe has run before the first timed repeat
         # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
-        repeats: list[list] = [[] for _ in cases]
+        repeats: list[list] = [[] for _ in cases]  # per case and repeat: rescaled and raw stage times, verdicts
         for _ in range(REPEATS):
-            for runs, (scene_file, _, _) in zip(repeats, inputs):
-                t0 = time.perf_counter()
-                timing, verdict = run_once(scene_file)
-                timing["check"] = check_once(scene_file)
-                runs.append((timing, probe.scale(t0, time.perf_counter()), verdict))
-        for (family, size), runs, (_, count, collected) in zip(cases, repeats, inputs):
+            for runs, (files, _, _) in zip(repeats, inputs):
+                rescaled: dict[str, list[float]] = {}
+                unscaled: dict[str, list[float]] = {}
+                verdicts = []
+                for scene_file in files:
+                    t0 = time.perf_counter()
+                    timing, verdict = run_once(scene_file)
+                    timing["check"] = check_once(scene_file)
+                    scale = probe.scale(t0, time.perf_counter())
+                    for stage, ms in timing.items():
+                        rescaled.setdefault(stage, []).append(ms * scale)
+                        unscaled.setdefault(stage, []).append(ms)
+                    verdicts.append(verdict)
+                medians = {stage: median(values) for stage, values in rescaled.items()}
+                runs.append((medians, {stage: median(values) for stage, values in unscaled.items()}, verdicts))
+        for (family, size, _), runs, (_, count, collected) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
-                raw = [timing[stage] for timing, _, _ in runs if stage in timing]
-                if len(raw) < REPEATS:
+                if any(stage not in medians for medians, _, _ in runs):
                     columns += f" {'-':>11}"
                     continue
-                q1, mid, q3 = quantiles([timing[stage] * scale for timing, scale, _ in runs], n=4, method="inclusive")
-                columns += f" {mid:>9.1f}ms"
+                q1, mid, q3 = quantiles([medians[stage] for medians, _, _ in runs], n=4, method="inclusive")
+                columns += f" {mid:>9.3f}ms"
                 row = {"family": family, "size": size, "critical_times": count, "stage": stage}
                 row |= {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
-                rows.append(row | {"raw_median_ms": round(median(raw), 4)})
-            verdict = runs[0][2]
-            print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4}  {verdict}")
+                rows.append(row | {"raw_median_ms": round(median(raws[stage] for _, raws, _ in runs), 4)})
+            print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4}  {verdict_of(runs[0][2])}")
     if args.out:
         write_out(args.out, rows)
 

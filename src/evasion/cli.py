@@ -9,10 +9,11 @@ Subcommands:
   matrix  sheaf.json  -> the labelled coboundary matrix, the one command that prints it
                          (a scene's: `evasion sheaf scene.json > s.json; evasion matrix s.json`)
 
-Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error. Rationals are
-serialised as "p" or "p/q" strings (on input, ints and any string `Fraction`
-reads exactly are allowed, floats rejected) so reports stay exact and
-diffable; reports are byte-identical across runs except for the timing block.
+Exit codes: 0 = evasion possible, 2 = no evasion, 1 = error, a report that
+cannot be written included. Rationals are serialised as "p" or "p/q"
+strings (on input, ints and any string `Fraction` reads exactly are
+allowed, floats rejected) so reports stay exact and diffable; reports are
+byte-identical across runs except for the timing block.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -223,17 +225,20 @@ def sheaf_from_jsonable(data) -> ConeSheaf:
 
 
 def sections_to_jsonable(sec: GlobalSections) -> dict:
-    out: dict = {"kernel_dim": sec.kernel_dim, "columns": sec.column_names, "rows": sec.row_names}
-    if sec.decision is not None:
-        if sec.decision.feasible:
-            # each distinct value object is formatted once (the sweep's witness holds two)
-            ids = list(map(id, sec.decision.witness))
-            text = {i: format_rational(v) for i, v in dict(zip(ids, sec.decision.witness)).items() if v}
-            held = list(map(text.__contains__, ids))
-            support = zip(compress(sec.column_names, held), map(text.__getitem__, compress(ids, held)))
-            out["witness"] = {"support": dict(support)}
-        else:
-            out["certificate"] = [format_rational(v) for v in sec.decision.certificate]
+    columns = sec.column_names
+    out: dict = {"kernel_dim": sec.kernel_dim, "columns": columns, "rows": sec.row_names}
+    decision = sec.decision
+    if decision is None:
+        return out
+    witness = decision.witness
+    if witness is not None:
+        # each distinct value object is formatted once (the sweep's witness holds two)
+        ids = list(map(id, witness))
+        text = {i: format_rational(v) for i, v in dict(zip(ids, witness)).items() if v}
+        held = list(map(text.__contains__, ids))
+        out["witness"] = {"support": dict(zip(compress(columns, held), map(text.__getitem__, compress(ids, held))))}
+    else:
+        out["certificate"] = [format_rational(v) for v in decision.certificate]
     return out
 
 
@@ -257,6 +262,18 @@ def path_to_jsonable(path: EvasionPath) -> dict:
 
 _quote = encode_basestring_ascii  # json's C string encoder, where CPython has it
 
+# the text of a scalar of each exact type that `json.dumps` writes as a
+# literal or by that type's `__repr__`, by one C-level call; a float's
+# "nan", "inf" and "-inf" are then mended to json's spelling
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 def write_json(value, out) -> None:
     """Write `value` to the text stream `out` as exactly the text of
@@ -264,18 +281,16 @@ def write_json(value, out) -> None:
     its list of entries.
 
     Every report, path file and sheaf goes through here. `json.dumps` falls
-    back to its pure-Python encoder when asked to indent; this writer quotes
-    each string, and each list of strings or object of string values whole,
-    with json's C `encode_basestring_ascii`. null, true and false are
-    literals, an exact `int` is its `int.__repr__` and a finite exact
-    `float` its `float.__repr__`, as `json.dumps` writes them; only NaN, the
-    infinities and subclasses of int or float go to `json.dumps` itself.
-    Each value costs one Python-level dispatch, and each list of strings
-    or object of string values one more. Object keys must be strings: an
-    object sorts its keys, not its items, which is the same order, and an
-    object of string values is quoted by one list comprehension over them.
-    What is built is handed to `out` before each row of a `DenseEntries`,
-    so a dense matrix is held one row at a time.
+    back to its pure-Python encoder when asked to indent; this writer makes
+    one Python-level call per list or object and none per scalar in one. A
+    scalar of an exact type in `_SCALARS` is written by that type's C-level
+    formatter (strings by json's C `encode_basestring_ascii`), and each list
+    of strings or object of string values is quoted whole. Anything else, a
+    subclass of int or float say, goes to `json.dumps` itself. Object keys
+    must be strings: an object sorts its keys, not its items, which is the
+    same order, and an object of string values is quoted by one list
+    comprehension over them. What is built is handed to `out` before each
+    row of a `DenseEntries`, so a dense matrix is held one row at a time.
     """
     parts: list[str] = []
     _encode(value, "\n", parts, out)
@@ -286,9 +301,7 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
     """Append the text of v to `parts`; nl is a newline and the indent of the
     line v is on. A module function, not a closure, so that writing leaves
     no reference cycle behind."""
-    if isinstance(v, str):
-        parts.append(_quote(v))
-    elif isinstance(v, (list, tuple)):
+    if isinstance(v, (list, tuple)):
         if not v:
             parts.append("[]")
             return
@@ -302,8 +315,13 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
                 pass
         parts.append("[")
         for n, item in enumerate(v):
-            parts.append(sep if n else inner)
-            _encode(item, inner, parts, out)
+            fmt = _SCALARS.get(type(item))
+            if fmt is None:
+                parts.append(sep if n else inner)
+                _encode(item, inner, parts, out)
+            else:
+                text = fmt(item)
+                parts.append((sep if n else inner) + _NONFINITE.get(text, text))
         parts.append(nl + "]")
     elif isinstance(v, dict):
         if not v:
@@ -320,8 +338,14 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
                 pass
         parts.append("{")
         for n, key in enumerate(keys):
-            parts.append(f"{sep if n else inner}{_quote(key)}: ")
-            _encode(v[key], inner, parts, out)
+            item = v[key]
+            fmt = _SCALARS.get(type(item))
+            if fmt is None:
+                parts.append(f"{sep if n else inner}{_quote(key)}: ")
+                _encode(item, inner, parts, out)
+            else:
+                text = fmt(item)
+                parts.append(f"{sep if n else inner}{_quote(key)}: {_NONFINITE.get(text, text)}")
         parts.append(nl + "}")
     elif isinstance(v, DenseEntries):
         inner = nl + "  "
@@ -333,18 +357,10 @@ def _encode(v, nl: str, parts: list[str], out) -> None:
                 parts[:] = [lead + sep.join(map(_quote, row))]
                 lead = sep
         parts.append(nl + "]" if lead is sep else "[]")
-    elif v is None:
-        parts.append("null")
-    elif v is True:
-        parts.append("true")
-    elif v is False:
-        parts.append("false")
-    elif type(v) is int:
-        parts.append(int.__repr__(v))
-    elif type(v) is float and v - v == 0:  # finite
-        parts.append(float.__repr__(v))
     else:
-        parts.append(json.dumps(v))  # NaN, an infinity, or a subclass of int or float
+        fmt = _SCALARS.get(type(v))
+        text = json.dumps(v) if fmt is None else fmt(v)  # a subclass of int or float, say
+        parts.append(_NONFINITE.get(text, text))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +436,23 @@ def render_scene_svg(scene: Scene, fibres: Fibres, path: EvasionPath | None = No
 # ---------------------------------------------------------------------------
 # commands
 
+class _ReportLost(Exception):
+    """The report could not be written: stdout is closed (None), or writing
+    to it raised the OSError this exception is raised from."""
+
+
 def _emit(payload: dict) -> None:
-    write_json(payload, sys.stdout)
-    sys.stdout.write("\n")
+    """Write the report to stdout and flush it, so that a dead channel shows
+    here and not in the interpreter's final flush."""
+    out = sys.stdout
+    if out is None:
+        raise _ReportLost("stdout is closed")
+    try:
+        write_json(payload, out)
+        out.write("\n")
+        out.flush()
+    except OSError as exc:
+        raise _ReportLost(exc) from exc
 
 
 def _write_file(path_str: str, payload: dict) -> None:
@@ -443,6 +473,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# built once: `json.loads` with a hook builds a decoder and its scanner on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
 # a JSON string or number; a number's groups are its integer digits, fraction and exponent
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
 
@@ -450,12 +483,16 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?')
 def _load_json(path_str: str):
     """The parsed file and its SHA-256; a repeated key, nesting too deep to
     parse or an integer too long for `int` is malformed JSON, not a silent
-    last-one-wins or a crash."""
-    raw = Path(path_str).read_bytes()
+    last-one-wins or a crash. The text is refused with a byte order mark, as
+    `json.loads` refuses it."""
+    with open(path_str, "rb") as file:
+        raw = file.read()
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8")
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys), digest
+        return _DECODER.decode(text), digest
     except RecursionError:
         raise ValueError("malformed JSON: nested too deeply to parse") from None
     except json.JSONDecodeError:
@@ -479,12 +516,10 @@ def _locate_long_integer(text: str) -> None:
 
 
 def _decided(sections: GlobalSections, digest: str) -> dict:
-    """The verdict, input digest and sections that `check` and `lp` report."""
-    return {
-        "verdict": "EVASION" if sections.decision.feasible else "NO_EVASION",
-        "input_digest": digest,
-        "sections": sections_to_jsonable(sections),
-    }
+    """The verdict, input digest and sections that `check` and `lp` report;
+    the sections hold a witness exactly when the decision is feasible."""
+    out = sections_to_jsonable(sections)
+    return {"verdict": "EVASION" if "witness" in out else "NO_EVASION", "input_digest": digest, "sections": out}
 
 
 def run_check(scene: Scene) -> tuple[Fibres, GlobalSections, EvasionPath | None, dict[str, float]]:
@@ -524,7 +559,7 @@ def cmd_check(args) -> int:
     # drawn now, so that the fibres are not kept alive while the report is built
     svg = render_scene_svg(scene, fibres, path) if args.plot else None
     del fibres
-    feasible = sections.decision.feasible
+    feasible = path is not None
     out = _decided(sections, digest)
     if args.oracle:
         t0 = time.perf_counter()
@@ -584,12 +619,14 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once on first use."""
+    """The command-line parser, built once on first use. Its `commands` maps
+    each command word to that command's own parser."""
     parser = _Parser(
         prog="evasion",
         description="Decide whether an evader can avoid a time-varying planar coverage region.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("check", help="full pipeline on a scene file")
     p.add_argument("scene")
@@ -618,20 +655,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one subcommand; every input error, usage errors included, becomes
-    one JSON report and exit 1.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one command. The command word's own parser reads
+    the arguments after it, which is all the full parser would do with
+    them; whatever it leaves over, and anything that does not start with a
+    command word (no command, an unknown one, a help flag), goes to the full
+    parser, so that every usage message and help text is argparse's own."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
-    The cyclic garbage collector is paused for the subcommand and switched
-    back on only if it was on. A subcommand's objects are acyclic and die
-    with it, so reference counting frees them; the collector's passes, set
-    off by the sheer number of allocations, would only re-walk live data
-    (Mercurial's `util.nogc` pauses it the same way while building large
-    containers)."""
-    enabled = gc.isenabled()
-    gc.disable()
+
+def _run(argv: list[str]) -> int:
+    """Run one subcommand; every input error, usage errors included, becomes
+    one JSON report and exit 1."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc.msg}", location={"line": exc.lineno, "column": exc.colno})
@@ -647,6 +690,47 @@ def main(argv=None) -> int:
         )
     except (OSError, ValueError) as exc:  # UnsupportedSheafError included
         return _fail(str(exc))
+
+
+def _report_lost(cause) -> int:
+    """End a run whose report could not be written, with exit 1 and no
+    second report on the same dead stream. A closed pipe ends quietly, as a
+    reader that stops early expects; a closed stdout or any other failed
+    write is named in one line on stderr, if that is open. stdout's file
+    descriptor, where it has one, is pointed at os.devnull, as the `signal`
+    module's "Note on SIGPIPE" advises, so that the interpreter's final
+    flush of what its buffer still holds neither fails nor prints."""
+    if not isinstance(cause, BrokenPipeError) and sys.stderr is not None:
+        try:
+            print(f"evasion: cannot write the report: {cause}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
+        return EXIT_ERROR
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return EXIT_ERROR
+
+
+def main(argv=None) -> int:
+    """Run one subcommand (`_run`); a report that cannot be written ends the
+    run with exit 1 (`_report_lost`).
+
+    The cyclic garbage collector is paused for the subcommand and switched
+    back on only if it was on. A subcommand's objects are acyclic and die
+    with it, so reference counting frees them; the collector's passes, set
+    off by the sheer number of allocations, would only re-walk live data
+    (Mercurial's `util.nogc` pauses it the same way while building large
+    containers)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    except _ReportLost as exc:
+        return _report_lost(exc.args[0])
     finally:
         if enabled:
             gc.enable()

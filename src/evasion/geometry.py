@@ -82,6 +82,7 @@ from operator import floordiv, itemgetter
 from evasion.certify import PathVerificationError, verify_evasion_path
 from evasion.cones import PolyhedralCone
 from evasion.formats import format_rational
+from evasion.linalg import ZERO
 from evasion.scene import Box, EvasionPath, Interval, PathSegment, Point, Scene
 from evasion.sheaf import FunctionSheaf, GlobalSections, Stratification, section_chain
 
@@ -184,8 +185,14 @@ class GapFibre:
 
 
 def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
+    """The centre of face interval i on an axis: a grid line, or the midpoint
+    (a/b + c/d) / 2 of an open interval, built as one `Fraction` from the
+    integer ratios."""
     k = i // 2
-    return coords[k] if i % 2 == 0 else (coords[k] + coords[k + 1]) / 2
+    if i % 2 == 0:
+        return coords[k]
+    (a, b), (c, d) = coords[k].as_integer_ratio(), coords[k + 1].as_integer_ratio()
+    return Fraction(a * d + c * b, 2 * b * d)
 
 
 def _ranks(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]:
@@ -233,8 +240,8 @@ def _rank_table(scene: Scene) -> _RankTable:
     clamped ranks by index."""
     boxes = scene.boxes
     shapes, index = scene.rectangles
-    xs, (wx0, wx1, *bx) = _ranks([*scene.window_x, *(c for b in shapes for c in b.x)])
-    ys, (wy0, wy1, *by) = _ranks([*scene.window_y, *(c for b in shapes for c in b.y)])
+    xs, (wx0, wx1, *bx) = _ranks([*scene.window_x, *[c for b in shapes for c in b.x]])
+    ys, (wy0, wy1, *by) = _ranks([*scene.window_y, *[c for b in shapes for c in b.y]])
     rects = {}
     for k, x0, x1, y0, y1 in zip(count(), bx[0::2], bx[1::2], by[0::2], by[1::2]):
         # does the closed box meet the open window interior?
@@ -271,9 +278,8 @@ def _arrange(table: _RankTable, key: Collection[Rect]) -> GapFibre:
     nx, ny = 2 * len(xr) - 1, 2 * len(yr) - 1
     # cover flags of face (i, j) at i * ny + j; the outermost grid lines are
     # the window frame, which is covered and stops the fill at the border
-    covered = bytearray(nx * ny)
-    covered[:ny] = covered[-ny:] = b"\x01" * ny
-    covered[::ny] = covered[ny - 1 :: ny] = b"\x01" * nx
+    edge = b"\x01" * ny
+    covered = bytearray(edge + (b"\x01" + bytes(ny - 2) + b"\x01") * (nx - 2) + edge)
     for x0, x1, y0, y1 in key:
         i0, i1, j0, j1 = xpos[x0], xpos[x1] + 1, ypos[y0], ypos[y1] + 1
         if i1 - i0 < j1 - j0:
@@ -382,9 +388,10 @@ def scene_fibres(scene: Scene) -> Fibres:
     samples cost O(events) Python steps plus one C-level key copy and hash
     per event. A window with empty interior is a ValueError.
     """
-    if scene.window_x[0] >= scene.window_x[1] or scene.window_y[0] >= scene.window_y[1]:
-        raise ValueError("window has empty interior")
     table = _rank_table(scene)
+    wx0, wx1, wy0, wy1 = table.window
+    if wx0 >= wx1 or wy0 >= wy1:
+        raise ValueError("window has empty interior")
     fibres: dict[Key, GapFibre] = {}
     samples: list[GapFibre] = []
     for length, key in _sample_keys(table):
@@ -392,7 +399,7 @@ def scene_fibres(scene: Scene) -> Fibres:
         if fibre is None:
             fibre = fibres[key] = _arrange(table, key)
         samples += [fibre] * length
-    return table.ts or (Fraction(0),), tuple(samples[1::2]), tuple(samples[0::2])
+    return table.ts or (ZERO,), tuple(samples[1::2]), tuple(samples[0::2])
 
 
 def validate_fibres(fibres: Fibres) -> str | None:
@@ -465,36 +472,36 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     and the image is the identity.
     """
     times, vertex_fibres, edge_fibres = fibres
-    counts = {len(f.seeds) for f in (*vertex_fibres, *edge_fibres)}
-    cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in counts}
+    vertex_sizes = [len(f.seeds) for f in vertex_fibres]
+    edge_sizes = [len(f.seeds) for f in edge_fibres]
+    cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in {*vertex_sizes, *edge_sizes}}
     corners: dict[int, list[tuple[int, int]]] = {}  # the seed corner ranks of each vertex fibre
     built: dict[tuple[int, int], tuple[int, ...]] = {}
     images = []
     for i, vf in enumerate(vertex_fibres):
+        vid = id(vf)
         for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
-            image = built.get((id(vf), id(ef)))
+            key = (vid, id(ef))
+            image = built.get(key)
             if image is None:
-                if id(vf) not in corners:
+                if vid not in corners:
                     ny, xr, yr = vf.ny, vf.xr, vf.yr
-                    corners[id(vf)] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
+                    corners[vid] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
                 owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
                 image = tuple(
-                    [
-                        owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1]
-                        for x, y in corners[id(vf)]
-                    ]
+                    [owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1] for x, y in corners[vid]]
                 )
                 if -1 in image:
                     raise GeometryError(
                         f"component {component_label(image.index(-1))} at t={times[i]} "
                         f"does not persist to the {side} edge"
                     )
-                built[id(vf), id(ef)] = image
+                built[key] = image
             images.append(image)
     return FunctionSheaf(
         strat=Stratification(times),
-        vertex_stalks=tuple(cones[len(f.seeds)] for f in vertex_fibres),
-        edge_stalks=tuple(cones[len(f.seeds)] for f in edge_fibres),
+        vertex_stalks=tuple(map(cones.__getitem__, vertex_sizes)),
+        edge_stalks=tuple(map(cones.__getitem__, edge_sizes)),
         maps=tuple(zip(images[0::2], images[1::2])),
     )
 
@@ -595,9 +602,11 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     cur_start: Fraction | None = None
     cur_point = at[vkeys[0]]
     for j in compress(range(k + 1), map(hops.__contains__, tkeys)):
-        a, b, moves = times[j - 1], times[j], hops[tkeys[j]]
+        moves = hops[tkeys[j]]
+        # hop h of m - 1 is at a + (b - a) h / m, one Fraction from the integer ratios of a = p/q and b = r/u
+        (p, q), (r, u), m = times[j - 1].as_integer_ratio(), times[j].as_integer_ratio(), len(moves) + 1
         for h, nxt in enumerate(moves, 1):
-            s = a + (b - a) * Fraction(h, len(moves) + 1)
+            s = Fraction(p * u * m + (r * q - p * u) * h, q * u * m)
             segments.append(PathSegment(cur_start, s, cur_point))
             cur_start, cur_point = s, nxt
     segments.append(PathSegment(cur_start, None, cur_point))

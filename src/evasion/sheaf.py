@@ -77,9 +77,10 @@ class Stratification:
         """Every cell id in time order: e1, v1, e2, ..., vk, e(k+1), each
         formatted once; the edge and the vertex ids are interleaved by two
         slice assignments."""
-        cells: list = [None] * (2 * self.k + 1)
-        cells[0::2] = [f"e{n}" for n in range(1, self.k + 2)]
-        cells[1::2] = [f"v{n}" for n in range(1, self.k + 1)]
+        k = len(self.vertex_times)
+        cells: list = [None] * (2 * k + 1)
+        cells[0::2] = [f"e{n}" for n in range(1, k + 2)]
+        cells[1::2] = [f"v{n}" for n in range(1, k + 1)]
         return tuple(cells)
 
     def vertex_id(self, i: int) -> str:
@@ -251,8 +252,9 @@ class GlobalSections:
         # the first row of each edge; the unbounded edges have none, so their maps are zeroed out
         row_offsets = [0, 0, *accumulate(stalk.ambient_dim for stalk in S.edge_stalks[1:-1])]
         rows: list[SparseRow] = [{} for _ in range(row_offsets[-1])]
+        k = len(S.vertex_stalks)
         for i, j, images in S.generator_images():
-            if 0 < j < S.strat.k:  # an edge's left endpoint (vertex j - 1) enters with -, its right with +
+            if 0 < j < k:  # an edge's left endpoint (vertex j - 1) enters with -, its right with +
                 for col, image in enumerate(images, col_offsets[i]):
                     for d, val in image.items():
                         rows[row_offsets[j] + d][col] = -val if i < j else val
@@ -308,7 +310,7 @@ def _normalise(S: ConeSheaf | FunctionSheaf) -> ConeSheaf | FunctionSheaf:
     # A vertex-free stratification carries no generator columns, which would
     # misreport a nonempty constant section as infeasible; one synthetic
     # vertex with identity restrictions is sheaf-equivalent and fixes this.
-    return refine(S, Fraction(0)) if S.strat.k == 0 else S
+    return S if S.strat.vertex_times else refine(S, Fraction(0))
 
 
 def assemble_coboundary(S: ConeSheaf) -> GlobalSections:
@@ -351,7 +353,7 @@ def global_sections(S: ConeSheaf | FunctionSheaf) -> GlobalSections:
         if any(left[v] != a or right[v] != b for (left, right), v, a, b in zip(F.maps, vertices, edges, edges[1:])):
             raise AssertionError("witness chain does not restrict to its edge generators")
         # weight 1/k at each vertex's chain generator, found by its column offset
-        offsets = list(accumulate((len(stalk.labels) for stalk in S.vertex_stalks), initial=0))
+        offsets = list(accumulate([len(stalk.labels) for stalk in S.vertex_stalks], initial=0))
         witness = [ZERO] * offsets.pop()
         weight = Fraction(1, len(F.maps))
         for col in map(add, offsets, vertices):
@@ -423,7 +425,8 @@ def section_sweep(S: FunctionSheaf) -> tuple[Chain | None, list[list[int]] | Non
     counted backwards only down to the first edge with an unreached
     generator; every edge before it is reached whole.
     """
-    k, maps = S.strat.k, S.maps
+    maps = S.maps
+    k = len(maps)
     sizes = [len(stalk.labels) for stalk in S.edge_stalks]
     reached: dict[int, int | None] = dict.fromkeys(range(sizes[0]))
     reach = [reached]
@@ -469,9 +472,9 @@ def cycle_rank(S: FunctionSheaf) -> int:
     arc graph, whose ground node 0 holds both unbounded edges (they have no coboundary rows).
     That is the number of arcs whose ends a union-find already joins; both of an arc's finds
     are written out inline, since a call per find is most of the cost on a long timeline."""
-    k = S.strat.k
+    k = len(S.maps)
     # generator g of edge j is node offsets[j] + g, and those of both unbounded edges hang under node 0
-    offsets = list(accumulate((len(stalk.labels) for stalk in S.edge_stalks), initial=1))
+    offsets = list(accumulate([len(stalk.labels) for stalk in S.edge_stalks], initial=1))
     parent = list(range(offsets[-1]))
     for j in {0, k}:
         parent[offsets[j] : offsets[j + 1]] = [0] * (offsets[j + 1] - offsets[j])

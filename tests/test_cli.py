@@ -1,9 +1,11 @@
 import argparse
 import copy
+import errno
 import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ from contextlib import redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +40,7 @@ from evasion.cli import (
 from evasion.cones import FeasibilityResult
 from evasion.formats import format_rational, parse_rational, path_from_jsonable, scene_from_jsonable
 from evasion.linalg import Matrix, kernel_basis
-from evasion.randgen import FAMILIES, blocked_scene, comb_scene, pulsing_box_scene
+from evasion.randgen import FAMILIES, blocked_scene, comb_scene, pulsing_box_scene, random_scene
 from evasion.scene import EvasionPath, PathSegment, Scene
 from evasion.sheaf import UnsupportedSheafError, section_chain, sweep_sections
 
@@ -241,6 +244,198 @@ def test_help_still_exits_zero(capsys):
         main(["check", "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: evasion check")
+
+
+# argparse's help texts at 80 columns, as written before `main` read each
+# command's arguments with that command's own parser
+HELP_TEXTS = {
+    (): """\
+usage: evasion [-h] {check,sheaf,lp,matrix} ...
+
+Decide whether an evader can avoid a time-varying planar coverage region.
+
+positional arguments:
+  {check,sheaf,lp,matrix}
+    check               full pipeline on a scene file
+    sheaf               print the cone sheaf built from a scene
+    lp                  global sections of an abstract sheaf file
+    matrix              labelled coboundary of a sheaf file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("check",): """\
+usage: evasion check [-h] [--oracle] [--path OUT] [--plot OUT_SVG] scene
+
+positional arguments:
+  scene
+
+options:
+  -h, --help      show this help message and exit
+  --oracle        cross-check the decision with the bounded simplex, meant for
+                  small scenes (45 s on a pulsing scene with 2000 critical
+                  times, against 0.06 s without it)
+  --path OUT      write the evasion path JSON here
+  --plot OUT_SVG  write an SVG rendering of gaps and path
+""",
+    ("sheaf",): """\
+usage: evasion sheaf [-h] scene
+
+positional arguments:
+  scene
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("lp",): """\
+usage: evasion lp [-h] sheaf
+
+positional arguments:
+  sheaf
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("matrix",): """\
+usage: evasion matrix [-h] sheaf
+
+positional arguments:
+  sheaf
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("words", list(HELP_TEXTS), ids=lambda words: " ".join(("evasion", *words)))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_texts_are_argparse_own_byte_for_byte(capsys, monkeypatch, words, flag):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main([*words, flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out == HELP_TEXTS[words]
+    assert captured.err == ""
+
+
+class _DeadStdout(io.StringIO):
+    """A stdout whose writes raise `error`; it has no file descriptor."""
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),  # the reader has gone: a quiet end
+        (OSError(errno.ENOSPC, "No space left on device"), "[Errno 28] No space left on device"),
+    ],
+    ids=["broken-pipe", "disk-full"],
+)
+@pytest.mark.parametrize("name", ["crossing_open.json", "crossing_blocked.json", "malformed"])
+def test_a_report_that_cannot_be_written_ends_the_run_once(capsys, monkeypatch, tmp_path, error, message, name):
+    if name == "malformed":  # its error report goes to the same dead stream
+        (tmp_path / name).write_text('{"window": ')
+        scene = str(tmp_path / name)
+    else:
+        scene = fixture_path(name)
+    dead = _DeadStdout(error)
+    monkeypatch.setattr(sys, "stdout", dead)
+    assert main(["check", scene]) == 1
+    assert dead.writes == 1  # no second report after the first failed write
+    assert capsys.readouterr().err == (f"evasion: cannot write the report: {message}\n" if message else "")
+
+
+def test_a_closed_stdout_is_named_once_on_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["check", fixture_path("crossing_open.json")]) == 1
+    assert capsys.readouterr().err == "evasion: cannot write the report: stdout is closed\n"
+
+
+@pytest.mark.parametrize("stdout", [None, _DeadStdout(OSError(errno.ENOSPC, "No space left on device"))])
+def test_a_lost_report_with_stderr_closed_too_ends_quietly(monkeypatch, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["check", fixture_path("crossing_open.json")]) == 1
+
+
+def _close_stdout() -> None:
+    os.close(1)
+
+
+def _limit_file_size() -> None:
+    # CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
+    resource.setrlimit(resource.RLIMIT_FSIZE, (0, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+@pytest.mark.parametrize(
+    "channel, stderr",
+    [
+        ("pipe", ""),
+        ("closed", "evasion: cannot write the report: stdout is closed\n"),
+        ("file-too-large", "evasion: cannot write the report: [Errno 27] File too large\n"),
+    ],
+)
+def test_a_dead_channel_ends_the_process_without_a_traceback(tmp_path, channel, stderr):
+    argv = [sys.executable, "-m", "evasion.cli", "check", fixture_path("crossing_open.json")]
+    if channel == "pipe":  # the reader closed its end before the report was written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+    elif channel == "closed":
+        result = subprocess.run(argv, stderr=subprocess.PIPE, text=True, preexec_fn=_close_stdout)
+    else:
+        with (tmp_path / "report.json").open("w") as out:
+            result = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, text=True, preexec_fn=_limit_file_size)
+    assert (result.returncode, result.stderr) == (1, stderr)
+
+
+# the Python-level ("call") and C-level ("c_call") calls of one warm
+# in-process `evasion check`, sys.setprofile(None) included, on CPython
+# 3.11.7; each bound is the count measured when it was set
+FIXED_COST_BOUNDS = {"window-only": (187, 359), "random": (356, 658)}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="another CPython minor version makes a different number of standard-library calls",
+)
+@pytest.mark.parametrize("name", list(FIXED_COST_BOUNDS))
+def test_the_fixed_cost_of_a_check_is_counted_in_calls(tmp_path, name):
+    if name == "window-only":
+        scene = {"window": {"x": ["0", "1"], "y": ["0", "1"]}, "boxes": []}
+    else:
+        scene = scene_to_jsonable(random_scene(Random(1), 10))
+    scene_file = tmp_path / "scene.json"
+    scene_file.write_text(json.dumps(scene))
+    events = Counter()
+
+    def count(frame, event, arg):
+        events[event] += 1
+
+    argv = ["check", str(scene_file)]
+    with redirect_stdout(io.StringIO()):
+        main(argv)  # first use: the parser and the caches of a first check
+        gc.collect()  # so that no finalizer of the caller's garbage runs, and counts, inside the check
+        sys.setprofile(count)
+        try:
+            main(argv)
+        finally:
+            sys.setprofile(None)
+    calls, c_calls = FIXED_COST_BOUNDS[name]
+    assert events["call"] <= calls and events["c_call"] <= c_calls, events
 
 
 class TestSheafRoundTrip:
@@ -632,6 +827,29 @@ def test_malformed_sheaf_schema_is_a_clean_input_error(capsys, tmp_path):
     code, report = run_cli(capsys, "lp", str(bad))
     assert code == 1
     assert "malformed sheaf" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: None, "[Errno 2] No such file or directory: '{}'"),
+        (lambda path: path.mkdir(), "[Errno 21] Is a directory: '{}'"),
+        (
+            lambda path: path.write_bytes(b'\xef\xbb\xbf{"window": 1}'),
+            "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+        ),
+    ],
+    ids=["missing", "directory", "byte-order-mark"],
+)
+@pytest.mark.parametrize("command", ["check", "sheaf", "lp", "matrix"])
+def test_an_unreadable_input_keeps_its_message(capsys, tmp_path, make, message, command):
+    path = tmp_path / "input.json"
+    make(path)
+    code, report = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert report["error"] == message.format(path)
+    if "JSON" in message:  # as `json.loads` refuses it
+        assert report["location"] == {"line": 1, "column": 1}
 
 
 @pytest.mark.parametrize("command", ["check", "lp"])

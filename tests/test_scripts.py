@@ -99,6 +99,20 @@ def test_scaling_bench_runs_only_the_families_it_is_given(tmp_path):
     assert {(row["family"], row["size"]) for row in rows} == {("slalom", 4)}
 
 
+def test_scaling_bench_adds_a_row_of_random_draws(tmp_path):
+    out = tmp_path / "bench.json"
+    result = run_script(["scaling_bench.py", "--family", "slalom=4", "--random", "4", "--out", str(out)])
+    rows = {(r["family"], r["stage"]): r for r in json.loads(out.read_text())["rows"]}
+    stages = ("parse", "fibres", "validate", "build_sheaf", "lp", "path", "report", "write", "check")
+    # Random(1)'s first four draws hold EVASION ones, so the path column is a median over those
+    assert set(rows) == {(family, stage) for family in ("slalom", "random") for stage in stages}
+    assert {r["size"] for (family, _), r in rows.items() if family == "random"} == {4}
+    assert all(r["q1_ms"] <= r["median_ms"] <= r["q3_ms"] for r in rows.values())
+    (random,) = [line.split() for line in result.stdout.splitlines() if line.split()[:1] == ["random"]]
+    assert random[:2] == ["random", "4"] and random[-2:] == ["2/4", "EVASION"]
+    assert int(random[2]) == rows[("random", "check")]["critical_times"]
+
+
 def test_pair_check_leaves_an_empty_family_out():
     argv = ["pair_check.py", str(ROOT), "--pairs", "2", "--turn", "0", "--family", "slalom=3", "--random", "0"]
     result = run_script(argv)
