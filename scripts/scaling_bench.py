@@ -47,10 +47,16 @@ scene with no box event has one vertex, at t=0).
 untimed warm-up `run_check` of the case with the collector on, read from
 `gc.get_stats()` before and after it, so the count measures the pipeline's
 allocation churn.
+"peak KiB" is the `tracemalloc` peak of one more untimed `run_check` of the
+case, with the collector paused as `main` pauses it: the most memory the
+pipeline's Python objects held at once, the scene read before tracing
+starts. The timed repeats run untraced.
 
 With `--out FILE` the script also writes a JSON file: one row per (family,
 size, stage) with the median, first and third quartile of the REPEATS
-rescaled runs in ms and the median of the raw ones, the probe time the rows
+rescaled runs in ms and the median of the raw ones, the case's peak KiB as
+`tracemalloc_peak_kib` (a random row's is the lower median over the
+draws, as its "times" and "gc" are), the probe time the rows
 are rescaled to, and one least-squares slope of log(median) against
 log(size) per (family, stage) run at two sizes or more, the stage's growth
 exponent.
@@ -67,6 +73,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from math import log
 from pathlib import Path
@@ -122,6 +129,23 @@ def run_once(scene_file: Path) -> tuple[dict[str, float], str]:
     t2 = time.perf_counter()
     timing["report"], timing["write"] = (t1 - t0) * 1000, (t2 - t1) * 1000
     return timing, "EVASION" if sections.decision.feasible else "NO_EVASION"
+
+
+def peak_kib(scene_file: Path) -> float:
+    """The `tracemalloc` peak in KiB of one `run_check` of the scene, with the
+    collector paused; the scene is read before tracing starts."""
+    scene = read_scene(scene_file)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run_check(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return peak / 1024
 
 
 def check_once(scene_file: Path) -> float:
@@ -190,24 +214,25 @@ def main() -> None:
         cases.append(("random", args.random, [random_scene(rng, 10) for _ in range(args.random)]))
     header = "".join(f" {stage:>11}" for stage in STAGES)
     print(f"stage medians in ms, rescaled to a machine where the speed probe takes {REFERENCE_PROBE_S * 1000} ms")
-    print(f"{'family':>16} {'size':>6} {'times':>6}{header} {'gc':>4}  verdict")
+    print(f"{'family':>16} {'size':>6} {'times':>6}{header} {'gc':>4} {'peak KiB':>9}  verdict")
     rows = []
     with tempfile.TemporaryDirectory() as tmp, SpeedProbe() as probe:
-        inputs = []  # (scene files, critical times, warm-up collections) of each case
+        inputs = []  # (scene files, critical times, warm-up collections, peak KiB) of each case
         for n, (_, _, scenes) in enumerate(cases):
-            files, counts, collected = [], [], []
+            files, counts, collected, peaks = [], [], [], []
             for m, scene in enumerate(scenes):
                 files.append(Path(tmp) / f"scene{n}-{m}.json")
                 files[-1].write_text(json.dumps(scene_to_jsonable(scene)))
                 before = collections()
                 counts.append(len(run_check(read_scene(files[-1]))[0][0]))  # the untimed warm-up, with the collector on
                 collected.append(collections() - before)
-            inputs.append((files, median_low(counts), median_low(collected)))
+                peaks.append(peak_kib(files[-1]))
+            inputs.append((files, median_low(counts), median_low(collected), median_low(peaks)))
         time.sleep(INTERVAL_S)  # so that the probe has run before the first timed repeat
         # repeat r of every case before repeat r+1 of any, so that a spell of host load spreads over the cases
         repeats: list[list] = [[] for _ in cases]  # per case and repeat: rescaled and raw stage times, verdicts
         for _ in range(REPEATS):
-            for runs, (files, _, _) in zip(repeats, inputs):
+            for runs, (files, _, _, _) in zip(repeats, inputs):
                 rescaled: dict[str, list[float]] = {}
                 unscaled: dict[str, list[float]] = {}
                 verdicts = []
@@ -222,7 +247,7 @@ def main() -> None:
                     verdicts.append(verdict)
                 medians = {stage: median(values) for stage, values in rescaled.items()}
                 runs.append((medians, {stage: median(values) for stage, values in unscaled.items()}, verdicts))
-        for (family, size, _), runs, (_, count, collected) in zip(cases, repeats, inputs):
+        for (family, size, _), runs, (_, count, collected, peak) in zip(cases, repeats, inputs):
             columns = ""
             for stage in STAGES:
                 if any(stage not in medians for medians, _, _ in runs):
@@ -232,8 +257,9 @@ def main() -> None:
                 columns += f" {mid:>9.3f}ms"
                 row = {"family": family, "size": size, "critical_times": count, "stage": stage}
                 row |= {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+                row["tracemalloc_peak_kib"] = round(peak, 1)
                 rows.append(row | {"raw_median_ms": round(median(raws[stage] for _, raws, _ in runs), 4)})
-            print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4}  {verdict_of(runs[0][2])}")
+            print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4} {peak:>9.0f}  {verdict_of(runs[0][2])}")
     if args.out:
         write_out(args.out, rows)
 

@@ -14,7 +14,7 @@ of a flood fill with no numeric slack. The grid's cover flags are painted
 one rectangle at a time along its shorter side, a slice per grid column or
 an extended slice per grid row. The fill writes each gap face's component
 number into one flat owner array per fibre; a check reads only component
-counts and the owners of single faces, and the component objects (label,
+counts and the owners of single faces, and the component tuples (label,
 anchor, interior point, faces) are built from that array only when a reader
 asks for them.
 
@@ -72,7 +72,7 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, starmap
@@ -101,23 +101,12 @@ class GeometryError(RuntimeError):
     """Internal invariant broke (a bug, not an input condition)."""
 
 
-@dataclass(frozen=True)
-class GapComponent:
-    """One connected component of the open gap at a fixed time, for tests and
-    tools that inspect a fibre; a check reads the fibre's owner array instead."""
-
-    label: str
-    anchor: Point  # lexicographically least face corner; the deterministic sort key
-    interior_point: Point  # centre of the least open 2-face
-    faces: frozenset[Face]
-
-
 def component_label(c: int) -> str:
     """The label of component c of a fibre, and of its stalk generator."""
     return f"g{c}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapFibre:
     """Gap components of one alive coverage geometry, on its arrangement grid.
 
@@ -129,22 +118,22 @@ class GapFibre:
     flat index of component c's least open 2-face: the lower-left corner of
     that face is the component's anchor, and its centre is the component's
     interior point. Everything else about a component is read off `owner`
-    when asked for; `components` builds the component objects on first
+    when asked for; `components` builds the component tuples on first
     read, and a check never reads them. `xr` and `yr` are the scene table
     ranks of the grid lines, and `connected` says whether the coverage
     (window frame plus alive boxes) is connected, which the gap's Euler
     characteristic tells (module docstring). Samples with one alive key
-    share one fibre; only the grid and the owner array are compared.
+    share one fibre, so a fibre equals and hashes as itself alone.
     """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     owner: array
-    ny: int = field(repr=False, compare=False)  # faces per grid column, 2 * len(ys) - 1
-    connected: bool = field(repr=False, compare=False)
-    xr: tuple[int, ...] = field(repr=False, compare=False)
-    yr: tuple[int, ...] = field(repr=False, compare=False)
-    seeds: tuple[int, ...] = field(repr=False, compare=False)
+    ny: int  # faces per grid column, 2 * len(ys) - 1
+    connected: bool
+    xr: tuple[int, ...]
+    yr: tuple[int, ...]
+    seeds: tuple[int, ...]
 
     def face_centre(self, g: int) -> Point:
         i, j = divmod(g, self.ny)
@@ -169,8 +158,11 @@ class GapFibre:
         return tuple([(self.ys[a // 2], self.ys[(b + 1) // 2]) for a, b in zip(lo, hi)])
 
     @cached_property
-    def components(self) -> tuple[GapComponent, ...]:
-        """Component objects for reports and tests, built on first read."""
+    def components(self) -> tuple[tuple[str, Point, Point, frozenset[Face]], ...]:
+        """(label, anchor, interior point, faces) of each component, for tests
+        and tools that inspect a fibre, built on first read. The anchor is
+        the least face corner and the interior point the centre of the least
+        open 2-face."""
         ny, xs, ys = self.ny, self.xs, self.ys
         faces: list[list[Face]] = [[] for _ in self.seeds]
         for g, c in enumerate(self.owner):
@@ -180,7 +172,7 @@ class GapFibre:
         for c, seed in enumerate(self.seeds):
             i, j = divmod(seed, ny)
             anchor = (xs[i // 2], ys[j // 2])
-            comps.append(GapComponent(component_label(c), anchor, self.face_centre(seed), frozenset(faces[c])))
+            comps.append((component_label(c), anchor, self.face_centre(seed), frozenset(faces[c])))
         return tuple(comps)
 
 
@@ -475,28 +467,26 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     vertex_sizes = [len(f.seeds) for f in vertex_fibres]
     edge_sizes = [len(f.seeds) for f in edge_fibres]
     cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in {*vertex_sizes, *edge_sizes}}
-    corners: dict[int, list[tuple[int, int]]] = {}  # the seed corner ranks of each vertex fibre
-    built: dict[tuple[int, int], tuple[int, ...]] = {}
+    corners: dict[GapFibre, list[tuple[int, int]]] = {}  # the seed corner ranks of each vertex fibre
+    built: dict[tuple[GapFibre, GapFibre], tuple[int, ...]] = {}
     images = []
     for i, vf in enumerate(vertex_fibres):
-        vid = id(vf)
         for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
-            key = (vid, id(ef))
-            image = built.get(key)
+            image = built.get((vf, ef))
             if image is None:
-                if vid not in corners:
+                if vf not in corners:
                     ny, xr, yr = vf.ny, vf.xr, vf.yr
-                    corners[vid] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
+                    corners[vf] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
                 owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
                 image = tuple(
-                    [owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1] for x, y in corners[vid]]
+                    [owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1] for x, y in corners[vf]]
                 )
                 if -1 in image:
                     raise GeometryError(
                         f"component {component_label(image.index(-1))} at t={times[i]} "
                         f"does not persist to the {side} edge"
                     )
-                built[key] = image
+                built[vf, ef] = image
             images.append(image)
     return FunctionSheaf(
         strat=Stratification(times),
@@ -549,11 +539,11 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     routes are read off the fibres' owner arrays. The result is verified
     against the scene's boxes exactly before being returned.
 
-    A vertex is keyed by (fibre identity, chosen component) and an edge by
-    its transition: (left vertex key, edge fibre identity, edge component,
-    right vertex key), the unbounded edges missing one side. Samples share
-    fibres, so a long chain has few distinct keys. Each cell costs only
-    C-level passes: the key lists are built with `zip` and `map`, and
+    A vertex is keyed by (fibre, chosen component) and an edge by its
+    transition: (left vertex key, edge fibre, edge component, right vertex
+    key), the unbounded edges missing one side. Samples share fibres, and a
+    fibre equals only itself, so a long chain has few distinct keys. Each
+    cell costs only C-level passes: the key lists are built with `zip`, and
     `dict` keeps each distinct key once, in time order. The range check
     and the interior point are worked out once per distinct vertex key (the
     point once per rank rectangle of its seed face), the end faces, the
@@ -567,30 +557,30 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     k = len(times)
     if len(chain) != 2 * k + 1:
         raise GeometryError("section chain does not have one gap component per cell")
-    vkeys = list(zip(map(id, vertex_fibres), chain[1::2]))
-    tkeys = list(zip([None, *vkeys], map(id, edge_fibres), chain[0::2], [*vkeys, None]))
-    vertices = dict(zip(vkeys, vertex_fibres))  # each distinct vertex key once, with its fibre
+    vkeys = list(zip(vertex_fibres, chain[1::2]))
+    tkeys = list(zip([None, *vkeys], edge_fibres, chain[0::2], [*vkeys, None]))
+    vertices = dict.fromkeys(vkeys)  # each distinct vertex key once, in time order
     # an edge index that names no component of its fibre owns no face, which _route checks
-    if not all(0 <= c < len(vf.seeds) for (_, c), vf in vertices.items()):
+    if not all(0 <= c < len(vf.seeds) for vf, c in vertices):
         raise GeometryError("section chain does not have one gap component per cell")
     # an interior point is the centre of the component's seed face, so it is
     # worked out once per rank rectangle of that face (the scene ranks of the
     # grid lines around it), which the fibres of one scene share
     points: dict[tuple[int, int, int, int], Point] = {}
-    at: dict[tuple[int, int], Point] = {}
-    for vkey, vf in vertices.items():
-        i, j = divmod(vf.seeds[vkey[1]], vf.ny)
+    at: dict[tuple[GapFibre, int], Point] = {}
+    for vf, c in vertices:
+        i, j = divmod(vf.seeds[c], vf.ny)
         rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
         if rect not in points:
-            points[rect] = vf.interior_point(vkey[1])
-        at[vkey] = points[rect]
+            points[rect] = vf.interior_point(c)
+        at[vf, c] = points[rect]
     # a transition's route runs inside its edge component from the left
     # vertex's face to the right one's; on an unbounded edge it only checks
     # that the one vertex's component persists into it
     hops: dict[tuple, list[Point]] = {}  # the moving interior transitions
-    for tkey, ef in dict(zip(tkeys, edge_fibres)).items():
-        left, _, c, right = tkey
-        ends = [_edge_face(vertices[vkey], vkey[1], ef) for vkey in (left, right) if vkey is not None]
+    for tkey in dict.fromkeys(tkeys):
+        left, ef, c, right = tkey
+        ends = [_edge_face(*vkey, ef) for vkey in (left, right) if vkey is not None]
         route = _route(ef, c, ends[0], ends[-1])
         if left is not None and right is not None:
             positions = [at[left], *route, at[right]]

@@ -78,6 +78,9 @@ def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     assert data["reference_probe_s"] == 2e-4
     assert all(r["raw_median_ms"] > 0 for r in rows.values())
     assert any(r["median_ms"] != r["raw_median_ms"] for r in rows.values())
+    # one traced check per case gives every row of the case its memory peak
+    assert all(r["tracemalloc_peak_kib"] > 0 for r in rows.values())
+    assert len({r["tracemalloc_peak_kib"] for (f, n, _), r in rows.items() if (f, n) == ("slalom", 8)}) == 1
     assert rows[("slalom", 8, "path")]["critical_times"] == 32
     # staircase 3: births at t = 1, 2, 3 and one death at t = 6
     assert rows[("staircase", 3, "fibres")]["critical_times"] == 4
@@ -107,6 +110,7 @@ def test_scaling_bench_adds_a_row_of_random_draws(tmp_path):
     # Random(1)'s first four draws hold EVASION ones, so the path column is a median over those
     assert set(rows) == {(family, stage) for family in ("slalom", "random") for stage in stages}
     assert {r["size"] for (family, _), r in rows.items() if family == "random"} == {4}
+    assert all(r["tracemalloc_peak_kib"] > 0 for r in rows.values())
     assert all(r["q1_ms"] <= r["median_ms"] <= r["q3_ms"] for r in rows.values())
     (random,) = [line.split() for line in result.stdout.splitlines() if line.split()[:1] == ["random"]]
     assert random[:2] == ["random", "4"] and random[-2:] == ["2/4", "EVASION"]
