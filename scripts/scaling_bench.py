@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Wall-clock scaling of the full decision pipeline on the scene families of
-`evasion.randgen.FAMILIES`: pulsing, comb, blocked, slalom, staircase and
-the jittered twins of pulsing and slalom. Each builder's docstring says
-what its family grows and why it is here. `--family NAME=N[,N...]`, which
+`evasion.randgen.FAMILIES`: pulsing, comb, blocked, slalom, staircase,
+the jittered twins of pulsing and slalom, and the long-literal twins
+deep-slalom and deep-jittered-pulsing, whose size is the literal length.
+Each builder's docstring says what its family grows and why it is here. `--family NAME=N[,N...]`, which
 may be repeated, runs a family at the given sizes. `--random COUNT` adds a
 "random" row of size COUNT: COUNT `random_scene(rng, 10)` draws from
 `Random(1)`, the small scenes where the fixed cost of a check (argument
@@ -55,8 +56,9 @@ starts. The timed repeats run untraced.
 With `--out FILE` the script also writes a JSON file: one row per (family,
 size, stage) with the median, first and third quartile of the REPEATS
 rescaled runs in ms and the median of the raw ones, the case's peak KiB as
-`tracemalloc_peak_kib` (a random row's is the lower median over the
-draws, as its "times" and "gc" are), the probe time the rows
+`tracemalloc_peak_kib` and its warm-up collections as `gc` (a random
+row's are the lower medians over the draws, as its "times" is), the probe
+time the rows
 are rescaled to, and one least-squares slope of log(median) against
 log(size) per (family, stage) run at two sizes or more, the stage's growth
 exponent.
@@ -257,7 +259,7 @@ def main() -> None:
                 columns += f" {mid:>9.3f}ms"
                 row = {"family": family, "size": size, "critical_times": count, "stage": stage}
                 row |= {"median_ms": round(mid, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
-                row["tracemalloc_peak_kib"] = round(peak, 1)
+                row["tracemalloc_peak_kib"], row["gc"] = round(peak, 1), collected
                 rows.append(row | {"raw_median_ms": round(median(raws[stage] for _, raws, _ in runs), 4)})
             print(f"{family:>16} {size:>6} {count:>6}{columns} {collected:>4} {peak:>9.0f}  {verdict_of(runs[0][2])}")
     if args.out:

@@ -46,35 +46,43 @@ def _echo(text: str) -> str:
     return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
 
 
-def parse_rational(value) -> Fraction:
-    """Parse a plain int or any string `Fraction` reads exactly: "p", "p/q",
-    and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
-    silently contaminate the exact pipeline. A literal whose exponent would
-    write it out past MAX_LITERAL_DIGITS digits is rejected too, before
-    `Fraction` spends unbounded time expanding it.
+def _ratio(value) -> tuple[Fraction, int, int]:
+    """A literal's value, numerator and positive denominator, the one reading
+    of a literal (`parse_rational`).
 
-    A `plain_integer` is read by `int` directly, skipping `Fraction`'s
+    A `plain_integer` is read by one `int` call, skipping `Fraction`'s
     pattern match; it is the form scenes are written in, and every other
     string takes the `Fraction` route, so values and error messages are the
-    same either way. The scene reader tests the same pattern to store an
-    integer's ratio without this function. Messages quote a literal through
-    `_echo`, so an overlong one is named by its prefix and its length."""
+    same either way. Messages quote a literal through `_echo`, so an
+    overlong one is named by its prefix and its length."""
     if isinstance(value, str):
         if plain_integer(value):
-            return Fraction(int(value))
+            n = int(value)
+            return Fraction(n), n, 1
         if _exponent_too_large(value):
             raise ValueError(
                 f"unsupported rational literal: {_echo(value)} (over {MAX_LITERAL_DIGITS} digits written out)"
             )
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"unsupported rational literal: {_echo(value)}") from exc
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ValueError(f"unsupported rational value: {value!r} (floats are not accepted)")
+    elif isinstance(value, int):
+        q = Fraction(value)
+    else:
+        raise ValueError(f"unsupported rational value: {value!r} (floats are not accepted)")
+    return (q, *q.as_integer_ratio())
+
+
+def parse_rational(value) -> Fraction:
+    """Parse a plain int or any string `Fraction` reads exactly: "p", "p/q",
+    and also "4.5", "1e1", "1_000" or " 2 ". Floats are rejected: they would
+    silently contaminate the exact pipeline. A literal whose exponent would
+    write it out past MAX_LITERAL_DIGITS digits is rejected too, before
+    `Fraction` spends unbounded time expanding it. This is `_ratio`'s value."""
+    return _ratio(value)[0]
 
 
 def format_rational(q: Fraction) -> str:
@@ -113,24 +121,11 @@ def _part(box: int | None) -> str:
 
 
 class _Literals(dict):
-    """Literal string -> its value and the value's integer ratio, each string
-    parsed on first lookup: a `plain_integer` by one `int` call, to the
-    value and ratio `_ratio` would give, and any other string by `_ratio`."""
+    """Literal string -> its `_ratio`, each string read on first lookup."""
 
     def __missing__(self, literal: str) -> tuple[Fraction, int, int]:
-        if plain_integer(literal):
-            n = int(literal)
-            entry = (Fraction(n), n, 1)
-        else:
-            entry = _ratio(literal)
-        self[literal] = entry
+        entry = self[literal] = _ratio(literal)
         return entry
-
-
-def _ratio(literal) -> tuple[Fraction, int, int]:
-    """`parse_rational`'s value, with its numerator and positive denominator."""
-    value = parse_rational(literal)
-    return (value, *value.as_integer_ratio())
 
 
 _BOX_FIELDS = frozenset("txy")
@@ -158,9 +153,8 @@ def scene_from_jsonable(data) -> Scene:
     and y intervals, each end parsed before the interval's order is
     checked; the window comes last. So the first bad literal is the one
     named. A field name such as `box 17 t` is formatted only for a message.
-    Within one call each distinct literal string is parsed once, a plain
-    integer by `int` and any other by `parse_rational`, and its integer
-    ratio is kept for the order test.
+    Within one call each distinct literal string is read once, by
+    `_ratio`, and its integer ratio is kept for the order test.
     Ints, floats and bools are parsed every time, since `1`, `1.0` and
     `True` hash alike and would otherwise share an outcome and a message.
     """

@@ -36,17 +36,17 @@ the window and of one box per spatial rectangle (`Scene.rectangles`, by
 value), and the times of the window-relevant boxes, so a sensor that
 switches on and off many times is ranked, tested for relevance and clamped
 once. Values are deduplicated by their (numerator, denominator) pair and
-sorted by the exact key (integer part, value), so no `Fraction` is hashed
-and two are compared only when they share an integer part. Window relevance
-and clamping compare ranks, and the table keeps the sorted distinct x and y
-coordinates, the window's four ranks among them, the critical times, and
-each relevant box's rank rectangle, clamped to the window's ranks, and time
-span. Ranking is strictly increasing on those finite sets and every
-comparison the sweep, the arrangement, the validation and the restrictions
-make is between their members, so ranks take every branch the rationals
-would; `Fraction` values appear only in the outputs (grid coordinates,
-vertex times, the anchors and interior points read off a fibre, the sample
-time of a validation message).
+sorted by the exact key (floor of the value times 2^64, value), so no
+`Fraction` is hashed and two are compared only when they lie closer than
+2^-64, however long their literals. Window relevance and clamping compare
+ranks, and the table keeps the sorted distinct x and y coordinates, the
+window's four ranks among them, the critical times, and each relevant box's
+rank rectangle, clamped to the window's ranks, and time span. Ranking is
+strictly increasing on those finite sets and every comparison the sweep,
+the arrangement, the validation and the restrictions make is between their
+members, so ranks take every branch the rationals would; `Fraction` values
+appear only in the outputs (grid coordinates, vertex times, the anchors and
+interior points read off a fibre, the sample time of a validation message).
 
 The bridge to the sheaf layer: between consecutive critical times the alive
 set is constant, so the gap is a product; at a critical time the coverage
@@ -54,16 +54,16 @@ dominates both neighbouring intervals, so each gap component at the vertex
 persists into exactly one component on each side. Free cones on gap
 components with those containment maps form the cone sheaf whose global
 sections decide evasion. A map locates each vertex component in the edge
-fibre by two bisections of the ranks of its least face's corner, and the
-corners are worked out once per vertex fibre. Where a vertex and an edge
-share one fibre, the bisections land on the seed face itself, so the same
-lookup gives the identity. A fibre depends on the alive coverage geometry
-alone, so samples are keyed by the distinct rank rectangles alive there,
-and a scene builds one fibre per distinct key, shared by its samples. The
-time sweep counts the alive boxes on each rectangle as they are born and
-die, and takes the alive rectangles into a new key, a frozenset looked up
-once, only at an event that changes them: O(events) Python steps plus one
-C-level key copy per event.
+fibre by two bisections of the ranks of the grid lines left of and below
+its seed face, which the fibre keeps (`GapFibre.seeds`). Where a vertex
+and an edge share one fibre, the bisections land on the seed face itself,
+so the same lookup gives the identity. A fibre depends on the alive
+coverage geometry alone, so samples are keyed by the distinct rank
+rectangles alive there, and a scene builds one fibre per distinct key,
+shared by its samples. The time sweep counts the alive boxes on each
+rectangle as they are born and die, and takes the alive rectangles into a
+new key, a frozenset looked up once, only at an event that changes them:
+O(events) Python steps plus one C-level key copy per event.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, starmap
-from operator import floordiv, itemgetter
+from itertools import compress, count, repeat
+from operator import eq, floordiv, itemgetter, lshift
 
 # perfbench/workloads.py reads Box, Scene, verify_evasion_path and PathVerificationError from this module
 from evasion.certify import PathVerificationError, verify_evasion_path
@@ -115,15 +115,18 @@ class GapFibre:
     i * ny + j of the flat `owner` array, which holds the number of the gap
     component the face belongs to, or -1 if the face is covered. Components
     are numbered in the order of their least face corner. `seeds[c]` is the
-    flat index of component c's least open 2-face: the lower-left corner of
-    that face is the component's anchor, and its centre is the component's
-    interior point. Everything else about a component is read off `owner`
-    when asked for; `components` builds the component tuples on first
-    read, and a check never reads them. `xr` and `yr` are the scene table
-    ranks of the grid lines, and `connected` says whether the coverage
-    (window frame plus alive boxes) is connected, which the gap's Euler
-    characteristic tells (module docstring). Samples with one alive key
-    share one fibre, so a fibre equals and hashes as itself alone.
+    position (k, l) of component c's least open 2-face, its seed: the face
+    lies between grid lines xs[k] and xs[k + 1] and between ys[l] and
+    ys[l + 1], so its flat index is (2k + 1) * ny + 2l + 1. The seed's
+    lower-left corner is the component's anchor, its centre the
+    component's interior point, and its rank rectangle (xr[k], xr[k + 1],
+    yr[l], yr[l + 1]). Everything else about a component is read off
+    `owner` when asked for; `components` builds the component tuples on
+    first read, and a check never reads them. `xr` and `yr` are the scene
+    table ranks of the grid lines, and `connected` says whether the
+    coverage (window frame plus alive boxes) is connected, which the gap's
+    Euler characteristic tells (module docstring). Samples with one alive
+    key share one fibre, so a fibre equals and hashes as itself alone.
     """
 
     xs: tuple[Fraction, ...]
@@ -133,14 +136,31 @@ class GapFibre:
     connected: bool
     xr: tuple[int, ...]
     yr: tuple[int, ...]
-    seeds: tuple[int, ...]
+    seeds: tuple[tuple[int, int], ...]
+
+    def seed_faces(self, seeds: Iterable[tuple[GapFibre, int]]) -> list[int]:
+        """The faces of this grid, as indices into `owner`, that hold the
+        seeds of the given (fibre, component) pairs, of fibres whose grid
+        lines include this one's. Each open interval of such a finer grid
+        lies inside one of this grid, which a bisection of the rank of the
+        line left of or below the seed finds on each axis. The boxes alive
+        on an edge are alive at its end vertices too, so an edge fibre
+        answers this for the vertex fibres beside it, and a fibre answers
+        it for itself with its seed faces."""
+        xr, yr, ny = self.xr, self.yr, self.ny
+        return [
+            (2 * bisect_right(xr, f.xr[k]) - 1) * ny + 2 * bisect_right(yr, f.yr[l]) - 1
+            for f, c in seeds
+            for k, l in [f.seeds[c]]
+        ]
 
     def face_centre(self, g: int) -> Point:
         i, j = divmod(g, self.ny)
         return _face_centre(self.xs, i), _face_centre(self.ys, j)
 
     def interior_point(self, c: int) -> Point:
-        return self.face_centre(self.seeds[c])
+        k, l = self.seeds[c]  # the seed is face (2k + 1, 2l + 1)
+        return _face_centre(self.xs, 2 * k + 1), _face_centre(self.ys, 2 * l + 1)
 
     @cached_property
     def y_extents(self) -> tuple[Interval, ...]:
@@ -168,12 +188,10 @@ class GapFibre:
         for g, c in enumerate(self.owner):
             if c >= 0:
                 faces[c].append(divmod(g, ny))
-        comps = []
-        for c, seed in enumerate(self.seeds):
-            i, j = divmod(seed, ny)
-            anchor = (xs[i // 2], ys[j // 2])
-            comps.append((component_label(c), anchor, self.face_centre(seed), frozenset(faces[c])))
-        return tuple(comps)
+        return tuple(
+            (component_label(c), (xs[k], ys[l]), self.interior_point(c), frozenset(faces[c]))
+            for c, (k, l) in enumerate(self.seeds)
+        )
 
 
 def _face_centre(coords: tuple[Fraction, ...], i: int) -> Fraction:
@@ -191,15 +209,21 @@ def _ranks(values: list[Fraction]) -> tuple[tuple[Fraction, ...], list[int]]:
     """The sorted distinct values, and the rank of each value among them.
 
     Values are told apart by their (numerator, denominator) pair, which is
-    exact since `Fraction`s are normalised, and sorted as (integer part,
-    value, pair) tuples, so two values are compared as `Fraction`s only
-    when they share an integer part, none is hashed, and the pairs, being
-    distinct, are never compared."""
+    exact since `Fraction`s are normalised: each pair is hashed once, to
+    find the index of its first equal, and the distinct values are sorted
+    as (n * 2^64 // d, value, index) tuples. The fixed-point key is one
+    short integer division per value and orders any two values that lie
+    2^-64 or more apart, so two values are compared as `Fraction`s only
+    when they lie closer, none is hashed, and the indices, being distinct,
+    are never compared. Every pass is C-level."""
     pairs = [v.as_integer_ratio() for v in values]
-    distinct = dict(zip(pairs, values))
-    order = sorted(zip(starmap(floordiv, distinct), distinct.values(), distinct))
+    first = list(map({}.setdefault, pairs, count()))  # the index of each value's first equal
+    distinct = list(compress(count(), map(eq, first, count())))  # the first index of each distinct value
+    ratios = list(map(pairs.__getitem__, distinct))
+    keys = map(floordiv, map(lshift, map(itemgetter(0), ratios), repeat(64)), map(itemgetter(1), ratios))
+    order = sorted(zip(keys, map(values.__getitem__, distinct), distinct))
     rank = dict(zip(map(itemgetter(2), order), count()))
-    return tuple(map(itemgetter(1), order)), list(map(rank.__getitem__, pairs))
+    return tuple(map(itemgetter(1), order)), list(map(rank.__getitem__, first))
 
 
 @dataclass(frozen=True)
@@ -292,12 +316,12 @@ def _arrange(table: _RankTable, key: Collection[Rect]) -> GapFibre:
     # the faces it reaches as covered, so the next seed is the next 0 flag.
     euler = covered[0::2].count(0) - covered[1::2].count(0)
     owner = array("i", [-1]) * (nx * ny)
-    seeds: list[int] = []
+    seeds: list[tuple[int, int]] = []
     stack: list[int] = []
     seed = covered.find(0)
     while seed >= 0:
         c, g = len(seeds), seed
-        seeds.append(seed)
+        seeds.append((seed // ny // 2, seed % ny // 2))  # the grid lines left of and below it
         covered[seed] = 1
         while True:
             owner[g] = c
@@ -420,21 +444,6 @@ def validate_scene(scene: Scene) -> str | None:
     return validate_fibres(scene_fibres(scene))
 
 
-def _edge_face(vf: GapFibre, c: int, ef: GapFibre) -> int:
-    """The face of the edge fibre's grid, as an index into its `owner`,
-    holding the least open 2-face of component c of the adjacent vertex
-    fibre.
-
-    The boxes alive on an edge are alive at its end vertices too, so the
-    edge's grid lines are among the vertex's, and each open interval of the
-    vertex grid lies inside one open interval of the edge grid: a bisection
-    of its lower rank finds that interval. When the two fibres are one, it
-    finds the seed face itself.
-    """
-    i, j = divmod(vf.seeds[c], vf.ny)
-    return (2 * bisect_right(ef.xr, vf.xr[i // 2]) - 1) * ef.ny + 2 * bisect_right(ef.yr, vf.yr[j // 2]) - 1
-
-
 def build_sheaf(scene: Scene) -> FunctionSheaf:
     """The cone sheaf of a scene, as integer generator maps: its fibres, built
     once and validated (SceneValidationError if the coverage is disconnected),
@@ -455,32 +464,23 @@ def sheaf_from_fibres(fibres: Fibres) -> FunctionSheaf:
     The image of a vertex component is the unique edge component
     containing it (the gap at a critical time is dominated by the coverage
     there, so the component persists to both sides): the edge fibre's owner
-    of the face holding the component's least open 2-face, found as in
-    `_edge_face` by two bisections of the face's lower-left corner ranks.
-    Those corners are worked out once per distinct vertex fibre, and each
-    distinct (vertex fibre, edge fibre) pair gets one image tuple, shared by
-    every incidence that has it. A vertex and an edge with the same alive
-    key share one fibre; the bisections then land on each seed's own face,
-    and the image is the identity.
+    of the face holding the component's seed face (`GapFibre.seed_faces`).
+    Each distinct (vertex fibre, edge fibre) pair gets one image tuple,
+    shared by every incidence that has it. A vertex and an edge with the
+    same alive key share one fibre; the lookup then lands on each seed's own
+    face, and the image is the identity.
     """
     times, vertex_fibres, edge_fibres = fibres
     vertex_sizes = [len(f.seeds) for f in vertex_fibres]
     edge_sizes = [len(f.seeds) for f in edge_fibres]
     cones = {n: PolyhedralCone.free(tuple(map(component_label, range(n)))) for n in {*vertex_sizes, *edge_sizes}}
-    corners: dict[GapFibre, list[tuple[int, int]]] = {}  # the seed corner ranks of each vertex fibre
     built: dict[tuple[GapFibre, GapFibre], tuple[int, ...]] = {}
     images = []
     for i, vf in enumerate(vertex_fibres):
         for side, ef in (("left", edge_fibres[i]), ("right", edge_fibres[i + 1])):
             image = built.get((vf, ef))
             if image is None:
-                if vf not in corners:
-                    ny, xr, yr = vf.ny, vf.xr, vf.yr
-                    corners[vf] = [(xr[s // ny // 2], yr[s % ny // 2]) for s in vf.seeds]
-                owner, ny, xr, yr = ef.owner, ef.ny, ef.xr, ef.yr
-                image = tuple(
-                    [owner[(2 * bisect_right(xr, x) - 1) * ny + 2 * bisect_right(yr, y) - 1] for x, y in corners[vf]]
-                )
+                image = tuple(map(ef.owner.__getitem__, ef.seed_faces(zip(repeat(vf), range(len(vf.seeds))))))
                 if -1 in image:
                     raise GeometryError(
                         f"component {component_label(image.index(-1))} at t={times[i]} "
@@ -559,18 +559,17 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
         raise GeometryError("section chain does not have one gap component per cell")
     vkeys = list(zip(vertex_fibres, chain[1::2]))
     tkeys = list(zip([None, *vkeys], edge_fibres, chain[0::2], [*vkeys, None]))
-    vertices = dict.fromkeys(vkeys)  # each distinct vertex key once, in time order
-    # an edge index that names no component of its fibre owns no face, which _route checks
-    if not all(0 <= c < len(vf.seeds) for vf, c in vertices):
-        raise GeometryError("section chain does not have one gap component per cell")
     # an interior point is the centre of the component's seed face, so it is
     # worked out once per rank rectangle of that face (the scene ranks of the
     # grid lines around it), which the fibres of one scene share
     points: dict[tuple[int, int, int, int], Point] = {}
     at: dict[tuple[GapFibre, int], Point] = {}
-    for vf, c in vertices:
-        i, j = divmod(vf.seeds[c], vf.ny)
-        rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
+    for vf, c in dict.fromkeys(vkeys):  # each distinct vertex key once, in time order
+        # an edge index that names no component of its fibre owns no face, which _route checks
+        if not 0 <= c < len(vf.seeds):
+            raise GeometryError("section chain does not have one gap component per cell")
+        i, j = vf.seeds[c]
+        rect = (vf.xr[i], vf.xr[i + 1], vf.yr[j], vf.yr[j + 1])
         if rect not in points:
             points[rect] = vf.interior_point(c)
         at[vf, c] = points[rect]
@@ -580,7 +579,7 @@ def extract_path(scene: Scene, fibres: Fibres, sections: GlobalSections) -> Evas
     hops: dict[tuple, list[Point]] = {}  # the moving interior transitions
     for tkey in dict.fromkeys(tkeys):
         left, ef, c, right = tkey
-        ends = [_edge_face(*vkey, ef) for vkey in (left, right) if vkey is not None]
+        ends = ef.seed_faces(filter(None, (left, right)))
         route = _route(ef, c, ends[0], ends[-1])
         if left is not None and right is not None:
             positions = [at[left], *route, at[right]]

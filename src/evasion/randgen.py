@@ -183,6 +183,39 @@ def jittered_slalom_scene(n: int) -> Scene:
     return Scene.make((0, 4), (0, 4), boxes)
 
 
+def deep_map(d: int) -> Callable[[Fraction], Fraction]:
+    """v -> a v + b, with a = p/(p - 2), b = 1/(3p + 1) and p = 10^d + 7: an
+    increasing map that writes a small value with about 2d digits."""
+    p = 10**d + 7
+    a, b = Fraction(p, p - 2), Fraction(1, 3 * p + 1)
+    return lambda v: a * v + b
+
+
+def deep(scene: Scene, d: int) -> Scene:
+    """The scene with every t, x and y value mapped by `deep_map(d)`. The
+    map keeps the order of the values, so the fibres, the sheaf, the
+    verdict and the chain stay the scene's while the literals grow."""
+    f = deep_map(d)
+
+    def mapped(iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+        return f(iv[0]), f(iv[1])
+
+    boxes = tuple(Box(mapped(box.t), mapped(box.x), mapped(box.y)) for box in scene.boxes)
+    return Scene(mapped(scene.window_x), mapped(scene.window_y), boxes)
+
+
+def deep_slalom_scene(d: int) -> Scene:
+    """`slalom_scene(200)` mapped by `deep`: its size is the literal length
+    d, so the path stage's growth is growth in the length of the literals."""
+    return deep(slalom_scene(200), d)
+
+
+def deep_jittered_pulsing_scene(d: int) -> Scene:
+    """`jittered_pulsing_scene(400)` mapped by `deep`: every box a rectangle
+    of its own, with x values that share long literals' integer parts."""
+    return deep(jittered_pulsing_scene(400), d)
+
+
 # the scaling families by name: builder, verdict and default sizes, ascending;
 # tier-1 checks each verdict at the first two sizes
 FAMILIES: dict[str, tuple[Callable[[int], Scene], str, tuple[int, ...]]] = {
@@ -193,6 +226,8 @@ FAMILIES: dict[str, tuple[Callable[[int], Scene], str, tuple[int, ...]]] = {
     "staircase": (staircase_scene, "EVASION", (10, 25)),
     "jittered-pulsing": (jittered_pulsing_scene, "EVASION", (10, 100, 1000)),
     "jittered-slalom": (jittered_slalom_scene, "EVASION", (10, 100)),
+    "deep-slalom": (deep_slalom_scene, "EVASION", (10, 100, 1000)),
+    "deep-jittered-pulsing": (deep_jittered_pulsing_scene, "EVASION", (10, 100, 1000)),
 }
 
 

@@ -18,8 +18,8 @@ the boxes alive at t rather than by the time sweep of `scene_fibres`.
 `reference_extract_path` is the path extraction that walks every cell in
 Python, looking each face and route up per cell; `extract_path` works them
 out once per distinct fibre transition, and the tests require the same path
-or the same error from both. It shares `_edge_face`, `_route` and path
-verification with the production path.
+or the same error from both. It shares `GapFibre.seed_faces`, `_route` and
+path verification with the production path.
 
 `reference_verify_evasion_path` is the path verifier that compares every
 held point and every jump with every box; `verify_evasion_path` tests them
@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from evasion.certify import PathVerificationError, _segment_meets_box, verify_evasion_path
-from evasion.geometry import Fibres, GeometryError, _arrange, _edge_face, _rank_table, _route
+from evasion.geometry import Fibres, GeometryError, _arrange, _rank_table, _route
 from evasion.scene import EvasionPath, PathSegment, Point, Scene
 from evasion.sheaf import GlobalSections, section_chain
 
@@ -256,8 +256,8 @@ def reference_extract_path(scene: Scene, fibres: Fibres, sections: GlobalSection
     points: dict[tuple[int, int, int, int], Point] = {}
     vertex_points = []
     for vf, c in zip(vertex_fibres, chosen):
-        i, j = divmod(vf.seeds[c], vf.ny)
-        rect = (vf.xr[i // 2], vf.xr[i // 2 + 1], vf.yr[j // 2], vf.yr[j // 2 + 1])
+        i, j = vf.seeds[c]
+        rect = (vf.xr[i], vf.xr[i + 1], vf.yr[j], vf.yr[j + 1])
         if rect not in points:
             points[rect] = vf.interior_point(c)
         vertex_points.append(points[rect])
@@ -275,7 +275,7 @@ def reference_extract_path(scene: Scene, fibres: Fibres, sections: GlobalSection
                 vf, c = vertex_fibres[i], chosen[i]
                 key = (id(vf), c, id(ef))
                 if key not in faces:
-                    faces[key] = _edge_face(vf, c, ef)
+                    (faces[key],) = ef.seed_faces([(vf, c)])
                 ends.append(faces[key])
         key = (id(ef), edge_comps[j], ends[0], ends[-1])
         if key not in found:

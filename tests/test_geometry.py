@@ -20,6 +20,7 @@ from evasion.geometry import (
     GeometryError,
     SceneValidationError,
     _rank_table,
+    _ranks,
     build_sheaf,
     extract_path,
     scene_fibres,
@@ -303,8 +304,8 @@ class TestExtractPath:
         interior_point = evasion.geometry.GapFibre.interior_point
 
         def recorded(fibre, c):
-            i, j = divmod(fibre.seeds[c], fibre.ny)
-            rects.append((fibre.xr[i // 2], fibre.xr[i // 2 + 1], fibre.yr[j // 2], fibre.yr[j // 2 + 1]))
+            k, l = fibre.seeds[c]
+            rects.append((fibre.xr[k], fibre.xr[k + 1], fibre.yr[l], fibre.yr[l + 1]))
             return interior_point(fibre, c)
 
         monkeypatch.setattr(evasion.geometry.GapFibre, "interior_point", recorded)
@@ -346,7 +347,7 @@ class TestExtractPath:
         fibre = next(f for f in scene_fibres(fixture_scene("two_gap_corridor.json"))[1] if len(f.seeds) == 2)
         owner = array("i", [0 if c == 1 else c for c in fibre.owner])
         with pytest.raises(GeometryError, match="not mutually reachable"):
-            evasion.geometry._route(replace(fibre, owner=owner), 0, *fibre.seeds)
+            evasion.geometry._route(replace(fibre, owner=owner), 0, *fibre.seed_faces([(fibre, 0), (fibre, 1)]))
 
     def test_infeasible_decision_is_rejected(self):
         sections = global_sections(build_sheaf(BLOCKED_SCENE))
@@ -660,17 +661,36 @@ def test_verify_evasion_path_matches_the_direct_reference(base_seed):
             cases.append((scene, path))
             drawn += 1
     outcomes, grouped = Counter(), 0
-    for scene, path in cases:
+    for n, (scene, path) in enumerate(cases):
         read = read_back(scene)
         grouped += len(read.rectangles[0]) < len(read.boxes)
+        # the scene and the path mapped by one `deep` map, its literals of up to 80 digits
+        d = 1 + n % 40
+        deep_scene, f = randgen.deep(scene, d), randgen.deep_map(d)
         for candidate in [path, *mutated(path, scene, rng)]:
             for variant in (separate(scene), read, echoed(scene, rng), widened(scene)):
                 got = _verdict(verify_evasion_path, variant, candidate)
                 assert got == _verdict(reference_verify_evasion_path, variant, candidate)
                 outcomes["accepted" if got is None else got.split()[0] + " " + got.split()[1]] += 1
+            deep_path = deep_mapped(candidate, f)
+            got = _verdict(verify_evasion_path, deep_scene, deep_path)
+            assert got == _verdict(reference_verify_evasion_path, deep_scene, deep_path)
+            outcomes["deep " + ("accepted" if got is None else got.split()[0])] += 1
     assert grouped
     assert outcomes["accepted"] > 1000 and outcomes["path point"] > 1000 and outcomes["jump from"] > 50
     assert outcomes["segment with"] and not outcomes["consecutive segments"]
+    assert outcomes["deep accepted"] > 500 and outcomes["deep path"] > 500 and outcomes["deep jump"] > 20
+    assert outcomes["deep segment"] and not outcomes["deep consecutive"]
+
+
+def deep_mapped(path: EvasionPath, f) -> EvasionPath:
+    """The path with its hop times and points mapped by the increasing map f."""
+
+    def mapped(t):
+        return None if t is None else f(t)
+
+    segments = (PathSegment(mapped(s.start), mapped(s.end), (f(s.point[0]), f(s.point[1]))) for s in path.segments)
+    return EvasionPath(tuple(segments), path.chain)
 
 
 @pytest.mark.parametrize(
@@ -1140,8 +1160,31 @@ def test_a_rectangle_stays_in_the_key_while_any_box_on_it_lives():
     assert len(edges[0].xs) == 2 and len(edges[1].xs) == 3
 
 
-# k/97 share the integer part 0, and -1/3, -1/2 and -2/3 the floor -1
-TIED = (*(Fraction(k, 97) for k in range(97)), Fraction(-1, 3), Fraction(-1, 2), Fraction(-2, 3), Fraction(1))
+# k/97 share the integer part 0, and -1/3, -1/2 and -2/3 the floor -1;
+# k/97 + 2^-66 shares k/97's 64-bit fixed-point key for every eighth k
+NEAR = Fraction(1, 2**66)
+TIED = (
+    *(Fraction(k, 97) for k in range(97)),
+    *(Fraction(k, 97) + NEAR for k in range(0, 97, 8)),
+    Fraction(-1, 3),
+    Fraction(-1, 2),
+    Fraction(-2, 3),
+    Fraction(1),
+)
+
+
+def test_ranks_compare_fractions_only_below_the_fixed_point_step(monkeypatch):
+    # values 2^-64 or more apart are ordered by their keys alone; a pair
+    # closer than that shares its key and is compared once as Fractions
+    apart = [Fraction(k, 97) for k in range(96, -1, -1)] + [Fraction(k * 10**40 + 1, 10**40) for k in (3, 1, 2)]
+    expected = tuple(sorted(apart))
+    calls, richcmp = [], Fraction._richcmp
+    monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: calls.append(op) or richcmp(a, b, op))
+    assert _ranks(apart)[0] == expected
+    assert calls == []
+    close = [Fraction(1, 3) + NEAR, Fraction(1, 3), Fraction(1, 3) + NEAR]
+    assert _ranks(close) == ((Fraction(1, 3), Fraction(1, 3) + NEAR), [1, 0, 1])
+    assert len(calls) == 1
 
 
 def tied_scene(rng: Random) -> Scene:
@@ -1294,9 +1337,11 @@ def _halves(box: Box, axis: int) -> tuple[Box, Box]:
     return Box(*first), Box(*second)
 
 
-def metamorphic_images(scene: Scene, a: Fraction, b: Fraction, axes: list[int]) -> dict[str, Scene]:
-    """The scene under each transformation that keeps its verdict and kernel_dim."""
+def metamorphic_images(scene: Scene, a: Fraction, b: Fraction, axes: list[int], d: int) -> dict[str, Scene]:
+    """The scene under each transformation that keeps its verdict and
+    kernel_dim, `deep`'s literals of about 2d digits among them."""
     return {
+        "deep": randgen.deep(scene, d),
         "time reversal": _boxes_mapped(scene, t=lambda iv: (-iv[1], -iv[0])),
         "x-y swap": Scene(scene.window_y, scene.window_x, tuple(Box(box.t, box.y, box.x) for box in scene.boxes)),
         "x mirror": _boxes_mapped(scene, x=lambda iv: (-iv[1], -iv[0])),
@@ -1322,9 +1367,10 @@ POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7)
     POSITIVE,
     # the axis to split each box along; no drawn scene has more than 12 boxes
     st.lists(st.integers(min_value=0, max_value=2), min_size=12, max_size=12),
+    st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=100, deadline=None)
-def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
+def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes, d):
     assume(validate_scene(scene) is None)
 
     def outcome(s: Scene) -> tuple[bool, int]:
@@ -1332,7 +1378,7 @@ def test_verdict_and_kernel_dim_are_metamorphic_invariants(scene, a, b, axes):
         return sections.decision.feasible, sections.kernel_dim
 
     expected = outcome(scene)
-    for name, image in metamorphic_images(scene, a, b, axes).items():
+    for name, image in metamorphic_images(scene, a, b, axes, d).items():
         assert outcome(image) == expected, name
 
 

@@ -55,9 +55,12 @@ def test_the_blocking_time_is_the_first_vertex_with_nothing_reachable():
     "scene",
     [
         *(comb_scene(m) for m in (1, 5, 24, 40)),
-        *(family(n) for family in (slalom_scene, jittered_slalom_scene) for n in (5, 100, 200)),
+        *(family(n) for family in (slalom_scene, jittered_slalom_scene) for n in (5, 100, 200, 1600)),
     ],
-    ids=[*(f"comb-{m}" for m in (1, 5, 24, 40)), *(f"{f}-{n}" for f in ("slalom", "jittered-slalom") for n in (5, 100, 200))],
+    ids=[
+        *(f"comb-{m}" for m in (1, 5, 24, 40)),
+        *(f"{f}-{n}" for f in ("slalom", "jittered-slalom") for n in (5, 100, 200, 1600)),
+    ],
 )
 def test_the_families_agree_with_the_interval_reference(scene):
     assert verdict(scene) == reference_interval_decision(scene)[0] == "EVASION"

@@ -81,6 +81,11 @@ def test_scaling_bench_writes_rows_and_slopes(tmp_path):
     # one traced check per case gives every row of the case its memory peak
     assert all(r["tracemalloc_peak_kib"] > 0 for r in rows.values())
     assert len({r["tracemalloc_peak_kib"] for (f, n, _), r in rows.items() if (f, n) == ("slalom", 8)}) == 1
+    # and its warm-up's collection count, the printed "gc" column
+    assert all(type(r["gc"]) is int and r["gc"] >= 0 for r in rows.values())
+    assert len({r["gc"] for (f, n, _), r in rows.items() if (f, n) == ("slalom", 8)}) == 1
+    (slalom,) = [line.split() for line in result.stdout.splitlines() if line.split()[:2] == ["slalom", "8"]]
+    assert int(slalom[-3]) == rows[("slalom", 8, "path")]["gc"]
     assert rows[("slalom", 8, "path")]["critical_times"] == 32
     # staircase 3: births at t = 1, 2, 3 and one death at t = 6
     assert rows[("staircase", 3, "fibres")]["critical_times"] == 4
@@ -115,6 +120,19 @@ def test_scaling_bench_adds_a_row_of_random_draws(tmp_path):
     (random,) = [line.split() for line in result.stdout.splitlines() if line.split()[:1] == ["random"]]
     assert random[:2] == ["random", "4"] and random[-2:] == ["2/4", "EVASION"]
     assert int(random[2]) == rows[("random", "check")]["critical_times"]
+
+
+def test_interval_check_compares_the_verdicts_of_full_height_families():
+    result = run_script(["interval_check.py", "--family", "comb=3,5", "--family", "jittered-slalom=4"])
+    rows = [line.split() for line in result.stdout.splitlines()[1:-1]]
+    assert [row[:4] for row in rows] == [
+        ["comb", "3", "EVASION", "EVASION"],
+        ["comb", "5", "EVASION", "EVASION"],
+        ["jittered-slalom", "4", "EVASION", "EVASION"],
+    ]
+    assert result.stdout.splitlines()[-1] == "the verdicts agree"
+    refused = run_script(["interval_check.py", "--family", "pulsing=10"], code=2)
+    assert refused.stderr.splitlines()[-1].endswith("argument --family: pulsing=10 is not a full-height scene")
 
 
 def test_pair_check_leaves_an_empty_family_out():
